@@ -2,7 +2,7 @@
 
 Set the environment variable ``LOGIQ_NO_NUMBA=1`` (before import) to run the
 pure numpy/Python fallback path instead of the jitted kernels.  Both paths
-execute the same source; ``benchmarks/bench_kernels.py`` compares them.
+execute the same source; ``tests/test_kernels.py`` compares their results.
 """
 
 import os

@@ -257,38 +257,52 @@ def _output_grid(inflow: RateSeries, opts: SolverOptions):
         raise ParameterError("output_dt must be > 0")
     span = inflow.t_end - inflow.t0
     n = max(1, int(round(span / out_dt)))
+    # the kernel holds the inflow constant past its window, so a grid that
+    # overshoots it would integrate mass that never arrived
+    if abs(n * out_dt - span) > 1e-9 * span:
+        raise ParameterError(f"output_dt {out_dt:g} s does not divide the "
+                             f"inflow window of {span:g} s")
     return inflow.t0 + out_dt * np.arange(n + 1)
 
 
 def _kernel_mu(spec: QueueSpec, inflow: RateSeries):
+    """Kernel service-rate arguments (mode, mu_const, mu_vals, mu0,
+    m_servers), then the lowest rate the server reaches."""
     empty = np.empty(0)
     if isinstance(spec.mu, MultiServerRate):
-        return kernels.MU_MULTISERVER, 0.0, empty, spec.mu.mu0, float(spec.mu.m)
+        mu0 = spec.mu.mu0
+        return kernels.MU_MULTISERVER, 0.0, empty, mu0, float(spec.mu.m), mu0
     if callable(spec.mu):
         mu_vals = np.asarray([float(spec.mu(t)) for t in inflow.sample_times],
                              dtype=float)
         if np.any(mu_vals <= 0):
             raise ParameterError("mu(t) must stay positive")
-        return kernels.MU_TIME, 0.0, mu_vals, 0.0, 1.0
-    return kernels.MU_CONST, float(spec.mu), empty, 0.0, 1.0
+        return kernels.MU_TIME, 0.0, mu_vals, 0.0, 1.0, float(mu_vals.min())
+    return kernels.MU_CONST, float(spec.mu), empty, 0.0, 1.0, float(spec.mu)
 
 
-def _mu_floor(spec: QueueSpec, inflow: RateSeries) -> float:
-    if isinstance(spec.mu, MultiServerRate):
-        return spec.mu.mu0
-    if callable(spec.mu):
-        return min(float(spec.mu(t)) for t in inflow.sample_times)
-    return float(spec.mu)
-
-
-def integrate_queue(inflow: RateSeries, spec: QueueSpec,
-                    opts: SolverOptions = SolverOptions()) -> QueueTrajectory:
-    """Integrate the queue ODE (finite-buffer gate included when the spec
-    carries a capacity) over the inflow's window."""
+def _solve(inflow: RateSeries, spec: QueueSpec, opts: SolverOptions,
+           x_vals, p_vals):
+    """Run the kernel for the server ``spec`` on the total ``inflow``, split
+    into the queue's own inflow ``x_vals`` and the priority inflow
+    ``p_vals`` (empty for a single queue).  Returns (grid, kernel output
+    rows, stats)."""
     if len(inflow) == 0:
         raise ParameterError("empty inflow")
     grid = _output_grid(inflow, opts)
-    mu_mode, mu_const, mu_vals, mu0, m_servers = _kernel_mu(spec, inflow)
+    # Every step ends on an output time.  Inflow knots the output grid misses
+    # are added as extra stops: a step across a kink of the piecewise-linear
+    # inflow integrates it inexactly and leaks mass at solver tolerance.
+    stops, keep = grid, slice(None)
+    knots = inflow.sample_times
+    i = np.clip(np.searchsorted(grid, knots), 1, len(grid) - 1)
+    gap = np.minimum(knots - grid[i - 1], grid[i] - knots)
+    missed = knots[np.abs(gap) > 1e-9 * (grid[1] - grid[0])]
+    if missed.size:
+        stops = np.sort(np.concatenate([grid, missed]))
+        keep = np.searchsorted(stops, grid)
+    (mu_mode, mu_const, mu_vals, mu0, m_servers,
+     mu_floor) = _kernel_mu(spec, inflow)
 
     gate_on = spec.capacity_k is not None
     if gate_on:
@@ -297,7 +311,7 @@ def integrate_queue(inflow: RateSeries, spec: QueueSpec,
         if spec.gate_h0 is not None:
             h0 = spec.gate_h0
         else:
-            h0 = min(1.0, _mu_floor(spec, inflow) / m_x) if m_x > 0 else 1.0
+            h0 = min(1.0, mu_floor / m_x) if m_x > 0 else 1.0
         gate_n = spec.gate_n if spec.gate_n is not None else 500.0 / cap_k
     else:
         cap_k, h0, gate_n = 0.0, 1.0, 1.0
@@ -306,17 +320,17 @@ def integrate_queue(inflow: RateSeries, spec: QueueSpec,
     max_step = opts.max_step if opts.max_step is not None else min(out_dt, inflow.dt)
 
     x_first = inflow.t0 + inflow.dt
-    q, y, served, lost, stats = kernels.integrate_logistic(
-        grid, x_first, inflow.dt, inflow.values, mu_mode, mu_const, mu_vals,
+    out, stats = kernels.integrate_logistic(
+        stops, x_first, inflow.dt, x_vals, p_vals, mu_mode, mu_const, mu_vals,
         mu0, m_servers, float(spec.alpha), gate_on, cap_k, float(h0),
         float(gate_n), float(spec.q0), opts.rel_tol, opts.abs_tol, max_step)
 
     status, n_steps, n_rej, max_neg = stats
     if status != kernels.OK:
-        t_fail = float(grid[np.isnan(q)][0])
+        t_fail = float(stops[np.isnan(out[0])][0])
         raise IntegrationError(f"step size underflow near t={t_fail:.6g} s",
                                t_fail=t_fail)
-    q_max = float(q.max())
+    q_max = float(out[0::4].max())
     # Roundoff alone produces excursions of order eps * step * rate, so the
     # tolerance carries an absolute floor on the same (integral X + q0) scale
     # used by the conservation property.
@@ -325,8 +339,15 @@ def integrate_queue(inflow: RateSeries, spec: QueueSpec,
     if max_neg > neg_tol:
         raise IntegrationError(
             f"negative backlog excursion {max_neg:g} exceeds tolerance {neg_tol:g}")
-    return QueueTrajectory(grid, q, y, served, lost,
-                           SolverStats(n_steps, n_rej, max_neg))
+    return grid, out[:, keep], SolverStats(n_steps, n_rej, max_neg)
+
+
+def integrate_queue(inflow: RateSeries, spec: QueueSpec,
+                    opts: SolverOptions = SolverOptions()) -> QueueTrajectory:
+    """Integrate the queue ODE (finite-buffer gate included when the spec
+    carries a capacity) over the inflow's window."""
+    grid, out, stats = _solve(inflow, spec, opts, inflow.values, np.empty(0))
+    return QueueTrajectory(grid, *out, stats)
 
 
 def integrate_finite_queue(inflow: RateSeries, spec: QueueSpec,
@@ -339,9 +360,10 @@ def integrate_finite_queue(inflow: RateSeries, spec: QueueSpec,
 
 
 def integrate_point_queue(inflow: RateSeries, mu: float, q0: float = 0.0,
-                          opts: SolverOptions = SolverOptions()) -> np.ndarray:
-    """Exact trajectory of the projected point-queue model on the output
-    grid (piecewise-quadratic closed form, no ODE stepping)."""
+                          opts: SolverOptions = SolverOptions()
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, q): exact trajectory of the projected point-queue model on
+    the output grid (piecewise-quadratic closed form, no ODE stepping)."""
     if mu <= 0:
         raise ParameterError("mu must be > 0")
     grid = _output_grid(inflow, opts)
@@ -368,43 +390,23 @@ def split_outflow(components, total_out: RateSeries):
 
 def priority_rates(x1, x2, q1, mu, alpha):
     """Service split (mu1, mu2) of the priority pair; mu1 + mu2 == mu."""
-    x = x1 + x2
-    if x < 1e-12:
-        mu2 = 0.0
-    else:
-        mu2 = (x2 / x) * mu * math.exp(-alpha * max(q1, 0.0))
-    return mu - mu2, mu2
+    return kernels.priority_split(x1, x2, max(q1, 0.0), mu, alpha)
 
 
-def integrate_priority_pair(x1: RateSeries, x2: RateSeries, mu: float,
-                            alpha: float = None, q0s=(0.0, 0.0),
+def integrate_priority_pair(x1: RateSeries, x2: RateSeries, spec: QueueSpec,
                             opts: SolverOptions = SolverOptions()):
-    """Integrate the coupled priority system; x1 has priority over x2.
+    """Integrate the coupled priority system on the server ``spec``; x1 has
+    priority over x2.
 
-    alpha defaults to compute_alpha on the aggregate inflow x1 + x2.
-    Returns (priority trajectory, low-priority trajectory).
+    The server sees the aggregate inflow x1 + x2: a finite ``spec`` gates
+    both classes on the total backlog, and each class accounts its own lost
+    mass.  ``spec.q0`` is the low class's initial backlog; the priority
+    class starts empty.  Returns (priority trajectory, low-priority
+    trajectory), which share one stepper and its stats.
     """
     if not x1.same_grid(x2):
         raise ParameterError("priority inflows must share the grid")
-    if mu <= 0:
-        raise ParameterError("mu must be > 0")
     aggregate = RateSeries(x1.t0, x1.dt, x1.values + x2.values)
-    if alpha is None:
-        alpha = compute_alpha(aggregate, mu)
-    grid = _output_grid(aggregate, opts)
-    out_dt = grid[1] - grid[0]
-    max_step = opts.max_step if opts.max_step is not None else min(out_dt, x1.dt)
-    x_first = x1.t0 + x1.dt
-    (q1, q2, y1, y2, s1, s2, stats) = kernels.integrate_priority(
-        grid, x_first, x1.dt, x1.values, x2.values, float(mu), float(alpha),
-        float(q0s[0]), float(q0s[1]), opts.rel_tol, opts.abs_tol, max_step)
-    status, n_steps, n_rej, max_neg = stats
-    if status != kernels.OK:
-        t_fail = float(grid[np.isnan(q1)][0])
-        raise IntegrationError(f"step size underflow near t={t_fail:.6g} s",
-                               t_fail=t_fail)
-    zeros = np.zeros_like(q1)
-    st = SolverStats(n_steps, n_rej, max_neg)
-    traj1 = QueueTrajectory(grid, q1, y1, s1, zeros, st)
-    traj2 = QueueTrajectory(grid, q2, y2, s2, zeros, st)
-    return traj1, traj2
+    grid, out, stats = _solve(aggregate, spec, opts, x2.values, x1.values)
+    return (QueueTrajectory(grid, *out[4:], stats),
+            QueueTrajectory(grid, *out[:4], stats))

@@ -1,6 +1,6 @@
-"""Numeric inner loops: adaptive RK45 integration of the logistic queue
-family, the coupled priority pair, an exact point-queue reference, and the
-packet-level FIFO recursion.
+"""Numeric inner loops: one adaptive Dormand-Prince 5(4) integrator for the
+logistic queue family and the coupled priority pair, an exact point-queue
+reference, and the packet-level FIFO recursion.
 
 All kernels are numba-jitted unless ``LOGIQ_NO_NUMBA=1`` (see accel.py); the
 pure-Python source of each kernel stays reachable as ``<kernel>.py_func``.
@@ -62,19 +62,50 @@ def _gate(q, cap_k, h0, gate_n):
 
 
 @maybe_jit
-def _rhs(t, q, x_first, x_dt, x_vals, mu_mode, mu_const, mu_vals, mu0,
-         m_servers, alpha, gate_on, cap_k, h0, gate_n):
-    """Returns (dq/dt, outflow, lost-rate) at (t, q); q evaluated at max(q,0)."""
+def priority_split(x1, x2, q1, mu, alpha):
+    """Service split (mu1, mu2) between a priority class with inflow x1 and
+    backlog q1 >= 0 and a low class with inflow x2: the low class gets its
+    inflow share of mu, collapsing as the priority backlog grows, so
+    mu1 + mu2 == mu."""
+    x = x1 + x2
+    if x < 1e-12:
+        return mu, 0.0
+    mu2 = (x2 / x) * mu * np.exp(-alpha * q1)
+    return mu - mu2, mu2
+
+
+@maybe_jit
+def _rhs(t, q, qp, pair, x_first, x_dt, x_vals, p_vals, mu_mode, mu_const,
+         mu_vals, mu0, m_servers, alpha, gate_on, cap_k, h0, gate_n):
+    """Returns (dq/dt, outflow, lost-rate) of the queue fed by x_vals, then
+    the same three for the priority class fed by p_vals (zeros unless
+    ``pair``).  Backlogs are evaluated at max(q, 0); in a pair the gate and
+    the service rate see the total backlog q + qp."""
     qc = q if q > 0.0 else 0.0
     x = _interp_grid(t, x_first, x_dt, x_vals)
+    q_all = qc
+    if pair:
+        qpc = qp if qp > 0.0 else 0.0
+        xp = _interp_grid(t, x_first, x_dt, p_vals)
+        q_all = qc + qpc
     if gate_on:
-        xh = _gate(qc, cap_k, h0, gate_n) * x
+        g = _gate(q_all, cap_k, h0, gate_n)
+        xh = g * x
     else:
+        g = 1.0
         xh = x
-    mu = _mu_at(t, qc, mu_mode, mu_const, x_first, x_dt, mu_vals, mu0, m_servers)
+    mu = _mu_at(t, q_all, mu_mode, mu_const, x_first, x_dt, mu_vals, mu0,
+                m_servers)
+    if pair:
+        mu_p, mu = priority_split(xp, x, qpc, mu, alpha)
+        xph = g * xp
+        mnp = xph if xph < mu_p else mu_p
+        yp = mu_p + np.exp(-alpha * qpc) * (mnp - mu_p)
     mn = xh if xh < mu else mu
     y = mu + np.exp(-alpha * qc) * (mn - mu)
-    return xh - y, y, x - xh
+    if pair:
+        return xh - y, y, x - xh, xph - yp, yp, xp - xph
+    return xh - y, y, x - xh, 0.0, 0.0, 0.0
 
 
 # Dormand-Prince 5(4) coefficients
@@ -94,36 +125,35 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (35.0 / 384.0 - 5179.0 / 57600.0,
 
 
 @maybe_jit
-def integrate_logistic(t_out, x_first, x_dt, x_vals, mu_mode, mu_const,
-                       mu_vals, mu0, m_servers, alpha, gate_on, cap_k, h0,
-                       gate_n, q0, rtol, atol, max_step):
-    """Adaptive RK45 over the state (q, served-bits, lost-bits).
+def integrate_logistic(t_out, x_first, x_dt, x_vals, p_vals, mu_mode,
+                       mu_const, mu_vals, mu0, m_servers, alpha, gate_on,
+                       cap_k, h0, gate_n, q0, rtol, atol, max_step):
+    """Adaptive Dormand-Prince 5(4) over the state (q, served-bits,
+    lost-bits) of the queue fed by x_vals, starting at backlog q0.
 
-    Steps are clamped so every output time is an exact step endpoint.
-    Returns (q_out, y_out, served_out, lost_out, stats) where stats is
-    (status, n_steps, n_rejected, worst_negative_q).
+    A nonempty p_vals adds a priority class (qp, served_p, lost_p), starting
+    empty, that is served first (see priority_split); the single queue skips
+    every priority-class operation.  Steps are clamped so every output time
+    is an exact step endpoint.  Returns (out, stats): the rows of out are q,
+    outflow, served and lost of the queue, then in pair mode the same four
+    for the priority class; stats is (status, n_steps, n_rejected,
+    worst_negative_q).
     """
+    pair = p_vals.shape[0] > 0
     n_out = t_out.shape[0]
-    q_out = np.empty(n_out)
-    y_out = np.empty(n_out)
-    served_out = np.empty(n_out)
-    lost_out = np.empty(n_out)
+    out = np.empty((8 if pair else 4, n_out))
 
     # state
     q = q0
     served = 0.0
     lost = 0.0
+    qp = 0.0
+    served_p = 0.0
+    lost_p = 0.0
     worst_neg = 0.0
     n_steps = 0
     n_rej = 0
     status = OK
-
-    dq0, y0, l0 = _rhs(t_out[0], q, x_first, x_dt, x_vals, mu_mode, mu_const,
-                       mu_vals, mu0, m_servers, alpha, gate_on, cap_k, h0, gate_n)
-    q_out[0] = q
-    y_out[0] = y0
-    served_out[0] = served
-    lost_out[0] = lost
 
     span = t_out[n_out - 1] - t_out[0]
     min_step = 1e-13 * span if span > 0 else 1e-13
@@ -132,7 +162,7 @@ def integrate_logistic(t_out, x_first, x_dt, x_vals, mu_mode, mu_const,
         h = t_out[1] - t_out[0]
 
     t = t_out[0]
-    for j in range(1, n_out):
+    for j in range(n_out):
         target = t_out[j]
         while t < target:
             # a remainder at roundoff scale means the target is reached
@@ -148,35 +178,42 @@ def integrate_logistic(t_out, x_first, x_dt, x_vals, mu_mode, mu_const,
                 status = STEP_FAILURE
                 break
 
-            # stage derivatives for (q, served, lost)
-            k1q, k1y, k1l = _rhs(t, q, x_first, x_dt, x_vals, mu_mode,
-                                 mu_const, mu_vals, mu0, m_servers, alpha,
-                                 gate_on, cap_k, h0, gate_n)
-            k2q, k2y, k2l = _rhs(t + _C2 * h, q + h * _A21 * k1q, x_first,
-                                 x_dt, x_vals, mu_mode, mu_const, mu_vals,
-                                 mu0, m_servers, alpha, gate_on, cap_k, h0,
-                                 gate_n)
-            k3q, k3y, k3l = _rhs(t + _C3 * h, q + h * (_A31 * k1q + _A32 * k2q),
-                                 x_first, x_dt, x_vals, mu_mode, mu_const,
-                                 mu_vals, mu0, m_servers, alpha, gate_on,
-                                 cap_k, h0, gate_n)
-            k4q, k4y, k4l = _rhs(t + _C4 * h,
-                                 q + h * (_A41 * k1q + _A42 * k2q + _A43 * k3q),
-                                 x_first, x_dt, x_vals, mu_mode, mu_const,
-                                 mu_vals, mu0, m_servers, alpha, gate_on,
-                                 cap_k, h0, gate_n)
-            k5q, k5y, k5l = _rhs(t + _C5 * h,
-                                 q + h * (_A51 * k1q + _A52 * k2q + _A53 * k3q
-                                          + _A54 * k4q),
-                                 x_first, x_dt, x_vals, mu_mode, mu_const,
-                                 mu_vals, mu0, m_servers, alpha, gate_on,
-                                 cap_k, h0, gate_n)
-            k6q, k6y, k6l = _rhs(t + h,
-                                 q + h * (_A61 * k1q + _A62 * k2q + _A63 * k3q
-                                          + _A64 * k4q + _A65 * k5q),
-                                 x_first, x_dt, x_vals, mu_mode, mu_const,
-                                 mu_vals, mu0, m_servers, alpha, gate_on,
-                                 cap_k, h0, gate_n)
+            # stage derivatives: (q, served, lost), then the priority class
+            k1q, k1y, k1l, k1p, k1yp, k1lp = _rhs(
+                t, q, qp, pair, x_first, x_dt, x_vals, p_vals, mu_mode,
+                mu_const, mu_vals, mu0, m_servers, alpha, gate_on, cap_k, h0,
+                gate_n)
+            k2q, k2y, k2l, k2p, k2yp, k2lp = _rhs(
+                t + _C2 * h, q + h * _A21 * k1q,
+                qp + h * _A21 * k1p if pair else 0.0, pair, x_first, x_dt,
+                x_vals, p_vals, mu_mode, mu_const, mu_vals, mu0, m_servers,
+                alpha, gate_on, cap_k, h0, gate_n)
+            k3q, k3y, k3l, k3p, k3yp, k3lp = _rhs(
+                t + _C3 * h, q + h * (_A31 * k1q + _A32 * k2q),
+                qp + h * (_A31 * k1p + _A32 * k2p) if pair else 0.0, pair,
+                x_first, x_dt, x_vals, p_vals, mu_mode, mu_const, mu_vals,
+                mu0, m_servers, alpha, gate_on, cap_k, h0, gate_n)
+            k4q, k4y, k4l, k4p, k4yp, k4lp = _rhs(
+                t + _C4 * h, q + h * (_A41 * k1q + _A42 * k2q + _A43 * k3q),
+                qp + h * (_A41 * k1p + _A42 * k2p + _A43 * k3p)
+                if pair else 0.0, pair, x_first, x_dt, x_vals, p_vals,
+                mu_mode, mu_const, mu_vals, mu0, m_servers, alpha, gate_on,
+                cap_k, h0, gate_n)
+            k5q, k5y, k5l, k5p, k5yp, k5lp = _rhs(
+                t + _C5 * h,
+                q + h * (_A51 * k1q + _A52 * k2q + _A53 * k3q + _A54 * k4q),
+                qp + h * (_A51 * k1p + _A52 * k2p + _A53 * k3p + _A54 * k4p)
+                if pair else 0.0, pair, x_first, x_dt, x_vals, p_vals,
+                mu_mode, mu_const, mu_vals, mu0, m_servers, alpha, gate_on,
+                cap_k, h0, gate_n)
+            k6q, k6y, k6l, k6p, k6yp, k6lp = _rhs(
+                t + h,
+                q + h * (_A61 * k1q + _A62 * k2q + _A63 * k3q + _A64 * k4q
+                         + _A65 * k5q),
+                qp + h * (_A61 * k1p + _A62 * k2p + _A63 * k3p + _A64 * k4p
+                          + _A65 * k5p) if pair else 0.0, pair, x_first,
+                x_dt, x_vals, p_vals, mu_mode, mu_const, mu_vals, mu0,
+                m_servers, alpha, gate_on, cap_k, h0, gate_n)
 
             q_new = q + h * (_B1 * k1q + _B3 * k3q + _B4 * k4q + _B5 * k5q
                              + _B6 * k6q)
@@ -184,10 +221,22 @@ def integrate_logistic(t_out, x_first, x_dt, x_vals, mu_mode, mu_const,
                                        + _B5 * k5y + _B6 * k6y)
             lost_new = lost + h * (_B1 * k1l + _B3 * k3l + _B4 * k4l
                                    + _B5 * k5l + _B6 * k6l)
+            if pair:
+                qp_new = qp + h * (_B1 * k1p + _B3 * k3p + _B4 * k4p
+                                   + _B5 * k5p + _B6 * k6p)
+                served_p_new = served_p + h * (_B1 * k1yp + _B3 * k3yp
+                                               + _B4 * k4yp + _B5 * k5yp
+                                               + _B6 * k6yp)
+                lost_p_new = lost_p + h * (_B1 * k1lp + _B3 * k3lp
+                                           + _B4 * k4lp + _B5 * k5lp
+                                           + _B6 * k6lp)
+            else:
+                qp_new = served_p_new = lost_p_new = 0.0
 
-            k7q, k7y, k7l = _rhs(t + h, q_new, x_first, x_dt, x_vals, mu_mode,
-                                 mu_const, mu_vals, mu0, m_servers, alpha,
-                                 gate_on, cap_k, h0, gate_n)
+            k7q, k7y, k7l, k7p, k7yp, k7lp = _rhs(
+                t + h, q_new, qp_new, pair, x_first, x_dt, x_vals, p_vals,
+                mu_mode, mu_const, mu_vals, mu0, m_servers, alpha, gate_on,
+                cap_k, h0, gate_n)
 
             err_q = h * (_E1 * k1q + _E3 * k3q + _E4 * k4q + _E5 * k5q
                          + _E6 * k6q + _E7 * k7q)
@@ -202,7 +251,21 @@ def integrate_logistic(t_out, x_first, x_dt, x_vals, mu_mode, mu_const,
             e1 = abs(err_q) / (atol + rtol * aq)
             e2 = abs(err_s) / (atol + rtol * asv)
             e3 = abs(err_l) / (atol + rtol * al)
-            err = np.sqrt((e1 * e1 + e2 * e2 + e3 * e3) / 3.0)
+            if pair:
+                err_q = h * (_E1 * k1p + _E3 * k3p + _E4 * k4p + _E5 * k5p
+                             + _E6 * k6p + _E7 * k7p)
+                err_s = h * (_E1 * k1yp + _E3 * k3yp + _E4 * k4yp
+                             + _E5 * k5yp + _E6 * k6yp + _E7 * k7yp)
+                err_l = h * (_E1 * k1lp + _E3 * k3lp + _E4 * k4lp
+                             + _E5 * k5lp + _E6 * k6lp + _E7 * k7lp)
+                aq = abs(qp) if abs(qp) > abs(qp_new) else abs(qp_new)
+                e4 = abs(err_q) / (atol + rtol * aq)
+                e5 = abs(err_s) / (atol + rtol * abs(served_p_new))
+                e6 = abs(err_l) / (atol + rtol * abs(lost_p_new))
+                err = np.sqrt((e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4
+                               + e5 * e5 + e6 * e6) / 6.0)
+            else:
+                err = np.sqrt((e1 * e1 + e2 * e2 + e3 * e3) / 3.0)
 
             if err <= 1.0:
                 t = t + h
@@ -213,6 +276,14 @@ def integrate_logistic(t_out, x_first, x_dt, x_vals, mu_mode, mu_const,
                     worst_neg = q
                 if q < 0.0:
                     q = 0.0
+                if pair:
+                    qp = qp_new
+                    served_p = served_p_new
+                    lost_p = lost_p_new
+                    if qp < worst_neg:
+                        worst_neg = qp
+                    if qp < 0.0:
+                        qp = 0.0
                 n_steps += 1
             else:
                 n_rej += 1
@@ -228,200 +299,18 @@ def integrate_logistic(t_out, x_first, x_dt, x_vals, mu_mode, mu_const,
             h = h * factor
 
         if status != OK:
-            for jj in range(j, n_out):
-                q_out[jj] = np.nan
-                y_out[jj] = np.nan
-                served_out[jj] = np.nan
-                lost_out[jj] = np.nan
+            out[:, j:] = np.nan
             break
 
-        dqj, yj, lj = _rhs(t, q, x_first, x_dt, x_vals, mu_mode, mu_const,
-                           mu_vals, mu0, m_servers, alpha, gate_on, cap_k,
-                           h0, gate_n)
-        q_out[j] = q
-        y_out[j] = yj
-        served_out[j] = served
-        lost_out[j] = lost
+        r = _rhs(t, q, qp, pair, x_first, x_dt, x_vals, p_vals, mu_mode,
+                 mu_const, mu_vals, mu0, m_servers, alpha, gate_on, cap_k, h0,
+                 gate_n)
+        out[0, j], out[1, j], out[2, j], out[3, j] = q, r[1], served, lost
+        if pair:
+            out[4, j], out[5, j], out[6, j], out[7, j] = (qp, r[4], served_p,
+                                                          lost_p)
 
-    return q_out, y_out, served_out, lost_out, (status, n_steps, n_rej, -worst_neg)
-
-
-@maybe_jit
-def _priority_rhs(t, q1, q2, x_first, x_dt, x1_vals, x2_vals, mu, alpha):
-    """Coupled priority pair: the low-priority service rate collapses as the
-    priority backlog grows; mu1 + mu2 == mu by construction."""
-    q1c = q1 if q1 > 0.0 else 0.0
-    q2c = q2 if q2 > 0.0 else 0.0
-    x1 = _interp_grid(t, x_first, x_dt, x1_vals)
-    x2 = _interp_grid(t, x_first, x_dt, x2_vals)
-    x = x1 + x2
-    if x < 1e-12:
-        mu2 = 0.0
-    else:
-        mu2 = (x2 / x) * mu * np.exp(-alpha * q1c)
-    mu1 = mu - mu2
-    mn1 = x1 if x1 < mu1 else mu1
-    mn2 = x2 if x2 < mu2 else mu2
-    y1 = mu1 + np.exp(-alpha * q1c) * (mn1 - mu1)
-    y2 = mu2 + np.exp(-alpha * q2c) * (mn2 - mu2)
-    return x1 - y1, x2 - y2, y1, y2
-
-
-@maybe_jit
-def integrate_priority(t_out, x_first, x_dt, x1_vals, x2_vals, mu, alpha,
-                       q10, q20, rtol, atol, max_step):
-    """RK45 on the 4-state (q1, q2, served1, served2) priority system."""
-    n_out = t_out.shape[0]
-    q1_out = np.empty(n_out)
-    q2_out = np.empty(n_out)
-    y1_out = np.empty(n_out)
-    y2_out = np.empty(n_out)
-    s1_out = np.empty(n_out)
-    s2_out = np.empty(n_out)
-
-    y = np.empty(4)
-    y[0] = q10
-    y[1] = q20
-    y[2] = 0.0
-    y[3] = 0.0
-    worst_neg = 0.0
-    n_steps = 0
-    n_rej = 0
-    status = OK
-
-    d1, d2, o1, o2 = _priority_rhs(t_out[0], y[0], y[1], x_first, x_dt,
-                                   x1_vals, x2_vals, mu, alpha)
-    q1_out[0], q2_out[0] = y[0], y[1]
-    y1_out[0], y2_out[0] = o1, o2
-    s1_out[0], s2_out[0] = 0.0, 0.0
-
-    span = t_out[n_out - 1] - t_out[0]
-    min_step = 1e-13 * span if span > 0 else 1e-13
-    h = max_step
-    if n_out > 1 and t_out[1] - t_out[0] < h:
-        h = t_out[1] - t_out[0]
-
-    k = np.empty((7, 4))
-    y_stage = np.empty(4)
-    y_new = np.empty(4)
-    t = t_out[0]
-    for j in range(1, n_out):
-        target = t_out[j]
-        while t < target:
-            # a remainder at roundoff scale means the target is reached
-            scale_t = abs(target) if abs(target) > 1.0 else 1.0
-            if target - t <= 16.0 * 2.220446049250313e-16 * scale_t:
-                t = target
-                break
-            if h > max_step:
-                h = max_step
-            if t + h > target:
-                h = target - t
-            if h < min_step:
-                status = STEP_FAILURE
-                break
-
-            d1, d2, o1, o2 = _priority_rhs(t, y[0], y[1], x_first, x_dt,
-                                           x1_vals, x2_vals, mu, alpha)
-            k[0, 0], k[0, 1], k[0, 2], k[0, 3] = d1, d2, o1, o2
-
-            for i in range(4):
-                y_stage[i] = y[i] + h * _A21 * k[0, i]
-            d1, d2, o1, o2 = _priority_rhs(t + _C2 * h, y_stage[0], y_stage[1],
-                                           x_first, x_dt, x1_vals, x2_vals,
-                                           mu, alpha)
-            k[1, 0], k[1, 1], k[1, 2], k[1, 3] = d1, d2, o1, o2
-
-            for i in range(4):
-                y_stage[i] = y[i] + h * (_A31 * k[0, i] + _A32 * k[1, i])
-            d1, d2, o1, o2 = _priority_rhs(t + _C3 * h, y_stage[0], y_stage[1],
-                                           x_first, x_dt, x1_vals, x2_vals,
-                                           mu, alpha)
-            k[2, 0], k[2, 1], k[2, 2], k[2, 3] = d1, d2, o1, o2
-
-            for i in range(4):
-                y_stage[i] = y[i] + h * (_A41 * k[0, i] + _A42 * k[1, i]
-                                         + _A43 * k[2, i])
-            d1, d2, o1, o2 = _priority_rhs(t + _C4 * h, y_stage[0], y_stage[1],
-                                           x_first, x_dt, x1_vals, x2_vals,
-                                           mu, alpha)
-            k[3, 0], k[3, 1], k[3, 2], k[3, 3] = d1, d2, o1, o2
-
-            for i in range(4):
-                y_stage[i] = y[i] + h * (_A51 * k[0, i] + _A52 * k[1, i]
-                                         + _A53 * k[2, i] + _A54 * k[3, i])
-            d1, d2, o1, o2 = _priority_rhs(t + _C5 * h, y_stage[0], y_stage[1],
-                                           x_first, x_dt, x1_vals, x2_vals,
-                                           mu, alpha)
-            k[4, 0], k[4, 1], k[4, 2], k[4, 3] = d1, d2, o1, o2
-
-            for i in range(4):
-                y_stage[i] = y[i] + h * (_A61 * k[0, i] + _A62 * k[1, i]
-                                         + _A63 * k[2, i] + _A64 * k[3, i]
-                                         + _A65 * k[4, i])
-            d1, d2, o1, o2 = _priority_rhs(t + h, y_stage[0], y_stage[1],
-                                           x_first, x_dt, x1_vals, x2_vals,
-                                           mu, alpha)
-            k[5, 0], k[5, 1], k[5, 2], k[5, 3] = d1, d2, o1, o2
-
-            for i in range(4):
-                y_new[i] = y[i] + h * (_B1 * k[0, i] + _B3 * k[2, i]
-                                       + _B4 * k[3, i] + _B5 * k[4, i]
-                                       + _B6 * k[5, i])
-            d1, d2, o1, o2 = _priority_rhs(t + h, y_new[0], y_new[1], x_first,
-                                           x_dt, x1_vals, x2_vals, mu, alpha)
-            k[6, 0], k[6, 1], k[6, 2], k[6, 3] = d1, d2, o1, o2
-
-            err = 0.0
-            for i in range(4):
-                e = h * (_E1 * k[0, i] + _E3 * k[2, i] + _E4 * k[3, i]
-                         + _E5 * k[4, i] + _E6 * k[5, i] + _E7 * k[6, i])
-                ay = abs(y[i]) if abs(y[i]) > abs(y_new[i]) else abs(y_new[i])
-                en = abs(e) / (atol + rtol * ay)
-                err += en * en
-            err = np.sqrt(err / 4.0)
-
-            if err <= 1.0:
-                t = t + h
-                for i in range(4):
-                    y[i] = y_new[i]
-                for i in range(2):
-                    if y[i] < worst_neg:
-                        worst_neg = y[i]
-                    if y[i] < 0.0:
-                        y[i] = 0.0
-                n_steps += 1
-            else:
-                n_rej += 1
-
-            if err > 1e-12:
-                factor = _SAFETY * err ** -0.2
-            else:
-                factor = _MAX_FACTOR
-            if factor < _MIN_FACTOR:
-                factor = _MIN_FACTOR
-            elif factor > _MAX_FACTOR:
-                factor = _MAX_FACTOR
-            h = h * factor
-
-        if status != OK:
-            for jj in range(j, n_out):
-                q1_out[jj] = np.nan
-                q2_out[jj] = np.nan
-                y1_out[jj] = np.nan
-                y2_out[jj] = np.nan
-                s1_out[jj] = np.nan
-                s2_out[jj] = np.nan
-            break
-
-        d1, d2, o1, o2 = _priority_rhs(t, y[0], y[1], x_first, x_dt, x1_vals,
-                                       x2_vals, mu, alpha)
-        q1_out[j], q2_out[j] = y[0], y[1]
-        y1_out[j], y2_out[j] = o1, o2
-        s1_out[j], s2_out[j] = y[2], y[3]
-
-    return (q1_out, q2_out, y1_out, y2_out, s1_out, s2_out,
-            (status, n_steps, n_rej, -worst_neg))
+    return out, (status, n_steps, n_rej, -worst_neg)
 
 
 @maybe_jit

@@ -122,51 +122,53 @@ def _egress_stage(topology, egress_in, opts):
     return trajs
 
 
-def propagate(topology: Topology, inflows,
-              opts: SolverOptions = SolverOptions()) -> DtState:
-    """Run the access -> core -> egress pipeline for one inflow set."""
+def _propagate(topology, inflows, opts, priority_inflow=None):
     inflows = list(inflows)
     if len(inflows) != topology.n_origins:
         raise ParameterError("one inflow per origin required")
     for x in inflows[1:]:
         if not x.same_grid(inflows[0]):
             raise ParameterError("inflows must share the grid")
+    if (priority_inflow is not None
+            and not priority_inflow.same_grid(inflows[0])):
+        raise ParameterError("priority inflow must share the grid")
 
     access, access_out = _access_stage(topology, inflows, opts)
     core_in = RateSeries(inflows[0].t0, inflows[0].dt,
                          np.sum([y.values for y in access_out], axis=0))
+    # the core is one finite-buffer link for the total traffic it serves
+    total = core_in if priority_inflow is None else RateSeries(
+        core_in.t0, core_in.dt, core_in.values + priority_inflow.values)
     core_spec = QueueSpec(mu=topology.core_mu,
-                          alpha=_link_alpha(core_in, topology.core_mu,
+                          alpha=_link_alpha(total, topology.core_mu,
                                             topology.alpha_core),
                           capacity_k=topology.core_k,
                           gate_h0=topology.core_h0, gate_n=topology.core_n)
-    core = integrate_queue(core_in, core_spec, opts)
+    if priority_inflow is None:
+        prio, core = None, integrate_queue(core_in, core_spec, opts)
+    else:
+        prio, core = integrate_priority_pair(priority_inflow, core_in,
+                                             core_spec, opts)
     core_out = core.outflow_series("instant")
     egress_in = _route_split(topology, access_out, core_out)
     egress = _egress_stage(topology, egress_in, opts)
     return DtState(tuple(access), core, tuple(egress), tuple(access_out),
-                   core_in, core_out, tuple(egress_in))
+                   core_in, core_out, tuple(egress_in), priority=prio)
+
+
+def propagate(topology: Topology, inflows,
+              opts: SolverOptions = SolverOptions()) -> DtState:
+    """Run the access -> core -> egress pipeline for one inflow set."""
+    return _propagate(topology, inflows, opts)
 
 
 def inject_priority_flow(topology: Topology, inflows,
                          priority_inflow: RateSeries,
                          opts: SolverOptions = SolverOptions()) -> DtState:
-    """Re-solve the core as a priority pair (the injected flow is served
-    first); downstream propagation uses the non-priority outflow."""
-    inflows = list(inflows)
-    if not priority_inflow.same_grid(inflows[0]):
-        raise ParameterError("priority inflow must share the grid")
-    access, access_out = _access_stage(topology, inflows, opts)
-    core_in = RateSeries(inflows[0].t0, inflows[0].dt,
-                         np.sum([y.values for y in access_out], axis=0))
-    prio_traj, core = integrate_priority_pair(
-        priority_inflow, core_in, topology.core_mu,
-        alpha=topology.alpha_core, opts=opts)
-    core_out = core.outflow_series("instant")
-    egress_in = _route_split(topology, access_out, core_out)
-    egress = _egress_stage(topology, egress_in, opts)
-    return DtState(tuple(access), core, tuple(egress), tuple(access_out),
-                   core_in, core_out, tuple(egress_in), priority=prio_traj)
+    """Re-solve the pipeline with the core as a priority pair (the injected
+    flow is served first, and shares the core's finite buffer); downstream
+    propagation uses the non-priority outflow."""
+    return _propagate(topology, inflows, opts, priority_inflow)
 
 
 def latency(t, i, j, state: DtState, topology: Topology):

@@ -10,9 +10,15 @@ _W, _H = 720, 440
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
 
 
+def _flat(lo, hi):
+    """True when hi - lo is too small for floats of this magnitude to place
+    distinct ticks in."""
+    return hi - lo <= 1e-12 * max(abs(lo), abs(hi))
+
+
 def _ticks(lo, hi, n=5):
-    if hi <= lo:
-        hi = lo + 1.0
+    if _flat(lo, hi):
+        hi = lo + max(abs(lo), 1.0) * 0.1
     span = hi - lo
     step = 10 ** math.floor(math.log10(span / n))
     for mult in (1, 2, 5, 10):
@@ -20,12 +26,8 @@ def _ticks(lo, hi, n=5):
             step *= mult
             break
     start = math.ceil(lo / step) * step
-    ticks = []
-    v = start
-    while v <= hi + 1e-12 * span:
-        ticks.append(v)
-        v += step
-    return ticks
+    count = math.floor((hi + 1e-12 * span - start) / step) + 1
+    return [start + k * step for k in range(count)]
 
 
 def _fmt(v):
@@ -47,9 +49,9 @@ def line_plot(path, series, title="", xlabel="", ylabel=""):
         xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
+    if _flat(x_lo, x_hi):
+        x_hi = x_lo + max(abs(x_lo), 1.0) * 0.1
+    if _flat(y_lo, y_hi):
         y_hi = y_lo + max(abs(y_lo), 1.0) * 0.1
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logiq.fluid import (DomainError, MultiServerRate, QueueSpec,
                          SolverOptions, compute_alpha, emptying_time_bound,
@@ -128,6 +130,29 @@ class TestIntegration:
         mid = np.searchsorted(traj.grid, 100.0)
         assert traj.q[mid - 5] < 1.0
         assert traj.q[-1] > 0.2 * (0.3e6 * 100.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_bins=st.integers(1, 40), n_out=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_dividing_output_dt_conserves_mass(self, n_bins, n_out, seed):
+        inflow = random_inflow(np.random.default_rng(seed), n=n_bins, dt=60.0)
+        spec = QueueSpec(mu=1e6, alpha=1e-6, q0=1e5)
+        span = inflow.t_end - inflow.t0
+        traj = integrate_queue(inflow, spec,
+                               SolverOptions(output_dt=span / n_out))
+        assert traj.grid[-1] == pytest.approx(inflow.t_end, rel=1e-12)
+        mass_in = inflow.integral() + spec.q0
+        mass_out = traj.q[-1] + traj.served[-1] + traj.lost[-1]
+        assert mass_out == pytest.approx(mass_in, rel=1e-5)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_bins=st.integers(1, 40), n_out=st.integers(1, 40),
+           frac=st.floats(0.05, 0.95))
+    def test_non_dividing_output_dt_rejected(self, n_bins, n_out, frac):
+        inflow = const_inflow(1e6, 60.0 * n_bins, dt=60.0)
+        opts = SolverOptions(output_dt=60.0 * n_bins / (n_out + frac))
+        with pytest.raises(ParameterError):
+            integrate_queue(inflow, QueueSpec(mu=1e6, alpha=1e-6), opts)
 
     def test_exit_time(self):
         assert exit_time(10.0, 5e6, 1e6) == pytest.approx(15.0)
@@ -262,7 +287,7 @@ class TestPriority:
         x2 = RateSeries(0.0, 1.0, rng.uniform(0.5e6, 1.5e6, 200))
         x1 = RateSeries(0.0, 1.0, np.zeros(200))
         mu, alpha = 1e6, 1e-6
-        _, low = integrate_priority_pair(x1, x2, mu, alpha=alpha)
+        _, low = integrate_priority_pair(x1, x2, QueueSpec(mu=mu, alpha=alpha))
         plain = integrate_queue(x2, QueueSpec(mu=mu, alpha=alpha))
         scale = max(plain.q.max(), 1.0)
         np.testing.assert_allclose(low.q, plain.q, atol=1e-3 * scale)
@@ -272,7 +297,8 @@ class TestPriority:
         n = 300
         x1 = RateSeries(0.0, 1.0, np.full(n, 1.5e6))
         x2 = RateSeries(0.0, 1.0, np.full(n, 0.5e6))
-        hi, low = integrate_priority_pair(x1, x2, mu=1e6, alpha=3e-6)
+        hi, low = integrate_priority_pair(x1, x2,
+                                          QueueSpec(mu=1e6, alpha=3e-6))
         assert hi.q[-1] > 0.0
         assert low.q[-1] > 0.5 * 0.5e6 * n * 0.5  # most low traffic queued
         assert np.all(low.y >= -1e-9)
@@ -281,7 +307,7 @@ class TestPriority:
         x1 = RateSeries(0.0, 1.0, np.zeros(10))
         x2 = RateSeries(0.0, 2.0, np.zeros(10))
         with pytest.raises(ParameterError):
-            integrate_priority_pair(x1, x2, 1.0, alpha=1.0)
+            integrate_priority_pair(x1, x2, QueueSpec(mu=1.0, alpha=1.0))
 
 
 class TestPointQueueLimit:

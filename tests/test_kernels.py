@@ -11,36 +11,26 @@ from logiq import kernels
 from logiq.accel import NUMBA_ENABLED
 
 
-def logistic_args(rng, n=60):
+def logistic_args(rng, n=60, pair=False):
     grid = np.arange(n + 1, dtype=float)
     x_vals = rng.uniform(0.0, 2e6, n)
+    p_vals = rng.uniform(0.0, 1e6, n) if pair else np.empty(0)
     return dict(t_out=grid, x_first=1.0, x_dt=1.0, x_vals=x_vals,
-                mu_mode=kernels.MU_CONST, mu_const=1e6, mu_vals=np.empty(0),
-                mu0=0.0, m_servers=1.0, alpha=1e-6, gate_on=False, cap_k=0.0,
-                h0=1.0, gate_n=1.0, q0=0.0, rtol=1e-6, atol=1e-9, max_step=1.0)
+                p_vals=p_vals, mu_mode=kernels.MU_CONST, mu_const=1e6,
+                mu_vals=np.empty(0), mu0=0.0, m_servers=1.0, alpha=1e-6,
+                gate_on=pair, cap_k=5e6, h0=0.5, gate_n=1e-4, q0=0.0,
+                rtol=1e-6, atol=1e-9, max_step=1.0)
 
 
 @pytest.mark.skipif(not NUMBA_ENABLED, reason="numba path disabled")
 class TestJitMatchesPython:
-    def test_integrate_logistic(self):
-        args = logistic_args(np.random.default_rng(0))
-        jit = kernels.integrate_logistic(**args)
-        ref = kernels.integrate_logistic.py_func(**args)
-        for a, b in zip(jit[:4], ref[:4]):
-            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-6)
-        assert jit[4][0] == ref[4][0]
-
-    def test_integrate_priority(self):
-        rng = np.random.default_rng(1)
-        n = 50
-        grid = np.arange(n + 1, dtype=float)
-        x1 = rng.uniform(0.0, 1e6, n)
-        x2 = rng.uniform(0.0, 1e6, n)
-        args = (grid, 1.0, 1.0, x1, x2, 1.5e6, 1e-6, 0.0, 0.0, 1e-6, 1e-9, 1.0)
-        jit = kernels.integrate_priority(*args)
-        ref = kernels.integrate_priority.py_func(*args)
-        for a, b in zip(jit[:6], ref[:6]):
-            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-6)
+    @pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])
+    def test_integrate_logistic(self, pair):
+        args = logistic_args(np.random.default_rng(0), pair=pair)
+        jit_out, jit_stats = kernels.integrate_logistic(**args)
+        ref_out, ref_stats = kernels.integrate_logistic.py_func(**args)
+        np.testing.assert_allclose(jit_out, ref_out, rtol=1e-10, atol=1e-6)
+        assert jit_stats[0] == ref_stats[0]
 
     def test_point_queue_exact(self):
         rng = np.random.default_rng(2)

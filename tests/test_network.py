@@ -135,6 +135,25 @@ class TestPriorityInjection:
         assert prio.priority is not None
         assert max_expected_latency(prio, topo) > max_expected_latency(base, topo)
 
+    def test_core_buffer_enforced(self):
+        # 30 Gb/s of priority on 90 Gb/s of access traffic overloads the
+        # 100 Gb/s core by 20 Gb/s; without the gate it would reach 120 K.
+        # While the priority class holds a backlog the split serves the pair
+        # slightly below mu, so the backlog settles a fraction of the gate's
+        # width K / 500 above K (4e-4 K here), where a single queue stops at K.
+        k = 20e9
+        topo = small_topology(access_mu=(50e9, 50e9), core_k=k)
+        flows = const_flows([45e9, 45e9])
+        prio_in = RateSeries(0.0, 1.0, np.full(120, 30e9))
+        state = inject_priority_flow(topo, flows, prio_in)
+        hi, low = state.priority, state.core
+        assert np.all(hi.q + low.q <= k * (1.0 + 1.0 / 500.0))
+        assert hi.lost[-1] + low.lost[-1] > 0.0
+        for traj, x in ((hi, prio_in), (low, state.core_in)):
+            mass_in = x.integral() + traj.q[0]
+            mass_out = traj.q[-1] + traj.served[-1] + traj.lost[-1]
+            assert mass_out == pytest.approx(mass_in, rel=1e-5)
+
     def test_grid_mismatch(self):
         topo = small_topology()
         with pytest.raises(ParameterError):
