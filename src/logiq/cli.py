@@ -84,8 +84,7 @@ def cmd_simulate(cfg, out: Path) -> int:
 
     alpha = q["alpha"] if q["alpha"] is not None else compute_alpha(inflow, q["mu"])
     spec = QueueSpec(mu=q["mu"], alpha=alpha, q0=q["q0"],
-                     capacity_k=q["capacity"], gate_h0=q["gate_h0"],
-                     gate_n=q["gate_n"])
+                     capacity_k=q["capacity"])
     traj = integrate_queue(inflow, spec, _solver_options(cfg, t["dt"]))
     traj.to_csv(out / "trajectory.csv")
     traj.outflow_series().to_csv(out / "outflow.csv")
@@ -140,13 +139,18 @@ def cmd_validate(cfg, out: Path) -> int:
 
 
 def _sweep_worker(task):
+    """One sweep point: its ValidationRun, or the message of the error that
+    made the point fail."""
     cfg, rho_target = task
     t, q = cfg["traffic"], cfg["queue"]
-    run = pipeline.sweep_point(
-        t["params"], t["users"], t["horizon"], t["dt"], t["seed"], q["mu"],
-        rho_target, alpha=q["alpha"], q0=q["q0"], capacity=q["capacity"],
-        rel_tol=cfg["solver"]["rel_tol"], abs_tol=cfg["solver"]["abs_tol"])
-    return rho_target, run
+    try:
+        return pipeline.sweep_point(
+            t["params"], t["users"], t["horizon"], t["dt"], t["seed"],
+            q["mu"], rho_target, alpha=q["alpha"], q0=q["q0"],
+            capacity=q["capacity"], rel_tol=cfg["solver"]["rel_tol"],
+            abs_tol=cfg["solver"]["abs_tol"])
+    except (ParameterError, DomainError, IntegrationError) as exc:
+        return str(exc)
 
 
 _SWEEP_COLUMNS = ("rho_target", "rho", "err_rel_max", "max_occupancy_err",
@@ -160,23 +164,16 @@ def cmd_sweep(cfg, out: Path) -> int:
         raise ConfigError("config.queue.mu: required for sweep")
     targets = cfg["sweep"]["rho_targets"]
     tasks = [(cfg, rho) for rho in targets]
-    rows, failures = [], []
-    results = []
     if cfg["workers"] > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
-            futures = [(task[1], pool.submit(_sweep_worker, task)) for task in tasks]
-            for rho_target, future in futures:
-                try:
-                    results.append(future.result())
-                except (ParameterError, DomainError, IntegrationError) as exc:
-                    failures.append((rho_target, str(exc)))
+            results = list(pool.map(_sweep_worker, tasks))
     else:
-        for task in tasks:
-            try:
-                results.append(_sweep_worker(task))
-            except (ParameterError, DomainError, IntegrationError) as exc:
-                failures.append((task[1], str(exc)))
-    for rho_target, run in results:
+        results = list(map(_sweep_worker, tasks))
+    rows, failures = [], []
+    for rho_target, run in zip(targets, results):
+        if isinstance(run, str):
+            failures.append((rho_target, run))
+            continue
         r = run.report
         rows.append((rho_target, run.rho, r.err_rel_max, r.max_occupancy_err,
                      r.mean_rel_outflow_err, r.global_rel_err,
@@ -217,9 +214,7 @@ def _build_topology(net):
     return Topology(access_mu=net["access_mu"], core_mu=net["core_mu"],
                     core_k=net["core_k"], egress_xi=net["egress_xi"],
                     routing=net["routing"],
-                    packet_size_bits=net["packet_size"],
-                    core_h0=net["core_h0"], core_n=net["core_n"],
-                    td_at_core_rate=net["td_at_core_rate"])
+                    packet_size_bits=net["packet_size"])
 
 
 def cmd_dt(cfg, out: Path) -> int:
@@ -230,10 +225,10 @@ def cmd_dt(cfg, out: Path) -> int:
         raise ConfigError("config.network.core: mu and capacity are required")
     topology = _build_topology(net)
     flows = net["flows"]
-    target = None if flows["full_generation"] else flows["target_rate"]
     inflows = pipeline.generate_flow_inflows(
         flows["params"], topology.n_origins, flows["users_per_flow"],
-        flows["horizon"], flows["dt"], flows["seed"], target_rate=target,
+        flows["horizon"], flows["dt"], flows["seed"],
+        target_rate=flows["target_rate"],
         warmup_s=flows["warmup"])
     run = pipeline.dt_scenario(topology, inflows,
                                priority_rates=net["priority_rates"],

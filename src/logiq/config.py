@@ -52,13 +52,12 @@ def load_config(path):
 
 
 def parse_config(raw):
-    _check_keys(raw, {"traffic", "queue", "solver", "validation", "sweep",
-                      "network", "workers"}, "config")
+    _check_keys(raw, {"traffic", "queue", "solver", "sweep", "network",
+                      "workers"}, "config")
     cfg = {
         "traffic": _parse_traffic(raw.get("traffic", {})),
         "queue": _parse_queue(raw.get("queue", {})),
         "solver": _parse_solver(raw.get("solver", {})),
-        "validation": _parse_validation(raw.get("validation", {})),
         "sweep": _parse_sweep(raw.get("sweep", {})),
         "network": _parse_network(raw.get("network")) if "network" in raw else None,
         "workers": _get(raw, "workers", 1, "config", int),
@@ -116,14 +115,12 @@ def _parse_traffic(obj):
 
 def _parse_queue(obj):
     path = "config.queue"
-    _check_keys(obj, {"mu", "alpha", "q0", "capacity", "gate_h0", "gate_n"}, path)
+    _check_keys(obj, {"mu", "alpha", "q0", "capacity"}, path)
     return {
         "mu": _get(obj, "mu", None, path, parse_rate),
         "alpha": _get(obj, "alpha", "auto", path, _auto(float)),
         "q0": _get(obj, "q0", 0.0, path, parse_size),
         "capacity": _get(obj, "capacity", None, path, parse_size),
-        "gate_h0": _get(obj, "gate_h0", "auto", path, _auto(float)),
-        "gate_n": _get(obj, "gate_n", "auto", path, _auto(float)),
     }
 
 
@@ -135,15 +132,6 @@ def _parse_solver(obj):
         "abs_tol": _get(obj, "abs_tol", 1e-9, path, float),
         "max_step": _get(obj, "max_step", "auto", path, _auto(parse_duration)),
         "output_dt": _get(obj, "output_dt", "auto", path, _auto(parse_duration)),
-    }
-
-
-def _parse_validation(obj):
-    path = "config.validation"
-    _check_keys(obj, {"sample_dt", "des"}, path)
-    return {
-        "sample_dt": _get(obj, "sample_dt", "auto", path, _auto(parse_duration)),
-        "des": bool(obj.get("des", True)),
     }
 
 
@@ -163,13 +151,12 @@ def _parse_sweep(obj):
 def _parse_network(obj):
     path = "config.network"
     _check_keys(obj, {"access_mu", "core", "egress_xi", "routing",
-                      "packet_size", "flows", "priority_rates",
-                      "td_at_core_rate"}, path)
+                      "packet_size", "flows", "priority_rates"}, path)
     core = obj.get("core", {})
-    _check_keys(core, {"mu", "capacity", "gate_h0", "gate_n"}, path + ".core")
+    _check_keys(core, {"mu", "capacity"}, path + ".core")
     flows = obj.get("flows", {})
     _check_keys(flows, {"users_per_flow", "target_rate", "horizon", "dt",
-                        "seed", "warmup", "full_generation", "params"},
+                        "seed", "warmup", "params"},
                 path + ".flows")
     try:
         access_mu = [parse_rate(v) for v in obj["access_mu"]]
@@ -184,12 +171,9 @@ def _parse_network(obj):
         "access_mu": access_mu,
         "core_mu": _get(core, "mu", None, path + ".core", parse_rate),
         "core_k": _get(core, "capacity", None, path + ".core", parse_size),
-        "core_h0": _get(core, "gate_h0", "auto", path + ".core", _auto(float)),
-        "core_n": _get(core, "gate_n", "auto", path + ".core", _auto(float)),
         "egress_xi": egress_xi,
         "routing": routing,
         "packet_size": _get(obj, "packet_size", 1464 * 8, path, parse_size),
-        "td_at_core_rate": bool(obj.get("td_at_core_rate", True)),
         "priority_rates": priority,
         "flows": {
             "users_per_flow": _get(flows, "users_per_flow", 10, path + ".flows", int),
@@ -198,7 +182,6 @@ def _parse_network(obj):
             "dt": _get(flows, "dt", "60 s", path + ".flows", parse_duration),
             "seed": _get(flows, "seed", 0, path + ".flows", int),
             "warmup": _get(flows, "warmup", 0.0, path + ".flows", parse_duration),
-            "full_generation": bool(flows.get("full_generation", False)),
             "params": _parse_user_params(flows.get("params", {}),
                                          path + ".flows.params"),
         },

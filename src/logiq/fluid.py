@@ -49,14 +49,19 @@ class MultiServerRate:
 class QueueSpec:
     """One queue/server: service rate (constant, time function, or
     MultiServerRate), logistic steepness alpha, initial backlog, and an
-    optional finite capacity with smoothed-gate parameters."""
+    optional finite capacity K in bits.
+
+    A finite queue gates its inflow with the smoothed Heaviside H(q).  The
+    gate is derived from the server and its inflow, not configured.  At
+    q = K it passes h0 = min(1, mu_min / max X) of the inflow, so there the
+    gated inflow cannot exceed the lowest service rate and a single queue's
+    backlog cannot grow past K.  Its width is K / 500.
+    """
 
     mu: object
     alpha: float
     q0: float = 0.0
     capacity_k: float = None
-    gate_h0: float = None   # defaults to min(1, mu / max inflow)
-    gate_n: float = None    # defaults to 500 / capacity_k
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -70,10 +75,6 @@ class QueueSpec:
                 raise ParameterError("capacity_k must be > 0")
             if self.q0 >= self.capacity_k:
                 raise ParameterError("q0 must be < capacity_k")
-        if self.gate_h0 is not None and not (0.0 < self.gate_h0 <= 1.0):
-            raise ParameterError("gate_h0 must be in (0, 1]")
-        if self.gate_n is not None and self.gate_n <= 0:
-            raise ParameterError("gate_n must be > 0")
 
 
 @dataclass(frozen=True)
@@ -161,21 +162,14 @@ def outflow_rate(x, q, mu, alpha):
     return float(result) if result.ndim == 0 else result
 
 
-def _mu_value(mu, t, q):
-    if isinstance(mu, MultiServerRate):
-        return mu(q)
-    if callable(mu):
-        return float(mu(t))
-    return float(mu)
-
-
-def logistic_rhs(t, q, inflow, spec: QueueSpec):
-    """Right-hand side X(t) - Y(X, q) of the queue ODE; small negative q is
+def logistic_rhs(t, q, inflow: RateSeries, spec: QueueSpec):
+    """Right-hand side dq/dt of the queue ODE as the solver integrates it:
+    the inflow interpolated on the ``inflow`` grid, gated by H(q) when the
+    spec has a capacity, minus the outflow law.  Small negative q is
     evaluated at 0."""
-    qc = max(float(q), 0.0)
-    x = float(inflow(t)) if callable(inflow) else float(inflow)
-    mu = _mu_value(spec.mu, t, qc)
-    return x - outflow_rate(x, qc, mu, spec.alpha)
+    return kernels._rhs(float(t), float(q), 0.0, False,
+                        inflow.t0 + inflow.dt, inflow.dt, inflow.values,
+                        np.empty(0), *_server_args(spec, inflow))[0]
 
 
 def point_queue_rhs(t, q, inflow, mu):
@@ -265,20 +259,33 @@ def _output_grid(inflow: RateSeries, opts: SolverOptions):
     return inflow.t0 + out_dt * np.arange(n + 1)
 
 
-def _kernel_mu(spec: QueueSpec, inflow: RateSeries):
-    """Kernel service-rate arguments (mode, mu_const, mu_vals, mu0,
-    m_servers), then the lowest rate the server reaches."""
+def _server_args(spec: QueueSpec, inflow: RateSeries):
+    """Kernel arguments for the server ``spec`` fed by ``inflow``: (mu_mode,
+    mu_const, mu_vals, mu0, m_servers, alpha, gate_on, cap_k, h0, gate_n),
+    with the finite-buffer gate derived as QueueSpec describes."""
     empty = np.empty(0)
     if isinstance(spec.mu, MultiServerRate):
-        mu0 = spec.mu.mu0
-        return kernels.MU_MULTISERVER, 0.0, empty, mu0, float(spec.mu.m), mu0
-    if callable(spec.mu):
+        mu_floor = spec.mu.mu0
+        mu_args = (kernels.MU_MULTISERVER, 0.0, empty, mu_floor,
+                   float(spec.mu.m))
+    elif callable(spec.mu):
         mu_vals = np.asarray([float(spec.mu(t)) for t in inflow.sample_times],
                              dtype=float)
         if np.any(mu_vals <= 0):
             raise ParameterError("mu(t) must stay positive")
-        return kernels.MU_TIME, 0.0, mu_vals, 0.0, 1.0, float(mu_vals.min())
-    return kernels.MU_CONST, float(spec.mu), empty, 0.0, 1.0, float(spec.mu)
+        mu_args = (kernels.MU_TIME, 0.0, mu_vals, 0.0, 1.0)
+        mu_floor = float(mu_vals.min())
+    else:
+        mu_args = (kernels.MU_CONST, float(spec.mu), empty, 0.0, 1.0)
+        mu_floor = float(spec.mu)
+    if spec.capacity_k is None:
+        gate_args = (False, 0.0, 1.0, 1.0)
+    else:
+        cap_k = float(spec.capacity_k)
+        m_x = float(inflow.values.max())
+        h0 = min(1.0, mu_floor / m_x) if m_x > 0 else 1.0
+        gate_args = (True, cap_k, h0, 500.0 / cap_k)
+    return mu_args + (float(spec.alpha),) + gate_args
 
 
 def _solve(inflow: RateSeries, spec: QueueSpec, opts: SolverOptions,
@@ -301,29 +308,14 @@ def _solve(inflow: RateSeries, spec: QueueSpec, opts: SolverOptions,
     if missed.size:
         stops = np.sort(np.concatenate([grid, missed]))
         keep = np.searchsorted(stops, grid)
-    (mu_mode, mu_const, mu_vals, mu0, m_servers,
-     mu_floor) = _kernel_mu(spec, inflow)
-
-    gate_on = spec.capacity_k is not None
-    if gate_on:
-        cap_k = float(spec.capacity_k)
-        m_x = float(inflow.values.max())
-        if spec.gate_h0 is not None:
-            h0 = spec.gate_h0
-        else:
-            h0 = min(1.0, mu_floor / m_x) if m_x > 0 else 1.0
-        gate_n = spec.gate_n if spec.gate_n is not None else 500.0 / cap_k
-    else:
-        cap_k, h0, gate_n = 0.0, 1.0, 1.0
-
     out_dt = grid[1] - grid[0]
     max_step = opts.max_step if opts.max_step is not None else min(out_dt, inflow.dt)
 
     x_first = inflow.t0 + inflow.dt
     out, stats = kernels.integrate_logistic(
-        stops, x_first, inflow.dt, x_vals, p_vals, mu_mode, mu_const, mu_vals,
-        mu0, m_servers, float(spec.alpha), gate_on, cap_k, float(h0),
-        float(gate_n), float(spec.q0), opts.rel_tol, opts.abs_tol, max_step)
+        stops, x_first, inflow.dt, x_vals, p_vals,
+        *_server_args(spec, inflow), float(spec.q0), opts.rel_tol,
+        opts.abs_tol, max_step)
 
     status, n_steps, n_rej, max_neg = stats
     if status != kernels.OK:

@@ -28,12 +28,6 @@ class Topology:
     egress_xi: tuple          # bits/s, one per destination
     routing: np.ndarray       # n x m, rows sum to 1
     packet_size_bits: float
-    core_h0: float = None     # smoothed-gate overrides for the core
-    core_n: float = None
-    td_at_core_rate: bool = True  # divisor of the core transit time
-    alpha_access: tuple = None    # optional per-link alpha pins
-    alpha_core: float = None
-    alpha_egress: tuple = None
 
     def __post_init__(self):
         routing = np.asarray(self.routing, dtype=float)
@@ -79,9 +73,7 @@ class DtState:
     priority: QueueTrajectory = None  # priority core queue, if injected
 
 
-def _link_alpha(inflow: RateSeries, mu: float, pinned) -> float:
-    if pinned is not None:
-        return float(pinned)
+def _link_alpha(inflow: RateSeries, mu: float) -> float:
     if mean_rate(inflow) <= 0:
         return 1.0 / mu  # idle link: any alpha keeps q at 0
     return compute_alpha(inflow, mu)
@@ -101,9 +93,8 @@ def _route_split(topology, access_out, core_out):
 
 def _access_stage(topology, inflows, opts):
     trajs, outs = [], []
-    alphas = topology.alpha_access or (None,) * topology.n_origins
-    for x, mu_i, a in zip(inflows, topology.access_mu, alphas):
-        spec = QueueSpec(mu=mu_i, alpha=_link_alpha(x, mu_i, a))
+    for x, mu_i in zip(inflows, topology.access_mu):
+        spec = QueueSpec(mu=mu_i, alpha=_link_alpha(x, mu_i))
         traj = integrate_queue(x, spec, opts)
         trajs.append(traj)
         # stage-to-stage coupling samples the outflow law at the bin edges;
@@ -115,9 +106,8 @@ def _access_stage(topology, inflows, opts):
 
 def _egress_stage(topology, egress_in, opts):
     trajs = []
-    alphas = topology.alpha_egress or (None,) * topology.n_destinations
-    for z_j, xi_j, a in zip(egress_in, topology.egress_xi, alphas):
-        spec = QueueSpec(mu=xi_j, alpha=_link_alpha(z_j, xi_j, a))
+    for z_j, xi_j in zip(egress_in, topology.egress_xi):
+        spec = QueueSpec(mu=xi_j, alpha=_link_alpha(z_j, xi_j))
         trajs.append(integrate_queue(z_j, spec, opts))
     return trajs
 
@@ -140,10 +130,8 @@ def _propagate(topology, inflows, opts, priority_inflow=None):
     total = core_in if priority_inflow is None else RateSeries(
         core_in.t0, core_in.dt, core_in.values + priority_inflow.values)
     core_spec = QueueSpec(mu=topology.core_mu,
-                          alpha=_link_alpha(total, topology.core_mu,
-                                            topology.alpha_core),
-                          capacity_k=topology.core_k,
-                          gate_h0=topology.core_h0, gate_n=topology.core_n)
+                          alpha=_link_alpha(total, topology.core_mu),
+                          capacity_k=topology.core_k)
     if priority_inflow is None:
         prio, core = None, integrate_queue(core_in, core_spec, opts)
     else:
@@ -171,32 +159,37 @@ def inject_priority_flow(topology: Topology, inflows,
     return _propagate(topology, inflows, opts, priority_inflow)
 
 
+def _upstream_legs(t, i, state: DtState, topology: Topology):
+    """(access + core delay, core arrival t_o, egress arrival t_d) of a
+    packet leaving origin i at t."""
+    s = topology.packet_size_bits
+    d_access = (state.access[i].q_at(t) + s) / topology.access_mu[i]
+    t_o = t + d_access
+    d_core = (state.core.q_at(t_o) + s) / topology.core_mu
+    return d_access + d_core, t_o, t_o + d_core
+
+
+def _egress_delay(t_d, j, state: DtState, topology: Topology):
+    return ((state.egress[j].q_at(t_d) + topology.packet_size_bits)
+            / topology.egress_xi[j])
+
+
 def latency(t, i, j, state: DtState, topology: Topology):
     """Path latency o_i -> d_j for a packet departing at t (scalar or array).
 
     Queue values are interpolated linearly; raises HorizonError if the
     staggered lookups leave the simulated window.
     """
-    s = topology.packet_size_bits
-    mu_i = topology.access_mu[i]
-    mu = topology.core_mu
-    xi_j = topology.egress_xi[j]
     t = np.asarray(t, dtype=float)
     t_end = state.core.grid[-1]
     if np.any(t < state.core.grid[0]) or np.any(t > t_end):
         raise HorizonError("departure time outside the simulated window")
-
-    d_access = (state.access[i].q_at(t) + s) / mu_i
-    t_o = t + d_access
+    d_up, t_o, t_d = _upstream_legs(t, i, state, topology)
     if np.any(t_o > t_end):
         raise HorizonError("core arrival beyond the simulated window")
-    q_core = state.core.q_at(t_o)
-    d_core = (q_core + s) / mu
-    t_d = t_o + (q_core + s) / (mu if topology.td_at_core_rate else mu_i)
     if np.any(t_d > t_end):
         raise HorizonError("egress arrival beyond the simulated window")
-    d_egress = (state.egress[j].q_at(t_d) + s) / xi_j
-    result = d_access + d_core + d_egress
+    result = d_up + _egress_delay(t_d, j, state, topology)
     return float(result) if result.ndim == 0 else result
 
 
@@ -214,20 +207,27 @@ def expected_latency(t, state: DtState, topology: Topology):
 
 def latency_series(state: DtState, topology: Topology):
     """(times, L_od) over the largest prefix of the grid where every pair's
-    staggered lookups stay inside the horizon."""
+    staggered lookups stay inside the horizon.
+
+    Each origin's upstream legs are looked up once over the whole grid, and
+    the pairs are summed in expected_latency's order, so L_od equals
+    expected_latency on the prefix bit for bit."""
     grid = state.core.grid
-    lo, hi = 0, len(grid)  # bisect the largest evaluable prefix length
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        try:
-            expected_latency(grid[:mid], state, topology)
-            lo = mid
-        except HorizonError:
-            hi = mid - 1
-    if lo == 0:
+    legs = [_upstream_legs(grid, i, state, topology)
+            for i in range(topology.n_origins)]
+    valid = len(grid)
+    for _, t_o, t_d in legs:
+        bad = np.flatnonzero((t_o > grid[-1]) | (t_d > grid[-1]))
+        if bad.size:
+            valid = min(valid, int(bad[0]))
+    if valid == 0:
         raise HorizonError("no evaluable latency window")
-    times = grid[:lo]
-    return times, np.asarray(expected_latency(times, state, topology))
+    total = None
+    for d_up, _, t_d in legs:
+        for j in range(topology.n_destinations):
+            l_ij = d_up[:valid] + _egress_delay(t_d[:valid], j, state, topology)
+            total = l_ij if total is None else total + l_ij
+    return grid[:valid], total / (topology.n_origins * topology.n_destinations)
 
 
 def max_expected_latency(state: DtState, topology: Topology) -> float:

@@ -3,7 +3,7 @@ validation of the fluid model, the intensity sweep, and the digital-twin
 latency scenario."""
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,12 +41,11 @@ class ValidationRun:
 
 def validate_scenario(params: VideoUserParams, users: int, horizon_s: float,
                       dt: float, seed, mu: float, alpha=None, q0=0.0,
-                      capacity=None, rel_tol=1e-6, abs_tol=1e-9,
-                      traces=None) -> ValidationRun:
+                      capacity=None, rel_tol=1e-6,
+                      abs_tol=1e-9) -> ValidationRun:
     """Feed one generated inflow to both the packet oracle and the logistic
     model on the same grid and compare them."""
-    if traces is None:
-        traces = generate_users(params, (0.0, horizon_s), seed, users)
+    traces = generate_users(params, (0.0, horizon_s), seed, users)
     merged = merge_traces(traces)
     inflow = trace_to_inflow(merged, dt)
     lam = mean_rate(inflow)
@@ -90,15 +89,7 @@ def sweep_point(params: VideoUserParams, users: int, horizon_s: float,
     if users < 1:
         raise ParameterError("sweep needs at least one user")
     per_user = rho_target * mu / users
-    tuned = VideoUserParams(
-        packet_size_bits=params.packet_size_bits,
-        burst_size_mean=params.burst_size_mean,
-        burst_size_dispersion=params.burst_size_dispersion,
-        interburst_mean_s=params.interburst_mean_s,
-        interpacket_mean_s=params.interpacket_mean_s,
-        interuse_mean_s=interuse_for_rate(params, per_user),
-        session_lengths=params.session_lengths,
-        dispersion_is=params.dispersion_is)
+    tuned = replace(params, interuse_mean_s=interuse_for_rate(params, per_user))
     return validate_scenario(tuned, users, horizon_s, dt, seed, mu, **kwargs)
 
 

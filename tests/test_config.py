@@ -1,11 +1,17 @@
 """Scenario JSON schema: unit literals, defaults, unknown-key rejection."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from logiq.config import ConfigError, load_config, parse_config
+
+
+SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios")
+                   .glob("*.json"))
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -125,6 +131,40 @@ class TestNetworkSection:
         payload["flows"]["warmups"] = 1
         with pytest.raises(ConfigError, match="flows.warmups"):
             parse_config({"network": payload})
+
+
+NETWORK = TestNetworkSection().payload()
+
+
+@pytest.mark.parametrize("raw, path", [
+    ({"queue": {"mu": 1e6, "gate_h0": 0.5}}, "config.queue.gate_h0"),
+    ({"queue": {"mu": 1e6, "gate_n": 1e-4}}, "config.queue.gate_n"),
+    ({"network": {**NETWORK, "core": {**NETWORK["core"], "gate_h0": 0.5}}},
+     "config.network.core.gate_h0"),
+    ({"network": {**NETWORK, "core": {**NETWORK["core"], "gate_n": 1e-4}}},
+     "config.network.core.gate_n"),
+    ({"network": {**NETWORK, "td_at_core_rate": False}},
+     "config.network.td_at_core_rate"),
+    ({"network": {**NETWORK, "flows": {**NETWORK["flows"],
+                                       "full_generation": True}}},
+     "config.network.flows.full_generation"),
+    ({"validation": {"sample_dt": "60 s"}}, "config.validation"),
+    ({"validation": {"des": False}}, "config.validation"),
+], ids=["queue.gate_h0", "queue.gate_n", "core.gate_h0", "core.gate_n",
+        "td_at_core_rate", "flows.full_generation", "validation.sample_dt",
+        "validation.des"])
+def test_removed_key_rejected_with_path(raw, path):
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: unknown key")):
+        parse_config(raw)
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
+def test_bundled_scenario_loads(path):
+    load_config(path)  # raises ConfigError on a removed or unknown key
+
+
+def test_scenarios_found():
+    assert len(SCENARIOS) >= 3
 
 
 def test_load_config_round_trip(tmp_path):

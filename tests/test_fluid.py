@@ -74,6 +74,15 @@ class TestRhs:
         r1 = logistic_rhs(5.0, 1e-7, inflow, spec)
         assert abs(r1 - r0) < 1e-6
 
+    def test_finite_buffer_gate_in_rhs(self):
+        # overload 2 into mu = 1: the derived gate passes h0 = 1/2 at q = K,
+        # which balances the server, and annihilates the inflow above K
+        inflow = const_inflow(2.0, 10.0)
+        spec = QueueSpec(mu=1.0, alpha=1.0, capacity_k=5.0)
+        assert logistic_rhs(5.0, 0.0, inflow, spec) == pytest.approx(1.0)
+        assert logistic_rhs(5.0, 5.0, inflow, spec) <= 0.0
+        assert logistic_rhs(5.0, 10.0, inflow, spec) < 0.0
+
     def test_point_queue_rhs_clamps_at_zero(self):
         assert point_queue_rhs(0.0, 0.0, 0.4, mu=1.0) == 0.0
         assert point_queue_rhs(0.0, 1.0, 0.4, mu=1.0) == pytest.approx(-0.6)
@@ -354,8 +363,6 @@ class TestSpecValidation:
             QueueSpec(mu=1.0, alpha=1.0, q0=-1.0)
         with pytest.raises(ParameterError):
             QueueSpec(mu=1.0, alpha=1.0, q0=10.0, capacity_k=5.0)
-        with pytest.raises(ParameterError):
-            QueueSpec(mu=1.0, alpha=1.0, gate_h0=1.5)
         with pytest.raises(ParameterError):
             SolverOptions(rel_tol=0.0)
 

@@ -60,6 +60,17 @@ class TestJitMatchesPython:
                 kernels._interp_grid.py_func(t, 0.0, 1.0, vals))
 
 
+def test_every_kernel_goes_through_maybe_jit():
+    # an @njit kernel can only call other jitted functions, and without
+    # numba the parity tests above skip, so a plain helper would go unseen
+    defined = {name: obj for name, obj in vars(kernels).items()
+               if callable(obj) and getattr(getattr(obj, "py_func", obj),
+                                            "__module__", None)
+               == kernels.__name__}
+    assert "integrate_logistic" in defined and "_rhs" in defined
+    assert [n for n, obj in defined.items() if not hasattr(obj, "py_func")] == []
+
+
 def test_env_flag_selects_fallback():
     env = dict(os.environ, LOGIQ_NO_NUMBA="1")
     code = (

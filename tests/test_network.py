@@ -112,6 +112,23 @@ class TestLatency:
         assert times[0] == 0.0 and len(times) == len(l_od)
         assert max_expected_latency(state, topo) == pytest.approx(l_od.max())
 
+    def test_latency_series_prefix_is_largest_valid(self):
+        # the overloaded 25 Gb/s access link delays later packets past the
+        # 120 s window, so only a prefix of the grid is evaluable
+        topo = small_topology()
+        state = propagate(topo, const_flows([40e9, 0.0]))
+        times, l_od = latency_series(state, topo)
+        grid = state.core.grid
+        for n in range(len(grid), 0, -1):
+            try:
+                brute = expected_latency(grid[:n], state, topo)
+                break
+            except HorizonError:
+                pass
+        assert 0 < len(times) == n < len(grid)
+        np.testing.assert_array_equal(times, grid[:n])
+        np.testing.assert_array_equal(l_od, brute)
+
 
 class TestPriorityInjection:
     def test_zero_priority_matches_baseline(self):
