@@ -13,8 +13,8 @@ import numpy as np
 
 from . import pipeline, plot
 from .config import ConfigError, load_config
-from .fluid import (DomainError, IntegrationError, QueueSpec, SolverOptions,
-                    compute_alpha, integrate_queue)
+from .fluid import (DomainError, IntegrationError, QueueSpec, compute_alpha,
+                    integrate_queue)
 from .network import Topology
 from .series import ParameterError, RateSeries, intensity, mean_rate, trace_to_inflow
 from .traffic import generate_users, merge_traces
@@ -66,13 +66,6 @@ def cmd_generate(cfg, out: Path) -> int:
     return 0
 
 
-def _solver_options(cfg, dt):
-    s = cfg["solver"]
-    return SolverOptions(rel_tol=s["rel_tol"], abs_tol=s["abs_tol"],
-                         max_step=s["max_step"],
-                         output_dt=s["output_dt"] if s["output_dt"] else dt)
-
-
 def cmd_simulate(cfg, out: Path) -> int:
     t, q = cfg["traffic"], cfg["queue"]
     if q["mu"] is None:
@@ -85,7 +78,7 @@ def cmd_simulate(cfg, out: Path) -> int:
     alpha = q["alpha"] if q["alpha"] is not None else compute_alpha(inflow, q["mu"])
     spec = QueueSpec(mu=q["mu"], alpha=alpha, q0=q["q0"],
                      capacity_k=q["capacity"])
-    traj = integrate_queue(inflow, spec, _solver_options(cfg, t["dt"]))
+    traj = integrate_queue(inflow, spec)
     traj.to_csv(out / "trajectory.csv")
     traj.outflow_series().to_csv(out / "outflow.csv")
     with open(out / "solver_stats.txt", "w") as fh:
@@ -109,8 +102,7 @@ def _validate_once(cfg, seed):
                           "(the oracle consumes the unscaled packets)")
     return pipeline.validate_scenario(
         t["params"], t["users"], t["horizon"], t["dt"], seed, q["mu"],
-        alpha=q["alpha"], q0=q["q0"], capacity=q["capacity"],
-        rel_tol=cfg["solver"]["rel_tol"], abs_tol=cfg["solver"]["abs_tol"])
+        alpha=q["alpha"], q0=q["q0"], capacity=q["capacity"])
 
 
 def _write_validation(run, out: Path):
@@ -147,8 +139,7 @@ def _sweep_worker(task):
         return pipeline.sweep_point(
             t["params"], t["users"], t["horizon"], t["dt"], t["seed"],
             q["mu"], rho_target, alpha=q["alpha"], q0=q["q0"],
-            capacity=q["capacity"], rel_tol=cfg["solver"]["rel_tol"],
-            abs_tol=cfg["solver"]["abs_tol"])
+            capacity=q["capacity"])
     except (ParameterError, DomainError, IntegrationError) as exc:
         return str(exc)
 
@@ -231,9 +222,7 @@ def cmd_dt(cfg, out: Path) -> int:
         target_rate=flows["target_rate"],
         warmup_s=flows["warmup"])
     run = pipeline.dt_scenario(topology, inflows,
-                               priority_rates=net["priority_rates"],
-                               rel_tol=cfg["solver"]["rel_tol"],
-                               abs_tol=cfg["solver"]["abs_tol"])
+                               priority_rates=net["priority_rates"])
 
     for i, inflow in enumerate(run.inflows):
         inflow.to_csv(out / f"flow_{i}.csv")

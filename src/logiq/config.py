@@ -52,12 +52,11 @@ def load_config(path):
 
 
 def parse_config(raw):
-    _check_keys(raw, {"traffic", "queue", "solver", "sweep", "network",
-                      "workers"}, "config")
+    _check_keys(raw, {"traffic", "queue", "sweep", "network", "workers"},
+                "config")
     cfg = {
         "traffic": _parse_traffic(raw.get("traffic", {})),
         "queue": _parse_queue(raw.get("queue", {})),
-        "solver": _parse_solver(raw.get("solver", {})),
         "sweep": _parse_sweep(raw.get("sweep", {})),
         "network": _parse_network(raw.get("network")) if "network" in raw else None,
         "workers": _get(raw, "workers", 1, "config", int),
@@ -121,17 +120,6 @@ def _parse_queue(obj):
         "alpha": _get(obj, "alpha", "auto", path, _auto(float)),
         "q0": _get(obj, "q0", 0.0, path, parse_size),
         "capacity": _get(obj, "capacity", None, path, parse_size),
-    }
-
-
-def _parse_solver(obj):
-    path = "config.solver"
-    _check_keys(obj, {"rel_tol", "abs_tol", "max_step", "output_dt"}, path)
-    return {
-        "rel_tol": _get(obj, "rel_tol", 1e-6, path, float),
-        "abs_tol": _get(obj, "abs_tol", 1e-9, path, float),
-        "max_step": _get(obj, "max_step", "auto", path, _auto(parse_duration)),
-        "output_dt": _get(obj, "output_dt", "auto", path, _auto(parse_duration)),
     }
 
 

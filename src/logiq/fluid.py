@@ -8,7 +8,7 @@ checked to solver accuracy instead of by grid quadrature.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,10 +79,11 @@ class QueueSpec:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Error tolerances of the adaptive stepper.  Steps never exceed one
+    inflow bin, and the trajectory is reported on the inflow grid."""
+
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9   # bits
-    max_step: float = None  # default: min(output_dt, inflow dt)
-    output_dt: float = None  # default: inflow dt
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -102,7 +103,8 @@ class SolverStats:
 
 @dataclass(frozen=True)
 class QueueTrajectory:
-    """Queue solution on a uniform output grid.
+    """Queue solution on the inflow grid: ``grid`` is t0 followed by the
+    inflow's sample times.
 
     ``served`` and ``lost`` are cumulative bits (integrated with the state),
     so ``q[i] - q[0] == inflow-integral - served[i] - lost[i]`` up to solver
@@ -129,7 +131,7 @@ class QueueTrajectory:
         return np.interp(t, self.grid, self.q)
 
     def outflow_series(self, kind="binned") -> RateSeries:
-        """Outflow as a RateSeries on the output grid.
+        """Outflow as a RateSeries on the inflow grid.
 
         "binned": bin-average rates from the served-bits accumulator (mass
         exact); "instant": instantaneous outflow at the right bin edges.
@@ -150,16 +152,31 @@ class QueueTrajectory:
                 fh.write(f"{t:.9f},{float(qi)!r},{float(yi)!r}\n")
 
 
+def _elementwise(law, *args):
+    """The scalar kernel ``law`` over the broadcast arrays ``args``: a float
+    for scalar arguments, an array otherwise."""
+    result = np.vectorize(law, otypes=[float])(*args)
+    return float(result) if result.ndim == 0 else result
+
+
+def _rhs_at(t, q, inflow: RateSeries, spec: QueueSpec):
+    """The kernel's (dq/dt, outflow, lost-rate, ...) row for ``spec`` fed by
+    ``inflow``."""
+    return kernels._rhs(float(t), float(q), 0.0, False,
+                        inflow.t0 + inflow.dt, inflow.dt, inflow.values,
+                        np.empty(0), *_server_args(spec, inflow))
+
+
 def outflow_rate(x, q, mu, alpha):
     """Smooth outflow law: mu + exp(-alpha*q) * (min(mu, x) - mu)."""
-    x = np.asarray(x, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if np.any(x < 0) or np.any(q < 0):
+    if np.any(np.asarray(x) < 0) or np.any(np.asarray(q) < 0):
         raise DomainError("inflow and backlog must be nonnegative")
     if mu <= 0 or alpha <= 0:
         raise DomainError("mu and alpha must be > 0")
-    result = mu + np.exp(-alpha * q) * (np.minimum(mu, x) - mu)
-    return float(result) if result.ndim == 0 else result
+    spec = QueueSpec(mu=float(mu), alpha=float(alpha))
+    return _elementwise(
+        lambda xi, qi: _rhs_at(0.0, qi, RateSeries(0.0, 1.0, [xi]), spec)[1],
+        x, q)
 
 
 def logistic_rhs(t, q, inflow: RateSeries, spec: QueueSpec):
@@ -167,9 +184,7 @@ def logistic_rhs(t, q, inflow: RateSeries, spec: QueueSpec):
     the inflow interpolated on the ``inflow`` grid, gated by H(q) when the
     spec has a capacity, minus the outflow law.  Small negative q is
     evaluated at 0."""
-    return kernels._rhs(float(t), float(q), 0.0, False,
-                        inflow.t0 + inflow.dt, inflow.dt, inflow.values,
-                        np.empty(0), *_server_args(spec, inflow))[0]
+    return _rhs_at(t, q, inflow, spec)[0]
 
 
 def point_queue_rhs(t, q, inflow, mu):
@@ -229,9 +244,7 @@ def heaviside_smooth(q, k, h0, n):
         raise ParameterError("k and n must be > 0")
     if not 0.0 < h0 <= 1.0:
         raise ParameterError("h0 must be in (0, 1]")
-    z = np.clip(n * (np.asarray(q, dtype=float) - k), -700.0, 700.0)
-    result = 1.0 / (1.0 + (1.0 / h0 - 1.0) * np.exp(z))
-    return float(result) if result.ndim == 0 else result
+    return _elementwise(lambda qi: kernels._gate(qi, k, h0, n), q)
 
 
 def multi_server_rate(q, mu0, m):
@@ -240,23 +253,15 @@ def multi_server_rate(q, mu0, m):
         raise ParameterError("m must be >= 1")
     if mu0 <= 0:
         raise ParameterError("mu0 must be > 0")
-    q = np.asarray(q, dtype=float)
-    result = np.where(q >= m - 1, mu0 * m, mu0 * (1.0 + q))
-    return float(result) if result.ndim == 0 else result
+    empty = np.empty(0)
+    return _elementwise(
+        lambda qi: kernels._mu_at(0.0, qi, kernels.MU_MULTISERVER, 0.0, 0.0,
+                                  1.0, empty, float(mu0), float(m)), q)
 
 
-def _output_grid(inflow: RateSeries, opts: SolverOptions):
-    out_dt = opts.output_dt if opts.output_dt is not None else inflow.dt
-    if out_dt <= 0:
-        raise ParameterError("output_dt must be > 0")
-    span = inflow.t_end - inflow.t0
-    n = max(1, int(round(span / out_dt)))
-    # the kernel holds the inflow constant past its window, so a grid that
-    # overshoots it would integrate mass that never arrived
-    if abs(n * out_dt - span) > 1e-9 * span:
-        raise ParameterError(f"output_dt {out_dt:g} s does not divide the "
-                             f"inflow window of {span:g} s")
-    return inflow.t0 + out_dt * np.arange(n + 1)
+def _grid(inflow: RateSeries):
+    """t0 followed by the inflow's sample times."""
+    return inflow.t0 + inflow.dt * np.arange(len(inflow) + 1)
 
 
 def _server_args(spec: QueueSpec, inflow: RateSeries):
@@ -296,30 +301,17 @@ def _solve(inflow: RateSeries, spec: QueueSpec, opts: SolverOptions,
     rows, stats)."""
     if len(inflow) == 0:
         raise ParameterError("empty inflow")
-    grid = _output_grid(inflow, opts)
-    # Every step ends on an output time.  Inflow knots the output grid misses
-    # are added as extra stops: a step across a kink of the piecewise-linear
-    # inflow integrates it inexactly and leaks mass at solver tolerance.
-    stops, keep = grid, slice(None)
-    knots = inflow.sample_times
-    i = np.clip(np.searchsorted(grid, knots), 1, len(grid) - 1)
-    gap = np.minimum(knots - grid[i - 1], grid[i] - knots)
-    missed = knots[np.abs(gap) > 1e-9 * (grid[1] - grid[0])]
-    if missed.size:
-        stops = np.sort(np.concatenate([grid, missed]))
-        keep = np.searchsorted(stops, grid)
-    out_dt = grid[1] - grid[0]
-    max_step = opts.max_step if opts.max_step is not None else min(out_dt, inflow.dt)
-
-    x_first = inflow.t0 + inflow.dt
+    # every step ends on an inflow knot, so no step crosses a kink of the
+    # piecewise-linear inflow
+    grid = _grid(inflow)
     out, stats = kernels.integrate_logistic(
-        stops, x_first, inflow.dt, x_vals, p_vals,
+        grid, inflow.t0 + inflow.dt, inflow.dt, x_vals, p_vals,
         *_server_args(spec, inflow), float(spec.q0), opts.rel_tol,
-        opts.abs_tol, max_step)
+        opts.abs_tol)
 
     status, n_steps, n_rej, max_neg = stats
     if status != kernels.OK:
-        t_fail = float(stops[np.isnan(out[0])][0])
+        t_fail = float(grid[np.isnan(out[0])][0])
         raise IntegrationError(f"step size underflow near t={t_fail:.6g} s",
                                t_fail=t_fail)
     q_max = float(out[0::4].max())
@@ -331,7 +323,7 @@ def _solve(inflow: RateSeries, spec: QueueSpec, opts: SolverOptions,
     if max_neg > neg_tol:
         raise IntegrationError(
             f"negative backlog excursion {max_neg:g} exceeds tolerance {neg_tol:g}")
-    return grid, out[:, keep], SolverStats(n_steps, n_rej, max_neg)
+    return grid, out, SolverStats(int(n_steps), int(n_rej), float(max_neg))
 
 
 def integrate_queue(inflow: RateSeries, spec: QueueSpec,
@@ -351,17 +343,15 @@ def integrate_finite_queue(inflow: RateSeries, spec: QueueSpec,
     return integrate_queue(inflow, spec, opts)
 
 
-def integrate_point_queue(inflow: RateSeries, mu: float, q0: float = 0.0,
-                          opts: SolverOptions = SolverOptions()
+def integrate_point_queue(inflow: RateSeries, mu: float, q0: float = 0.0
                           ) -> tuple[np.ndarray, np.ndarray]:
     """(grid, q): exact trajectory of the projected point-queue model on
-    the output grid (piecewise-quadratic closed form, no ODE stepping)."""
+    the inflow grid (piecewise-quadratic closed form, no ODE stepping)."""
     if mu <= 0:
         raise ParameterError("mu must be > 0")
-    grid = _output_grid(inflow, opts)
-    x_first = inflow.t0 + inflow.dt
-    q = kernels.point_queue_exact(grid, x_first, inflow.dt, inflow.values,
-                                  float(mu), float(q0))
+    grid = _grid(inflow)
+    q = kernels.point_queue_exact(grid, inflow.t0 + inflow.dt, inflow.dt,
+                                  inflow.values, float(mu), float(q0))
     return grid, q
 
 

@@ -127,17 +127,17 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (35.0 / 384.0 - 5179.0 / 57600.0,
 @maybe_jit
 def integrate_logistic(t_out, x_first, x_dt, x_vals, p_vals, mu_mode,
                        mu_const, mu_vals, mu0, m_servers, alpha, gate_on,
-                       cap_k, h0, gate_n, q0, rtol, atol, max_step):
+                       cap_k, h0, gate_n, q0, rtol, atol):
     """Adaptive Dormand-Prince 5(4) over the state (q, served-bits,
     lost-bits) of the queue fed by x_vals, starting at backlog q0.
 
     A nonempty p_vals adds a priority class (qp, served_p, lost_p), starting
     empty, that is served first (see priority_split); the single queue skips
-    every priority-class operation.  Steps are clamped so every output time
-    is an exact step endpoint.  Returns (out, stats): the rows of out are q,
-    outflow, served and lost of the queue, then in pair mode the same four
-    for the priority class; stats is (status, n_steps, n_rejected,
-    worst_negative_q).
+    every priority-class operation.  No step is longer than one inflow bin
+    x_dt, and steps are clamped so every output time is an exact step
+    endpoint.  Returns (out, stats): the rows of out are q, outflow, served
+    and lost of the queue, then in pair mode the same four for the priority
+    class; stats is (status, n_steps, n_rejected, worst_negative_q).
     """
     pair = p_vals.shape[0] > 0
     n_out = t_out.shape[0]
@@ -157,7 +157,7 @@ def integrate_logistic(t_out, x_first, x_dt, x_vals, p_vals, mu_mode,
 
     span = t_out[n_out - 1] - t_out[0]
     min_step = 1e-13 * span if span > 0 else 1e-13
-    h = max_step
+    h = x_dt
     if n_out > 1 and t_out[1] - t_out[0] < h:
         h = t_out[1] - t_out[0]
 
@@ -170,8 +170,8 @@ def integrate_logistic(t_out, x_first, x_dt, x_vals, p_vals, mu_mode,
             if target - t <= 16.0 * 2.220446049250313e-16 * scale_t:
                 t = target
                 break
-            if h > max_step:
-                h = max_step
+            if h > x_dt:
+                h = x_dt
             if t + h > target:
                 h = target - t
             if h < min_step:

@@ -8,8 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .des import DesConfig, DesResult, departures_to_outflow, simulate_fifo
-from .fluid import (QueueSpec, SolverOptions, QueueTrajectory, compute_alpha,
-                    integrate_queue)
+from .fluid import QueueSpec, QueueTrajectory, compute_alpha, integrate_queue
 from .metrics import ErrorReport, build_report
 from .network import (DtState, Topology, inject_priority_flow, latency_series,
                       max_expected_latency, propagate)
@@ -41,8 +40,7 @@ class ValidationRun:
 
 def validate_scenario(params: VideoUserParams, users: int, horizon_s: float,
                       dt: float, seed, mu: float, alpha=None, q0=0.0,
-                      capacity=None, rel_tol=1e-6,
-                      abs_tol=1e-9) -> ValidationRun:
+                      capacity=None) -> ValidationRun:
     """Feed one generated inflow to both the packet oracle and the logistic
     model on the same grid and compare them."""
     traces = generate_users(params, (0.0, horizon_s), seed, users)
@@ -54,9 +52,8 @@ def validate_scenario(params: VideoUserParams, users: int, horizon_s: float,
         alpha = compute_alpha(inflow, mu)
 
     spec = QueueSpec(mu=mu, alpha=alpha, q0=q0, capacity_k=capacity)
-    opts = SolverOptions(rel_tol=rel_tol, abs_tol=abs_tol, output_dt=dt)
     t_start = time.perf_counter()
-    traj = integrate_queue(inflow, spec, opts)
+    traj = integrate_queue(inflow, spec)
     runtime_log = time.perf_counter() - t_start
 
     cfg = DesConfig(mu=mu, capacity_k=capacity, sample_dt=dt)
@@ -131,13 +128,11 @@ def generate_flow_inflows(params: VideoUserParams, n_flows: int,
     return inflows
 
 
-def dt_scenario(topology: Topology, inflows, priority_rates=(),
-                rel_tol=1e-6, abs_tol=1e-9) -> DtRun:
+def dt_scenario(topology: Topology, inflows, priority_rates=()) -> DtRun:
     """Propagate the flows, compute the latency KPI, then re-solve the core
     for each injected priority intensity."""
     dt = inflows[0].dt
-    opts = SolverOptions(rel_tol=rel_tol, abs_tol=abs_tol, output_dt=dt)
-    state = propagate(topology, inflows, opts)
+    state = propagate(topology, inflows)
     times, l_od = latency_series(state, topology)
     l_max = float(l_od.max())
 
@@ -145,7 +140,7 @@ def dt_scenario(topology: Topology, inflows, priority_rates=(),
     n = len(inflows[0])
     for rate in priority_rates:
         prio = RateSeries(inflows[0].t0, dt, np.full(n, float(rate)))
-        p_state = inject_priority_flow(topology, inflows, prio, opts)
+        p_state = inject_priority_flow(topology, inflows, prio)
         prio_lmax.append(max_expected_latency(p_state, topology))
 
     return DtRun(topology, tuple(inflows), state, times, l_od, l_max,

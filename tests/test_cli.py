@@ -47,6 +47,11 @@ class TestCommands:
         assert (out / "trajectory.csv").exists()
         assert (out / "outflow.csv").exists()
         assert "q_max_bits=" in (out / "summary.txt").read_text()
+        stats = dict(line.split("=", 1) for line in
+                     (out / "solver_stats.txt").read_text().splitlines())
+        assert set(stats) == {"steps", "rejected", "max_negative_q"}
+        for value in stats.values():
+            float(value)  # plain numbers, not numpy reprs
 
     def test_validate(self, tmp_path):
         code, out = run(tmp_path, "validate", BASE)

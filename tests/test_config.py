@@ -27,7 +27,6 @@ class TestTopLevel:
         assert cfg["traffic"]["horizon"] == 48 * 3600.0
         assert cfg["traffic"]["dt"] == 60.0
         assert cfg["queue"]["mu"] is None
-        assert cfg["solver"]["rel_tol"] == 1e-6
         assert cfg["sweep"]["rho_targets"] == [0.45, 0.55, 0.65, 0.75, 0.85]
         assert cfg["network"] is None
         assert cfg["workers"] == 1
@@ -62,10 +61,8 @@ class TestUnits:
             parse_config({"queue": {"mu": "11 parsec/s"}})
 
     def test_auto_means_none(self):
-        cfg = parse_config({"queue": {"alpha": "auto"},
-                            "solver": {"output_dt": "auto"}})
+        cfg = parse_config({"queue": {"alpha": "auto"}})
         assert cfg["queue"]["alpha"] is None
-        assert cfg["solver"]["output_dt"] is None
 
 
 class TestTrafficSection:
@@ -150,9 +147,11 @@ NETWORK = TestNetworkSection().payload()
      "config.network.flows.full_generation"),
     ({"validation": {"sample_dt": "60 s"}}, "config.validation"),
     ({"validation": {"des": False}}, "config.validation"),
+    ({"solver": {"rel_tol": 1e-6, "abs_tol": 1e-9, "max_step": "1 s",
+                 "output_dt": "120 s"}}, "config.solver"),
 ], ids=["queue.gate_h0", "queue.gate_n", "core.gate_h0", "core.gate_n",
         "td_at_core_rate", "flows.full_generation", "validation.sample_dt",
-        "validation.des"])
+        "validation.des", "solver"])
 def test_removed_key_rejected_with_path(raw, path):
     with pytest.raises(ConfigError, match=re.escape(f"{path}: unknown key")):
         parse_config(raw)

@@ -141,27 +141,16 @@ class TestIntegration:
         assert traj.q[-1] > 0.2 * (0.3e6 * 100.0)
 
     @settings(max_examples=30, deadline=None)
-    @given(n_bins=st.integers(1, 40), n_out=st.integers(1, 40),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_dividing_output_dt_conserves_mass(self, n_bins, n_out, seed):
+    @given(n_bins=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+    def test_grid_is_inflow_grid_and_conserves_mass(self, n_bins, seed):
         inflow = random_inflow(np.random.default_rng(seed), n=n_bins, dt=60.0)
         spec = QueueSpec(mu=1e6, alpha=1e-6, q0=1e5)
-        span = inflow.t_end - inflow.t0
-        traj = integrate_queue(inflow, spec,
-                               SolverOptions(output_dt=span / n_out))
-        assert traj.grid[-1] == pytest.approx(inflow.t_end, rel=1e-12)
+        traj = integrate_queue(inflow, spec)
+        np.testing.assert_array_equal(
+            traj.grid, np.concatenate([[inflow.t0], inflow.sample_times]))
         mass_in = inflow.integral() + spec.q0
         mass_out = traj.q[-1] + traj.served[-1] + traj.lost[-1]
         assert mass_out == pytest.approx(mass_in, rel=1e-5)
-
-    @settings(max_examples=30, deadline=None)
-    @given(n_bins=st.integers(1, 40), n_out=st.integers(1, 40),
-           frac=st.floats(0.05, 0.95))
-    def test_non_dividing_output_dt_rejected(self, n_bins, n_out, frac):
-        inflow = const_inflow(1e6, 60.0 * n_bins, dt=60.0)
-        opts = SolverOptions(output_dt=60.0 * n_bins / (n_out + frac))
-        with pytest.raises(ParameterError):
-            integrate_queue(inflow, QueueSpec(mu=1e6, alpha=1e-6), opts)
 
     def test_exit_time(self):
         assert exit_time(10.0, 5e6, 1e6) == pytest.approx(15.0)

@@ -19,7 +19,7 @@ def logistic_args(rng, n=60, pair=False):
                 p_vals=p_vals, mu_mode=kernels.MU_CONST, mu_const=1e6,
                 mu_vals=np.empty(0), mu0=0.0, m_servers=1.0, alpha=1e-6,
                 gate_on=pair, cap_k=5e6, h0=0.5, gate_n=1e-4, q0=0.0,
-                rtol=1e-6, atol=1e-9, max_step=1.0)
+                rtol=1e-6, atol=1e-9)
 
 
 @pytest.mark.skipif(not NUMBA_ENABLED, reason="numba path disabled")
