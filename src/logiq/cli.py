@@ -208,6 +208,19 @@ def _build_topology(net):
                     packet_size_bits=net["packet_size"])
 
 
+def _write_solver_stats(path, state):
+    """One row of solver counts per queue of the base propagation."""
+    queues = ([(f"access{i}", t) for i, t in enumerate(state.access)]
+              + [("core", state.core)]
+              + [(f"egress{j}", t) for j, t in enumerate(state.egress)])
+    with open(path, "w") as fh:
+        fh.write("queue,steps,rejected,skipped,max_negative_q\n")
+        for name, traj in queues:
+            s = traj.stats
+            fh.write(f"{name},{s.steps},{s.rejected},{s.skipped},"
+                     f"{s.max_negative_q!r}\n")
+
+
 def cmd_dt(cfg, out: Path) -> int:
     net = cfg["network"]
     if net is None:
@@ -227,6 +240,7 @@ def cmd_dt(cfg, out: Path) -> int:
     for i, inflow in enumerate(run.inflows):
         inflow.to_csv(out / f"flow_{i}.csv")
     run.state.core.to_csv(out / "core_trajectory.csv")
+    _write_solver_stats(out / "solver_stats.csv", run.state)
     with open(out / "l_od.csv", "w") as fh:
         fh.write("t_s,L_od_s\n")
         for t, l in zip(run.latency_times, run.latency_od):

@@ -108,6 +108,18 @@ def _rhs(t, q, qp, pair, x_first, x_dt, x_vals, p_vals, mu_mode, mu_const,
     return xh - y, y, x - xh, 0.0, 0.0, 0.0
 
 
+@maybe_jit
+def _at_rest(r, mu):
+    """True when the _rhs row r of an empty server of rate mu loses no bits
+    and grows neither class's backlog.  At q = 0 the outflow law computes
+    mu + (min(mu, X) - mu), which rounds min(mu, X) by up to half an ulp of
+    mu, and the priority split rounds the class shares of mu; so a growth
+    rate within 4 ulps of mu counts as none."""
+    tol = 8.881784197001252e-16 * mu
+    return (abs(r[0]) <= tol and r[2] == 0.0 and abs(r[3]) <= tol
+            and r[5] == 0.0)
+
+
 # Dormand-Prince 5(4) coefficients
 _C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
 _A21 = 0.2
@@ -135,9 +147,12 @@ def integrate_logistic(t_out, x_first, x_dt, x_vals, p_vals, mu_mode,
     empty, that is served first (see priority_split); the single queue skips
     every priority-class operation.  No step is longer than one inflow bin
     x_dt, and steps are clamped so every output time is an exact step
-    endpoint.  Returns (out, stats): the rows of out are q, outflow, served
-    and lost of the queue, then in pair mode the same four for the priority
-    class; stats is (status, n_steps, n_rejected, worst_negative_q).
+    endpoint.  A bin that starts empty and stays in free flow (no backlog
+    growth or loss at either end) is solved in closed form without steps.
+    Returns (out, stats): the rows of out are q, outflow, served and lost
+    of the queue, then in pair mode the same four for the priority class;
+    stats is (status, n_steps, n_rejected, n_skipped, worst_negative_q),
+    where n_skipped counts the free-flow bins.
     """
     pair = p_vals.shape[0] > 0
     n_out = t_out.shape[0]
@@ -153,6 +168,7 @@ def integrate_logistic(t_out, x_first, x_dt, x_vals, p_vals, mu_mode,
     worst_neg = 0.0
     n_steps = 0
     n_rej = 0
+    n_skip = 0
     status = OK
 
     span = t_out[n_out - 1] - t_out[0]
@@ -162,8 +178,42 @@ def integrate_logistic(t_out, x_first, x_dt, x_vals, p_vals, mu_mode,
         h = t_out[1] - t_out[0]
 
     t = t_out[0]
+    # the _rhs row of the state at t, which gives the output row
+    r = _rhs(t, q, qp, pair, x_first, x_dt, x_vals, p_vals, mu_mode,
+             mu_const, mu_vals, mu0, m_servers, alpha, gate_on, cap_k, h0,
+             gate_n)
     for j in range(n_out):
         target = t_out[j]
+        if t < target and q == 0.0 and qp == 0.0:
+            # Free-flow bin.  At q = qp = 0 the service rate and the gate do
+            # not change inside the bin (a time-varying mu is linear between
+            # its samples), and X, X_p are linear.  Rows at rest at both
+            # ends (to rounding, see _at_rest) therefore mean X <= mu at
+            # both ends (X + X_p <= mu for the pair, whose split then gives
+            # each class its inflow's share of mu), so all along the bin:
+            # the outflow is the linear inflow, the backlog stays exactly
+            # 0, and the served bits are the trapezoid of the inflow.  A
+            # gate below 1 passes the rows only where X = 0.
+            r_end = _rhs(target, 0.0, 0.0, pair, x_first, x_dt, x_vals,
+                         p_vals, mu_mode, mu_const, mu_vals, mu0, m_servers,
+                         alpha, gate_on, cap_k, h0, gate_n)
+            if (_at_rest(r, _mu_at(t, 0.0, mu_mode, mu_const, x_first, x_dt,
+                                   mu_vals, mu0, m_servers))
+                    and _at_rest(r_end, _mu_at(target, 0.0, mu_mode,
+                                               mu_const, x_first, x_dt,
+                                               mu_vals, mu0, m_servers))):
+                half = 0.5 * (target - t)
+                served += half * (_interp_grid(t, x_first, x_dt, x_vals)
+                                  + _interp_grid(target, x_first, x_dt,
+                                                 x_vals))
+                if pair:
+                    served_p += half * (
+                        _interp_grid(t, x_first, x_dt, p_vals)
+                        + _interp_grid(target, x_first, x_dt, p_vals))
+                t = target
+                r = r_end
+                n_skip += 1
+        stepped = t < target
         while t < target:
             # a remainder at roundoff scale means the target is reached
             scale_t = abs(target) if abs(target) > 1.0 else 1.0
@@ -302,15 +352,16 @@ def integrate_logistic(t_out, x_first, x_dt, x_vals, p_vals, mu_mode,
             out[:, j:] = np.nan
             break
 
-        r = _rhs(t, q, qp, pair, x_first, x_dt, x_vals, p_vals, mu_mode,
-                 mu_const, mu_vals, mu0, m_servers, alpha, gate_on, cap_k, h0,
-                 gate_n)
+        if stepped:
+            r = _rhs(t, q, qp, pair, x_first, x_dt, x_vals, p_vals, mu_mode,
+                     mu_const, mu_vals, mu0, m_servers, alpha, gate_on, cap_k,
+                     h0, gate_n)
         out[0, j], out[1, j], out[2, j], out[3, j] = q, r[1], served, lost
         if pair:
             out[4, j], out[5, j], out[6, j], out[7, j] = (qp, r[4], served_p,
                                                           lost_p)
 
-    return out, (status, n_steps, n_rej, -worst_neg)
+    return out, (status, n_steps, n_rej, n_skip, -worst_neg)
 
 
 @maybe_jit

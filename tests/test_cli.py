@@ -49,7 +49,8 @@ class TestCommands:
         assert "q_max_bits=" in (out / "summary.txt").read_text()
         stats = dict(line.split("=", 1) for line in
                      (out / "solver_stats.txt").read_text().splitlines())
-        assert set(stats) == {"steps", "rejected", "max_negative_q"}
+        assert set(stats) == {"steps", "rejected", "skipped",
+                              "max_negative_q"}
         for value in stats.values():
             float(value)  # plain numbers, not numpy reprs
 
@@ -103,6 +104,14 @@ class TestCommands:
         assert (out / "l_od.svg").exists()
         summary = (out / "summary.txt").read_text()
         assert "l_max_s=" in summary
+        lines = (out / "solver_stats.csv").read_text().splitlines()
+        assert lines[0] == "queue,steps,rejected,skipped,max_negative_q"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[0] for r in rows] == ["access0", "access1", "core",
+                                        "egress0", "egress1"]
+        for row in rows:
+            assert all(int(v) >= 0 for v in row[1:4])
+            float(row[4])
 
 
 class TestExitCodes:

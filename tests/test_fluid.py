@@ -156,6 +156,104 @@ class TestIntegration:
         assert exit_time(10.0, 5e6, 1e6) == pytest.approx(15.0)
 
 
+def inflow_trapezoid(inflow, grid):
+    """Cumulative integral of the inflow the solver sees on ``grid``: the
+    first bin holds the first sample, the others interpolate linearly."""
+    x = inflow.values
+    left = np.concatenate([[x[0]], x[:-1]])
+    return np.concatenate([[0.0], np.cumsum(0.5 * np.diff(grid) * (left + x))])
+
+
+# a free-flow inflow: bin width, and each sample's fraction of the service
+# rate, with 0 and 1 (inflow == mu) included.  It starts at t = 0, since
+# far from the origin the knot times round and move the kernel's reading of
+# a jump in the inflow by ~eps * t / dt of its size.
+free_flow = dict(
+    fractions=st.lists(st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+                       min_size=1, max_size=40),
+    dt=st.floats(0.01, 100.0))
+
+
+class TestFreeFlow:
+    """An empty queue whose inflow stays at or below its service rate is
+    solved in closed form: no steps, q identically 0, served = inflow."""
+
+    MU = 1e6
+
+    def assert_free_flow(self, traj, inflow):
+        n_bins = len(inflow)
+        assert traj.stats.steps == 0 and traj.stats.rejected == 0
+        assert traj.stats.skipped == n_bins
+        assert np.all(traj.q == 0.0) and np.all(traj.lost == 0.0)
+        # the kernel reads the inflow at rounded knot positions, so a bin
+        # next to a jump can carry roundoff of the total inflow
+        expected = inflow_trapezoid(inflow, traj.grid)
+        np.testing.assert_allclose(traj.served, expected, rtol=1e-12,
+                                   atol=1e-12 * expected[-1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(mode=st.sampled_from(["const", "mu_t", "multi", "finite"]),
+           **free_flow)
+    def test_underloaded_empty_queue_skips_every_bin(self, mode, fractions,
+                                                     dt):
+        mu = self.MU
+        if mode == "mu_t":
+            spec = QueueSpec(mu=lambda t: mu * (1.5 + np.sin(t / (7 * dt))),
+                             alpha=1.0 / mu)
+        elif mode == "multi":
+            # at q = 0 one of the m servers is busy
+            spec = QueueSpec(mu=MultiServerRate(mu0=mu, m=3), alpha=1.0 / mu)
+        elif mode == "finite":
+            spec = QueueSpec(mu=mu, alpha=1.0 / mu, capacity_k=5.0 * mu)
+        else:
+            spec = QueueSpec(mu=mu, alpha=1.0 / mu)
+        times = dt * np.arange(1, len(fractions) + 1)
+        rate = (np.asarray([spec.mu(t) for t in times]) if mode == "mu_t"
+                else np.full(len(fractions), mu))
+        inflow = RateSeries(0.0, dt, np.asarray(fractions) * rate)
+        self.assert_free_flow(integrate_queue(inflow, spec), inflow)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shares=st.lists(st.floats(0.0, 1.0), min_size=40, max_size=40),
+           **free_flow)
+    def test_idle_priority_pair_skips_every_bin(self, shares, fractions, dt):
+        total = np.asarray(fractions) * self.MU
+        share = np.asarray(shares[:len(fractions)])
+        x1 = RateSeries(0.0, dt, share * total)
+        x2 = RateSeries(0.0, dt, total - share * total)
+        hi, low = integrate_priority_pair(
+            x1, x2, QueueSpec(mu=self.MU, alpha=1.0 / self.MU,
+                              capacity_k=5.0 * self.MU))
+        self.assert_free_flow(hi, x1)
+        self.assert_free_flow(low, x2)
+
+    def test_overloaded_bin_is_stepped(self):
+        mu, dt = self.MU, 60.0
+        over = mu * (1.0 + 1e-9)
+        inflow = RateSeries(0.0, dt, np.array([0.5 * mu, over, over]))
+        traj = integrate_queue(inflow, QueueSpec(mu=mu, alpha=1.0 / mu))
+        # the first bin is free flow; the two ending above mu are stepped
+        assert traj.stats.skipped == 1 and traj.stats.steps > 0
+        assert traj.q[1] == 0.0 and traj.q[-1] > 0.0
+        # the last bin sits above mu throughout, so q' = X - mu there
+        assert traj.q[-1] - traj.q[-2] == pytest.approx((over - mu) * dt,
+                                                        rel=1e-3)
+
+    def test_backlog_is_stepped_until_it_drains(self):
+        inflow = const_inflow(0.5 * self.MU, 60.0)
+        spec = QueueSpec(mu=self.MU, alpha=1e-5, q0=1e5)
+        traj = integrate_queue(inflow, spec)
+        assert traj.stats.steps > 0
+        # the bins up to the first empty knot are stepped, every later bin
+        # is free flow
+        drained = len(inflow) - traj.stats.skipped
+        assert 0 < drained < len(inflow)
+        assert np.all(traj.q[:drained] > 0.0)
+        assert np.all(traj.q[drained:] == 0.0)
+        mass_in = inflow.integral() + spec.q0
+        assert traj.served[-1] == pytest.approx(mass_in, rel=1e-9)
+
+
 class TestBounds:
     def setup_method(self):
         self.mu, self.alpha, self.q0, self.x_inf = 1.0, 0.5, 1.0, 0.5

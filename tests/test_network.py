@@ -59,6 +59,10 @@ class TestPropagate:
         np.testing.assert_allclose(state.core_in.values, 24e9, rtol=1e-6)
         z0 = state.egress_in[0].values[-1]
         assert z0 == pytest.approx(0.5 * 10e9 + 0.25 * 14e9, rel=1e-3)
+        # every access bin is free flow, solved without a step
+        for traj in state.access:
+            assert traj.stats.steps == 0
+            assert traj.stats.skipped == len(traj.grid) - 1
 
     def test_split_conserves_core_outflow(self):
         rng = np.random.default_rng(6)
