@@ -214,10 +214,10 @@ def _write_solver_stats(path, state):
               + [("core", state.core)]
               + [(f"egress{j}", t) for j, t in enumerate(state.egress)])
     with open(path, "w") as fh:
-        fh.write("queue,steps,rejected,skipped,max_negative_q\n")
+        fh.write("queue,steps,rejected,closed_form,max_negative_q\n")
         for name, traj in queues:
             s = traj.stats
-            fh.write(f"{name},{s.steps},{s.rejected},{s.skipped},"
+            fh.write(f"{name},{s.steps},{s.rejected},{s.closed_form},"
                      f"{s.max_negative_q!r}\n")
 
 

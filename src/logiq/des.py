@@ -1,4 +1,6 @@
-"""Packet-level single-server FIFO simulator (the ground-truth oracle).
+"""Packet-level single-server FIFO simulator (the ground-truth oracle): the
+Lindley recursion in closed form for an infinite buffer, and an event loop
+(kernels.des_fifo) for drop-tail.
 
 Backlog counts every bit that has arrived but not yet departed, including the
 remainder of the in-service packet.  With a finite buffer, an arriving packet
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .series import PacketTrace, RateSeries, ParameterError, trace_to_inflow
+from .series import PacketTrace, RateSeries, ParameterError, bin_rates
 
 
 @dataclass(frozen=True)
@@ -50,13 +52,20 @@ def simulate_fifo(trace: PacketTrace, cfg: DesConfig) -> DesResult:
     n = max(1, int(round((t1 - t0) / cfg.sample_dt)))
     sample_times = t0 + cfg.sample_dt * np.arange(n + 1)
 
-    cap = float(cfg.capacity_k) if cfg.capacity_k is not None else 0.0
-    depart, last_c, n_drop, bits_drop = kernels.des_fifo(
-        trace.times, trace.sizes, float(cfg.mu), cap)
+    if cfg.capacity_k is None:
+        depart = _lindley(trace.times, trace.sizes, float(cfg.mu))
+        # nothing is dropped and completions are nondecreasing, so the last
+        # completion among the first j+1 arrivals is depart[j]
+        last_c, n_drop, bits_drop = depart, 0, 0.0
+    else:
+        depart, last_c, n_drop, bits_drop = kernels.des_fifo(
+            trace.times, trace.sizes, float(cfg.mu), float(cfg.capacity_k))
 
-    accepted = depart >= 0.0
-    dep_times = depart[accepted]
-    dep_sizes = trace.sizes[accepted]
+    if n_drop:
+        accepted = depart >= 0.0
+        dep_times, dep_sizes = depart[accepted], trace.sizes[accepted]
+    else:
+        dep_times, dep_sizes = depart, trace.sizes
     dep_end = float(dep_times[-1]) if dep_times.size else t1
     departures = PacketTrace(dep_times, dep_sizes, (t0, max(t1, dep_end)))
 
@@ -73,11 +82,29 @@ def simulate_fifo(trace: PacketTrace, cfg: DesConfig) -> DesResult:
     return DesResult(sample_times, q, departures, int(n_drop), float(bits_drop))
 
 
+def _lindley(arrivals, sizes, mu):
+    """Departure times of an infinite-buffer FIFO server, without a loop.
+
+    With S the cumulative service time, the Lindley recursion
+    c_j = max(c_(j-1), a_j) + s_j unrolls to
+    c_j = S_j + max over k <= j of (a_k - S_(k-1)).  Besides the result, one
+    scratch array holds S.
+    """
+    s = sizes / mu
+    np.cumsum(s, out=s)
+    c = np.empty_like(s)
+    if c.size:
+        c[0] = arrivals[0]
+        np.subtract(arrivals[1:], s[:-1], out=c[1:])
+        np.maximum.accumulate(c, out=c)
+        c += s
+    return c
+
+
 def departures_to_outflow(result: DesResult, dt: float) -> RateSeries:
     """Bin departure completions with the same half-open rule used for
     arrivals; the trace horizon start anchors the grid."""
-    t0 = result.departures.horizon[0]
-    t1 = result.sample_times[-1]
-    trace = PacketTrace(result.departures.times, result.departures.sizes,
-                        (t0, max(t1, result.departures.horizon[1])))
-    return trace_to_inflow(trace, dt)
+    dep = result.departures
+    t0 = dep.horizon[0]
+    t1 = max(float(result.sample_times[-1]), dep.horizon[1])
+    return bin_rates(dep.times, dep.sizes, t0, t1, dt)

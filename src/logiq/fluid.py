@@ -79,7 +79,8 @@ class QueueSpec:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Error tolerances of the adaptive stepper.  Steps never exceed one
+    """Error tolerances of the adaptive stepper, so they govern only the
+    bins it steps (see kernels.integrate_logistic).  Steps never exceed one
     inflow bin, and the trajectory is reported on the inflow grid."""
 
     rel_tol: float = 1e-6
@@ -92,18 +93,18 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolverStats:
-    """Accepted and rejected steps, inflow bins solved in closed form as
-    free flow (see kernels.integrate_logistic), and the worst negative
+    """Accepted and rejected steps, inflow bins solved in closed form
+    without steps (see kernels.integrate_logistic), and the worst negative
     backlog excursion before clamping."""
 
     steps: int
     rejected: int
-    skipped: int
+    closed_form: int
     max_negative_q: float
 
     def to_text(self) -> str:
         return (f"steps={self.steps}\nrejected={self.rejected}\n"
-                f"skipped={self.skipped}\n"
+                f"closed_form={self.closed_form}\n"
                 f"max_negative_q={self.max_negative_q!r}\n")
 
 
@@ -315,7 +316,7 @@ def _solve(inflow: RateSeries, spec: QueueSpec, opts: SolverOptions,
         *_server_args(spec, inflow), float(spec.q0), opts.rel_tol,
         opts.abs_tol)
 
-    status, n_steps, n_rej, n_skip, max_neg = stats
+    status, n_steps, n_rej, n_closed, max_neg = stats
     if status != kernels.OK:
         t_fail = float(grid[np.isnan(out[0])][0])
         raise IntegrationError(f"step size underflow near t={t_fail:.6g} s",
@@ -329,7 +330,7 @@ def _solve(inflow: RateSeries, spec: QueueSpec, opts: SolverOptions,
     if max_neg > neg_tol:
         raise IntegrationError(
             f"negative backlog excursion {max_neg:g} exceeds tolerance {neg_tol:g}")
-    return grid, out, SolverStats(int(n_steps), int(n_rej), int(n_skip),
+    return grid, out, SolverStats(int(n_steps), int(n_rej), int(n_closed),
                                   float(max_neg))
 
 

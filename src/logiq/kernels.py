@@ -1,12 +1,15 @@
-"""Numeric inner loops: one adaptive Dormand-Prince 5(4) integrator for the
-logistic queue family and the coupled priority pair, an exact point-queue
-reference, and the packet-level FIFO recursion.
+"""Numeric inner loops: one integrator for the logistic queue family and the
+coupled priority pair (exact bins where the law has a closed form, adaptive
+Dormand-Prince 5(4) steps elsewhere), an exact point-queue reference, and
+the packet-level drop-tail FIFO recursion.
 
 All kernels are numba-jitted unless ``LOGIQ_NO_NUMBA=1`` (see accel.py); the
 pure-Python source of each kernel stays reachable as ``<kernel>.py_func``.
 Inputs are plain float64 arrays; wrappers in fluid.py / des.py own validation
 and the public dataclasses.
 """
+
+import math
 
 import numpy as np
 
@@ -120,6 +123,53 @@ def _at_rest(r, mu):
             and r[5] == 0.0)
 
 
+@maybe_jit
+def _log_expm1(z):
+    """log(e^z - 1) for z > 0, without overflow for large z."""
+    if z > 1.0:
+        return z + math.log(-math.expm1(-z))
+    return math.log(math.expm1(z))
+
+
+@maybe_jit
+def _softplus(s):
+    """log(1 + e^s), without overflow for large s."""
+    if s > 0.0:
+        return s + math.log1p(math.exp(-s))
+    return math.log1p(math.exp(s))
+
+
+@maybe_jit
+def _exact_piece(q, d0, d1, w, alpha):
+    """Backlog after w seconds of the ungated logistic law from backlog q,
+    while X - mu runs linearly from d0 to d1 without changing sign.
+
+    Where X >= mu the outflow is mu, so q grows by the integral of X - mu.
+    Where X < mu, u = e^(alpha q) - 1 obeys the linear u' = alpha (X - mu) u,
+    so alpha q ends at softplus(log u + alpha * integral), which stays >= 0
+    and does not overflow."""
+    area = 0.5 * w * (d0 + d1)
+    if area >= 0.0:
+        return q + area
+    if q == 0.0:
+        return 0.0
+    return _softplus(_log_expm1(alpha * q) + alpha * area) / alpha
+
+
+@maybe_jit
+def _exact_bin(q, da, db, w, alpha):
+    """(end backlog, largest backlog) over an inflow bin of width w that
+    starts at backlog q, with X - mu linear from da to db.  A sign change
+    splits the bin into two exact pieces at the crossing."""
+    if (da < 0.0 < db) or (db < 0.0 < da):
+        s = w * da / (da - db)
+        q_mid = _exact_piece(q, da, 0.0, s, alpha)
+        q_end = _exact_piece(q_mid, 0.0, db, w - s, alpha)
+        return q_end, max(q, q_mid, q_end)
+    q_end = _exact_piece(q, da, db, w, alpha)
+    return q_end, max(q, q_end)
+
+
 # Dormand-Prince 5(4) coefficients
 _C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
 _A21 = 0.2
@@ -140,21 +190,28 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (35.0 / 384.0 - 5179.0 / 57600.0,
 def integrate_logistic(t_out, x_first, x_dt, x_vals, p_vals, mu_mode,
                        mu_const, mu_vals, mu0, m_servers, alpha, gate_on,
                        cap_k, h0, gate_n, q0, rtol, atol):
-    """Adaptive Dormand-Prince 5(4) over the state (q, served-bits,
-    lost-bits) of the queue fed by x_vals, starting at backlog q0.
+    """The state (q, served-bits, lost-bits) of the queue fed by x_vals,
+    starting at backlog q0, on the inflow grid t_out (x_first - x_dt
+    followed by the knots).
 
     A nonempty p_vals adds a priority class (qp, served_p, lost_p), starting
     empty, that is served first (see priority_split); the single queue skips
-    every priority-class operation.  No step is longer than one inflow bin
-    x_dt, and steps are clamped so every output time is an exact step
-    endpoint.  A bin that starts empty and stays in free flow (no backlog
-    growth or loss at either end) is solved in closed form without steps.
-    Returns (out, stats): the rows of out are q, outflow, served and lost
-    of the queue, then in pair mode the same four for the priority class;
-    stats is (status, n_steps, n_rejected, n_skipped, worst_negative_q),
-    where n_skipped counts the free-flow bins.
+    every priority-class operation.
+
+    Each inflow bin of a single queue with a constant or time-varying mu is
+    solved exactly (_exact_bin) when the finite-buffer gate is exactly 1 at
+    the bin's largest backlog, so the gate is 1 all along it.  For the pair
+    and a multi-server mu, a bin that starts empty and stays in free flow
+    (no backlog growth or loss at either end) is solved in closed form.
+    Every other bin takes adaptive Dormand-Prince 5(4) steps, none longer
+    than the bin.  Returns (out, stats): the rows of out are q, outflow,
+    served and lost of the queue, then in pair mode the same four for the
+    priority class; stats is (status, n_steps, n_rejected, n_closed_form,
+    worst_negative_q), where n_closed_form counts the bins solved without
+    steps.
     """
     pair = p_vals.shape[0] > 0
+    exact = not pair and mu_mode != MU_MULTISERVER
     n_out = t_out.shape[0]
     out = np.empty((8 if pair else 4, n_out))
 
@@ -168,7 +225,7 @@ def integrate_logistic(t_out, x_first, x_dt, x_vals, p_vals, mu_mode,
     worst_neg = 0.0
     n_steps = 0
     n_rej = 0
-    n_skip = 0
+    n_closed = 0
     status = OK
 
     span = t_out[n_out - 1] - t_out[0]
@@ -177,14 +234,40 @@ def integrate_logistic(t_out, x_first, x_dt, x_vals, p_vals, mu_mode,
     if n_out > 1 and t_out[1] - t_out[0] < h:
         h = t_out[1] - t_out[0]
 
-    t = t_out[0]
+    t = float(t_out[0])
     # the _rhs row of the state at t, which gives the output row
     r = _rhs(t, q, qp, pair, x_first, x_dt, x_vals, p_vals, mu_mode,
              mu_const, mu_vals, mu0, m_servers, alpha, gate_on, cap_k, h0,
              gate_n)
     for j in range(n_out):
-        target = t_out[j]
-        if t < target and q == 0.0 and qp == 0.0:
+        target = float(t_out[j])
+        # the row r at target must be evaluated unless a branch reuses one
+        fresh = t < target
+        if fresh and exact:
+            # X and mu at the bin's ends are samples, read by index; the
+            # first bin holds the first sample
+            ia = j - 2 if j > 1 else 0
+            xa = float(x_vals[ia])
+            xb = float(x_vals[j - 1])
+            mua = mub = mu_const
+            if mu_mode == MU_TIME:
+                mua = float(mu_vals[ia])
+                mub = float(mu_vals[j - 1])
+            q_end, q_peak = _exact_bin(q, xa - mua, xb - mub, target - t,
+                                       alpha)
+            if not gate_on or _gate(q_peak, cap_k, h0, gate_n) == 1.0:
+                # the outflow is what the inflow brought in and q kept
+                served += 0.5 * (target - t) * (xa + xb) - (q_end - q)
+                q = q_end
+                t = target
+                n_closed += 1
+                # the outflow law at the bin's end, where the gate is 1; the
+                # row r is read only by the free-flow branch, which these
+                # queues never take
+                out[0, j], out[2, j], out[3, j] = q, served, lost
+                out[1, j] = mub + math.exp(-alpha * q) * (min(xb, mub) - mub)
+                continue
+        elif fresh and q == 0.0 and qp == 0.0:
             # Free-flow bin.  At q = qp = 0 the service rate and the gate do
             # not change inside the bin (a time-varying mu is linear between
             # its samples), and X, X_p are linear.  Rows at rest at both
@@ -212,8 +295,8 @@ def integrate_logistic(t_out, x_first, x_dt, x_vals, p_vals, mu_mode,
                         + _interp_grid(target, x_first, x_dt, p_vals))
                 t = target
                 r = r_end
-                n_skip += 1
-        stepped = t < target
+                n_closed += 1
+                fresh = False
         while t < target:
             # a remainder at roundoff scale means the target is reached
             scale_t = abs(target) if abs(target) > 1.0 else 1.0
@@ -352,7 +435,7 @@ def integrate_logistic(t_out, x_first, x_dt, x_vals, p_vals, mu_mode,
             out[:, j:] = np.nan
             break
 
-        if stepped:
+        if fresh:
             r = _rhs(t, q, qp, pair, x_first, x_dt, x_vals, p_vals, mu_mode,
                      mu_const, mu_vals, mu0, m_servers, alpha, gate_on, cap_k,
                      h0, gate_n)
@@ -361,7 +444,7 @@ def integrate_logistic(t_out, x_first, x_dt, x_vals, p_vals, mu_mode,
             out[4, j], out[5, j], out[6, j], out[7, j] = (qp, r[4], served_p,
                                                           lost_p)
 
-    return out, (status, n_steps, n_rej, n_skip, -worst_neg)
+    return out, (status, n_steps, n_rej, n_closed, -worst_neg)
 
 
 @maybe_jit

@@ -39,7 +39,7 @@ class PacketTrace:
         object.__setattr__(self, "sizes", sizes)
         if times.shape != sizes.shape or times.ndim != 1:
             raise ParameterError("times and sizes must be 1-d arrays of equal length")
-        if times.size and np.any(np.diff(times) < 0):
+        if np.any(times[1:] < times[:-1]):
             raise ParameterError("packet times must be sorted nondecreasing")
         if np.any(sizes <= 0):
             raise ParameterError("packet sizes must be positive")
@@ -164,15 +164,26 @@ def trace_to_inflow(trace: PacketTrace, dt: float) -> RateSeries:
     Bin i collects bits arriving in (t0 + i*dt, t0 + (i+1)*dt]; an arrival
     exactly at t0 goes to bin 0 so total mass is conserved.
     """
+    t0, t1 = trace.horizon
+    return bin_rates(trace.times, trace.sizes, t0, t1, dt)
+
+
+def bin_rates(times, sizes, t0, t1, dt) -> RateSeries:
+    """The rate series of the bits ``sizes`` arriving at ``times`` in
+    [t0, t1], binned as trace_to_inflow describes."""
     if dt <= 0:
         raise ParameterError("dt must be > 0")
-    t0, t1 = trace.horizon
     n_bins = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
-    if len(trace) == 0:
+    if len(times) == 0:
         return RateSeries(t0, dt, np.zeros(n_bins))
-    idx = np.ceil((trace.times - t0) / dt).astype(np.int64) - 1
+    pos = times - t0
+    pos /= dt
+    np.ceil(pos, out=pos)
+    idx = pos.astype(np.int64)
+    del pos
+    idx -= 1
     np.clip(idx, 0, n_bins - 1, out=idx)
-    bits = np.bincount(idx, weights=trace.sizes, minlength=n_bins)
+    bits = np.bincount(idx, weights=sizes, minlength=n_bins)
     return RateSeries(t0, dt, bits / dt)
 
 

@@ -18,7 +18,7 @@ from logiq.fluid import (QueueSpec, SolverOptions, compute_alpha,
                          integrate_queue, priority_rates, queue_decay_bound,
                          emptying_time_bound, split_outflow)
 from logiq.metrics import aggregation_error_bound
-from logiq.network import Topology
+from logiq.network import Topology, propagate
 from logiq.pipeline import (dt_scenario, generate_flow_inflows, sweep_point,
                             validate_scenario)
 from logiq.series import RateSeries
@@ -189,9 +189,9 @@ def test_criterion_5_point_queue_limit():
              f"{dists[2]:.4f}, {elapsed:.2f} s < 5 s")
 
 
-def test_criterion_6_digital_twin():
-    _warm_kernels()
-    t0 = time.perf_counter()
+def _dt_star():
+    """The bundled digital-twin scenario: (topology, flow inflows, priority
+    rates)."""
     cfg = load_config(REPO / "scenarios" / "dt_star.json")
     net = cfg["network"]
     topology = Topology(access_mu=net["access_mu"], core_mu=net["core_mu"],
@@ -203,7 +203,14 @@ def test_criterion_6_digital_twin():
         flows["params"], topology.n_origins, flows["users_per_flow"],
         flows["horizon"], flows["dt"], flows["seed"],
         target_rate=flows["target_rate"], warmup_s=flows["warmup"])
-    run = dt_scenario(topology, inflows, priority_rates=net["priority_rates"])
+    return topology, inflows, net["priority_rates"]
+
+
+def test_criterion_6_digital_twin():
+    _warm_kernels()
+    t0 = time.perf_counter()
+    topology, inflows, rates = _dt_star()
+    run = dt_scenario(topology, inflows, priority_rates=rates)
 
     band_ok = 0.05 <= run.l_max <= 0.5
     pl = np.asarray(run.priority_l_max)
@@ -230,3 +237,17 @@ def test_criterion_7_performance(desk_runs):
     _verdict(7, "performance", speedup >= 100.0,
              f"logistic {total_log:.3f} s vs oracle {total_des:.1f} s, "
              f"speedup {speedup:.0f}x >= 100x")
+
+
+def test_single_queues_take_no_steps(desk_runs):
+    # every desk bin and every queue of dt_star's base propagation is solved
+    # in closed form; only bins near a buffer, multi-server queues and the
+    # priority pair are stepped
+    runs, _ = desk_runs
+    for run in runs:
+        assert run.trajectory.stats.steps == 0
+    topology, inflows, _ = _dt_star()
+    state = propagate(topology, inflows)
+    for traj in state.access + (state.core,) + state.egress:
+        assert traj.stats.steps == 0
+        assert traj.stats.closed_form == len(traj.grid) - 1

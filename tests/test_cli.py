@@ -49,7 +49,7 @@ class TestCommands:
         assert "q_max_bits=" in (out / "summary.txt").read_text()
         stats = dict(line.split("=", 1) for line in
                      (out / "solver_stats.txt").read_text().splitlines())
-        assert set(stats) == {"steps", "rejected", "skipped",
+        assert set(stats) == {"steps", "rejected", "closed_form",
                               "max_negative_q"}
         for value in stats.values():
             float(value)  # plain numbers, not numpy reprs
@@ -105,7 +105,7 @@ class TestCommands:
         summary = (out / "summary.txt").read_text()
         assert "l_max_s=" in summary
         lines = (out / "solver_stats.csv").read_text().splitlines()
-        assert lines[0] == "queue,steps,rejected,skipped,max_negative_q"
+        assert lines[0] == "queue,steps,rejected,closed_form,max_negative_q"
         rows = [line.split(",") for line in lines[1:]]
         assert [r[0] for r in rows] == ["access0", "access1", "core",
                                         "egress0", "egress1"]

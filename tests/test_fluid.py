@@ -176,14 +176,18 @@ free_flow = dict(
 
 class TestFreeFlow:
     """An empty queue whose inflow stays at or below its service rate is
-    solved in closed form: no steps, q identically 0, served = inflow."""
+    solved in closed form: no steps, q identically 0, served = inflow.
+
+    A constant or time-varying mu solves every bin exactly (TestExactBins),
+    so the tests of the stepper's own free-flow test use a one-server
+    MultiServerRate, whose rate is the constant mu0."""
 
     MU = 1e6
 
     def assert_free_flow(self, traj, inflow):
         n_bins = len(inflow)
         assert traj.stats.steps == 0 and traj.stats.rejected == 0
-        assert traj.stats.skipped == n_bins
+        assert traj.stats.closed_form == n_bins
         assert np.all(traj.q == 0.0) and np.all(traj.lost == 0.0)
         # the kernel reads the inflow at rounded knot positions, so a bin
         # next to a jump can carry roundoff of the total inflow
@@ -231,9 +235,10 @@ class TestFreeFlow:
         mu, dt = self.MU, 60.0
         over = mu * (1.0 + 1e-9)
         inflow = RateSeries(0.0, dt, np.array([0.5 * mu, over, over]))
-        traj = integrate_queue(inflow, QueueSpec(mu=mu, alpha=1.0 / mu))
+        traj = integrate_queue(inflow, QueueSpec(
+            mu=MultiServerRate(mu0=mu, m=1), alpha=1.0 / mu))
         # the first bin is free flow; the two ending above mu are stepped
-        assert traj.stats.skipped == 1 and traj.stats.steps > 0
+        assert traj.stats.closed_form == 1 and traj.stats.steps > 0
         assert traj.q[1] == 0.0 and traj.q[-1] > 0.0
         # the last bin sits above mu throughout, so q' = X - mu there
         assert traj.q[-1] - traj.q[-2] == pytest.approx((over - mu) * dt,
@@ -241,17 +246,127 @@ class TestFreeFlow:
 
     def test_backlog_is_stepped_until_it_drains(self):
         inflow = const_inflow(0.5 * self.MU, 60.0)
-        spec = QueueSpec(mu=self.MU, alpha=1e-5, q0=1e5)
+        spec = QueueSpec(mu=MultiServerRate(mu0=self.MU, m=1), alpha=1e-5,
+                         q0=1e5)
         traj = integrate_queue(inflow, spec)
         assert traj.stats.steps > 0
         # the bins up to the first empty knot are stepped, every later bin
         # is free flow
-        drained = len(inflow) - traj.stats.skipped
+        drained = len(inflow) - traj.stats.closed_form
         assert 0 < drained < len(inflow)
         assert np.all(traj.q[:drained] > 0.0)
         assert np.all(traj.q[drained:] == 0.0)
         mass_in = inflow.integral() + spec.q0
         assert traj.served[-1] == pytest.approx(mass_in, rel=1e-9)
+
+
+def stepped(inflow, spec):
+    """The queue ``spec`` fed by ``inflow`` as the Dormand-Prince stepper
+    solves it at rel_tol 1e-12: the low class of a priority pair whose
+    priority class is idle.  For an inflow above 1e-12 the split gives the
+    low class all of mu, so its law is the single queue's, and the pair
+    takes no exact bins."""
+    idle = RateSeries(inflow.t0, inflow.dt, np.zeros(len(inflow)))
+    _, low = integrate_priority_pair(idle, inflow, spec,
+                                     SolverOptions(rel_tol=1e-12))
+    return low
+
+
+# a single queue of rate 1e6 on a random piecewise-linear inflow: the mode,
+# each sample's fraction of 1e6, the bin width, alpha * 1e6 * dt, and the
+# initial backlog in bins of 1e6 * dt
+exact_case = dict(
+    mode=st.sampled_from(["const", "mu_t", "finite"]),
+    fractions=st.lists(st.floats(1e-3, 2.5), min_size=1, max_size=40),
+    dt=st.floats(0.01, 100.0),
+    alpha_dt=st.floats(0.1, 100.0),
+    q0_bins=st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+
+
+class TestExactBins:
+    """A single queue with a constant or time-varying mu is solved exactly,
+    bin by bin, also with a finite buffer whose gate stays 1."""
+
+    MU = 1e6
+    # gap to the stepper at rel_tol 1e-12, in units of the mass (integral
+    # of X + q0): at most 2.3e-8 over 3000 random cases (mu(t)) and 2.8e-9
+    # over 3000 drawn here.  It is the stepper's own error: at rel_tol
+    # 1e-13 the worst case falls 2e4-fold.
+    STEPPER_GAP = 1e-7
+
+    def case(self, mode, fractions, dt, alpha_dt, q0_bins):
+        mu = self.MU
+        rate = mu
+        if mode == "mu_t":
+            rate = lambda t: mu * (1.5 + np.sin(t / (7 * dt)))
+        q0 = q0_bins * mu * dt
+        # far above any backlog this inflow can build, so the gate is 1
+        cap = q0 + 3.0 * mu * dt * len(fractions) if mode == "finite" else None
+        spec = QueueSpec(mu=rate, alpha=alpha_dt / (mu * dt), q0=q0,
+                         capacity_k=cap)
+        return RateSeries(0.0, dt, np.asarray(fractions) * mu), spec
+
+    @settings(max_examples=60, deadline=None)
+    @given(**exact_case)
+    def test_matches_stepper(self, mode, fractions, dt, alpha_dt, q0_bins):
+        inflow, spec = self.case(mode, fractions, dt, alpha_dt, q0_bins)
+        traj = integrate_queue(inflow, spec)
+        assert traj.stats.steps == 0
+        assert traj.stats.closed_form == len(inflow)
+        ref = stepped(inflow, spec)
+        atol = self.STEPPER_GAP * (inflow.integral() + spec.q0)
+        np.testing.assert_allclose(traj.q, ref.q, rtol=0.0, atol=atol)
+        np.testing.assert_allclose(traj.served, ref.served, rtol=0.0,
+                                   atol=atol)
+        assert np.all(traj.lost == 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(zeros=st.lists(st.booleans(), min_size=40, max_size=40),
+           **exact_case)
+    def test_positive_conserving_fifo(self, zeros, mode, fractions, dt,
+                                      alpha_dt, q0_bins):
+        # idle samples included: X = 0 drains fastest
+        fractions = np.where(zeros[:len(fractions)], 0.0, fractions)
+        inflow, spec = self.case(mode, fractions, dt, alpha_dt, q0_bins)
+        traj = integrate_queue(inflow, spec)
+        assert np.all(traj.q >= 0.0)
+        mass = inflow.integral() + spec.q0
+        residual = mass - traj.q[-1] - traj.served[-1] - traj.lost[-1]
+        assert abs(residual) <= 1e-12 * mass
+        if mode != "mu_t":
+            # the backlog drains slower than mu, so a bit arriving later
+            # leaves later: t + q / mu is nondecreasing
+            exit_times = exit_time(traj.grid, traj.q, self.MU)
+            assert np.all(np.diff(exit_times) >= 0.0)
+
+    def test_huge_backlog_does_not_overflow(self):
+        # alpha * q = 1e6 is far beyond exp's range; with X = 0 the backlog
+        # drains at mu less e^(-alpha q) of it
+        mu = self.MU
+        inflow = const_inflow(0.0, 10.0)
+        traj = integrate_queue(inflow, QueueSpec(mu=mu, alpha=1e-6, q0=1e12))
+        assert traj.stats.steps == 0
+        np.testing.assert_allclose(traj.q, 1e12 - mu * traj.grid, rtol=1e-15)
+
+    def test_crossing_bin_peaks_inside(self):
+        # X falls from 2 mu to 0 across one bin, crossing mu half way: the
+        # backlog grows by mu dt / 4, then drains
+        mu, dt = self.MU, 10.0
+        inflow = RateSeries(0.0, dt, np.array([2.0 * mu, 0.0]))
+        spec = QueueSpec(mu=mu, alpha=1.0 / mu)
+        traj = integrate_queue(inflow, spec)
+        assert traj.q[1] == pytest.approx(mu * dt, rel=1e-15)
+        peak = mu * dt + mu * dt / 4.0
+        # drain over the second half: alpha q = softplus(log(expm1(alpha
+        # peak)) - alpha mu dt / 4)
+        a = spec.alpha
+        expected = np.logaddexp(0.0, np.log(np.expm1(a * peak))
+                                - a * mu * dt / 4.0) / a
+        assert traj.q[2] == pytest.approx(expected, rel=1e-12)
+        # a gate that is below 1 at the peak sends the bin to the stepper
+        gated = integrate_queue(inflow, QueueSpec(mu=mu, alpha=1.0 / mu,
+                                                  capacity_k=1.05 * peak))
+        assert gated.stats.closed_form == 1 and gated.stats.steps > 0
 
 
 class TestBounds:

@@ -12,8 +12,11 @@ from logiq.accel import NUMBA_ENABLED
 
 
 def logistic_args(rng, n=60, pair=False):
-    """An overloaded first third, then an underloaded stretch in which the
-    queue drains and the free-flow bins are skipped."""
+    """An overloaded first third that fills the buffer, whose bins are
+    stepped, then an underloaded stretch in which the queue drains to 0
+    and is solved in closed form: exactly for the single queue, whose
+    exponential drain underflows to 0 at this alpha, and after the steps
+    of the drain as free flow for the pair."""
     grid = np.arange(n + 1, dtype=float)
     x_vals = rng.uniform(0.0, 2e6, n)
     x_vals[n // 3:] = rng.uniform(0.0, 0.5e6, n - n // 3)
@@ -22,8 +25,8 @@ def logistic_args(rng, n=60, pair=False):
         p_vals[n // 3:] = rng.uniform(0.0, 0.4e6, n - n // 3)
     return dict(t_out=grid, x_first=1.0, x_dt=1.0, x_vals=x_vals,
                 p_vals=p_vals, mu_mode=kernels.MU_CONST, mu_const=1e6,
-                mu_vals=np.empty(0), mu0=0.0, m_servers=1.0, alpha=1e-5,
-                gate_on=pair, cap_k=5e6, h0=0.5, gate_n=1e-4, q0=0.0,
+                mu_vals=np.empty(0), mu0=0.0, m_servers=1.0, alpha=1e-4,
+                gate_on=True, cap_k=2e6, h0=0.5, gate_n=1e-4, q0=0.0,
                 rtol=1e-6, atol=1e-9)
 
 
@@ -67,12 +70,12 @@ class TestJitMatchesPython:
 
 @pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])
 def test_parity_inputs_reach_free_flow(pair):
-    # the parity test above compares the free-flow branch too
+    # the parity test above compares the closed-form bins too
     args = logistic_args(np.random.default_rng(0), pair=pair)
     out, stats = kernels.integrate_logistic.py_func(**args)
-    status, n_steps, _, n_skipped, _ = stats
+    status, n_steps, _, n_closed_form, _ = stats
     assert status == kernels.OK and n_steps > 0
-    assert 0 < n_skipped < len(args["x_vals"])
+    assert 0 < n_closed_form < len(args["x_vals"])
     assert np.all(out[0::4, -1] == 0.0)
 
 

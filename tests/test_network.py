@@ -62,7 +62,7 @@ class TestPropagate:
         # every access bin is free flow, solved without a step
         for traj in state.access:
             assert traj.stats.steps == 0
-            assert traj.stats.skipped == len(traj.grid) - 1
+            assert traj.stats.closed_form == len(traj.grid) - 1
 
     def test_split_conserves_core_outflow(self):
         rng = np.random.default_rng(6)
