@@ -114,7 +114,8 @@ def _write_validation(run, out: Path):
     text = run.report.to_text()
     text += (f"lambda_bps={run.lam!r}\nrho={run.rho!r}\nalpha={run.alpha!r}\n"
              f"runtime_logistic_s={run.runtime_logistic_s!r}\n"
-             f"runtime_des_s={run.runtime_des_s!r}\nspeedup={run.speedup!r}\n")
+             f"runtime_des_s={run.runtime_des_s!r}\nspeedup={run.speedup!r}\n"
+             f"des_loop_packets={run.des_result.looped}\n")
     with open(out / "report.txt", "w") as fh:
         fh.write(text)
     with open(out / "report.csv", "w") as fh:

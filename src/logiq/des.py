@@ -1,6 +1,7 @@
 """Packet-level single-server FIFO simulator (the ground-truth oracle): the
-Lindley recursion in closed form for an infinite buffer, and an event loop
-(kernels.des_fifo) for drop-tail.
+Lindley recursion in closed form.  With a drop-tail buffer, the event loop
+(kernels.des_fifo) walks only the busy periods whose backlog comes near the
+capacity; every other packet keeps its closed-form departure.
 
 Backlog counts every bit that has arrived but not yet departed, including the
 remainder of the in-service packet.  With a finite buffer, an arriving packet
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .series import PacketTrace, RateSeries, ParameterError, bin_rates
+from .series import (PacketTrace, RateSeries, ParameterError, bin_rates,
+                     run_indices)
 
 
 @dataclass(frozen=True)
@@ -37,6 +39,7 @@ class DesResult:
     departures: PacketTrace
     drop_count: int
     drop_bits: float
+    looped: int                # packets the drop-tail event loop walked
 
     def q_to_csv(self, path):
         with open(path, "w") as fh:
@@ -56,9 +59,9 @@ def simulate_fifo(trace: PacketTrace, cfg: DesConfig) -> DesResult:
         depart = _lindley(trace.times, trace.sizes, float(cfg.mu))
         # nothing is dropped and completions are nondecreasing, so the last
         # completion among the first j+1 arrivals is depart[j]
-        last_c, n_drop, bits_drop = depart, 0, 0.0
+        last_c, n_drop, bits_drop, looped = depart, 0, 0.0, 0
     else:
-        depart, last_c, n_drop, bits_drop = kernels.des_fifo(
+        depart, last_c, n_drop, bits_drop, looped = _drop_tail(
             trace.times, trace.sizes, float(cfg.mu), float(cfg.capacity_k))
 
     if n_drop:
@@ -79,7 +82,8 @@ def simulate_fifo(trace: PacketTrace, cfg: DesConfig) -> DesResult:
     else:
         q = np.zeros_like(sample_times)
 
-    return DesResult(sample_times, q, departures, int(n_drop), float(bits_drop))
+    return DesResult(sample_times, q, departures, int(n_drop),
+                     float(bits_drop), looped)
 
 
 def _lindley(arrivals, sizes, mu):
@@ -99,6 +103,59 @@ def _lindley(arrivals, sizes, mu):
         np.maximum.accumulate(c, out=c)
         c += s
     return c
+
+
+def _drop_tail(arrivals, sizes, mu, cap_k):
+    """kernels.des_fifo's results, with its loop run only where needed.
+
+    The drop-tail backlog never exceeds the infinite-buffer backlog on the
+    same arrivals (the recursion is monotone in its input, and so is its
+    rounding).  An infinite-buffer busy period in which no arrival sees
+    backlog + size near cap_k therefore starts empty under both disciplines
+    and drops nothing: _lindley's departures stand.  The loop walks the
+    remaining ("hot") periods back to back from c_prev = -inf, which is
+    exact because each of them starts empty.
+
+    ``tol`` bounds how far the cumulative-sum form of _lindley can sit from
+    the loop's rounding (about 3 n ulps of the largest time).  A period
+    starts only where the queue is empty by more than tol, and an arrival is
+    hot from cap_k - mu * tol on; both only enlarge the hot set.  Returns
+    (depart, last_c, n_dropped, dropped_bits, looped packets).  A dropped
+    packet ahead of the first accepted one in its period may get another
+    last_c than the loop's, but both are at most its arrival time, so the
+    sampled backlog is the same.
+    """
+    c = _lindley(arrivals, sizes, mu)
+    n = c.size
+    if n == 0:
+        return c, c, 0, 0.0, 0
+    eps = np.finfo(np.float64).eps
+    tol = 4.0 * n * eps * (abs(c[-1]) + abs(arrivals[0]) + 1.0)
+    slack = mu * tol + 8.0 * eps * cap_k
+
+    wait = np.empty_like(c)            # > 0: arrival j finds a backlog
+    wait[0] = -np.inf
+    np.subtract(c[:-1], arrivals[1:], out=wait[1:])
+    starts = np.flatnonzero(wait < -tol)
+    np.maximum(wait, 0.0, out=wait)
+    wait *= mu
+    wait += sizes
+    hot = np.flatnonzero(wait > cap_k - slack)
+    del wait
+
+    # every packet of the periods that hold a hot arrival
+    bounds = np.append(starts, n)
+    period = np.unique(np.searchsorted(bounds, hot, side="right") - 1)
+    idx = run_indices(bounds[period], bounds[period + 1])
+
+    dep_h, last_h, n_drop, bits_drop = kernels.des_fifo(
+        arrivals[idx], sizes[idx], mu, cap_k)
+    last_c = c
+    if n_drop:
+        last_c = c.copy()
+        last_c[idx] = last_h
+    c[idx] = dep_h
+    return c, last_c, n_drop, bits_drop, int(idx.size)
 
 
 def departures_to_outflow(result: DesResult, dt: float) -> RateSeries:

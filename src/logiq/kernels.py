@@ -255,6 +255,17 @@ def integrate_logistic(t_out, x_first, x_dt, x_vals, p_vals, mu_mode,
                 mub = float(mu_vals[j - 1])
             q_end, q_peak = _exact_bin(q, xa - mua, xb - mub, target - t,
                                        alpha)
+            if mu_mode == MU_CONST:
+                # FIFO: the outflow never exceeds mu, so the exit time
+                # t + q / mu never falls.  Where X = 0 and alpha q is large
+                # the softplus form can round q_end an ulp below that;
+                # raise it to the least backlog that keeps the order
+                e = t + q / mu_const
+                if target + q_end / mu_const < e:
+                    q_end = (e - target) * mu_const
+                    while target + q_end / mu_const < e:
+                        q_end += q_end * 2.220446049250313e-16
+                    q_peak = max(q_peak, q_end)
             if not gate_on or _gate(q_peak, cap_k, h0, gate_n) == 1.0:
                 # the outflow is what the inflow brought in and q kept
                 served += 0.5 * (target - t) * (xa + xb) - (q_end - q)
@@ -538,6 +549,9 @@ def point_queue_exact(t_out, x_first, x_dt, x_vals, mu, q0):
 @maybe_jit
 def des_fifo(arrivals, sizes, mu, cap_k):
     """Single-server FIFO (Lindley) recursion with optional drop-tail buffer.
+
+    des.simulate_fifo hands it only the infinite-buffer busy periods whose
+    backlog comes near cap_k, back to back; each of them starts empty.
 
     Returns (depart, last_completion, n_dropped, dropped_bits); depart[j] is
     -1.0 for dropped packets, last_completion[j] is the completion time of

@@ -45,6 +45,7 @@ def validate_scenario(params: VideoUserParams, users: int, horizon_s: float,
     model on the same grid and compare them."""
     traces = generate_users(params, (0.0, horizon_s), seed, users)
     merged = merge_traces(traces)
+    del traces
     inflow = trace_to_inflow(merged, dt)
     lam = mean_rate(inflow)
     rho = intensity(inflow, mu)

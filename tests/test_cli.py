@@ -59,7 +59,16 @@ class TestCommands:
         assert code == 0
         report = (out / "report.txt").read_text()
         assert "err_rel_max=" in report and "speedup=" in report
+        assert "des_loop_packets=0\n" in report   # infinite buffer: no loop
         assert (out / "q_disc.csv").exists()
+
+    def test_validate_drop_tail_reports_looped_packets(self, tmp_path):
+        payload = {**BASE, "queue": {"mu": "3.4 Mb/s", "capacity": "100 kB"}}
+        code, out = run(tmp_path, "validate", payload)
+        assert code == 0
+        report = dict(line.split("=", 1) for line in
+                      (out / "report.txt").read_text().splitlines())
+        assert int(report["des_loop_packets"]) > 0
 
     def test_validate_deterministic(self, tmp_path):
         _, out1 = run(tmp_path, "validate", BASE, name="a.json")

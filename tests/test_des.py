@@ -1,11 +1,14 @@
 """Packet-level FIFO oracle against brute-force references."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logiq import kernels
+from logiq.config import load_config
 from logiq.des import DesConfig, DesResult, departures_to_outflow, simulate_fifo
 from logiq.series import PacketTrace, ParameterError, merge_traces
 from logiq.traffic import VideoUserParams, generate_users
@@ -28,6 +31,14 @@ def brute_force_fifo(times, sizes, mu, cap=None):
 
 def make_trace(times, sizes, horizon):
     return PacketTrace(np.asarray(times, float), np.asarray(sizes, float), horizon)
+
+
+def loop_sampled_backlog(times, last_c, mu, sample_times):
+    """The event walk's backlog on the sample grid, from the loop's
+    last-completion array."""
+    idx = np.searchsorted(times, sample_times, side="right")
+    c_at = np.where(idx > 0, last_c[np.maximum(idx - 1, 0)], -np.inf)
+    return mu * np.maximum(0.0, c_at - sample_times)
 
 
 class TestAgainstBruteForce:
@@ -79,10 +90,9 @@ class TestLoopFreeOracle:
         gap = np.abs(res.departures.times - depart)
         assert gap.max() <= 2e-6
         assert np.max(gap / depart) <= 2e-10
-        idx = np.searchsorted(trace.times, res.sample_times, side="right")
-        c_at = np.where(idx > 0, last_c[np.maximum(idx - 1, 0)], -np.inf)
         np.testing.assert_allclose(
-            res.q_sampled, mu * np.maximum(0.0, c_at - res.sample_times),
+            res.q_sampled,
+            loop_sampled_backlog(trace.times, last_c, mu, res.sample_times),
             rtol=0.0, atol=2e-6 * mu)
 
     @settings(max_examples=60, deadline=None)
@@ -104,6 +114,106 @@ class TestLoopFreeOracle:
             c = ref[idx - 1] if idx > 0 else -np.inf
             assert q == pytest.approx(mu * max(0.0, c - t),
                                       abs=1e-12 * mu * (1.0 + t))
+
+
+class TestDropTailOracle:
+    """A finite buffer runs the event loop only over the infinite-buffer busy
+    periods that come near K; the whole-trace loop is the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(gaps=st.lists(st.floats(-0.5, 2.0).map(lambda g: max(g, 0.0)),
+                         min_size=1, max_size=120),
+           sizes=st.lists(st.floats(1.0, 1e4), min_size=120, max_size=120),
+           rho=st.floats(0.2, 3.0), sample_dt=st.floats(0.05, 5.0),
+           k_case=st.sampled_from(["below", "above", "at_peak",
+                                   "ulp_below_peak", "ulp_above_peak",
+                                   "between"]),
+           pick=st.floats(0.0, 1.0))
+    def test_matches_loop(self, gaps, sizes, rho, sample_dt, k_case, pick):
+        times = np.cumsum(gaps)
+        sizes = np.asarray(sizes[:len(gaps)])
+        # the load sets how many busy periods there are
+        mu = sizes.sum() / (rho * (times[-1] + 1.0))
+        # backlog + size that each arrival sees with an infinite buffer, and
+        # the busy period it belongs to
+        seen, period, c_prev = [], [], -np.inf
+        for a, s in zip(times, sizes):
+            seen.append(((c_prev - a) * mu if c_prev > a else 0.0) + s)
+            period.append(len(period) if c_prev <= a else period[-1])
+            c_prev = max(c_prev, a) + s / mu
+        j = min(int(pick * len(seen)), len(seen) - 1)
+        # the largest backlog + size in the picked arrival's busy period
+        peak = max(x for x, p in zip(seen, period) if p == period[j])
+        cap = {"below": 0.5 * sizes.min(),
+               "above": 2.0 * max(seen),
+               "at_peak": peak,
+               "ulp_below_peak": np.nextafter(peak, 0.0),
+               "ulp_above_peak": np.nextafter(peak, np.inf),
+               "between": sizes.min() + pick * (max(seen) - sizes.min()),
+               }[k_case]
+        horizon = (0.0, float(times[-1]) + 1.0)
+        res = simulate_fifo(make_trace(times, sizes, horizon),
+                            DesConfig(mu=mu, capacity_k=cap,
+                                      sample_dt=sample_dt))
+        ref = brute_force_fifo(times, sizes, mu, cap)
+        depart, last_c, n_drop, bits_drop = kernels.des_fifo.py_func(
+            times, sizes, mu, cap)
+        dropped = np.array([d is None for d in ref])
+        np.testing.assert_array_equal(dropped, depart < 0.0)
+        assert res.drop_count == n_drop == dropped.sum()
+        assert res.drop_bits == bits_drop == sum(sizes[dropped].tolist())
+        np.testing.assert_allclose(res.departures.times, depart[~dropped],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(
+            res.q_sampled,
+            loop_sampled_backlog(times, last_c, mu, res.sample_times),
+            rtol=0.0, atol=1e-12 * mu * (1.0 + res.sample_times[-1]))
+        if k_case == "above":
+            assert res.looped == 0
+        if k_case == "below":
+            assert res.drop_count == len(times)
+
+    def test_oversized_packet_at_empty_queue(self):
+        # the packet at 7 s finds the queue empty and is dropped whole.  With
+        # an infinite buffer it opens the period that reaches K, so the loop
+        # walks that period (3 packets) and the first keeps its closed form
+        trace = make_trace([0.0, 0.5, 7.0, 7.0, 9.0],
+                           [300.0, 300.0, 1200.0, 200.0, 300.0], (0.0, 10.0))
+        res = simulate_fifo(trace, DesConfig(mu=100.0, capacity_k=1000.0,
+                                             sample_dt=1.0))
+        assert res.drop_count == 1 and res.drop_bits == 1200.0
+        np.testing.assert_allclose(res.departures.times,
+                                   [3.0, 6.0, 9.0, 12.0])
+        assert res.looped == 3
+        np.testing.assert_allclose(res.q_sampled[6:], [0.0, 200.0, 100.0,
+                                                       300.0, 200.0])
+
+    def test_matches_loop_at_desk_scale(self):
+        # perfbench/desk_droptail.json seed 42: 12.8 M packets into a 25 MB
+        # buffer.  The periods that reach K hold 19.0 % of the packets; the
+        # others keep the cumulative-sum departures, 8.3e-8 s from the
+        # loop's at most (measured)
+        cfg = load_config(Path(__file__).resolve().parents[1]
+                          / "perfbench" / "desk_droptail.json")
+        t, q = cfg["traffic"], cfg["queue"]
+        trace = merge_traces(generate_users(t["params"], (0.0, t["horizon"]),
+                                            42, t["users"]))
+        res = simulate_fifo(trace, DesConfig(mu=q["mu"],
+                                             capacity_k=q["capacity"],
+                                             sample_dt=t["dt"]))
+        depart, last_c, n_drop, bits_drop = kernels.des_fifo.py_func(
+            trace.times, trace.sizes, q["mu"], q["capacity"])
+        accepted = depart >= 0.0
+        assert res.drop_count == n_drop > 0
+        assert res.drop_bits == bits_drop
+        assert len(res.departures) == accepted.sum()
+        assert np.abs(res.departures.times - depart[accepted]).max() <= 2e-6
+        assert 0 < res.looped <= 0.25 * len(trace)
+        np.testing.assert_allclose(
+            res.q_sampled,
+            loop_sampled_backlog(trace.times, last_c, q["mu"],
+                                 res.sample_times),
+            rtol=0.0, atol=2e-6 * q["mu"])
 
 
 class TestInvariants:

@@ -339,6 +339,21 @@ class TestExactBins:
             exit_times = exit_time(traj.grid, traj.q, self.MU)
             assert np.all(np.diff(exit_times) >= 0.0)
 
+    def test_drain_at_mu_keeps_fifo_order(self):
+        # X = 0 with alpha q of 10 000 and up: the drain is mu to within
+        # rounding, where the softplus form alone puts some exit times an
+        # ulp before the previous one
+        mu = self.MU
+        for dt in (0.1, 0.3, 0.7):
+            inflow = RateSeries(0.0, dt, np.zeros(200))
+            spec = QueueSpec(mu=mu, alpha=50.0 / (mu * dt), q0=400 * mu * dt)
+            traj = integrate_queue(inflow, spec)
+            assert traj.stats.steps == 0
+            exit_times = exit_time(traj.grid, traj.q, mu)
+            assert np.all(np.diff(exit_times) >= 0.0)
+            np.testing.assert_allclose(traj.q, spec.q0 - mu * traj.grid,
+                                       rtol=1e-13)
+
     def test_huge_backlog_does_not_overflow(self):
         # alpha * q = 1e6 is far beyond exp's range; with X = 0 the backlog
         # drains at mu less e^(-alpha q) of it

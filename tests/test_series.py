@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logiq.series import (PacketTrace, RateSeries, ParameterError, intensity,
-                          mean_rate, merge_traces, trace_to_inflow)
+from logiq.series import (PacketTrace, RateSeries, ParameterError, bin_rates,
+                          intensity, mean_rate, merge_traces, trace_to_inflow)
 
 
 def make_trace(times, size=1000.0, horizon=None):
@@ -116,6 +116,38 @@ class TestBinning:
         inflow = trace_to_inflow(tr, dt)
         binned_bits = inflow.values.sum() * dt
         assert binned_bits == pytest.approx(tr.total_bits, rel=1e-12, abs=1e-9)
+
+    @given(t0=st.sampled_from([0.0, 3.7, -100.0, 1e4]),
+           dt=st.sampled_from([0.1, 1.0, 7.0, 60.0]),
+           n_bins=st.integers(1, 40),
+           picks=st.lists(st.tuples(st.sampled_from(
+               ["edge", "ulp_below", "ulp_above", "t0", "past_t1", "inside"]),
+               st.floats(0.0, 1.0), st.integers(1, 1000)), max_size=120))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_packet_rule(self, t0, dt, n_bins, picks):
+        # sorted times binned by clip(ceil((t - t0) / dt) - 1) per packet;
+        # integer sizes make every bin sum exact, so a packet in the wrong
+        # bin shows
+        t1 = t0 + n_bins * dt
+        times = []
+        for kind, u, _ in picks:
+            edge = t0 + dt * int(u * n_bins)
+            times.append({"edge": edge,
+                          "ulp_below": np.nextafter(edge, -np.inf),
+                          "ulp_above": np.nextafter(edge, np.inf),
+                          "t0": t0,
+                          "past_t1": t1 + u * dt,
+                          "inside": t0 + u * (t1 - t0)}[kind])
+        order = np.argsort(times, kind="stable")
+        times = np.asarray(times, dtype=float)[order]
+        sizes = np.asarray([size for *_, size in picks], dtype=float)[order]
+        out = bin_rates(times, sizes, t0, t1, dt)
+        n = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
+        idx = np.clip(np.ceil((times - t0) / dt).astype(np.int64) - 1, 0,
+                      n - 1)
+        expected = np.bincount(idx, weights=sizes, minlength=n) / dt
+        np.testing.assert_array_equal(out.values, expected)
+        assert out.t0 == t0 and out.dt == dt
 
 
 class TestMerge:
