@@ -1,0 +1,8 @@
+"""``python -m logiq``: the logiq command without an installed entry point."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

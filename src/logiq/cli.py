@@ -9,8 +9,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import pipeline, plot
 from .config import ConfigError, load_config
 from .fluid import (DomainError, IntegrationError, QueueSpec, compute_alpha,
@@ -37,14 +35,11 @@ def _write_summary(path, entries):
 
 def cmd_generate(cfg, out: Path) -> int:
     t = cfg["traffic"]
-    traces = generate_users(t["params"], (0.0, t["horizon"]), t["seed"], t["users"])
+    horizon = (0.0, t["horizon"])
+    traces = generate_users(t["params"], horizon, t["seed"], t["users"])
     for i, trace in enumerate(traces):
         trace.to_csv(out / f"user_{i:03d}.csv")
-    if traces:
-        merged = merge_traces(traces)
-    else:
-        from .series import PacketTrace
-        merged = PacketTrace(np.empty(0), np.empty(0), (0.0, t["horizon"]))
+    merged = merge_traces(traces, horizon=horizon)
     merged.to_csv(out / "trace.csv")
     inflow = _scaled_inflow(t, merged)
     inflow.to_csv(out / "inflow.csv")
@@ -70,8 +65,9 @@ def cmd_simulate(cfg, out: Path) -> int:
     t, q = cfg["traffic"], cfg["queue"]
     if q["mu"] is None:
         raise ConfigError("config.queue.mu: required for simulate")
-    traces = generate_users(t["params"], (0.0, t["horizon"]), t["seed"], t["users"])
-    merged = merge_traces(traces)
+    horizon = (0.0, t["horizon"])
+    traces = generate_users(t["params"], horizon, t["seed"], t["users"])
+    merged = merge_traces(traces, horizon=horizon)
     inflow = _scaled_inflow(t, merged)
     inflow.to_csv(out / "inflow.csv")
 
@@ -111,11 +107,13 @@ def _write_validation(run, out: Path):
     run.des_result.q_to_csv(out / "q_disc.csv")
     run.trajectory.outflow_series().to_csv(out / "outflow_log.csv")
     RateSeries(run.inflow.t0, run.inflow.dt, run.y_disc).to_csv(out / "outflow_disc.csv")
+    des = run.des_result
     text = run.report.to_text()
     text += (f"lambda_bps={run.lam!r}\nrho={run.rho!r}\nalpha={run.alpha!r}\n"
              f"runtime_logistic_s={run.runtime_logistic_s!r}\n"
              f"runtime_des_s={run.runtime_des_s!r}\nspeedup={run.speedup!r}\n"
-             f"des_loop_packets={run.des_result.looped}\n")
+             f"packets={len(des.departures) + des.drop_count}\n"
+             f"des_loop_packets={des.looped}\n")
     with open(out / "report.txt", "w") as fh:
         fh.write(text)
     with open(out / "report.csv", "w") as fh:

@@ -65,7 +65,7 @@ def simulate_fifo(trace: PacketTrace, cfg: DesConfig) -> DesResult:
             trace.times, trace.sizes, float(cfg.mu), float(cfg.capacity_k))
 
     if n_drop:
-        accepted = depart >= 0.0
+        accepted = ~np.isnan(depart)
         dep_times, dep_sizes = depart[accepted], trace.sizes[accepted]
     else:
         dep_times, dep_sizes = depart, trace.sizes

@@ -554,9 +554,10 @@ def des_fifo(arrivals, sizes, mu, cap_k):
     backlog comes near cap_k, back to back; each of them starts empty.
 
     Returns (depart, last_completion, n_dropped, dropped_bits); depart[j] is
-    -1.0 for dropped packets, last_completion[j] is the completion time of
-    the latest accepted packet among the first j+1 arrivals (server work
-    function), used for O(log n) backlog sampling.
+    NaN for dropped packets (a departure can come at any time, negative
+    ones too), last_completion[j] is the completion time of the latest
+    accepted packet among the first j+1 arrivals (server work function),
+    used for O(log n) backlog sampling.
     """
     n = arrivals.shape[0]
     depart = np.empty(n)
@@ -568,7 +569,7 @@ def des_fifo(arrivals, sizes, mu, cap_k):
         a = arrivals[j]
         backlog = (c_prev - a) * mu if c_prev > a else 0.0
         if cap_k > 0.0 and backlog + sizes[j] > cap_k:
-            depart[j] = -1.0
+            depart[j] = np.nan
             n_drop += 1
             bits_drop += sizes[j]
         else:

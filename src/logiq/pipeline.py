@@ -43,8 +43,9 @@ def validate_scenario(params: VideoUserParams, users: int, horizon_s: float,
                       capacity=None) -> ValidationRun:
     """Feed one generated inflow to both the packet oracle and the logistic
     model on the same grid and compare them."""
-    traces = generate_users(params, (0.0, horizon_s), seed, users)
-    merged = merge_traces(traces)
+    horizon = (0.0, horizon_s)
+    traces = generate_users(params, horizon, seed, users)
+    merged = merge_traces(traces, horizon=horizon)
     del traces
     inflow = trace_to_inflow(merged, dt)
     lam = mean_rate(inflow)
@@ -114,11 +115,12 @@ def generate_flow_inflows(params: VideoUserParams, n_flows: int,
     session processes before the window so short horizons are stationary.
     """
     ss = np.random.SeedSequence(seed)
+    horizon = (0.0, horizon_s)
     inflows = []
     for child in ss.spawn(n_flows):
-        traces = generate_users(params, (0.0, horizon_s), child,
-                                users_per_flow, warmup_s)
-        inflow = trace_to_inflow(merge_traces(traces), dt)
+        traces = generate_users(params, horizon, child, users_per_flow,
+                                warmup_s)
+        inflow = trace_to_inflow(merge_traces(traces, horizon=horizon), dt)
         if target_rate is not None:
             lam = mean_rate(inflow)
             if lam <= 0:

@@ -143,16 +143,27 @@ class RateSeries:
         return cls(t0=float(times[0] - dt), dt=float(dt), values=data[:, 1])
 
 
-def merge_traces(traces) -> PacketTrace:
-    """Sorted merge of packet traces sharing one horizon."""
+def merge_traces(traces, horizon=None) -> PacketTrace:
+    """Stable sorted merge of packet traces sharing one horizon: packets at
+    equal times keep the order of ``traces``.
+
+    ``horizon`` defaults to the first trace's; with no traces it is the
+    horizon of the empty result, (0, 0) if not given.  When every packet has
+    one size, sorting the times alone gives the stable merge.
+    """
     traces = list(traces)
-    if not traces:
-        return PacketTrace(np.empty(0), np.empty(0), (0.0, 0.0))
-    horizon = traces[0].horizon
-    for tr in traces[1:]:
-        if tr.horizon != horizon:
+    if horizon is None:
+        horizon = traces[0].horizon if traces else (0.0, 0.0)
+    for tr in traces:
+        if tuple(tr.horizon) != tuple(horizon):
             raise ParameterError("cannot merge traces with different horizons")
+    if not traces:
+        return PacketTrace(np.empty(0), np.empty(0), horizon)
     times = np.concatenate([tr.times for tr in traces])
+    sized = [tr.sizes for tr in traces if len(tr)]
+    if sized and all(s.min() == s.max() == sized[0][0] for s in sized):
+        times.sort(kind="stable")
+        return PacketTrace(times, np.full(times.shape, sized[0][0]), horizon)
     sizes = np.concatenate([tr.sizes for tr in traces])
     order = np.argsort(times, kind="stable")
     return PacketTrace(times[order], sizes[order], horizon)

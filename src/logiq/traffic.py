@@ -123,21 +123,24 @@ def generate_video_user(params: VideoUserParams, horizon, seed,
                 n_pkts = max(1, int(round(rng.normal(params.burst_size_mean,
                                                      params.burst_size_std))))
                 gaps = rng.exponential(params.interpacket_mean_s, n_pkts - 1)
-                times = burst_start + np.concatenate(([0.0], np.cumsum(gaps)))
+                times = np.empty(n_pkts)
+                times[0] = 0.0
+                np.cumsum(gaps, out=times[1:])
+                times += burst_start
                 burst_end = times[-1]
-                times = times[times < session_end]  # final burst truncated
-                times = times[times >= t0]
-                if times.size:
-                    chunks.append(times)
+                # times are nondecreasing: keep [t0, session_end) by bisection
+                lo = np.searchsorted(times, t0) if burst_start < t0 else 0
+                hi = (np.searchsorted(times, session_end)
+                      if burst_end >= session_end else n_pkts)
+                if lo < hi:
+                    chunks.append(times[lo:hi])
                 burst_start = burst_end + rng.exponential(params.interburst_mean_s)
         t = session_end + rng.exponential(params.interuse_mean_s)
 
-    if chunks:
-        times = np.concatenate(chunks)
-        times.sort(kind="stable")
-        times = times[times <= t1]
-    else:
-        times = np.empty(0)
+    # Already sorted and inside [t0, t1): a burst starts after the previous
+    # burst's end, a session after the previous session_end, and every kept
+    # time is below its session_end <= t1.  PacketTrace checks the order.
+    times = np.concatenate(chunks) if chunks else np.empty(0)
     sizes = np.full(times.shape, float(params.packet_size_bits))
     return PacketTrace(times, sizes, (t0, t1))
 

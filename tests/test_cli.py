@@ -1,10 +1,16 @@
 """End-to-end CLI runs on tiny scenarios."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from logiq.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 BASE = {
     "traffic": {"users": 3, "horizon": "1800 s", "dt": "60 s", "seed": 1},
@@ -54,6 +60,15 @@ class TestCommands:
         for value in stats.values():
             float(value)  # plain numbers, not numpy reprs
 
+    def test_simulate_zero_users_keeps_horizon(self, tmp_path):
+        payload = {"traffic": {"users": 0, "horizon": "600 s", "dt": "60 s"},
+                   "queue": {"mu": "1 Mb/s", "alpha": 1e-6}}
+        code, out = run(tmp_path, "simulate", payload)
+        assert code == 0
+        rows = (out / "inflow.csv").read_text().splitlines()[1:]
+        assert len(rows) == 10
+        assert all(float(r.split(",")[1]) == 0.0 for r in rows)
+
     def test_validate(self, tmp_path):
         code, out = run(tmp_path, "validate", BASE)
         assert code == 0
@@ -61,6 +76,22 @@ class TestCommands:
         assert "err_rel_max=" in report and "speedup=" in report
         assert "des_loop_packets=0\n" in report   # infinite buffer: no loop
         assert (out / "q_disc.csv").exists()
+        # the oracle saw every packet of the merged trace
+        _, gen = run(tmp_path, "generate", BASE)
+        n_packets = len((gen / "trace.csv").read_text().splitlines()) - 1
+        assert n_packets > 0
+        assert f"packets={n_packets}\n" in report.splitlines(keepends=True)
+
+    def test_python_m_logiq_runs_from_source(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(BASE))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "logiq", "validate", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "packets=" in (tmp_path / "out" / "report.txt").read_text()
 
     def test_validate_drop_tail_reports_looped_packets(self, tmp_path):
         payload = {**BASE, "queue": {"mu": "3.4 Mb/s", "capacity": "100 kB"}}
@@ -68,7 +99,7 @@ class TestCommands:
         assert code == 0
         report = dict(line.split("=", 1) for line in
                       (out / "report.txt").read_text().splitlines())
-        assert int(report["des_loop_packets"]) > 0
+        assert int(report["packets"]) > int(report["des_loop_packets"]) > 0
 
     def test_validate_deterministic(self, tmp_path):
         _, out1 = run(tmp_path, "validate", BASE, name="a.json")

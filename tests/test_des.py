@@ -159,7 +159,7 @@ class TestDropTailOracle:
         depart, last_c, n_drop, bits_drop = kernels.des_fifo.py_func(
             times, sizes, mu, cap)
         dropped = np.array([d is None for d in ref])
-        np.testing.assert_array_equal(dropped, depart < 0.0)
+        np.testing.assert_array_equal(dropped, np.isnan(depart))
         assert res.drop_count == n_drop == dropped.sum()
         assert res.drop_bits == bits_drop == sum(sizes[dropped].tolist())
         np.testing.assert_allclose(res.departures.times, depart[~dropped],
@@ -188,6 +188,16 @@ class TestDropTailOracle:
         np.testing.assert_allclose(res.q_sampled[6:], [0.0, 200.0, 100.0,
                                                        300.0, 200.0])
 
+    def test_drop_before_time_zero_keeps_departures(self):
+        # the accepted packet leaves at -9 s; a negative time is a departure,
+        # not the loop's drop marker
+        trace = make_trace([-10.0, -9.9], [100.0, 100.0], (-10.0, 0.0))
+        res = simulate_fifo(trace, DesConfig(mu=100.0, capacity_k=120.0,
+                                             sample_dt=1.0))
+        assert res.drop_count == 1 and res.drop_bits == 100.0
+        np.testing.assert_array_equal(res.departures.times, [-9.0])
+        np.testing.assert_array_equal(res.departures.sizes, [100.0])
+
     def test_matches_loop_at_desk_scale(self):
         # perfbench/desk_droptail.json seed 42: 12.8 M packets into a 25 MB
         # buffer.  The periods that reach K hold 19.0 % of the packets; the
@@ -203,7 +213,7 @@ class TestDropTailOracle:
                                              sample_dt=t["dt"]))
         depart, last_c, n_drop, bits_drop = kernels.des_fifo.py_func(
             trace.times, trace.sizes, q["mu"], q["capacity"])
-        accepted = depart >= 0.0
+        accepted = ~np.isnan(depart)
         assert res.drop_count == n_drop > 0
         assert res.drop_bits == bits_drop
         assert len(res.departures) == accepted.sum()

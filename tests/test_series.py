@@ -164,9 +164,46 @@ class TestMerge:
         b = make_trace([1.0], horizon=(0.0, 6.0))
         with pytest.raises(ParameterError):
             merge_traces([a, b])
+        with pytest.raises(ParameterError):
+            merge_traces([a], horizon=(0.0, 6.0))
 
     def test_merge_empty_list(self):
         assert len(merge_traces([])) == 0
+        merged = merge_traces([], horizon=(0.0, 600.0))
+        assert len(merged) == 0 and merged.horizon == (0.0, 600.0)
+        assert len(trace_to_inflow(merged, 60.0)) == 10
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_traces=st.integers(1, 5),
+           mode=st.sampled_from(["common", "per_trace", "per_packet"]))
+    def test_matches_stable_argsort_merge(self, data, n_traces, mode):
+        # a few exact values (signed zeros among them) force ties within and
+        # across traces; empty traces come with min_size=0
+        time_st = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 2.5, 10.0]),
+                            st.floats(0.0, 10.0))
+        size_st = st.one_of(st.sampled_from([1.0, 2.0, 11712.0]),
+                            st.floats(1.0, 1e4))
+        common = data.draw(size_st)
+        traces = []
+        for _ in range(n_traces):
+            times = sorted(data.draw(st.lists(time_st, max_size=30)))
+            if mode == "per_packet":
+                sizes = data.draw(st.lists(size_st, min_size=len(times),
+                                           max_size=len(times)))
+            else:
+                size = common if mode == "common" else data.draw(size_st)
+                sizes = [size] * len(times)
+            traces.append(PacketTrace(np.array(times, dtype=float),
+                                      np.array(sizes, dtype=float),
+                                      (0.0, 10.0)))
+        merged = merge_traces(traces)
+
+        times = np.concatenate([tr.times for tr in traces])
+        sizes = np.concatenate([tr.sizes for tr in traces])
+        order = np.argsort(times, kind="stable")
+        assert merged.times.tobytes() == times[order].tobytes()
+        assert merged.sizes.tobytes() == sizes[order].tobytes()
+        assert merged.horizon == (0.0, 10.0)
 
 
 def test_mean_rate_and_intensity():

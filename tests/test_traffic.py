@@ -6,9 +6,44 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from logiq.series import ParameterError
+from logiq.series import PacketTrace, ParameterError
 from logiq.traffic import (VideoUserParams, generate_aggregate, generate_users,
                            generate_video_user, interuse_for_rate)
+
+
+def reference_video_user(params, horizon, seed, warmup_s=0.0):
+    """The burst loop with a boolean mask per bound and a final sort, the
+    reference generate_video_user must match byte for byte."""
+    t0, t1 = float(horizon[0]), float(horizon[1])
+    rng = np.random.default_rng(seed)
+    durations = np.array([d for d, _ in params.session_lengths])
+    probs = np.array([p for _, p in params.session_lengths])
+    chunks = []
+    t = t0 - warmup_s + rng.exponential(params.interuse_mean_s)
+    while t < t1:
+        session_end = min(t + rng.choice(durations, p=probs), t1)
+        if session_end > t0:
+            burst_start = t
+            while burst_start < session_end:
+                n_pkts = max(1, int(round(rng.normal(params.burst_size_mean,
+                                                     params.burst_size_std))))
+                gaps = rng.exponential(params.interpacket_mean_s, n_pkts - 1)
+                times = burst_start + np.concatenate(([0.0], np.cumsum(gaps)))
+                burst_end = times[-1]
+                times = times[times < session_end]
+                times = times[times >= t0]
+                if times.size:
+                    chunks.append(times)
+                burst_start = burst_end + rng.exponential(params.interburst_mean_s)
+        t = session_end + rng.exponential(params.interuse_mean_s)
+    if chunks:
+        times = np.concatenate(chunks)
+        times.sort(kind="stable")
+        times = times[times <= t1]
+    else:
+        times = np.empty(0)
+    sizes = np.full(times.shape, float(params.packet_size_bits))
+    return PacketTrace(times, sizes, (t0, t1))
 
 
 class TestParams:
@@ -117,6 +152,41 @@ class TestGeneration:
         gaps = np.diff(tr.times)
         assert gaps.max() > 600.0          # at least one idle period
         assert np.median(gaps) < 0.05      # in-burst arrivals dominate
+
+
+class TestMatchesReferenceLoop:
+    """generate_video_user's bisection and sort-free concatenation against
+    the reference loop above, on the cases that exercise each bound."""
+
+    CASES = {
+        # sessions start a day before t0 > 0, so bursts straddle t0
+        "straddles_t0": (VideoUserParams(), (100.0, 1300.0), 86400.0),
+        # 20-45 s sessions cut most ~6 s bursts short at session_end
+        "short_sessions": (VideoUserParams(
+            session_lengths=((20.0, 0.5), (45.0, 0.5)), interuse_mean_s=30.0),
+            (0.0, 1800.0), 0.0),
+        # one packet per burst: no interpacket gaps at all
+        "single_packet_bursts": (VideoUserParams(
+            burst_size_mean=1.0, burst_size_dispersion=0.0,
+            interburst_mean_s=2.0, interuse_mean_s=60.0),
+            (50.0, 650.0), 600.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_byte_identical(self, case):
+        params, horizon, warmup_s = self.CASES[case]
+        seeds = np.random.SeedSequence(2024).spawn(30)
+        traces = generate_users(params, horizon, 2024, 30, warmup_s)
+        for seed, tr in zip(seeds, traces):
+            ref = reference_video_user(params, horizon, seed, warmup_s)
+            assert tr.times.tobytes() == ref.times.tobytes()
+            assert tr.sizes.tobytes() == ref.sizes.tobytes()
+            assert tr.horizon == ref.horizon
+        assert sum(len(tr) for tr in traces) > 0
+        if case == "straddles_t0":
+            # some user is inside a burst at t0 (in-burst gaps are ~3.5 ms)
+            assert any(len(tr) and tr.times[0] - horizon[0] < 0.05
+                       for tr in traces)
 
 
 class TestMeanRate:
