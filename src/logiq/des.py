@@ -1,7 +1,10 @@
 """Packet-level single-server FIFO simulator (the ground-truth oracle): the
-Lindley recursion in closed form.  With a drop-tail buffer, the event loop
-(kernels.des_fifo) walks only the busy periods whose backlog comes near the
-capacity; every other packet keeps its closed-form departure.
+Lindley recursion in closed form.  With a drop-tail buffer, only the busy
+periods whose backlog comes near the capacity follow the event loop exactly;
+every other packet keeps its closed-form departure.  When those periods hold
+one packet size (all generated traffic), their long busy runs are walked in
+exact numpy blocks and only short ones take the event loop's scalar step;
+mixed sizes (CSV-loaded traces) run the event loop kernels.des_fifo.
 
 Backlog counts every bit that has arrived but not yet departed, including the
 remainder of the in-service packet.  With a finite buffer, an arriving packet
@@ -39,7 +42,8 @@ class DesResult:
     departures: PacketTrace
     drop_count: int
     drop_bits: float
-    looped: int                # packets the drop-tail event loop walked
+    looped: int     # packets of the drop-tail periods that come near K
+    stepped: int    # of those, packets taken one at a time, not in a block
 
     def q_to_csv(self, path):
         with open(path, "w") as fh:
@@ -59,9 +63,9 @@ def simulate_fifo(trace: PacketTrace, cfg: DesConfig) -> DesResult:
         depart = _lindley(trace.times, trace.sizes, float(cfg.mu))
         # nothing is dropped and completions are nondecreasing, so the last
         # completion among the first j+1 arrivals is depart[j]
-        last_c, n_drop, bits_drop, looped = depart, 0, 0.0, 0
+        last_c, n_drop, bits_drop, looped, stepped = depart, 0, 0.0, 0, 0
     else:
-        depart, last_c, n_drop, bits_drop, looped = _drop_tail(
+        depart, last_c, n_drop, bits_drop, looped, stepped = _drop_tail(
             trace.times, trace.sizes, float(cfg.mu), float(cfg.capacity_k))
 
     if n_drop:
@@ -83,7 +87,7 @@ def simulate_fifo(trace: PacketTrace, cfg: DesConfig) -> DesResult:
         q = np.zeros_like(sample_times)
 
     return DesResult(sample_times, q, departures, int(n_drop),
-                     float(bits_drop), looped)
+                     float(bits_drop), looped, stepped)
 
 
 def _lindley(arrivals, sizes, mu):
@@ -106,7 +110,8 @@ def _lindley(arrivals, sizes, mu):
 
 
 def _drop_tail(arrivals, sizes, mu, cap_k):
-    """kernels.des_fifo's results, with its loop run only where needed.
+    """kernels.des_fifo's results, with its loop run only where needed and
+    in numpy blocks where the packets share one size.
 
     The drop-tail backlog never exceeds the infinite-buffer backlog on the
     same arrivals (the recursion is monotone in its input, and so is its
@@ -114,13 +119,16 @@ def _drop_tail(arrivals, sizes, mu, cap_k):
     backlog + size near cap_k therefore starts empty under both disciplines
     and drops nothing: _lindley's departures stand.  The loop walks the
     remaining ("hot") periods back to back from c_prev = -inf, which is
-    exact because each of them starts empty.
+    exact because each of them starts empty.  If every hot packet has one
+    size, _one_size_drop_tail gives the loop's results bit for bit, walking
+    long busy runs in blocks; otherwise kernels.des_fifo runs.
 
     ``tol`` bounds how far the cumulative-sum form of _lindley can sit from
     the loop's rounding (about 3 n ulps of the largest time).  A period
     starts only where the queue is empty by more than tol, and an arrival is
     hot from cap_k - mu * tol on; both only enlarge the hot set.  Returns
-    (depart, last_c, n_dropped, dropped_bits, looped packets).  A dropped
+    (depart, last_c, n_dropped, dropped_bits, looped packets, of those the
+    packets taken one at a time).  A dropped
     packet ahead of the first accepted one in its period may get another
     last_c than the loop's, but both are at most its arrival time, so the
     sampled backlog is the same.
@@ -128,7 +136,7 @@ def _drop_tail(arrivals, sizes, mu, cap_k):
     c = _lindley(arrivals, sizes, mu)
     n = c.size
     if n == 0:
-        return c, c, 0, 0.0, 0
+        return c, c, 0, 0.0, 0, 0
     eps = np.finfo(np.float64).eps
     tol = 4.0 * n * eps * (abs(c[-1]) + abs(arrivals[0]) + 1.0)
     slack = mu * tol + 8.0 * eps * cap_k
@@ -148,14 +156,126 @@ def _drop_tail(arrivals, sizes, mu, cap_k):
     period = np.unique(np.searchsorted(bounds, hot, side="right") - 1)
     idx = run_indices(bounds[period], bounds[period + 1])
 
-    dep_h, last_h, n_drop, bits_drop = kernels.des_fifo(
-        arrivals[idx], sizes[idx], mu, cap_k)
+    sizes_h = sizes[idx]
+    if idx.size and sizes_h.min() == sizes_h.max():
+        dep_h, last_h, n_drop, bits_drop, stepped = _one_size_drop_tail(
+            arrivals[idx], float(sizes_h[0]), mu, cap_k)
+    else:
+        dep_h, last_h, n_drop, bits_drop = kernels.des_fifo(
+            arrivals[idx], sizes_h, mu, cap_k)
+        stepped = idx.size
     last_c = c
     if n_drop:
         last_c = c.copy()
         last_c[idx] = last_h
     c[idx] = dep_h
-    return c, last_c, n_drop, bits_drop, int(idx.size)
+    return c, last_c, n_drop, bits_drop, int(idx.size), stepped
+
+
+# _one_size_drop_tail's block policy: a busy run is walked in blocks once it
+# holds _RUN_MIN packets; a block starts at _BLOCK_MIN packets and doubles up
+# to _BLOCK_MAX while the server stays busy.
+_RUN_MIN = 32
+_BLOCK_MIN = 64
+_BLOCK_MAX = 4096
+
+
+def _one_size_drop_tail(arrivals, size, mu, cap_k):
+    """kernels.des_fifo(arrivals, sizes, mu, cap_k) for sizes all equal to
+    ``size``, bit for bit, with long busy runs walked in numpy blocks.
+
+    While the server stays busy, the loop's completion time after k more
+    accepted packets is comp[k] = c + tau + ... + tau (tau = size / mu),
+    which add.accumulate sums in the loop's order.  The loop's drop test
+    (comp - a) * mu + size > cap_k is monotone in comp and in a, so
+    arrival i would be accepted at each of the first m_i entries of comp
+    and at none after them, and m is nondecreasing.  Arrival i finds k_i
+    accepted before it and is accepted iff k_i < m_i; hence
+    k_(i+1) = min(k_i + 1, m_i), which unrolls to
+    k_i = i + min(0, min over l < i of (m_l - l - 1)).  A block ends at the
+    first arrival that finds the server idle (comp[k_i] <= a_i), where the
+    loop restarts from the arrival itself; short busy runs take the loop's
+    own step.  Returns (depart, last_c, n_dropped, dropped_bits, packets
+    taken one at a time).
+    """
+    n = arrivals.size
+    depart = np.empty(n)
+    last_c = np.empty(n)
+    tau = size / mu
+    c = -np.inf
+    j = run = n_drop = stepped = 0
+    block = _BLOCK_MIN
+    while j < n:
+        a = arrivals[j]
+        if run < _RUN_MIN or not c > a:
+            if c > a:
+                backlog, start = (c - a) * mu, c
+            else:
+                backlog, start, run, block = 0.0, a, 0, _BLOCK_MIN
+            if backlog + size > cap_k:
+                depart[j] = np.nan
+                n_drop += 1
+            else:
+                c = start + tau
+                depart[j] = c
+            last_c[j] = c
+            run += 1
+            j += 1
+            stepped += 1
+            continue
+
+        ab = arrivals[j:j + block]
+        b = ab.size
+        comp = np.full(b + 1, tau)
+        comp[0] = c
+        np.add.accumulate(comp, out=comp)
+        m = np.searchsorted(comp, ab + (cap_k - size) / mu, side="right")
+        # settle m on the loop's own test, which the threshold's rounding
+        # can miss by an entry
+        while True:
+            i = np.flatnonzero(m)
+            i = i[(comp[m[i] - 1] - ab[i]) * mu + size > cap_k]
+            if not i.size:
+                break
+            m[i] -= 1
+        while True:
+            i = np.flatnonzero(m <= b)
+            i = i[(comp[m[i]] - ab[i]) * mu + size <= cap_k]
+            if not i.size:
+                break
+            m[i] += 1
+        k = np.arange(b + 1)
+        gap = m - k[1:]
+        np.minimum.accumulate(gap, out=gap)
+        np.minimum(gap, 0, out=gap)
+        k[1:] += gap
+        busy = comp[k[:-1]] > ab
+        e = int(busy.argmin())          # busy[0] holds, since c > a
+        if busy[e]:
+            e = b
+            block = min(2 * block, _BLOCK_MAX)
+        kept = comp[k[1:e + 1]]
+        last_c[j:j + e] = kept
+        dep = depart[j:j + e]
+        dep[:] = kept
+        dep[k[1:e + 1] == k[:e]] = np.nan
+        n_drop += e - int(k[e])
+        c = kept[-1]
+        j += e
+    return depart, last_c, n_drop, _repeated_sum(size, n_drop), stepped
+
+
+def _repeated_sum(value, count):
+    """0.0 + value + ... + value (count terms), added left to right as the
+    event loop adds its dropped sizes; not count * value, which can round
+    otherwise."""
+    total = 0.0
+    while count:
+        terms = np.full(min(count, 1 << 16) + 1, value)
+        terms[0] = total
+        total = float(np.add.accumulate(terms)[-1])
+        count -= terms.size - 1
+    return total
 
 
 def departures_to_outflow(result: DesResult, dt: float) -> RateSeries:

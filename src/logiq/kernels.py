@@ -551,7 +551,9 @@ def des_fifo(arrivals, sizes, mu, cap_k):
     """Single-server FIFO (Lindley) recursion with optional drop-tail buffer.
 
     des.simulate_fifo hands it only the infinite-buffer busy periods whose
-    backlog comes near cap_k, back to back; each of them starts empty.
+    backlog comes near cap_k, back to back (each of them starts empty), and
+    only when their packets have mixed sizes; one size takes the block walk
+    des._one_size_drop_tail, which reproduces this loop bit for bit.
 
     Returns (depart, last_completion, n_dropped, dropped_bits); depart[j] is
     NaN for dropped packets (a departure can come at any time, negative

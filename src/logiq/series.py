@@ -39,14 +39,15 @@ class PacketTrace:
         object.__setattr__(self, "sizes", sizes)
         if times.shape != sizes.shape or times.ndim != 1:
             raise ParameterError("times and sizes must be 1-d arrays of equal length")
-        if np.any(times[1:] < times[:-1]):
+        # negated checks, so that NaN fails them
+        if not np.all(times[1:] >= times[:-1]):
             raise ParameterError("packet times must be sorted nondecreasing")
-        if np.any(sizes <= 0):
+        if not np.all(sizes > 0):
             raise ParameterError("packet sizes must be positive")
         t0, t1 = self.horizon
-        if t1 < t0:
+        if not t0 <= t1:
             raise ParameterError("empty horizon")
-        if times.size and (times[0] < t0 or times[-1] > t1):
+        if times.size and not (t0 <= times[0] and times[-1] <= t1):
             raise ParameterError("packet times outside horizon")
 
     def __len__(self):
@@ -91,11 +92,11 @@ class RateSeries:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "dt", float(self.dt))
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ParameterError("dt must be > 0")
         if values.ndim != 1:
             raise ParameterError("values must be a 1-d array")
-        if np.any(values < 0):
+        if not np.all(values >= 0):     # NaN fails too
             raise ParameterError("rates must be nonnegative")
 
     def __len__(self):

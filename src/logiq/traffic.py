@@ -160,4 +160,5 @@ def generate_users(params: VideoUserParams, horizon, seed, n_users: int,
 
 def generate_aggregate(params: VideoUserParams, horizon, seed, n_users: int,
                        warmup_s: float = 0.0) -> PacketTrace:
-    return merge_traces(generate_users(params, horizon, seed, n_users, warmup_s))
+    return merge_traces(generate_users(params, horizon, seed, n_users, warmup_s),
+                        horizon=(float(horizon[0]), float(horizon[1])))

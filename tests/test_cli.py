@@ -75,6 +75,7 @@ class TestCommands:
         report = (out / "report.txt").read_text()
         assert "err_rel_max=" in report and "speedup=" in report
         assert "des_loop_packets=0\n" in report   # infinite buffer: no loop
+        assert "des_step_packets=0\n" in report
         assert (out / "q_disc.csv").exists()
         # the oracle saw every packet of the merged trace
         _, gen = run(tmp_path, "generate", BASE)
@@ -100,6 +101,8 @@ class TestCommands:
         report = dict(line.split("=", 1) for line in
                       (out / "report.txt").read_text().splitlines())
         assert int(report["packets"]) > int(report["des_loop_packets"]) > 0
+        assert 0 <= int(report["des_step_packets"]) <= int(
+            report["des_loop_packets"])
 
     def test_validate_deterministic(self, tmp_path):
         _, out1 = run(tmp_path, "validate", BASE, name="a.json")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logiq import kernels
+from logiq import des, kernels
 from logiq.config import load_config
 from logiq.des import DesConfig, DesResult, departures_to_outflow, simulate_fifo
 from logiq.series import PacketTrace, ParameterError, merge_traces
@@ -173,6 +173,103 @@ class TestDropTailOracle:
         if k_case == "below":
             assert res.drop_count == len(times)
 
+    def test_one_size_matches_loop(self):
+        # one packet size, so the periods that reach K take the block walk
+        rng = np.random.default_rng(11)
+        times = np.cumsum(rng.exponential(1.0, 20000))
+        sizes = np.full(times.size, 1000.3)
+        mu, cap = 1000.3 / 0.97, 25 * 1000.3
+        res = simulate_fifo(make_trace(times, sizes, (0.0, times[-1])),
+                            DesConfig(mu=mu, capacity_k=cap, sample_dt=50.0))
+        depart, last_c, n_drop, bits_drop = kernels.des_fifo.py_func(
+            times, sizes, mu, cap)
+        accepted = ~np.isnan(depart)
+        assert res.drop_count == n_drop > 0
+        assert res.drop_bits == bits_drop
+        assert 0 < res.stepped < 0.5 * res.looped
+        np.testing.assert_allclose(res.departures.times, depart[accepted],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(
+            res.q_sampled,
+            loop_sampled_backlog(times, last_c, mu, res.sample_times),
+            rtol=0.0, atol=1e-12 * mu * times[-1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3000),
+           rho=st.floats(0.5, 3.0), ties=st.floats(0.0, 0.5),
+           k_case=st.sampled_from(["seen", "ulp_below_seen", "ulp_above_seen",
+                                   "below_size", "above_peak"]),
+           pick=st.floats(0.0, 1.0))
+    def test_one_size_blocks_match_loop(self, seed, n, rho, ties, k_case,
+                                        pick):
+        # 1000.3 bits is not an integer, so drop_bits must be the loop's
+        # sequential sum; the block walk must give the loop's every bit
+        rng = np.random.default_rng(seed)
+        gaps = rng.exponential(1.0, n)
+        gaps[rng.random(n) < ties] = 0.0     # packets arriving together
+        times = np.cumsum(gaps)
+        size = 1000.3
+        sizes = np.full(n, size)
+        mu = size / rho
+        # backlog + size that each arrival sees with an infinite buffer
+        _, last_c, _, _ = kernels.des_fifo.py_func(times, sizes, mu, 0.0)
+        before = np.append(-np.inf, last_c[:-1])
+        busy = before > times
+        seen = np.where(busy, (before - times) * mu, 0.0) + size
+        # the longest busy period, and its peak up to the picked arrival:
+        # the loop sees that value, since nothing before it in the period
+        # exceeds it
+        bounds = np.append(np.flatnonzero(~busy), n)
+        p = int(np.argmax(np.diff(bounds)))
+        lo, hi = bounds[p], bounds[p + 1]
+        peak = seen[lo:lo + 1 + min(int(pick * (hi - lo)), hi - lo - 1)].max()
+        cap = {"seen": peak,
+               "ulp_below_seen": np.nextafter(peak, 0.0),
+               "ulp_above_seen": np.nextafter(peak, np.inf),
+               "below_size": 0.5 * size,
+               "above_peak": 2.0 * seen.max(),
+               }[k_case]
+        depart, last_c, n_drop, bits_drop, stepped = des._one_size_drop_tail(
+            times, size, mu, cap)
+        ref = kernels.des_fifo.py_func(times, sizes, mu, cap)
+        assert np.array_equal(depart, ref[0], equal_nan=True)
+        assert np.array_equal(last_c, ref[1])
+        assert n_drop == ref[2] and bits_drop == ref[3]
+        assert 0 < stepped <= n
+        if k_case == "below_size":
+            assert n_drop == n
+        if k_case == "above_peak":
+            assert n_drop == 0
+
+    def test_one_size_blocks_settle_rounded_threshold(self):
+        # The block walk bisects for a + (K - s) / mu among the completion
+        # times, then settles the count on the loop's own test.  Take K at
+        # the backlog + size that an arrival deep in one busy period sees,
+        # where that threshold rounds below the completion time, and one ulp
+        # below such a value, where it rounds above.  Each K is a running
+        # peak, so the drop-tail loop sees it too.
+        rng = np.random.default_rng(3)
+        size = mu = 1000.3
+        times = np.cumsum(rng.exponential(0.5, 400))     # load 2
+        sizes = np.full(times.size, size)
+        _, last_c, _, _ = kernels.des_fifo.py_func(times, sizes, mu, 0.0)
+        c, a = last_c[:-1], times[1:]
+        assert np.all(c > a)                             # one busy period
+        seen = (c - a) * mu + size
+        peak = seen > np.maximum.accumulate(np.append(size, seen[:-1]))
+        deep = peak & (np.arange(a.size) >= 100)
+        below = np.nextafter(seen, 0.0)
+        rounds_low = deep & (c > a + (seen - size) / mu)
+        rounds_high = deep & (c <= a + (below - size) / mu)
+        for cap in (seen[rounds_low][0], below[rounds_high][0]):
+            depart, last, n_drop, bits_drop, stepped = (
+                des._one_size_drop_tail(times, size, mu, cap))
+            ref = kernels.des_fifo.py_func(times, sizes, mu, cap)
+            assert np.array_equal(depart, ref[0], equal_nan=True)
+            assert np.array_equal(last, ref[1])
+            assert n_drop == ref[2] > 0 and bits_drop == ref[3]
+            assert stepped < 0.2 * times.size
+
     def test_oversized_packet_at_empty_queue(self):
         # the packet at 7 s finds the queue empty and is dropped whole.  With
         # an infinite buffer it opens the period that reaches K, so the loop
@@ -184,7 +281,7 @@ class TestDropTailOracle:
         assert res.drop_count == 1 and res.drop_bits == 1200.0
         np.testing.assert_allclose(res.departures.times,
                                    [3.0, 6.0, 9.0, 12.0])
-        assert res.looped == 3
+        assert res.looped == res.stepped == 3     # mixed sizes: the event loop
         np.testing.assert_allclose(res.q_sampled[6:], [0.0, 200.0, 100.0,
                                                        300.0, 200.0])
 
@@ -219,6 +316,9 @@ class TestDropTailOracle:
         assert len(res.departures) == accepted.sum()
         assert np.abs(res.departures.times - depart[accepted]).max() <= 2e-6
         assert 0 < res.looped <= 0.25 * len(trace)
+        # one packet size: the loop's own step takes 6.1 % of the periods
+        # that reach K (measured), the numpy blocks the rest
+        assert res.stepped <= 0.1 * res.looped
         np.testing.assert_allclose(
             res.q_sampled,
             loop_sampled_backlog(trace.times, last_c, q["mu"],

@@ -29,6 +29,27 @@ class TestPacketTrace:
         with pytest.raises(ParameterError):
             make_trace([1.0, 5.0], horizon=(0.0, 4.0))
 
+    @pytest.mark.parametrize("times, sizes", [
+        ([0.5, np.nan], [100.0, 100.0]),
+        ([np.nan, 0.5], [100.0, 100.0]),
+        ([np.nan], [100.0]),
+        ([0.5, 0.7], [100.0, np.nan]),
+        ([0.5, np.nan], [100.0, np.nan]),
+    ], ids=["time_last", "time_first", "single_time", "size", "both"])
+    def test_rejects_nan(self, times, sizes):
+        with pytest.raises(ParameterError):
+            PacketTrace(np.array(times), np.array(sizes), (0.0, 1.0))
+
+    def test_rejects_nan_horizon(self):
+        with pytest.raises(ParameterError):
+            PacketTrace(np.empty(0), np.empty(0), (0.0, np.nan))
+
+    def test_csv_with_nan_row_rejected(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("t_arrival_s,size_bits\n0.5,100\nnan,100\n")
+        with pytest.raises(ParameterError):
+            PacketTrace.from_csv(path, horizon=(0.0, 1.0))
+
     def test_total_bits(self):
         tr = make_trace([0.5, 1.0, 1.5], size=100.0)
         assert tr.total_bits == 300.0
@@ -58,6 +79,14 @@ class TestRateSeries:
     def test_rejects_negative_rates(self):
         with pytest.raises(ParameterError):
             RateSeries(0.0, 1.0, np.array([1.0, -0.1]))
+
+    def test_rejects_nan_rates(self):
+        with pytest.raises(ParameterError):
+            RateSeries(0.0, 1.0, np.array([np.nan]))
+        with pytest.raises(ParameterError):
+            RateSeries(0.0, 1.0, np.array([1.0, np.nan, 2.0]))
+        with pytest.raises(ParameterError):
+            RateSeries(0.0, np.nan, np.array([1.0]))
 
     def test_interpolation_constant_ends(self):
         rs = RateSeries(0.0, 1.0, np.array([2.0, 4.0]))

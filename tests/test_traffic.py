@@ -126,6 +126,11 @@ class TestGeneration:
             assert tr.times[0] >= 0.0 and tr.times[-1] <= 4 * 3600.0
         assert np.all(tr.sizes == 1464 * 8)
 
+    def test_aggregate_of_no_users_keeps_horizon(self):
+        tr = generate_aggregate(VideoUserParams(), (0.0, 100.0), 1, 0)
+        assert len(tr) == 0
+        assert tr.horizon == (0.0, 100.0)
+
     def test_idle_seed_yields_empty_trace(self):
         # a millisecond window almost surely starts inside the first gap
         p = VideoUserParams()
