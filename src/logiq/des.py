@@ -27,11 +27,12 @@ class DesConfig:
     sample_dt: float = 60.0    # seconds between backlog samples
 
     def __post_init__(self):
-        if self.mu <= 0:
+        # negated checks, so that NaN fails them
+        if not self.mu > 0:
             raise ParameterError("mu must be > 0")
-        if self.sample_dt <= 0:
+        if not self.sample_dt > 0:
             raise ParameterError("sample_dt must be > 0")
-        if self.capacity_k is not None and self.capacity_k <= 0:
+        if self.capacity_k is not None and not self.capacity_k > 0:
             raise ParameterError("capacity_k must be > 0")
 
 
@@ -90,22 +91,38 @@ def simulate_fifo(trace: PacketTrace, cfg: DesConfig) -> DesResult:
                      float(bits_drop), looped, stepped)
 
 
+# _lindley's chunk length in packets: its scratch array of cumulative
+# service times holds one chunk, not the whole trace
+_CHUNK = 1 << 16
+
+
 def _lindley(arrivals, sizes, mu):
     """Departure times of an infinite-buffer FIFO server, without a loop.
 
-    With S the cumulative service time, the Lindley recursion
+    With S the cumulative service time (S_(-1) = 0), the Lindley recursion
     c_j = max(c_(j-1), a_j) + s_j unrolls to
-    c_j = S_j + max over k <= j of (a_k - S_(k-1)).  Besides the result, one
-    scratch array holds S.
+    c_j = S_j + max over k <= j of (a_k - S_(k-1)).  The result is the only
+    full-length array: chunks of _CHUNK packets carry S and the running
+    maximum from one to the next.  add.accumulate and maximum.accumulate
+    run left to right, so the sums are those of one global cumsum (and
+    0.0 + s_0 == s_0 starts them).
     """
-    s = sizes / mu
-    np.cumsum(s, out=s)
-    c = np.empty_like(s)
-    if c.size:
-        c[0] = arrivals[0]
-        np.subtract(arrivals[1:], s[:-1], out=c[1:])
-        np.maximum.accumulate(c, out=c)
-        c += s
+    n = arrivals.size
+    c = np.empty(n)
+    s = np.zeros(min(n, _CHUNK) + 1)
+    peak = -np.inf
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        m = hi - lo
+        np.divide(sizes[lo:hi], mu, out=s[1:m + 1])
+        np.add.accumulate(s[:m + 1], out=s[:m + 1])
+        cc = c[lo:hi]
+        np.subtract(arrivals[lo:hi], s[:m], out=cc)
+        cc[0] = np.maximum(peak, cc[0])
+        np.maximum.accumulate(cc, out=cc)
+        peak = cc[-1]
+        cc += s[1:m + 1]
+        s[0] = s[m]
     return c
 
 

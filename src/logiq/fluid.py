@@ -64,16 +64,17 @@ class QueueSpec:
     capacity_k: float = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        # negated checks, so that NaN fails them
+        if not self.alpha > 0:
             raise ParameterError("alpha must be > 0")
-        if self.q0 < 0:
+        if not self.q0 >= 0:
             raise ParameterError("q0 must be >= 0")
-        if isinstance(self.mu, (int, float)) and self.mu <= 0:
+        if isinstance(self.mu, (int, float)) and not self.mu > 0:
             raise ParameterError("mu must be > 0")
         if self.capacity_k is not None:
-            if self.capacity_k <= 0:
+            if not self.capacity_k > 0:
                 raise ParameterError("capacity_k must be > 0")
-            if self.q0 >= self.capacity_k:
+            if not self.q0 < self.capacity_k:
                 raise ParameterError("q0 must be < capacity_k")
 
 

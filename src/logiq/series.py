@@ -6,6 +6,7 @@ A :class:`RateSeries` stores bits/second on a uniform grid of step ``dt``;
 A :class:`PacketTrace` is a time-sorted sequence of (arrival, size) events.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,7 +27,11 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class PacketTrace:
-    """Sorted packet arrivals (seconds) with sizes (bits) over a horizon."""
+    """Sorted packet arrivals (seconds) with sizes (bits) over a horizon.
+
+    ``sizes`` may be a read-only stride-0 view (``np.broadcast_to``) when
+    every packet has one size, as in generated traffic; it is kept as given.
+    """
 
     times: np.ndarray
     sizes: np.ndarray
@@ -92,6 +97,8 @@ class RateSeries:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "dt", float(self.dt))
+        if not math.isfinite(self.t0):
+            raise ParameterError("t0 must be finite")
         if not self.dt > 0:
             raise ParameterError("dt must be > 0")
         if values.ndim != 1:
@@ -150,7 +157,8 @@ def merge_traces(traces, horizon=None) -> PacketTrace:
 
     ``horizon`` defaults to the first trace's; with no traces it is the
     horizon of the empty result, (0, 0) if not given.  When every packet has
-    one size, sorting the times alone gives the stable merge.
+    one size, sorting the times alone gives the stable merge (_merge_sorted),
+    and the merged sizes are one read-only stride-0 view.
     """
     traces = list(traces)
     if horizon is None:
@@ -160,14 +168,45 @@ def merge_traces(traces, horizon=None) -> PacketTrace:
             raise ParameterError("cannot merge traces with different horizons")
     if not traces:
         return PacketTrace(np.empty(0), np.empty(0), horizon)
-    times = np.concatenate([tr.times for tr in traces])
     sized = [tr.sizes for tr in traces if len(tr)]
     if sized and all(s.min() == s.max() == sized[0][0] for s in sized):
-        times.sort(kind="stable")
-        return PacketTrace(times, np.full(times.shape, sized[0][0]), horizon)
+        times = _merge_sorted([tr.times for tr in traces], horizon)
+        return PacketTrace(times, np.broadcast_to(sized[0][0], times.shape),
+                           horizon)
+    times = np.concatenate([tr.times for tr in traces])
     sizes = np.concatenate([tr.sizes for tr in traces])
     order = np.argsort(times, kind="stable")
     return PacketTrace(times[order], sizes[order], horizon)
+
+
+# _merge_sorted's target bucket length in packets: a bucket's sort stays in
+# cache, and its timsort buffer is small
+_BUCKET = 1 << 15
+
+
+def _merge_sorted(runs, horizon):
+    """np.sort(np.concatenate(runs), kind="stable"), byte for byte, for
+    nondecreasing ``runs`` inside ``horizon``, holding one full-length array.
+
+    Edges spaced evenly over the horizon cut every run by searchsorted, so
+    equal values (-0.0 and 0.0 among them) fall into one bucket.  Each bucket
+    is filled in run order and stable-sorted on its own, which keeps the
+    run order of equal values.  Skewed times only make the buckets uneven.
+    """
+    n = sum(r.size for r in runs)
+    out = np.empty(n)
+    edges = np.linspace(horizon[0], horizon[1], max(1, n // _BUCKET) + 1)[1:-1]
+    cuts = [[0, *np.searchsorted(r, edges).tolist(), r.size] for r in runs]
+    lo = 0
+    for b in range(edges.size + 1):
+        hi = lo
+        for r, cut in zip(runs, cuts):
+            part = r[cut[b]:cut[b + 1]]
+            out[hi:hi + part.size] = part
+            hi += part.size
+        out[lo:hi].sort(kind="stable")
+        lo = hi
+    return out
 
 
 def trace_to_inflow(trace: PacketTrace, dt: float) -> RateSeries:

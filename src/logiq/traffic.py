@@ -141,7 +141,7 @@ def generate_video_user(params: VideoUserParams, horizon, seed,
     # burst's end, a session after the previous session_end, and every kept
     # time is below its session_end <= t1.  PacketTrace checks the order.
     times = np.concatenate(chunks) if chunks else np.empty(0)
-    sizes = np.full(times.shape, float(params.packet_size_bits))
+    sizes = np.broadcast_to(float(params.packet_size_bits), times.shape)
     return PacketTrace(times, sizes, (t0, t1))
 
 
@@ -152,6 +152,8 @@ def generate_users(params: VideoUserParams, horizon, seed, n_users: int,
     Per-user streams come from SeedSequence.spawn, so user i's trace does not
     depend on how many users are generated or in which order.
     """
+    if not float(horizon[1]) > float(horizon[0]):    # NaN fails too
+        raise ParameterError("horizon must be nonempty")
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     return [generate_video_user(params, horizon, child, warmup_s)

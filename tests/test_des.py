@@ -1,6 +1,7 @@
 """Packet-level FIFO oracle against brute-force references."""
 
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -114,6 +115,60 @@ class TestLoopFreeOracle:
             c = ref[idx - 1] if idx > 0 else -np.inf
             assert q == pytest.approx(mu * max(0.0, c - t),
                                       abs=1e-12 * mu * (1.0 + t))
+
+
+def unchunked_lindley(arrivals, sizes, mu):
+    """_lindley over the whole trace at once, with one global cumsum: the
+    reference the chunked form must match byte for byte."""
+    s = sizes / mu
+    np.cumsum(s, out=s)
+    c = np.empty_like(s)
+    if c.size:
+        c[0] = arrivals[0]
+        np.subtract(arrivals[1:], s[:-1], out=c[1:])
+        np.maximum.accumulate(c, out=c)
+        c += s
+    return c
+
+
+class TestChunkedLindley:
+    """_lindley carries the cumulative service time and the running maximum
+    from one chunk to the next."""
+
+    @staticmethod
+    def traffic(rng, n, one_size):
+        # load 0.95, so busy periods span chunk boundaries
+        mu = 1e6
+        if one_size:
+            sizes = np.broadcast_to(11712.0, (n,))
+        else:
+            sizes = rng.uniform(100.0, 23424.0, n)
+        times = np.cumsum(rng.exponential(11712.0 / (0.95 * mu), n))
+        return times, sizes, mu
+
+    @pytest.mark.parametrize("one_size", [True, False])
+    @pytest.mark.parametrize("n", [0, 1, des._CHUNK - 1, des._CHUNK,
+                                   des._CHUNK + 1, 3 * des._CHUNK + 7])
+    def test_matches_global_cumsum(self, n, one_size):
+        times, sizes, mu = self.traffic(np.random.default_rng(n), n, one_size)
+        c = des._lindley(times, sizes, mu)
+        assert c.tobytes() == unchunked_lindley(times, sizes, mu).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(chunk=st.integers(1, 5),
+           gaps=st.lists(st.floats(0.0, 2.0), max_size=40),
+           sizes=st.lists(st.floats(1.0, 1e4), min_size=40, max_size=40),
+           one_size=st.booleans(), mu=st.floats(100.0, 1e5),
+           start=st.sampled_from([0.0, -3.5, 1e6]))
+    def test_small_chunks_match_global_cumsum(self, chunk, gaps, sizes,
+                                              one_size, mu, start):
+        times = start + np.cumsum(gaps)
+        sizes = np.asarray(sizes[:len(gaps)])
+        if one_size and len(gaps):
+            sizes = np.broadcast_to(sizes[0], sizes.shape)
+        with mock.patch.object(des, "_CHUNK", chunk):
+            c = des._lindley(times, sizes, mu)
+        assert c.tobytes() == unchunked_lindley(times, sizes, mu).tobytes()
 
 
 class TestDropTailOracle:
@@ -387,3 +442,12 @@ class TestOutflowBinning:
             DesConfig(mu=1.0, sample_dt=0.0)
         with pytest.raises(ParameterError):
             DesConfig(mu=1.0, capacity_k=-5.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(mu=np.nan),
+        dict(mu=1.0, capacity_k=np.nan),
+        dict(mu=1.0, sample_dt=np.nan),
+    ])
+    def test_config_rejects_nan(self, kwargs):
+        with pytest.raises(ParameterError):
+            DesConfig(**kwargs)

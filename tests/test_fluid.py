@@ -587,3 +587,13 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             integrate_queue(RateSeries(0.0, 1.0, np.empty(0)),
                             QueueSpec(mu=1.0, alpha=1.0))
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(mu=np.nan, alpha=1.0),
+        dict(mu=1.0, alpha=np.nan),
+        dict(mu=1.0, alpha=1.0, q0=np.nan),
+        dict(mu=1.0, alpha=1.0, capacity_k=np.nan),
+    ])
+    def test_rejects_nan(self, kwargs):
+        with pytest.raises(ParameterError):
+            QueueSpec(**kwargs)

@@ -1,0 +1,66 @@
+"""Memory the one-size packet path holds and peaks at, counted by
+tracemalloc, which numpy reports its buffers to.  Bounds are in units of 8n
+bytes, one float64 per packet of the trace; the counts are deterministic.
+Each stage keeps one full-length array: the bounds leave room for the
+n-byte sortedness mask PacketTrace builds and for chunk-sized scratch."""
+
+import tracemalloc
+
+import pytest
+
+from logiq.des import DesConfig, simulate_fifo
+from logiq.series import merge_traces
+from logiq.traffic import VideoUserParams, generate_users
+
+HORIZON = (0.0, 2 * 3600.0)
+USERS = 4
+SEED = 3
+
+
+def generate():
+    return generate_users(VideoUserParams(), HORIZON, SEED, USERS)
+
+
+@pytest.fixture
+def traced():
+    # a first run outside the trace makes numpy's one-time allocations
+    generate_users(VideoUserParams(), (0.0, 600.0), SEED, USERS)
+    tracemalloc.start()
+    try:
+        yield
+    finally:
+        tracemalloc.stop()
+
+
+def peak_above_current(func, *args, **kwargs):
+    """func's result and the traced peak, in bytes, above what was traced
+    before the call."""
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    result = func(*args, **kwargs)
+    return result, tracemalloc.get_traced_memory()[1] - base
+
+
+def test_generated_traces_hold_their_times(traced):
+    base = tracemalloc.get_traced_memory()[0]
+    traces = generate()
+    n = sum(len(tr) for tr in traces)
+    assert n > 500_000
+    assert tracemalloc.get_traced_memory()[0] - base <= 1.1 * 8 * n
+
+
+def test_merge_peak(traced):
+    traces = generate()
+    merged, peak = peak_above_current(merge_traces, traces, horizon=HORIZON)
+    n = len(merged)
+    assert n > 500_000
+    assert peak <= 1.25 * 8 * n
+
+
+def test_infinite_buffer_oracle_peak(traced):
+    merged = merge_traces(generate(), horizon=HORIZON)
+    n = len(merged)
+    _, peak = peak_above_current(simulate_fifo, merged,
+                                 DesConfig(mu=USERS * 1.2e6))
+    assert n > 500_000
+    assert peak <= 1.25 * 8 * n

@@ -1,12 +1,16 @@
 """Packet traces, rate series, binning and CSV round-trips."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logiq import series
 from logiq.series import (PacketTrace, RateSeries, ParameterError, bin_rates,
                           intensity, mean_rate, merge_traces, trace_to_inflow)
+from logiq.traffic import VideoUserParams, generate_users
 
 
 def make_trace(times, size=1000.0, horizon=None):
@@ -87,6 +91,11 @@ class TestRateSeries:
             RateSeries(0.0, 1.0, np.array([1.0, np.nan, 2.0]))
         with pytest.raises(ParameterError):
             RateSeries(0.0, np.nan, np.array([1.0]))
+
+    @pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_t0(self, t0):
+        with pytest.raises(ParameterError):
+            RateSeries(t0, 1.0, np.array([1.0]))
 
     def test_interpolation_constant_ends(self):
         rs = RateSeries(0.0, 1.0, np.array([2.0, 4.0]))
@@ -233,6 +242,61 @@ class TestMerge:
         assert merged.times.tobytes() == times[order].tobytes()
         assert merged.sizes.tobytes() == sizes[order].tobytes()
         assert merged.horizon == (0.0, 10.0)
+
+
+class TestBucketedMerge:
+    """The one-size merge sorts in buckets cut at time edges; the stable
+    argsort of the concatenation is the reference."""
+
+    @staticmethod
+    def assert_stable_merge(traces, horizon):
+        merged = merge_traces(traces, horizon=horizon)
+        times = np.concatenate([tr.times for tr in traces])
+        sizes = np.concatenate([tr.sizes for tr in traces])
+        order = np.argsort(times, kind="stable")
+        assert merged.times.tobytes() == times[order].tobytes()
+        assert merged.sizes.tobytes() == sizes[order].tobytes()
+        assert merged.horizon == horizon
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), bucket=st.integers(1, 4),
+           horizon=st.sampled_from([(0.0, 10.0), (-1.0, 1.0), (2.0, 2.5)]),
+           lengths=st.lists(st.integers(0, 12), min_size=1, max_size=5))
+    def test_many_buckets_match_stable_argsort(self, data, bucket, horizon,
+                                               lengths):
+        # times on the bucket edges and signed zeros tie within and across
+        # traces and buckets
+        t0, t1 = horizon
+        n = sum(lengths)
+        edges = np.linspace(t0, t1, max(1, n // bucket) + 1).tolist()
+        zeros = [-0.0, 0.0] if t0 <= 0.0 else []
+        time_st = st.one_of(st.sampled_from(edges + zeros), st.floats(t0, t1))
+        traces = [make_trace(sorted(data.draw(st.lists(
+                      time_st, min_size=k, max_size=k))), 11712.0, horizon)
+                  for k in lengths]
+        with mock.patch.object(series, "_BUCKET", bucket):
+            self.assert_stable_merge(traces, horizon)
+
+    def test_signed_zeros_at_an_edge(self):
+        # two buckets over (-1, 1) meet at exactly 0.0
+        horizon = (-1.0, 1.0)
+        assert np.linspace(-1.0, 1.0, 3)[1] == 0.0
+        traces = [make_trace([-0.5, -0.0, 0.0, 0.5], 8.0, horizon),
+                  make_trace([0.0, -0.0, 1.0], 8.0, horizon),
+                  make_trace([-0.0, -0.0, 0.0, 0.0], 8.0, horizon)]
+        with mock.patch.object(series, "_BUCKET", 5):
+            self.assert_stable_merge(traces, horizon)
+
+    def test_generated_users(self):
+        horizon = (0.0, 3 * 3600.0)
+        traces = generate_users(VideoUserParams(), horizon, 42, 10)
+        merged = merge_traces(traces, horizon=horizon)
+        assert len(merged) > 10 * series._BUCKET
+        ref = np.sort(np.concatenate([tr.times for tr in traces]),
+                      kind="stable")
+        assert merged.times.tobytes() == ref.tobytes()
+        assert merged.sizes.strides == (0,)
+        assert np.all(merged.sizes == VideoUserParams().packet_size_bits)
 
 
 def test_mean_rate_and_intensity():

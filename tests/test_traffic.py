@@ -131,6 +131,13 @@ class TestGeneration:
         assert len(tr) == 0
         assert tr.horizon == (0.0, 100.0)
 
+    @pytest.mark.parametrize("n_users", [0, 1])
+    @pytest.mark.parametrize("horizon", [(5.0, 5.0), (5.0, 4.0),
+                                         (0.0, float("nan"))])
+    def test_aggregate_rejects_empty_horizon(self, horizon, n_users):
+        with pytest.raises(ParameterError):
+            generate_aggregate(VideoUserParams(), horizon, 1, n_users)
+
     def test_idle_seed_yields_empty_trace(self):
         # a millisecond window almost surely starts inside the first gap
         p = VideoUserParams()
