@@ -113,6 +113,8 @@ def _write_validation(run, out: Path):
              f"runtime_logistic_s={run.runtime_logistic_s!r}\n"
              f"runtime_des_s={run.runtime_des_s!r}\nspeedup={run.speedup!r}\n"
              f"packets={len(des.departures) + des.drop_count}\n"
+             f"des_drops={des.drop_count}\n"
+             f"des_drop_bits={des.drop_bits!r}\n"
              f"des_loop_packets={des.looped}\n"
              f"des_step_packets={des.stepped}\n")
     with open(out / "report.txt", "w") as fh:

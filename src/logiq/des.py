@@ -6,6 +6,13 @@ one packet size (all generated traffic), their long busy runs are walked in
 exact numpy blocks and only short ones take the event loop's scalar step;
 mixed sizes (CSV-loaded traces) run the event loop kernels.des_fifo.
 
+Either buffer keeps one full-length array, the departure times: the
+drop-tail scan works in chunks, a long hot period is walked in a view of
+the departures (short ones are gathered a chunk at a time), the accepted
+departures are compacted in place, and the backlog samples read the last
+completion only at the sample points.  Departures of a one-size trace keep
+its sizes as a stride-0 view.
+
 Backlog counts every bit that has arrived but not yet departed, including the
 remainder of the in-service packet.  With a finite buffer, an arriving packet
 is dropped whole when backlog + size would exceed the capacity (drop-tail).
@@ -59,40 +66,41 @@ def simulate_fifo(trace: PacketTrace, cfg: DesConfig) -> DesResult:
     t0, t1 = trace.horizon
     n = max(1, int(round((t1 - t0) / cfg.sample_dt)))
     sample_times = t0 + cfg.sample_dt * np.arange(n + 1)
+    # arrivals at or before each sample time
+    seen = np.searchsorted(trace.times, sample_times, side="right")
 
+    dep_sizes, bits_drop = trace.sizes, 0.0
     if cfg.capacity_k is None:
         depart = _lindley(trace.times, trace.sizes, float(cfg.mu))
-        # nothing is dropped and completions are nondecreasing, so the last
-        # completion among the first j+1 arrivals is depart[j]
-        last_c, n_drop, bits_drop, looped, stepped = depart, 0, 0.0, 0, 0
+        looped = stepped = 0
     else:
-        depart, last_c, n_drop, bits_drop, looped, stepped = _drop_tail(
+        depart, looped, stepped = _drop_tail(
             trace.times, trace.sizes, float(cfg.mu), float(cfg.capacity_k))
-
-    if n_drop:
-        accepted = ~np.isnan(depart)
-        dep_times, dep_sizes = depart[accepted], trace.sizes[accepted]
-    else:
-        dep_times, dep_sizes = depart, trace.sizes
-    dep_end = float(dep_times[-1]) if dep_times.size else t1
-    departures = PacketTrace(dep_times, dep_sizes, (t0, max(t1, dep_end)))
+        if looped:          # only the looped periods can drop packets
+            # mixed sizes are gathered; one size stays a stride-0 view
+            if dep_sizes.strides != (0,):
+                dep_sizes = dep_sizes[~np.isnan(depart)]
+            w, seen, bits_drop = _compact(depart, trace.sizes, seen)
+            depart, dep_sizes = depart[:w], dep_sizes[:w]
+    dep_end = float(depart[-1]) if depart.size else t1
+    departures = PacketTrace(depart, dep_sizes, (t0, max(t1, dep_end)))
 
     # backlog(t) = mu * max(0, C(t) - t) with C(t) the completion time of
-    # the last accepted arrival at or before t
-    if len(trace):
-        idx = np.searchsorted(trace.times, sample_times, side="right")
-        c_at = np.where(idx > 0, last_c[np.maximum(idx - 1, 0)], -np.inf)
+    # the last accepted arrival at or before t: seen now counts the
+    # accepted ones, and departures keep arrival order
+    if depart.size:
+        c_at = np.where(seen > 0, depart[np.maximum(seen - 1, 0)], -np.inf)
         q = cfg.mu * np.maximum(0.0, c_at - sample_times)
         q[~np.isfinite(q)] = 0.0
     else:
         q = np.zeros_like(sample_times)
 
-    return DesResult(sample_times, q, departures, int(n_drop),
+    return DesResult(sample_times, q, departures, len(trace) - depart.size,
                      float(bits_drop), looped, stepped)
 
 
-# _lindley's chunk length in packets: its scratch array of cumulative
-# service times holds one chunk, not the whole trace
+# chunk length in packets of _lindley, the drop-tail scan and the
+# compaction: their scratch arrays hold one chunk, not the whole trace
 _CHUNK = 1 << 16
 
 
@@ -127,66 +135,139 @@ def _lindley(arrivals, sizes, mu):
 
 
 def _drop_tail(arrivals, sizes, mu, cap_k):
-    """kernels.des_fifo's results, with its loop run only where needed and
-    in numpy blocks where the packets share one size.
+    """kernels.des_fifo's departures (NaN for a drop), with its loop run only
+    where needed and in numpy blocks where the packets share one size.
 
     The drop-tail backlog never exceeds the infinite-buffer backlog on the
     same arrivals (the recursion is monotone in its input, and so is its
     rounding).  An infinite-buffer busy period in which no arrival sees
     backlog + size near cap_k therefore starts empty under both disciplines
-    and drops nothing: _lindley's departures stand.  The loop walks the
-    remaining ("hot") periods back to back from c_prev = -inf, which is
-    exact because each of them starts empty.  If every hot packet has one
-    size, _one_size_drop_tail gives the loop's results bit for bit, walking
-    long busy runs in blocks; otherwise kernels.des_fifo runs.
+    and drops nothing: _lindley's departures stand.  The remaining ("hot")
+    periods are contiguous slices, and each starts empty, so the loop walks
+    them from c_prev = -inf, writing over _lindley's departures: a long one
+    in a view, short ones as _walk_groups gathers them.  If every hot
+    packet has one size, _one_size_drop_tail gives the loop's results bit
+    for bit, walking long busy runs in blocks; otherwise kernels.des_fifo
+    runs.
 
     ``tol`` bounds how far the cumulative-sum form of _lindley can sit from
     the loop's rounding (about 3 n ulps of the largest time).  A period
     starts only where the queue is empty by more than tol, and an arrival is
     hot from cap_k - mu * tol on; both only enlarge the hot set.  Returns
-    (depart, last_c, n_dropped, dropped_bits, looped packets, of those the
-    packets taken one at a time).  A dropped
-    packet ahead of the first accepted one in its period may get another
-    last_c than the loop's, but both are at most its arrival time, so the
-    sampled backlog is the same.
+    (depart, looped packets, of those the packets taken one at a time).
     """
     c = _lindley(arrivals, sizes, mu)
     n = c.size
     if n == 0:
-        return c, c, 0, 0.0, 0, 0
+        return c, 0, 0
     eps = np.finfo(np.float64).eps
     tol = 4.0 * n * eps * (abs(c[-1]) + abs(arrivals[0]) + 1.0)
     slack = mu * tol + 8.0 * eps * cap_k
+    lo, hi = _hot_ranges(c, arrivals, sizes, mu, tol, cap_k - slack)
+    looped = int((hi - lo).sum())
+    one_size = _one_size(sizes, lo, hi)
+    stepped = 0
+    for sel in _walk_groups(lo, hi):
+        dep = c[sel]        # a view of a slice, a copy of gathered indices
+        if one_size:
+            stepped += _one_size_drop_tail(arrivals[sel], float(sizes[lo[0]]),
+                                           mu, cap_k, dep)
+        else:
+            dep[:] = kernels.des_fifo(arrivals[sel], sizes[sel], mu, cap_k)[0]
+            stepped += dep.size
+        c[sel] = dep
+    return c, looped, stepped
 
-    wait = np.empty_like(c)            # > 0: arrival j finds a backlog
-    wait[0] = -np.inf
-    np.subtract(c[:-1], arrivals[1:], out=wait[1:])
-    starts = np.flatnonzero(wait < -tol)
-    np.maximum(wait, 0.0, out=wait)
-    wait *= mu
-    wait += sizes
-    hot = np.flatnonzero(wait > cap_k - slack)
-    del wait
 
-    # every packet of the periods that hold a hot arrival
-    bounds = np.append(starts, n)
-    period = np.unique(np.searchsorted(bounds, hot, side="right") - 1)
-    idx = run_indices(bounds[period], bounds[period + 1])
+def _hot_ranges(c, arrivals, sizes, mu, tol, level):
+    """(lo, hi) arrays of the infinite-buffer busy periods [lo, hi) in which
+    an arrival sees backlog + size > level, adjacent ones merged.  A period
+    starts at an arrival that finds the server idle by more than tol.  The
+    scan takes one _CHUNK at a time, carrying the open period's start and
+    whether it is hot, so it holds chunk-sized scratch and the hot periods.
+    """
+    n = c.size
+    wait = np.empty(min(n, _CHUNK))    # > 0: the arrival finds a backlog
+    los, his = [], []
+    start, hot = 0, False              # the open period
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        w = wait[:hi - lo]
+        if lo:
+            np.subtract(c[lo - 1:hi - 1], arrivals[lo:hi], out=w)
+        else:
+            w[0] = -np.inf
+            np.subtract(c[:hi - 1], arrivals[1:hi], out=w[1:])
+        # the periods that meet this chunk start at b[0], ..., b[-1] (in
+        # the first chunk b[0] == b[1], and that empty period is not hot)
+        b = np.append(start, lo + np.flatnonzero(w < -tol))
+        np.maximum(w, 0.0, out=w)
+        w *= mu
+        w += sizes[lo:hi]
+        hot_b = np.zeros(b.size, dtype=bool)
+        hot_b[np.searchsorted(b, lo + np.flatnonzero(w > level),
+                              side="right") - 1] = True
+        hot_b[0] |= hot
+        los.append(b[:-1][hot_b[:-1]])
+        his.append(b[1:][hot_b[:-1]])
+        start, hot = b[-1], hot_b[-1]
+    if hot:
+        los.append([start])
+        his.append([n])
+    lo, hi = np.concatenate(los), np.concatenate(his)
+    apart = np.flatnonzero(lo[1:] != hi[:-1])    # range i + 1 not adjacent
+    return (np.append(lo[:1], lo[apart + 1]),
+            np.append(hi[apart], hi[-1:]))
 
-    sizes_h = sizes[idx]
-    if idx.size and sizes_h.min() == sizes_h.max():
-        dep_h, last_h, n_drop, bits_drop, stepped = _one_size_drop_tail(
-            arrivals[idx], float(sizes_h[0]), mu, cap_k)
-    else:
-        dep_h, last_h, n_drop, bits_drop = kernels.des_fifo(
-            arrivals[idx], sizes_h, mu, cap_k)
-        stepped = idx.size
-    last_c = c
-    if n_drop:
-        last_c = c.copy()
-        last_c[idx] = last_h
-    c[idx] = dep_h
-    return c, last_c, n_drop, bits_drop, int(idx.size), stepped
+
+def _walk_groups(lo, hi):
+    """The hot ranges [lo, hi) in order, one walk each: a slice of the
+    trace, or the gathered indices of ranges shorter than _CHUNK that start
+    in one chunk of the trace.  Each range starts empty, so walking them
+    back to back is exact; it spares many short ranges the per-call cost,
+    and a gather holds under 2 * _CHUNK packets."""
+    if not lo.size:
+        return
+    short = hi - lo < _CHUNK
+    key = np.where(short, lo // _CHUNK, -1 - np.arange(lo.size))
+    cut = np.flatnonzero(key[1:] != key[:-1]) + 1
+    for a, b in zip(np.split(lo, cut), np.split(hi, cut)):
+        yield slice(int(a[0]), int(b[0])) if a.size == 1 else run_indices(a, b)
+
+
+def _one_size(sizes, lo, hi):
+    """Whether the packets of the ranges [lo, hi) (sorted, nonempty and
+    apart) all have one size."""
+    if sizes.strides == (0,):
+        return True
+    # reduceat reduces from each edge to the next, the last one to the end
+    edges = np.column_stack((lo, hi)).ravel()
+    edges = edges[edges < sizes.size]
+    return bool(edges.size) and (np.minimum.reduceat(sizes, edges)[::2].min()
+                                 == np.maximum.reduceat(sizes, edges)[::2].max())
+
+
+def _compact(depart, sizes, seen):
+    """Move the accepted (non-NaN) departures to the front of ``depart`` in
+    arrival order, one _CHUNK at a time; the write position never passes
+    the read position.  Returns their number; for each entry i of the
+    nondecreasing ``seen``, how many of them lie in depart[:i]; and the
+    dropped bits, added in arrival order as the event loop adds them."""
+    w, bits = 0, 0.0
+    kept_before = np.zeros_like(seen)
+    for lo in range(0, depart.size, _CHUNK):
+        chunk = depart[lo:lo + _CHUNK]
+        keep = ~np.isnan(chunk)
+        first, last = np.searchsorted(seen, [lo, lo + chunk.size],
+                                      side="right")
+        for i in range(first, last):
+            kept_before[i] = w + np.count_nonzero(keep[:seen[i] - lo])
+        kept = chunk[keep]
+        if kept.size < chunk.size:
+            bits = _add_in_order(bits, sizes[lo:lo + chunk.size][~keep])
+        depart[w:w + kept.size] = kept
+        w += kept.size
+    return w, kept_before, bits
 
 
 # _one_size_drop_tail's block policy: a busy run is walked in blocks once it
@@ -197,9 +278,11 @@ _BLOCK_MIN = 64
 _BLOCK_MAX = 4096
 
 
-def _one_size_drop_tail(arrivals, size, mu, cap_k):
-    """kernels.des_fifo(arrivals, sizes, mu, cap_k) for sizes all equal to
-    ``size``, bit for bit, with long busy runs walked in numpy blocks.
+def _one_size_drop_tail(arrivals, size, mu, cap_k, depart):
+    """Write kernels.des_fifo(arrivals, sizes, mu, cap_k)'s departures for
+    sizes all equal to ``size`` into ``depart``, bit for bit, with long busy
+    runs walked in numpy blocks.  ``depart`` may be a view of a larger
+    array; only ``arrivals`` is read.
 
     While the server stays busy, the loop's completion time after k more
     accepted packets is comp[k] = c + tau + ... + tau (tau = size / mu),
@@ -212,15 +295,13 @@ def _one_size_drop_tail(arrivals, size, mu, cap_k):
     k_i = i + min(0, min over l < i of (m_l - l - 1)).  A block ends at the
     first arrival that finds the server idle (comp[k_i] <= a_i), where the
     loop restarts from the arrival itself; short busy runs take the loop's
-    own step.  Returns (depart, last_c, n_dropped, dropped_bits, packets
-    taken one at a time).
+    own step.  The loop's last completion is the forward fill of these
+    departures, so none is kept.  Returns the packets taken one at a time.
     """
     n = arrivals.size
-    depart = np.empty(n)
-    last_c = np.empty(n)
     tau = size / mu
     c = -np.inf
-    j = run = n_drop = stepped = 0
+    j = run = stepped = 0
     block = _BLOCK_MIN
     while j < n:
         a = arrivals[j]
@@ -231,11 +312,9 @@ def _one_size_drop_tail(arrivals, size, mu, cap_k):
                 backlog, start, run, block = 0.0, a, 0, _BLOCK_MIN
             if backlog + size > cap_k:
                 depart[j] = np.nan
-                n_drop += 1
             else:
                 c = start + tau
                 depart[j] = c
-            last_c[j] = c
             run += 1
             j += 1
             stepped += 1
@@ -272,27 +351,22 @@ def _one_size_drop_tail(arrivals, size, mu, cap_k):
             e = b
             block = min(2 * block, _BLOCK_MAX)
         kept = comp[k[1:e + 1]]
-        last_c[j:j + e] = kept
         dep = depart[j:j + e]
         dep[:] = kept
         dep[k[1:e + 1] == k[:e]] = np.nan
-        n_drop += e - int(k[e])
         c = kept[-1]
         j += e
-    return depart, last_c, n_drop, _repeated_sum(size, n_drop), stepped
+    return stepped
 
 
-def _repeated_sum(value, count):
-    """0.0 + value + ... + value (count terms), added left to right as the
-    event loop adds its dropped sizes; not count * value, which can round
-    otherwise."""
-    total = 0.0
-    while count:
-        terms = np.full(min(count, 1 << 16) + 1, value)
-        terms[0] = total
-        total = float(np.add.accumulate(terms)[-1])
-        count -= terms.size - 1
-    return total
+def _add_in_order(total, values):
+    """total + values[0] + values[1] + ..., added left to right as the
+    event loop adds its dropped sizes; not values.sum(), which adds
+    pairwise and can round otherwise."""
+    terms = np.empty(values.size + 1)
+    terms[0] = total
+    terms[1:] = values
+    return float(np.add.accumulate(terms, out=terms)[-1])
 
 
 def departures_to_outflow(result: DesResult, dt: float) -> RateSeries:

@@ -151,7 +151,7 @@ def _exact_piece(q, d0, d1, w, alpha):
     area = 0.5 * w * (d0 + d1)
     if area >= 0.0:
         return q + area
-    if q == 0.0:
+    if alpha * q == 0.0:    # q == 0, or so small that alpha * q underflows
         return 0.0
     return _softplus(_log_expm1(alpha * q) + alpha * area) / alpha
 
@@ -551,9 +551,12 @@ def des_fifo(arrivals, sizes, mu, cap_k):
     """Single-server FIFO (Lindley) recursion with optional drop-tail buffer.
 
     des.simulate_fifo hands it only the infinite-buffer busy periods whose
-    backlog comes near cap_k, back to back (each of them starts empty), and
-    only when their packets have mixed sizes; one size takes the block walk
-    des._one_size_drop_tail, which reproduces this loop bit for bit.
+    backlog comes near cap_k, a long one as a slice of the trace and short
+    ones gathered back to back (each of them starts empty), and only when
+    their packets have mixed sizes; one size
+    takes the block walk des._one_size_drop_tail, which reproduces this
+    loop's departures bit for bit.  des keeps only ``depart``: its drops
+    are the NaN entries, and last_completion is their forward fill.
 
     Returns (depart, last_completion, n_dropped, dropped_bits); depart[j] is
     NaN for dropped packets (a departure can come at any time, negative

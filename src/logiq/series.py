@@ -47,7 +47,8 @@ class PacketTrace:
         # negated checks, so that NaN fails them
         if not np.all(times[1:] >= times[:-1]):
             raise ParameterError("packet times must be sorted nondecreasing")
-        if not np.all(sizes > 0):
+        # a stride-0 view holds one value: test it, not n copies of it
+        if not np.all((sizes[:1] if sizes.strides == (0,) else sizes) > 0):
             raise ParameterError("packet sizes must be positive")
         t0, t1 = self.horizon
         if not t0 <= t1:

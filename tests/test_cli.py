@@ -5,10 +5,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from logiq import pipeline
 from logiq.cli import main
+from logiq.des import simulate_fifo
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -96,10 +99,25 @@ class TestCommands:
 
     def test_validate_drop_tail_reports_looped_packets(self, tmp_path):
         payload = {**BASE, "queue": {"mu": "3.4 Mb/s", "capacity": "100 kB"}}
-        code, out = run(tmp_path, "validate", payload)
+        results = []
+
+        def spy(*args):
+            results.append(simulate_fifo(*args))
+            return results[-1]
+
+        with mock.patch.object(pipeline, "simulate_fifo", spy):
+            code, out = run(tmp_path, "validate", payload)
         assert code == 0
         report = dict(line.split("=", 1) for line in
                       (out / "report.txt").read_text().splitlines())
+        (des,) = results
+        assert int(report["des_drops"]) == des.drop_count > 0
+        assert float(report["des_drop_bits"]) == des.drop_bits > 0.0
+        # every generated packet departs or is dropped
+        _, gen = run(tmp_path, "generate", payload)
+        n_packets = len((gen / "trace.csv").read_text().splitlines()) - 1
+        assert int(report["packets"]) == n_packets == (
+            len(des.departures) + int(report["des_drops"]))
         assert int(report["packets"]) > int(report["des_loop_packets"]) > 0
         assert 0 <= int(report["des_step_packets"]) <= int(
             report["des_loop_packets"])

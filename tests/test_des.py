@@ -34,6 +34,23 @@ def make_trace(times, sizes, horizon):
     return PacketTrace(np.asarray(times, float), np.asarray(sizes, float), horizon)
 
 
+def forward_fill(depart):
+    """The event loop's last completion from its departures: the latest
+    non-NaN departure so far, -inf before the first."""
+    last = np.where(np.isnan(depart), 0, np.arange(1, depart.size + 1))
+    np.maximum.accumulate(last, out=last)
+    return np.where(last > 0, depart[np.maximum(last - 1, 0)], -np.inf)
+
+
+def walk_one_size(times, size, mu, cap):
+    """_one_size_drop_tail's departures, with the drops counted and summed
+    as _drop_tail does, and the packets it stepped."""
+    depart = np.full(times.size, 0.5)    # every entry must be written
+    stepped = des._one_size_drop_tail(times, size, mu, cap, depart)
+    dropped = np.full(np.isnan(depart).sum(), size)
+    return (depart, dropped.size, des._add_in_order(0.0, dropped), stepped)
+
+
 def loop_sampled_backlog(times, last_c, mu, sample_times):
     """The event walk's backlog on the sample grid, from the loop's
     last-completion array."""
@@ -284,11 +301,11 @@ class TestDropTailOracle:
                "below_size": 0.5 * size,
                "above_peak": 2.0 * seen.max(),
                }[k_case]
-        depart, last_c, n_drop, bits_drop, stepped = des._one_size_drop_tail(
-            times, size, mu, cap)
+        depart, n_drop, bits_drop, stepped = walk_one_size(times, size, mu,
+                                                           cap)
         ref = kernels.des_fifo.py_func(times, sizes, mu, cap)
         assert np.array_equal(depart, ref[0], equal_nan=True)
-        assert np.array_equal(last_c, ref[1])
+        assert np.array_equal(forward_fill(depart), ref[1])
         assert n_drop == ref[2] and bits_drop == ref[3]
         assert 0 < stepped <= n
         if k_case == "below_size":
@@ -317,11 +334,11 @@ class TestDropTailOracle:
         rounds_low = deep & (c > a + (seen - size) / mu)
         rounds_high = deep & (c <= a + (below - size) / mu)
         for cap in (seen[rounds_low][0], below[rounds_high][0]):
-            depart, last, n_drop, bits_drop, stepped = (
-                des._one_size_drop_tail(times, size, mu, cap))
+            depart, n_drop, bits_drop, stepped = walk_one_size(times, size,
+                                                               mu, cap)
             ref = kernels.des_fifo.py_func(times, sizes, mu, cap)
             assert np.array_equal(depart, ref[0], equal_nan=True)
-            assert np.array_equal(last, ref[1])
+            assert np.array_equal(forward_fill(depart), ref[1])
             assert n_drop == ref[2] > 0 and bits_drop == ref[3]
             assert stepped < 0.2 * times.size
 
@@ -379,6 +396,94 @@ class TestDropTailOracle:
             loop_sampled_backlog(trace.times, last_c, q["mu"],
                                  res.sample_times),
             rtol=0.0, atol=2e-6 * q["mu"])
+
+
+class TestChunkedDropTail:
+    """The drop-tail scan, the drop count and the compaction work one _CHUNK
+    at a time; with chunks of a few packets, hot periods, drops and sample
+    points straddle chunk edges.  The whole-trace loop is the reference."""
+
+    @staticmethod
+    def check(times, sizes, horizon, mu, cap, chunk):
+        with mock.patch.object(des, "_CHUNK", chunk):
+            res = simulate_fifo(PacketTrace(times, sizes, horizon),
+                                DesConfig(mu=mu, capacity_k=cap,
+                                          sample_dt=1.0))
+        depart, last_c, n_drop, bits_drop = kernels.des_fifo.py_func(
+            times, sizes, mu, cap)
+        accepted = ~np.isnan(depart)
+        assert res.drop_count == n_drop
+        assert res.drop_bits == bits_drop
+        np.testing.assert_allclose(res.departures.times, depart[accepted],
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(res.departures.sizes, sizes[accepted])
+        if n_drop and sizes.strides == (0,):
+            assert res.departures.sizes.strides == (0,)
+        np.testing.assert_allclose(
+            res.q_sampled,
+            loop_sampled_backlog(times, last_c, mu, res.sample_times),
+            rtol=0.0, atol=1e-12 * mu * (1.0 + res.sample_times[-1]))
+        return res, depart
+
+    @settings(max_examples=200, deadline=None)
+    @given(chunk=st.integers(1, 5),
+           burst=st.lists(st.integers(0, 4), min_size=1,
+                          max_size=30).filter(any),
+           sizes=st.lists(st.floats(1.0, 1e4), min_size=120, max_size=120),
+           one_size=st.booleans(), rho=st.floats(0.3, 3.0),
+           cap=st.floats(0.5, 4.0))
+    def test_small_chunks_match_loop(self, chunk, burst, sizes, one_size,
+                                     rho, cap):
+        # packets arrive in bursts on whole seconds, where the backlog is
+        # sampled, so samples fall on a burst's last packet, dropped or not;
+        # K below the largest size drops packets at an empty queue
+        times = np.repeat(np.arange(len(burst), dtype=float), burst)
+        sizes = np.asarray(sizes[:times.size])
+        if one_size:
+            sizes = np.broadcast_to(sizes[0], times.shape)
+        horizon = (0.0, float(len(burst)))
+        mu = sizes.sum() / (rho * horizon[1])
+        cap *= sizes.max()
+        self.check(times, sizes, horizon, mu, cap, chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_samples_on_drops(self, chunk):
+        # 400-bit packets into K = 1000 bits at 100 b/s.  At 6 s three
+        # arrive together and the third is dropped; the sample at 6 s sees
+        # the second's completion, 14 s.  With mixed sizes a 1200-bit packet
+        # at 5 s is dropped at an empty queue and opens the same busy
+        # period, so the sample at 5 s falls on its leading drop
+        times = np.array([0.0, 5.0, 6.0, 6.0, 6.0, 40.0])
+        horizon = (0.0, 45.0)
+        mixed = np.array([300.0, 1200.0, 400.0, 400.0, 400.0, 100.0])
+        res, depart = self.check(times, mixed, horizon, 100.0, 1000.0, chunk)
+        assert np.isnan(depart).tolist() == [False, True, False, False,
+                                             True, False]
+        assert res.looped == 4
+        np.testing.assert_array_equal(res.q_sampled[[3, 5, 6]],
+                                      [0.0, 0.0, 800.0])
+        one = np.broadcast_to(400.0, times.shape)
+        res, depart = self.check(np.delete(times, 1), one[1:], horizon,
+                                 100.0, 1000.0, chunk)
+        assert np.isnan(depart).tolist() == [False, False, False, True,
+                                             False]
+        assert res.q_sampled[6] == 800.0
+        # K below the one size: every packet is a leading drop
+        res, _ = self.check(times, one, horizon, 100.0, 300.0, chunk)
+        assert res.drop_count == times.size and len(res.departures) == 0
+        assert not res.q_sampled.any()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_mixed_sizes_after_a_one_packet_period(self, chunk):
+        # the first period that reaches K is one oversized packet; after a
+        # period that does not, the next holds other sizes, so both take
+        # the event loop
+        times = np.array([0.0, 5.0, 10.0, 10.0, 10.0])
+        sizes = np.array([1200.0, 100.0, 400.0, 700.0, 300.0])
+        res, depart = self.check(times, sizes, (0.0, 12.0), 1000.0, 1000.0,
+                                 chunk)
+        assert np.isnan(depart).tolist() == [True, False, False, True, False]
+        assert res.looped == res.stepped == 4
 
 
 class TestInvariants:

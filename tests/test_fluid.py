@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logiq.fluid import (DomainError, MultiServerRate, QueueSpec,
@@ -308,6 +308,9 @@ class TestExactBins:
 
     @settings(max_examples=60, deadline=None)
     @given(**exact_case)
+    # a backlog so small that alpha * q underflows to 0
+    @example(mode="mu_t", fractions=[1.0], dt=1.0, alpha_dt=0.5,
+             q0_bins=5e-324)
     def test_matches_stepper(self, mode, fractions, dt, alpha_dt, q0_bins):
         inflow, spec = self.case(mode, fractions, dt, alpha_dt, q0_bins)
         traj = integrate_queue(inflow, spec)

@@ -29,6 +29,13 @@ class TestPacketTrace:
         with pytest.raises(ParameterError):
             PacketTrace(np.array([1.0]), np.array([0.0]), (0.0, 2.0))
 
+    @pytest.mark.parametrize("size", [0.0, -1.0, np.nan])
+    def test_rejects_bad_stride0_size(self, size):
+        # a stride-0 view is checked through its one value
+        with pytest.raises(ParameterError, match="sizes must be positive"):
+            PacketTrace(np.array([0.5, 0.7]), np.broadcast_to(size, (2,)),
+                        (0.0, 1.0))
+
     def test_rejects_times_outside_horizon(self):
         with pytest.raises(ParameterError):
             make_trace([1.0, 5.0], horizon=(0.0, 4.0))
