@@ -36,9 +36,10 @@ class MultiServerRate:
     m: int
 
     def __post_init__(self):
-        if self.mu0 <= 0:
-            raise ParameterError("mu0 must be > 0")
-        if self.m < 1 or int(self.m) != self.m:
+        # negated checks, so that NaN fails them before int() sees it
+        if not 0 < self.mu0 < math.inf:
+            raise ParameterError("mu0 must be finite and > 0")
+        if not 1 <= self.m < math.inf or int(self.m) != self.m:
             raise ParameterError("m must be an integer >= 1")
 
     def __call__(self, q):
@@ -88,8 +89,9 @@ class SolverOptions:
     abs_tol: float = 1e-9   # bits
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ParameterError("tolerances must be > 0")
+        # negated checks, so that NaN fails them
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ParameterError("tolerances must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -257,10 +259,10 @@ def heaviside_smooth(q, k, h0, n):
 
 def multi_server_rate(q, mu0, m):
     """Aggregate rate of m servers of speed mu0, continuous at q = m - 1."""
-    if m < 1:
-        raise ParameterError("m must be >= 1")
-    if mu0 <= 0:
-        raise ParameterError("mu0 must be > 0")
+    if not 1 <= m < math.inf:
+        raise ParameterError("m must be finite and >= 1")
+    if not 0 < mu0 < math.inf:
+        raise ParameterError("mu0 must be finite and > 0")
     empty = np.empty(0)
     return _elementwise(
         lambda qi: kernels._mu_at(0.0, qi, kernels.MU_MULTISERVER, 0.0, 0.0,

@@ -3,17 +3,13 @@ coupled priority pair (exact bins where the law has a closed form, adaptive
 Dormand-Prince 5(4) steps elsewhere), an exact point-queue reference, and
 the packet-level drop-tail FIFO recursion.
 
-All kernels are numba-jitted unless ``LOGIQ_NO_NUMBA=1`` (see accel.py); the
-pure-Python source of each kernel stays reachable as ``<kernel>.py_func``.
-Inputs are plain float64 arrays; wrappers in fluid.py / des.py own validation
-and the public dataclasses.
+The kernels are plain Python and numpy.  Inputs are plain float64 arrays;
+wrappers in fluid.py / des.py own validation and the public dataclasses.
 """
 
 import math
 
 import numpy as np
-
-from .accel import maybe_jit
 
 # service-rate modes for the single-queue kernel
 MU_CONST = 0
@@ -29,7 +25,6 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
-@maybe_jit
 def _interp_grid(t, t_first, dt, values):
     """Piecewise-linear interpolation on a uniform grid starting at t_first,
     constant extrapolation beyond both ends."""
@@ -44,7 +39,6 @@ def _interp_grid(t, t_first, dt, values):
     return values[i] * (1.0 - frac) + values[i + 1] * frac
 
 
-@maybe_jit
 def _mu_at(t, q, mu_mode, mu_const, x_first, x_dt, mu_vals, mu0, m_servers):
     if mu_mode == MU_TIME:
         return _interp_grid(t, x_first, x_dt, mu_vals)
@@ -55,7 +49,6 @@ def _mu_at(t, q, mu_mode, mu_const, x_first, x_dt, mu_vals, mu0, m_servers):
     return mu_const
 
 
-@maybe_jit
 def _gate(q, cap_k, h0, gate_n):
     """Smoothed Heaviside annihilating inflow near capacity."""
     z = gate_n * (q - cap_k)
@@ -64,7 +57,6 @@ def _gate(q, cap_k, h0, gate_n):
     return 1.0 / (1.0 + (1.0 / h0 - 1.0) * np.exp(z))
 
 
-@maybe_jit
 def priority_split(x1, x2, q1, mu, alpha):
     """Service split (mu1, mu2) between a priority class with inflow x1 and
     backlog q1 >= 0 and a low class with inflow x2: the low class gets its
@@ -77,7 +69,6 @@ def priority_split(x1, x2, q1, mu, alpha):
     return mu - mu2, mu2
 
 
-@maybe_jit
 def _rhs(t, q, qp, pair, x_first, x_dt, x_vals, p_vals, mu_mode, mu_const,
          mu_vals, mu0, m_servers, alpha, gate_on, cap_k, h0, gate_n):
     """Returns (dq/dt, outflow, lost-rate) of the queue fed by x_vals, then
@@ -111,7 +102,6 @@ def _rhs(t, q, qp, pair, x_first, x_dt, x_vals, p_vals, mu_mode, mu_const,
     return xh - y, y, x - xh, 0.0, 0.0, 0.0
 
 
-@maybe_jit
 def _at_rest(r, mu):
     """True when the _rhs row r of an empty server of rate mu loses no bits
     and grows neither class's backlog.  At q = 0 the outflow law computes
@@ -123,7 +113,6 @@ def _at_rest(r, mu):
             and r[5] == 0.0)
 
 
-@maybe_jit
 def _log_expm1(z):
     """log(e^z - 1) for z > 0, without overflow for large z."""
     if z > 1.0:
@@ -131,7 +120,6 @@ def _log_expm1(z):
     return math.log(math.expm1(z))
 
 
-@maybe_jit
 def _softplus(s):
     """log(1 + e^s), without overflow for large s."""
     if s > 0.0:
@@ -139,7 +127,6 @@ def _softplus(s):
     return math.log1p(math.exp(s))
 
 
-@maybe_jit
 def _exact_piece(q, d0, d1, w, alpha):
     """Backlog after w seconds of the ungated logistic law from backlog q,
     while X - mu runs linearly from d0 to d1 without changing sign.
@@ -156,7 +143,6 @@ def _exact_piece(q, d0, d1, w, alpha):
     return _softplus(_log_expm1(alpha * q) + alpha * area) / alpha
 
 
-@maybe_jit
 def _exact_bin(q, da, db, w, alpha):
     """(end backlog, largest backlog) over an inflow bin of width w that
     starts at backlog q, with X - mu linear from da to db.  A sign change
@@ -186,7 +172,6 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (35.0 / 384.0 - 5179.0 / 57600.0,
                                 -1.0 / 40.0)
 
 
-@maybe_jit
 def integrate_logistic(t_out, x_first, x_dt, x_vals, p_vals, mu_mode,
                        mu_const, mu_vals, mu0, m_servers, alpha, gate_on,
                        cap_k, h0, gate_n, q0, rtol, atol):
@@ -458,7 +443,6 @@ def integrate_logistic(t_out, x_first, x_dt, x_vals, p_vals, mu_mode,
     return out, (status, n_steps, n_rej, n_closed, -worst_neg)
 
 
-@maybe_jit
 def point_queue_exact(t_out, x_first, x_dt, x_vals, mu, q0):
     """Exact trajectory of the projected point-queue dynamics.
 
@@ -546,7 +530,6 @@ def point_queue_exact(t_out, x_first, x_dt, x_vals, mu, q0):
     return q_out
 
 
-@maybe_jit
 def des_fifo(arrivals, sizes, mu, cap_k):
     """Single-server FIFO (Lindley) recursion with optional drop-tail buffer.
 
@@ -555,14 +538,15 @@ def des_fifo(arrivals, sizes, mu, cap_k):
     ones gathered back to back (each of them starts empty), and only when
     their packets have mixed sizes; one size
     takes the block walk des._one_size_drop_tail, which reproduces this
-    loop's departures bit for bit.  des keeps only ``depart``: its drops
-    are the NaN entries, and last_completion is their forward fill.
+    loop's departures bit for bit.  des keeps only ``depart``, whose drops
+    are the NaN entries.
 
     Returns (depart, last_completion, n_dropped, dropped_bits); depart[j] is
     NaN for dropped packets (a departure can come at any time, negative
     ones too), last_completion[j] is the completion time of the latest
-    accepted packet among the first j+1 arrivals (server work function),
-    used for O(log n) backlog sampling.
+    accepted packet among the first j+1 arrivals (server work function).
+    last_completion is returned for the tests, which compare it with the
+    forward fill of depart.
     """
     n = arrivals.shape[0]
     depart = np.empty(n)

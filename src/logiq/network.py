@@ -37,19 +37,20 @@ class Topology:
         n, m = len(self.access_mu), len(self.egress_xi)
         if routing.shape != (n, m):
             raise ParameterError(f"routing must be {n}x{m}")
-        if np.any(routing < 0):
+        # negated checks, so that NaN fails them
+        if not np.all(routing >= 0):
             raise ParameterError("routing entries must be nonnegative")
         # Published matrices are often rounded to a few decimals, so accept a
         # small row-sum slack and renormalize so the split stays conservative.
         row_sums = routing.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > 1e-3):
+        if not np.all(np.abs(row_sums - 1.0) <= 1e-3):
             raise ParameterError("routing rows must sum to 1")
         object.__setattr__(self, "routing", routing / row_sums[:, None])
-        if any(v <= 0 for v in self.access_mu) or any(v <= 0 for v in self.egress_xi):
+        if not all(v > 0 for v in self.access_mu + self.egress_xi):
             raise ParameterError("all rates must be positive")
-        if self.core_mu <= 0 or self.core_k <= 0:
+        if not (self.core_mu > 0 and self.core_k > 0):
             raise ParameterError("core rate and capacity must be positive")
-        if self.packet_size_bits < 0:
+        if not self.packet_size_bits >= 0:
             raise ParameterError("packet size must be nonnegative")
 
     @property

@@ -39,17 +39,9 @@ def _verdict(num, label, ok, detail):
     assert ok, f"criterion {num} ({label}): {detail}"
 
 
-def _warm_kernels():
-    """Trigger jit compilation outside any timed region."""
-    warm = RateSeries(0.0, 1.0, np.full(8, 0.6))
-    integrate_queue(warm, QueueSpec(mu=1.0, alpha=1.0))
-    integrate_point_queue(warm, 1.0)
-
-
 @pytest.fixture(scope="module")
 def desk_runs():
     """The five seeded oracle-vs-model runs behind criteria 2 and 7."""
-    _warm_kernels()
     params = VideoUserParams()
     t0 = time.perf_counter()
     runs = [validate_scenario(params, 10, DESK_HORIZON, DESK_DT, seed, DESK_MU)
@@ -132,7 +124,6 @@ def test_criterion_2_oracle_equivalence(desk_runs):
 
 
 def test_criterion_3_intensity_sweep():
-    _warm_kernels()
     params = VideoUserParams()
     rows = []
     for target in RHO_GRID:
@@ -149,7 +140,6 @@ def test_criterion_3_intensity_sweep():
 
 
 def test_criterion_4_asymptotic_bound():
-    _warm_kernels()
     t0 = time.perf_counter()
     mu, x_inf, alpha, q0, eps = 1.0, 0.5, 0.5, 1.0, 0.05
     inflow = RateSeries(0.0, 0.1, np.full(300, x_inf))
@@ -169,7 +159,6 @@ def test_criterion_4_asymptotic_bound():
 
 
 def test_criterion_5_point_queue_limit():
-    _warm_kernels()
     t0 = time.perf_counter()
     mu = 1.0
     dt = 0.05
@@ -207,7 +196,6 @@ def _dt_star():
 
 
 def test_criterion_6_digital_twin():
-    _warm_kernels()
     t0 = time.perf_counter()
     topology, inflows, rates = _dt_star()
     run = dt_scenario(topology, inflows, priority_rates=rates)

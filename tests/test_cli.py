@@ -191,6 +191,14 @@ class TestExitCodes:
         code, _ = run(tmp_path, "validate", payload)
         assert code == 1
 
+    def test_nan_packet_size_is_1(self, tmp_path, capsys):
+        # json writes and reads the NaN literal
+        payload = dict(BASE)
+        payload["network"] = dict(NETWORK["network"], packet_size=float("nan"))
+        code, _ = run(tmp_path, "dt", payload)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: packet size")
+
     def test_scaled_validation_rejected(self, tmp_path):
         payload = dict(BASE)
         payload["traffic"] = dict(BASE["traffic"], rate_scale=2.0)

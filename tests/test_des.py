@@ -102,7 +102,7 @@ class TestLoopFreeOracle:
         trace = merge_traces(generate_users(VideoUserParams(),
                                             (0.0, 6 * 3600.0), 42, 10))
         res = simulate_fifo(trace, DesConfig(mu=mu, sample_dt=60.0))
-        depart, last_c, n_drop, _ = kernels.des_fifo.py_func(
+        depart, last_c, n_drop, _ = kernels.des_fifo(
             trace.times, trace.sizes, mu, 0.0)
         assert res.drop_count == n_drop == 0
         gap = np.abs(res.departures.times - depart)
@@ -228,7 +228,7 @@ class TestDropTailOracle:
                             DesConfig(mu=mu, capacity_k=cap,
                                       sample_dt=sample_dt))
         ref = brute_force_fifo(times, sizes, mu, cap)
-        depart, last_c, n_drop, bits_drop = kernels.des_fifo.py_func(
+        depart, last_c, n_drop, bits_drop = kernels.des_fifo(
             times, sizes, mu, cap)
         dropped = np.array([d is None for d in ref])
         np.testing.assert_array_equal(dropped, np.isnan(depart))
@@ -253,7 +253,7 @@ class TestDropTailOracle:
         mu, cap = 1000.3 / 0.97, 25 * 1000.3
         res = simulate_fifo(make_trace(times, sizes, (0.0, times[-1])),
                             DesConfig(mu=mu, capacity_k=cap, sample_dt=50.0))
-        depart, last_c, n_drop, bits_drop = kernels.des_fifo.py_func(
+        depart, last_c, n_drop, bits_drop = kernels.des_fifo(
             times, sizes, mu, cap)
         accepted = ~np.isnan(depart)
         assert res.drop_count == n_drop > 0
@@ -284,7 +284,7 @@ class TestDropTailOracle:
         sizes = np.full(n, size)
         mu = size / rho
         # backlog + size that each arrival sees with an infinite buffer
-        _, last_c, _, _ = kernels.des_fifo.py_func(times, sizes, mu, 0.0)
+        _, last_c, _, _ = kernels.des_fifo(times, sizes, mu, 0.0)
         before = np.append(-np.inf, last_c[:-1])
         busy = before > times
         seen = np.where(busy, (before - times) * mu, 0.0) + size
@@ -303,7 +303,7 @@ class TestDropTailOracle:
                }[k_case]
         depart, n_drop, bits_drop, stepped = walk_one_size(times, size, mu,
                                                            cap)
-        ref = kernels.des_fifo.py_func(times, sizes, mu, cap)
+        ref = kernels.des_fifo(times, sizes, mu, cap)
         assert np.array_equal(depart, ref[0], equal_nan=True)
         assert np.array_equal(forward_fill(depart), ref[1])
         assert n_drop == ref[2] and bits_drop == ref[3]
@@ -324,7 +324,7 @@ class TestDropTailOracle:
         size = mu = 1000.3
         times = np.cumsum(rng.exponential(0.5, 400))     # load 2
         sizes = np.full(times.size, size)
-        _, last_c, _, _ = kernels.des_fifo.py_func(times, sizes, mu, 0.0)
+        _, last_c, _, _ = kernels.des_fifo(times, sizes, mu, 0.0)
         c, a = last_c[:-1], times[1:]
         assert np.all(c > a)                             # one busy period
         seen = (c - a) * mu + size
@@ -336,7 +336,7 @@ class TestDropTailOracle:
         for cap in (seen[rounds_low][0], below[rounds_high][0]):
             depart, n_drop, bits_drop, stepped = walk_one_size(times, size,
                                                                mu, cap)
-            ref = kernels.des_fifo.py_func(times, sizes, mu, cap)
+            ref = kernels.des_fifo(times, sizes, mu, cap)
             assert np.array_equal(depart, ref[0], equal_nan=True)
             assert np.array_equal(forward_fill(depart), ref[1])
             assert n_drop == ref[2] > 0 and bits_drop == ref[3]
@@ -380,7 +380,7 @@ class TestDropTailOracle:
         res = simulate_fifo(trace, DesConfig(mu=q["mu"],
                                              capacity_k=q["capacity"],
                                              sample_dt=t["dt"]))
-        depart, last_c, n_drop, bits_drop = kernels.des_fifo.py_func(
+        depart, last_c, n_drop, bits_drop = kernels.des_fifo(
             trace.times, trace.sizes, q["mu"], q["capacity"])
         accepted = ~np.isnan(depart)
         assert res.drop_count == n_drop > 0
@@ -409,7 +409,7 @@ class TestChunkedDropTail:
             res = simulate_fifo(PacketTrace(times, sizes, horizon),
                                 DesConfig(mu=mu, capacity_k=cap,
                                           sample_dt=1.0))
-        depart, last_c, n_drop, bits_drop = kernels.des_fifo.py_func(
+        depart, last_c, n_drop, bits_drop = kernels.des_fifo(
             times, sizes, mu, cap)
         accepted = ~np.isnan(depart)
         assert res.drop_count == n_drop

@@ -475,6 +475,16 @@ class TestMultiServer:
         with pytest.raises(ParameterError):
             multi_server_rate(0.0, -1.0, 2)
 
+    # the constructors alone: a NaN rate makes the stepper reject every step
+    @pytest.mark.parametrize("mu0, m", [
+        (np.nan, 2), (np.inf, 2), (1.0, np.nan), (1.0, np.inf),
+    ])
+    def test_rejects_nan_and_inf(self, mu0, m):
+        with pytest.raises(ParameterError):
+            MultiServerRate(mu0=mu0, m=m)
+        with pytest.raises(ParameterError):
+            multi_server_rate(0.0, mu0, m)
+
 
 class TestSplit:
     def test_split_conserves_aggregate(self):
@@ -600,3 +610,13 @@ class TestSpecValidation:
     def test_rejects_nan(self, kwargs):
         with pytest.raises(ParameterError):
             QueueSpec(**kwargs)
+
+    # the constructor alone: at such a tolerance the stepper rejects every
+    # attempt and never finishes a bin
+    @pytest.mark.parametrize("kwargs", [
+        dict(rel_tol=np.nan), dict(abs_tol=np.nan),
+        dict(rel_tol=np.inf), dict(abs_tol=np.inf), dict(rel_tol=-np.inf),
+    ])
+    def test_solver_options_reject_nan_and_inf(self, kwargs):
+        with pytest.raises(ParameterError):
+            SolverOptions(**kwargs)

@@ -45,6 +45,18 @@ class TestTopology:
         with pytest.raises(ParameterError):
             small_topology(routing=np.array([[1.2, -0.2], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("field, value", [
+        ("access_mu", (25e9, np.nan)),
+        ("core_mu", np.nan),
+        ("core_k", np.nan),
+        ("egress_xi", (np.nan, 20e9)),
+        ("routing", np.array([[np.nan, 0.5], [0.25, 0.75]])),
+        ("packet_size_bits", np.nan),
+    ])
+    def test_rejects_nan(self, field, value):
+        with pytest.raises(ParameterError):
+            small_topology(**{field: value})
+
 
 class TestPropagate:
     def test_zero_inflows_zero_queues(self):
