@@ -19,8 +19,9 @@ from .traffic import generate_users, merge_traces
 from .units import fmt_rate
 
 
-def _scaled_inflow(traffic_cfg, merged):
-    inflow = trace_to_inflow(merged, traffic_cfg["dt"])
+def _scaled_inflow(traffic_cfg, traces):
+    inflow = trace_to_inflow(traces, traffic_cfg["dt"],
+                             (0.0, traffic_cfg["horizon"]))
     scale = traffic_cfg["rate_scale"]
     if scale != 1.0:
         inflow = RateSeries(inflow.t0, inflow.dt, inflow.values * scale)
@@ -67,8 +68,7 @@ def cmd_simulate(cfg, out: Path) -> int:
         raise ConfigError("config.queue.mu: required for simulate")
     horizon = (0.0, t["horizon"])
     traces = generate_users(t["params"], horizon, t["seed"], t["users"])
-    merged = merge_traces(traces, horizon=horizon)
-    inflow = _scaled_inflow(t, merged)
+    inflow = _scaled_inflow(t, traces)
     inflow.to_csv(out / "inflow.csv")
 
     alpha = q["alpha"] if q["alpha"] is not None else compute_alpha(inflow, q["mu"])
@@ -210,17 +210,30 @@ def _build_topology(net):
                     packet_size_bits=net["packet_size"])
 
 
-def _write_solver_stats(path, state):
-    """One row of solver counts per queue of the base propagation."""
+def _stats_rows(state):
+    """One line of solver counts per queue a propagation solved; a priority
+    re-solve shares the base's access queues, so it leaves them out."""
     queues = ([(f"access{i}", t) for i, t in enumerate(state.access)]
-              + [("core", state.core)]
-              + [(f"egress{j}", t) for j, t in enumerate(state.egress)])
-    with open(path, "w") as fh:
-        fh.write("queue,steps,rejected,closed_form,max_negative_q\n")
-        for name, traj in queues:
-            s = traj.stats
-            fh.write(f"{name},{s.steps},{s.rejected},{s.closed_form},"
-                     f"{s.max_negative_q!r}\n")
+              if state.priority is None
+              else [("core_priority", state.priority)])
+    queues += [("core", state.core)] + [(f"egress{j}", t)
+                                        for j, t in enumerate(state.egress)]
+    return [f"{name},{t.stats.steps},{t.stats.rejected},"
+            f"{t.stats.closed_form},{t.stats.max_negative_q!r}\n"
+            for name, t in queues]
+
+
+def _write_solver_stats(out, run):
+    header = "queue,steps,rejected,closed_form,max_negative_q\n"
+    with open(out / "solver_stats.csv", "w") as fh:
+        fh.write(header)
+        fh.writelines(_stats_rows(run.state))
+    if run.priority_rates:
+        with open(out / "solver_stats_priority.csv", "w") as fh:
+            fh.write("priority_bps," + header)
+            fh.writelines(f"{rate!r},{row}" for rate, state in zip(
+                run.priority_rates, run.priority_states)
+                for row in _stats_rows(state))
 
 
 def cmd_dt(cfg, out: Path) -> int:
@@ -242,7 +255,7 @@ def cmd_dt(cfg, out: Path) -> int:
     for i, inflow in enumerate(run.inflows):
         inflow.to_csv(out / f"flow_{i}.csv")
     run.state.core.to_csv(out / "core_trajectory.csv")
-    _write_solver_stats(out / "solver_stats.csv", run.state)
+    _write_solver_stats(out, run)
     with open(out / "l_od.csv", "w") as fh:
         fh.write("t_s,L_od_s\n")
         for t, l in zip(run.latency_times, run.latency_od):

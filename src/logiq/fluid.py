@@ -181,7 +181,7 @@ def outflow_rate(x, q, mu, alpha):
     """Smooth outflow law: mu + exp(-alpha*q) * (min(mu, x) - mu)."""
     if np.any(np.asarray(x) < 0) or np.any(np.asarray(q) < 0):
         raise DomainError("inflow and backlog must be nonnegative")
-    if mu <= 0 or alpha <= 0:
+    if not (mu > 0 and alpha > 0):      # NaN fails too
         raise DomainError("mu and alpha must be > 0")
     spec = QueueSpec(mu=float(mu), alpha=float(alpha))
     return _elementwise(
@@ -210,7 +210,7 @@ def compute_alpha(inflow: RateSeries, mu: float) -> float:
     """Logistic steepness from the mean occupancy: alpha = rho / mu."""
     from .series import mean_rate
 
-    if mu <= 0:
+    if not mu > 0:      # NaN fails too
         raise ParameterError("mu must be > 0")
     lam = mean_rate(inflow)
     if lam <= 0:
@@ -220,7 +220,7 @@ def compute_alpha(inflow: RateSeries, mu: float) -> float:
 
 def exit_time(t, q_at_t, mu):
     """Time at which a bit arriving at t leaves the system: t + q/mu."""
-    if mu <= 0:
+    if not mu > 0:      # NaN fails too
         raise DomainError("mu must be > 0")
     return np.asarray(t, dtype=float) + np.asarray(q_at_t, dtype=float) / mu
 
@@ -250,7 +250,7 @@ def queue_decay_bound(t, t_x, q_x, mu, x_inf, alpha):
 
 def heaviside_smooth(q, k, h0, n):
     """Logistic gate: 1 at q << k, h0 at q = k, 0 at q >> k."""
-    if k <= 0 or n <= 0:
+    if not (k > 0 and n > 0):       # NaN fails too
         raise ParameterError("k and n must be > 0")
     if not 0.0 < h0 <= 1.0:
         raise ParameterError("h0 must be in (0, 1]")
@@ -286,7 +286,7 @@ def _server_args(spec: QueueSpec, inflow: RateSeries):
     elif callable(spec.mu):
         mu_vals = np.asarray([float(spec.mu(t)) for t in inflow.sample_times],
                              dtype=float)
-        if np.any(mu_vals <= 0):
+        if not np.all(mu_vals > 0):     # NaN fails too
             raise ParameterError("mu(t) must stay positive")
         mu_args = (kernels.MU_TIME, 0.0, mu_vals, 0.0, 1.0)
         mu_floor = float(mu_vals.min())
@@ -358,7 +358,7 @@ def integrate_point_queue(inflow: RateSeries, mu: float, q0: float = 0.0
                           ) -> tuple[np.ndarray, np.ndarray]:
     """(grid, q): exact trajectory of the projected point-queue model on
     the inflow grid (piecewise-quadratic closed form, no ODE stepping)."""
-    if mu <= 0:
+    if not mu > 0:      # NaN fails too
         raise ParameterError("mu must be > 0")
     grid = _grid(inflow)
     q = kernels.point_queue_exact(grid, inflow.t0 + inflow.dt, inflow.dt,

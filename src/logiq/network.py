@@ -113,7 +113,7 @@ def _egress_stage(topology, egress_in, opts):
     return trajs
 
 
-def _propagate(topology, inflows, opts, priority_inflow=None):
+def _propagate(topology, inflows, opts, priority_inflow=None, base=None):
     inflows = list(inflows)
     if len(inflows) != topology.n_origins:
         raise ParameterError("one inflow per origin required")
@@ -124,9 +124,15 @@ def _propagate(topology, inflows, opts, priority_inflow=None):
             and not priority_inflow.same_grid(inflows[0])):
         raise ParameterError("priority inflow must share the grid")
 
-    access, access_out = _access_stage(topology, inflows, opts)
-    core_in = RateSeries(inflows[0].t0, inflows[0].dt,
-                         np.sum([y.values for y in access_out], axis=0))
+    if base is None:
+        access, access_out = _access_stage(topology, inflows, opts)
+        core_in = RateSeries(inflows[0].t0, inflows[0].dt,
+                             np.sum([y.values for y in access_out], axis=0))
+    elif base.core_in.same_grid(inflows[0]):
+        access, access_out, core_in = (base.access, base.access_out,
+                                       base.core_in)
+    else:
+        raise ParameterError("base state must share the inflows' grid")
     # the core is one finite-buffer link for the total traffic it serves
     total = core_in if priority_inflow is None else RateSeries(
         core_in.t0, core_in.dt, core_in.values + priority_inflow.values)
@@ -153,11 +159,14 @@ def propagate(topology: Topology, inflows,
 
 def inject_priority_flow(topology: Topology, inflows,
                          priority_inflow: RateSeries,
-                         opts: SolverOptions = SolverOptions()) -> DtState:
+                         opts: SolverOptions = SolverOptions(), *,
+                         base: DtState = None) -> DtState:
     """Re-solve the pipeline with the core as a priority pair (the injected
     flow is served first, and shares the core's finite buffer); downstream
-    propagation uses the non-priority outflow."""
-    return _propagate(topology, inflows, opts, priority_inflow)
+    propagation uses the non-priority outflow.  ``base``, the propagate()
+    result for the same inputs, supplies the access stage, which the
+    injected flow never reaches, instead of solving it again."""
+    return _propagate(topology, inflows, opts, priority_inflow, base)
 
 
 def _upstream_legs(t, i, state: DtState, topology: Topology):

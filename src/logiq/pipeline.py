@@ -102,6 +102,7 @@ class DtRun:
     l_max: float
     priority_rates: tuple
     priority_l_max: tuple
+    priority_states: tuple    # DtState per priority rate
 
 
 def generate_flow_inflows(params: VideoUserParams, n_flows: int,
@@ -120,7 +121,7 @@ def generate_flow_inflows(params: VideoUserParams, n_flows: int,
     for child in ss.spawn(n_flows):
         traces = generate_users(params, horizon, child, users_per_flow,
                                 warmup_s)
-        inflow = trace_to_inflow(merge_traces(traces, horizon=horizon), dt)
+        inflow = trace_to_inflow(traces, dt, horizon)
         if target_rate is not None:
             lam = mean_rate(inflow)
             if lam <= 0:
@@ -133,18 +134,20 @@ def generate_flow_inflows(params: VideoUserParams, n_flows: int,
 
 def dt_scenario(topology: Topology, inflows, priority_rates=()) -> DtRun:
     """Propagate the flows, compute the latency KPI, then re-solve the core
-    for each injected priority intensity."""
+    and egress stages for each injected priority intensity."""
     dt = inflows[0].dt
     state = propagate(topology, inflows)
     times, l_od = latency_series(state, topology)
     l_max = float(l_od.max())
 
-    prio_lmax = []
+    prio_states, prio_lmax = [], []
     n = len(inflows[0])
     for rate in priority_rates:
         prio = RateSeries(inflows[0].t0, dt, np.full(n, float(rate)))
-        p_state = inject_priority_flow(topology, inflows, prio)
+        p_state = inject_priority_flow(topology, inflows, prio, base=state)
+        prio_states.append(p_state)
         prio_lmax.append(max_expected_latency(p_state, topology))
 
     return DtRun(topology, tuple(inflows), state, times, l_od, l_max,
-                 tuple(float(r) for r in priority_rates), tuple(prio_lmax))
+                 tuple(float(r) for r in priority_rates), tuple(prio_lmax),
+                 tuple(prio_states))

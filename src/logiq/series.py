@@ -210,32 +210,47 @@ def _merge_sorted(runs, horizon):
     return out
 
 
-def trace_to_inflow(trace: PacketTrace, dt: float) -> RateSeries:
+def trace_to_inflow(trace, dt: float, horizon=None) -> RateSeries:
     """Aggregate packet arrivals into a rate series with bin width ``dt``.
 
     Bin i collects bits arriving in (t0 + i*dt, t0 + (i+1)*dt]; an arrival
-    exactly at t0 goes to bin 0 so total mass is conserved.
+    exactly at t0 goes to bin 0 so total mass is conserved.  A sequence of
+    traces sharing ``horizon`` (defaulted as merge_traces does) is binned
+    trace by trace, summing bits per bin in trace order: for integer-valued
+    sizes that is the binned merge_traces(trace), bit for bit.
     """
-    t0, t1 = trace.horizon
-    return bin_rates(trace.times, trace.sizes, t0, t1, dt)
+    traces = [trace] if isinstance(trace, PacketTrace) else list(trace)
+    if horizon is None:
+        horizon = traces[0].horizon if traces else (0.0, 0.0)
+    if any(tuple(tr.horizon) != tuple(horizon) for tr in traces):
+        raise ParameterError("cannot bin traces with different horizons")
+    t0, t1 = horizon
+    bits = _bin_bits((), (), t0, t1, dt)     # the empty grid; checks dt
+    for tr in traces:
+        bits += _bin_bits(tr.times, tr.sizes, t0, t1, dt)
+    return RateSeries(t0, dt, bits / dt)
 
 
 def bin_rates(times, sizes, t0, t1, dt) -> RateSeries:
     """The rate series of the bits ``sizes`` arriving at the nondecreasing
-    ``times`` in [t0, t1], binned as trace_to_inflow describes.
+    ``times`` in [t0, t1], binned as trace_to_inflow describes."""
+    return RateSeries(t0, dt, _bin_bits(times, sizes, t0, t1, dt) / dt)
 
-    A packet at t goes to bin clip(ceil((t - t0) / dt) - 1), evaluated in
-    floating point.  The rule is nondecreasing in t, so each bin holds a run
-    of consecutive packets: the packets more than ``tol`` (a few ulps) from
-    bin edge k fall on its side by searchsorted, and the rule itself settles
-    the few within tol.  Sums over a bin are exact for integer-valued sizes.
+
+def _bin_bits(times, sizes, t0, t1, dt) -> np.ndarray:
+    """The bits per bin of bin_rates.  A packet at t goes to bin
+    clip(ceil((t - t0) / dt) - 1), evaluated in floating point.  The rule is
+    nondecreasing in t, so each bin holds a run of consecutive packets: the
+    packets more than ``tol`` (a few ulps) from bin edge k fall on its side
+    by searchsorted, and the rule itself settles the few within tol.  Sums
+    over a bin are exact for integer-valued sizes.
     """
-    if dt <= 0:
+    if not dt > 0:      # NaN fails too
         raise ParameterError("dt must be > 0")
     n_bins = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
     n = len(times)
     if n == 0:
-        return RateSeries(t0, dt, np.zeros(n_bins))
+        return np.zeros(n_bins)
     k = np.arange(1, n_bins)
     edges = t0 + dt * k
     tol = 4.0 * np.finfo(np.float64).eps * (abs(t0) + np.abs(edges) + dt * k)
@@ -250,7 +265,7 @@ def bin_rates(times, sizes, t0, t1, dt) -> RateSeries:
     filled = bounds[:-1] < bounds[1:]
     bits = np.zeros(n_bins)
     bits[filled] = np.add.reduceat(sizes, bounds[:-1][filled])
-    return RateSeries(t0, dt, bits / dt)
+    return bits
 
 
 def run_indices(begin, end):
@@ -270,6 +285,6 @@ def mean_rate(x: RateSeries) -> float:
 
 def intensity(x: RateSeries, mu: float) -> float:
     """Mean occupancy: mean rate divided by the service rate."""
-    if mu <= 0:
+    if not mu > 0:      # NaN fails too
         raise ParameterError("mu must be > 0")
     return mean_rate(x) / mu

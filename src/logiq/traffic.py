@@ -35,24 +35,25 @@ class VideoUserParams:
     dispersion_is: str = "std"
 
     def __post_init__(self):
+        # negated checks, so that NaN fails them
         for name in ("burst_size_mean", "interburst_mean_s",
                      "interpacket_mean_s", "interuse_mean_s"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be strictly positive")
-        if self.packet_size_bits <= 0:
+        if not self.packet_size_bits > 0:
             raise ParameterError("packet_size_bits must be strictly positive")
-        if self.burst_size_dispersion < 0:
+        if not self.burst_size_dispersion >= 0:
             raise ParameterError("burst_size_dispersion must be nonnegative")
         if self.dispersion_is not in ("std", "variance"):
             raise ParameterError("dispersion_is must be 'std' or 'variance'")
         table = tuple((float(d), float(p)) for d, p in self.session_lengths)
         object.__setattr__(self, "session_lengths", table)
         probs = [p for _, p in table]
-        if not table or any(p < 0 for p in probs):
+        if not table or not all(p >= 0 for p in probs):
             raise ParameterError("session probabilities must be nonnegative")
-        if abs(sum(probs) - 1.0) > 1e-12:
+        if not abs(sum(probs) - 1.0) <= 1e-12:
             raise ParameterError("session probabilities must sum to 1")
-        if any(d < 0 for d, _ in table):
+        if not all(d >= 0 for d, _ in table):
             raise ParameterError("session durations must be nonnegative")
 
     @property

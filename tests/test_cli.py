@@ -173,6 +173,18 @@ class TestCommands:
         for row in rows:
             assert all(int(v) >= 0 for v in row[1:4])
             float(row[4])
+        # the priority re-solves reuse the base's access queues, so only the
+        # pair and the egress queues get rows, once per rate
+        lines = (out / "solver_stats_priority.csv").read_text().splitlines()
+        assert lines[0] == ("priority_bps,queue,steps,rejected,closed_form,"
+                            "max_negative_q")
+        rows = [line.split(",") for line in lines[1:]]
+        queues = ["core_priority", "core", "egress0", "egress1"]
+        assert [(float(r[0]), r[1]) for r in rows] == (
+            [(0.0, q) for q in queues] + [(5e9, q) for q in queues])
+        for row in rows:
+            assert all(int(v) >= 0 for v in row[2:5])
+            float(row[5])
 
 
 class TestExitCodes:

@@ -620,3 +620,19 @@ class TestSpecValidation:
     def test_solver_options_reject_nan_and_inf(self, kwargs):
         with pytest.raises(ParameterError):
             SolverOptions(**kwargs)
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda x: compute_alpha(x, np.nan), ParameterError),
+        (lambda x: exit_time(1.0, 2.0, np.nan), DomainError),
+        (lambda x: integrate_point_queue(x, np.nan), ParameterError),
+        (lambda x: heaviside_smooth(0.0, np.nan, 0.5, 1.0), ParameterError),
+        (lambda x: heaviside_smooth(0.0, 1.0, 0.5, np.nan), ParameterError),
+        (lambda x: outflow_rate(0.5, 0.0, np.nan, 1.0), DomainError),
+        (lambda x: outflow_rate(0.5, 0.0, 1.0, np.nan), DomainError),
+        (lambda x: integrate_queue(
+            x, QueueSpec(mu=lambda t: np.nan, alpha=1.0)), ParameterError),
+    ], ids=["compute_alpha", "exit_time", "point_queue", "gate_k", "gate_n",
+            "outflow_mu", "outflow_alpha", "mu_of_t"])
+    def test_functions_reject_nan(self, call, error):
+        with pytest.raises(error):
+            call(const_inflow(0.5, 5.0))

@@ -192,3 +192,34 @@ class TestPriorityInjection:
         with pytest.raises(ParameterError):
             inject_priority_flow(topo, const_flows([1e9, 1e9]),
                                  RateSeries(0.0, 2.0, np.zeros(120)))
+        with pytest.raises(ParameterError):
+            inject_priority_flow(
+                topo, const_flows([1e9, 1e9]), RateSeries(0.0, 1.0,
+                                                          np.zeros(120)),
+                base=propagate(topo, const_flows([1e9, 1e9], dt=2.0)))
+
+    @pytest.mark.parametrize("prio_rate", [0.0, 30e9])
+    def test_base_reuses_access_stage(self, prio_rate):
+        # 30 Gb/s of priority on 90 Gb/s of access traffic fills the core
+        topo = small_topology(access_mu=(50e9, 50e9), core_k=20e9)
+        rng = np.random.default_rng(5)
+        flows = [RateSeries(0.0, 1.0, rng.uniform(30e9, 60e9, 120))
+                 for _ in range(2)]
+        prio_in = RateSeries(0.0, 1.0, np.full(120, prio_rate))
+        base = propagate(topo, flows)
+        reused = inject_priority_flow(topo, flows, prio_in, base=base)
+        fresh = inject_priority_flow(topo, flows, prio_in)
+        assert reused.access is base.access
+        for a, b in zip(
+                [*reused.access, reused.core, *reused.egress, reused.priority],
+                [*fresh.access, fresh.core, *fresh.egress, fresh.priority]):
+            for field in ("grid", "q", "y", "served", "lost"):
+                np.testing.assert_array_equal(getattr(a, field),
+                                              getattr(b, field))
+            assert a.stats == b.stats
+        for a, b in zip(
+                [*reused.access_out, reused.core_in, reused.core_out,
+                 *reused.egress_in],
+                [*fresh.access_out, fresh.core_in, fresh.core_out,
+                 *fresh.egress_in]):
+            np.testing.assert_array_equal(a.values, b.values)

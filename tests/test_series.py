@@ -195,6 +195,72 @@ class TestBinning:
         assert out.t0 == t0 and out.dt == dt
 
 
+class TestBinPerTrace:
+    """Binning a list of traces sums each trace's bits per bin; the merged
+    trace binned in one piece is the reference."""
+
+    @staticmethod
+    def assert_matches_merged(traces, dt, horizon=None):
+        out = trace_to_inflow(traces, dt, horizon)
+        ref = trace_to_inflow(merge_traces(traces, horizon), dt)
+        assert out.values.tobytes() == ref.values.tobytes()
+        assert (out.t0, out.dt) == (ref.t0, ref.dt)
+
+    def test_generated_users(self):
+        horizon = (0.0, 3600.0)
+        traces = generate_users(VideoUserParams(), horizon, 42, 6)
+        assert sum(len(tr) for tr in traces) > 100_000
+        for dt in (1.0, 7.0, 60.0):
+            self.assert_matches_merged(traces, dt)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), t0=st.sampled_from([0.0, 3.7, -100.0]),
+           dt=st.sampled_from([0.1, 1.0, 7.0]), n_bins=st.integers(1, 20),
+           n_traces=st.integers(0, 5))
+    def test_integer_sizes_match_merged(self, data, t0, dt, n_bins, n_traces):
+        # packets on bin edges, an ulp either side of them and at t0, with
+        # integer sizes shared by a trace or drawn per packet
+        t1 = t0 + n_bins * dt
+        edges = [t0 + dt * k for k in range(n_bins + 1)]
+        near = edges + [np.nextafter(e, np.inf) for e in edges[:-1]] + [
+            np.nextafter(e, -np.inf) for e in edges[1:]]
+        time_st = st.one_of(st.sampled_from(near), st.floats(t0, t1))
+        traces = []
+        for _ in range(n_traces):
+            times = sorted(data.draw(st.lists(time_st, max_size=30)))
+            if data.draw(st.booleans()):
+                sizes = [float(data.draw(st.integers(1, 12000)))] * len(times)
+            else:
+                sizes = [float(v) for v in data.draw(st.lists(
+                    st.integers(1, 12000), min_size=len(times),
+                    max_size=len(times)))]
+            traces.append(PacketTrace(np.array(times, dtype=float),
+                                      np.array(sizes), (t0, t1)))
+        self.assert_matches_merged(traces, dt, (t0, t1))
+
+    def test_non_integer_sizes_close_to_merged(self):
+        rng = np.random.default_rng(8)
+        horizon = (0.0, 100.0)
+        traces = [PacketTrace(np.sort(rng.uniform(0.0, 100.0, 5000)),
+                              rng.uniform(1.0, 1e4, 5000), horizon)
+                  for _ in range(4)]
+        out = trace_to_inflow(traces, 1.0)
+        ref = trace_to_inflow(merge_traces(traces), 1.0)
+        np.testing.assert_allclose(out.values, ref.values, rtol=1e-12)
+
+    def test_rejects_mixed_horizons(self):
+        a = make_trace([1.0], horizon=(0.0, 5.0))
+        b = make_trace([1.0], horizon=(0.0, 6.0))
+        with pytest.raises(ParameterError):
+            trace_to_inflow([a, b], 1.0)
+        with pytest.raises(ParameterError):
+            trace_to_inflow([a], 1.0, horizon=(0.0, 6.0))
+
+    def test_no_traces_keep_horizon(self):
+        inflow = trace_to_inflow([], 60.0, horizon=(0.0, 600.0))
+        assert len(inflow) == 10 and np.all(inflow.values == 0.0)
+
+
 class TestMerge:
     def test_merge_sorted_and_stable(self):
         a = make_trace([1.0, 3.0], size=10.0, horizon=(0.0, 5.0))
@@ -310,5 +376,11 @@ def test_mean_rate_and_intensity():
     rs = RateSeries(0.0, 1.0, np.array([4.0, 8.0]))
     assert mean_rate(rs) == 6.0
     assert intensity(rs, 12.0) == pytest.approx(0.5)
+    for mu in (0.0, np.nan):
+        with pytest.raises(ParameterError):
+            intensity(rs, mu)
+
+
+def test_bin_rates_rejects_nan_dt():
     with pytest.raises(ParameterError):
-        intensity(rs, 0.0)
+        bin_rates(np.array([1.0]), np.array([8.0]), 0.0, 10.0, np.nan)

@@ -81,6 +81,17 @@ class TestParams:
         with pytest.raises(ParameterError):
             VideoUserParams(dispersion_is="stdev")
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(packet_size_bits=np.nan), dict(burst_size_mean=np.nan),
+        dict(burst_size_dispersion=np.nan), dict(interburst_mean_s=np.nan),
+        dict(interpacket_mean_s=np.nan), dict(interuse_mean_s=np.nan),
+        dict(session_lengths=((300.0, np.nan), (600.0, 1.0))),
+        dict(session_lengths=((np.nan, 0.5), (600.0, 0.5))),
+    ])
+    def test_rejects_nan(self, kwargs):
+        with pytest.raises(ParameterError):
+            VideoUserParams(**kwargs)
+
 
 class TestInteruseForRate:
     def test_round_trip(self):
