@@ -18,6 +18,7 @@ remainder of the in-service packet.  With a finite buffer, an arriving packet
 is dropped whole when backlog + size would exceed the capacity (drop-tail).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,13 +35,15 @@ class DesConfig:
     sample_dt: float = 60.0    # seconds between backlog samples
 
     def __post_init__(self):
-        # negated checks, so that NaN fails them
-        if not self.mu > 0:
-            raise ParameterError("mu must be > 0")
-        if not self.sample_dt > 0:
-            raise ParameterError("sample_dt must be > 0")
-        if self.capacity_k is not None and not self.capacity_k > 0:
-            raise ParameterError("capacity_k must be > 0")
+        # negated checks, so that NaN and infinities fail them
+        if not 0 < self.mu < math.inf:
+            raise ParameterError("mu must be finite and > 0")
+        if not 0 < self.sample_dt < math.inf:
+            raise ParameterError("sample_dt must be finite and > 0")
+        if (self.capacity_k is not None
+                and not 0 < self.capacity_k < math.inf):
+            raise ParameterError("capacity_k must be finite and > 0; None "
+                                 "is the infinite buffer")
 
 
 @dataclass(frozen=True)

@@ -65,16 +65,17 @@ class QueueSpec:
     capacity_k: float = None
 
     def __post_init__(self):
-        # negated checks, so that NaN fails them
-        if not self.alpha > 0:
-            raise ParameterError("alpha must be > 0")
-        if not self.q0 >= 0:
-            raise ParameterError("q0 must be >= 0")
-        if isinstance(self.mu, (int, float)) and not self.mu > 0:
-            raise ParameterError("mu must be > 0")
+        # negated checks, so that NaN and infinities fail them
+        if not 0 < self.alpha < math.inf:
+            raise ParameterError("alpha must be finite and > 0")
+        if not 0 <= self.q0 < math.inf:
+            raise ParameterError("q0 must be finite and >= 0")
+        if isinstance(self.mu, (int, float)) and not 0 < self.mu < math.inf:
+            raise ParameterError("mu must be finite and > 0")
         if self.capacity_k is not None:
-            if not self.capacity_k > 0:
-                raise ParameterError("capacity_k must be > 0")
+            if not 0 < self.capacity_k < math.inf:
+                raise ParameterError("capacity_k must be finite and > 0; "
+                                     "None is the infinite buffer")
             if not self.q0 < self.capacity_k:
                 raise ParameterError("q0 must be < capacity_k")
 
@@ -171,10 +172,12 @@ def _elementwise(law, *args):
 
 def _rhs_at(t, q, inflow: RateSeries, spec: QueueSpec):
     """The kernel's (dq/dt, outflow, lost-rate, ...) row for ``spec`` fed by
-    ``inflow``."""
-    return kernels._rhs(float(t), float(q), 0.0, False,
-                        inflow.t0 + inflow.dt, inflow.dt, inflow.values,
-                        np.empty(0), *_server_args(spec, inflow))
+    ``inflow``, with X and a sampled mu(t) linear between the inflow's
+    sample times and constant beyond them, as the kernel reads them."""
+    mu_vals, *law = _server_args(spec, inflow)
+    times = inflow.sample_times
+    x, mu = np.interp(t, times, inflow.values), np.interp(t, times, mu_vals)
+    return kernels._rhs(float(q), 0.0, False, float(x), 0.0, float(mu), *law)
 
 
 def outflow_rate(x, q, mu, alpha):
@@ -225,9 +228,18 @@ def exit_time(t, q_at_t, mu):
     return np.asarray(t, dtype=float) + np.asarray(q_at_t, dtype=float) / mu
 
 
+def _check_bound_args(t_x, alpha):
+    # negated checks, so that NaN fails them
+    if not math.isfinite(t_x):
+        raise DomainError("t_x must be finite")
+    if not 0 < alpha < math.inf:
+        raise DomainError("alpha must be finite and > 0")
+
+
 def emptying_time_bound(t_x, q_x, eps, mu, x_inf, alpha):
     """Upper bound on the time to drain the backlog from q_x down to eps
     under a sustained inflow ceiling x_inf < mu."""
+    _check_bound_args(t_x, alpha)
     if not 0.0 < eps <= q_x:
         raise DomainError("need 0 < eps <= q_x")
     if not 0.0 <= x_inf < mu:
@@ -239,10 +251,11 @@ def emptying_time_bound(t_x, q_x, eps, mu, x_inf, alpha):
 def queue_decay_bound(t, t_x, q_x, mu, x_inf, alpha):
     """Exponential envelope exp(alpha*(c - beta*t)) valid for t >= t_x when
     the inflow stays below x_inf < mu."""
+    _check_bound_args(t_x, alpha)
     if not 0.0 <= x_inf < mu:
         raise DomainError("bound requires 0 <= x_inf < mu")
-    if q_x <= 0:
-        raise DomainError("bound requires q_x > 0")
+    if not 0 < q_x < math.inf:
+        raise DomainError("bound requires finite q_x > 0")
     beta = mu - x_inf
     c = q_x + math.log(q_x) / alpha + beta * t_x
     return np.exp(alpha * (c - beta * np.asarray(t, dtype=float)))
@@ -263,10 +276,8 @@ def multi_server_rate(q, mu0, m):
         raise ParameterError("m must be finite and >= 1")
     if not 0 < mu0 < math.inf:
         raise ParameterError("mu0 must be finite and > 0")
-    empty = np.empty(0)
     return _elementwise(
-        lambda qi: kernels._mu_at(0.0, qi, kernels.MU_MULTISERVER, 0.0, 0.0,
-                                  1.0, empty, float(mu0), float(m)), q)
+        lambda qi: kernels._service_rate(float(mu0), qi, float(m)), q)
 
 
 def _grid(inflow: RateSeries):
@@ -275,32 +286,28 @@ def _grid(inflow: RateSeries):
 
 
 def _server_args(spec: QueueSpec, inflow: RateSeries):
-    """Kernel arguments for the server ``spec`` fed by ``inflow``: (mu_mode,
-    mu_const, mu_vals, mu0, m_servers, alpha, gate_on, cap_k, h0, gate_n),
-    with the finite-buffer gate derived as QueueSpec describes."""
-    empty = np.empty(0)
-    if isinstance(spec.mu, MultiServerRate):
-        mu_floor = spec.mu.mu0
-        mu_args = (kernels.MU_MULTISERVER, 0.0, empty, mu_floor,
-                   float(spec.mu.m))
-    elif callable(spec.mu):
-        mu_vals = np.asarray([float(spec.mu(t)) for t in inflow.sample_times],
+    """Kernel arguments for the server ``spec`` fed by ``inflow``: (mu_vals,
+    m_servers, alpha, gate_on, cap_k, h0, gate_n), with mu sampled at the
+    inflow's sample times (a stride-0 view when it is constant) and the
+    finite-buffer gate derived as QueueSpec describes."""
+    multi = isinstance(spec.mu, MultiServerRate)
+    rate = spec.mu.mu0 if multi else spec.mu
+    if callable(rate):
+        mu_vals = np.asarray([float(rate(t)) for t in inflow.sample_times],
                              dtype=float)
-        if not np.all(mu_vals > 0):     # NaN fails too
-            raise ParameterError("mu(t) must stay positive")
-        mu_args = (kernels.MU_TIME, 0.0, mu_vals, 0.0, 1.0)
-        mu_floor = float(mu_vals.min())
+        if not np.all((mu_vals > 0) & (mu_vals < math.inf)):  # NaN too
+            raise ParameterError("mu(t) must stay finite and positive")
     else:
-        mu_args = (kernels.MU_CONST, float(spec.mu), empty, 0.0, 1.0)
-        mu_floor = float(spec.mu)
+        mu_vals = np.broadcast_to(float(rate), len(inflow))
     if spec.capacity_k is None:
         gate_args = (False, 0.0, 1.0, 1.0)
     else:
         cap_k = float(spec.capacity_k)
         m_x = float(inflow.values.max())
-        h0 = min(1.0, mu_floor / m_x) if m_x > 0 else 1.0
+        h0 = min(1.0, float(mu_vals.min()) / m_x) if m_x > 0 else 1.0
         gate_args = (True, cap_k, h0, 500.0 / cap_k)
-    return mu_args + (float(spec.alpha),) + gate_args
+    return (mu_vals, float(spec.mu.m) if multi else 1.0,
+            float(spec.alpha)) + gate_args
 
 
 def _solve(inflow: RateSeries, spec: QueueSpec, opts: SolverOptions,
@@ -311,13 +318,10 @@ def _solve(inflow: RateSeries, spec: QueueSpec, opts: SolverOptions,
     rows, stats)."""
     if len(inflow) == 0:
         raise ParameterError("empty inflow")
-    # every step ends on an inflow knot, so no step crosses a kink of the
-    # piecewise-linear inflow
     grid = _grid(inflow)
     out, stats = kernels.integrate_logistic(
-        grid, inflow.t0 + inflow.dt, inflow.dt, x_vals, p_vals,
-        *_server_args(spec, inflow), float(spec.q0), opts.rel_tol,
-        opts.abs_tol)
+        inflow.t0, inflow.dt, x_vals, p_vals, *_server_args(spec, inflow),
+        float(spec.q0), opts.rel_tol, opts.abs_tol)
 
     status, n_steps, n_rej, n_closed, max_neg = stats
     if status != kernels.OK:
@@ -360,10 +364,11 @@ def integrate_point_queue(inflow: RateSeries, mu: float, q0: float = 0.0
     the inflow grid (piecewise-quadratic closed form, no ODE stepping)."""
     if not mu > 0:      # NaN fails too
         raise ParameterError("mu must be > 0")
-    grid = _grid(inflow)
-    q = kernels.point_queue_exact(grid, inflow.t0 + inflow.dt, inflow.dt,
-                                  inflow.values, float(mu), float(q0))
-    return grid, q
+    if not 0 <= q0 < math.inf:
+        raise ParameterError("q0 must be finite and >= 0")
+    q = kernels.point_queue_exact(inflow.dt, inflow.values, float(mu),
+                                  float(q0))
+    return _grid(inflow), q
 
 
 def split_outflow(components, total_out: RateSeries):

@@ -1,7 +1,15 @@
 """Numeric inner loops: one integrator for the logistic queue family and the
-coupled priority pair (exact bins where the law has a closed form, adaptive
-Dormand-Prince 5(4) steps elsewhere), an exact point-queue reference, and
-the packet-level drop-tail FIFO recursion.
+coupled priority pair, an exact point-queue reference, and the packet-level
+drop-tail FIFO recursion.
+
+The fluid kernels walk the inflow bins by index.  Every bin is dt wide and
+is solved in its own time tau, from 0 to dt.  Bin j (j >= 1) runs from the
+inflow sample j-2 to the sample j-1, and bin 1 holds sample 0: the inflow,
+the priority inflow and the service rate mu(t) are linear between those two
+samples.  A bin is solved in closed form where the law has one (an exact
+logistic bin, or free flow) and by adaptive Dormand-Prince 5(4) steps
+elsewhere; all three read the same two samples, and each reports the
+outflow law at the bin end.
 
 The kernels are plain Python and numpy.  Inputs are plain float64 arrays;
 wrappers in fluid.py / des.py own validation and the public dataclasses.
@@ -10,11 +18,6 @@ wrappers in fluid.py / des.py own validation and the public dataclasses.
 import math
 
 import numpy as np
-
-# service-rate modes for the single-queue kernel
-MU_CONST = 0
-MU_TIME = 1       # mu sampled on the inflow grid
-MU_MULTISERVER = 2
 
 # integration status codes
 OK = 0
@@ -25,28 +28,11 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
-def _interp_grid(t, t_first, dt, values):
-    """Piecewise-linear interpolation on a uniform grid starting at t_first,
-    constant extrapolation beyond both ends."""
-    n = values.shape[0]
-    pos = (t - t_first) / dt
-    if pos <= 0.0:
-        return values[0]
-    if pos >= n - 1:
-        return values[n - 1]
-    i = int(pos)
-    frac = pos - i
-    return values[i] * (1.0 - frac) + values[i + 1] * frac
-
-
-def _mu_at(t, q, mu_mode, mu_const, x_first, x_dt, mu_vals, mu0, m_servers):
-    if mu_mode == MU_TIME:
-        return _interp_grid(t, x_first, x_dt, mu_vals)
-    if mu_mode == MU_MULTISERVER:
-        if q >= m_servers - 1.0:
-            return mu0 * m_servers
-        return mu0 * (1.0 + q)
-    return mu_const
+def _service_rate(mu, q, m):
+    """Rate of m parallel servers of speed mu at backlog q:
+    mu * min(1 + q, m), which is mu for one server and q >= 0."""
+    c = 1.0 + q
+    return mu * (c if c < m else m)
 
 
 def _gate(q, cap_k, h0, gate_n):
@@ -54,7 +40,7 @@ def _gate(q, cap_k, h0, gate_n):
     z = gate_n * (q - cap_k)
     if z > 700.0:
         return 0.0
-    return 1.0 / (1.0 + (1.0 / h0 - 1.0) * np.exp(z))
+    return 1.0 / (1.0 + (1.0 / h0 - 1.0) * math.exp(z))
 
 
 def priority_split(x1, x2, q1, mu, alpha):
@@ -65,22 +51,21 @@ def priority_split(x1, x2, q1, mu, alpha):
     x = x1 + x2
     if x < 1e-12:
         return mu, 0.0
-    mu2 = (x2 / x) * mu * np.exp(-alpha * q1)
+    mu2 = (x2 / x) * mu * math.exp(-alpha * q1)
     return mu - mu2, mu2
 
 
-def _rhs(t, q, qp, pair, x_first, x_dt, x_vals, p_vals, mu_mode, mu_const,
-         mu_vals, mu0, m_servers, alpha, gate_on, cap_k, h0, gate_n):
-    """Returns (dq/dt, outflow, lost-rate) of the queue fed by x_vals, then
-    the same three for the priority class fed by p_vals (zeros unless
-    ``pair``).  Backlogs are evaluated at max(q, 0); in a pair the gate and
-    the service rate see the total backlog q + qp."""
+def _rhs(q, qp, pair, x, xp, mu, m_servers, alpha, gate_on, cap_k, h0,
+         gate_n):
+    """Returns (dq/dt, outflow, lost-rate) of the queue with inflow x, then
+    the same three for the priority class with inflow xp (zeros unless
+    ``pair``), on m_servers servers of speed mu (see _service_rate).
+    Backlogs are evaluated at max(q, 0); in a pair the gate and the service
+    rate see the total backlog q + qp."""
     qc = q if q > 0.0 else 0.0
-    x = _interp_grid(t, x_first, x_dt, x_vals)
     q_all = qc
     if pair:
         qpc = qp if qp > 0.0 else 0.0
-        xp = _interp_grid(t, x_first, x_dt, p_vals)
         q_all = qc + qpc
     if gate_on:
         g = _gate(q_all, cap_k, h0, gate_n)
@@ -88,29 +73,17 @@ def _rhs(t, q, qp, pair, x_first, x_dt, x_vals, p_vals, mu_mode, mu_const,
     else:
         g = 1.0
         xh = x
-    mu = _mu_at(t, q_all, mu_mode, mu_const, x_first, x_dt, mu_vals, mu0,
-                m_servers)
+    mu = _service_rate(mu, q_all, m_servers)
     if pair:
         mu_p, mu = priority_split(xp, x, qpc, mu, alpha)
         xph = g * xp
         mnp = xph if xph < mu_p else mu_p
-        yp = mu_p + np.exp(-alpha * qpc) * (mnp - mu_p)
+        yp = mu_p + math.exp(-alpha * qpc) * (mnp - mu_p)
     mn = xh if xh < mu else mu
-    y = mu + np.exp(-alpha * qc) * (mn - mu)
+    y = mu + math.exp(-alpha * qc) * (mn - mu)
     if pair:
         return xh - y, y, x - xh, xph - yp, yp, xp - xph
     return xh - y, y, x - xh, 0.0, 0.0, 0.0
-
-
-def _at_rest(r, mu):
-    """True when the _rhs row r of an empty server of rate mu loses no bits
-    and grows neither class's backlog.  At q = 0 the outflow law computes
-    mu + (min(mu, X) - mu), which rounds min(mu, X) by up to half an ulp of
-    mu, and the priority split rounds the class shares of mu; so a growth
-    rate within 4 ulps of mu counts as none."""
-    tol = 8.881784197001252e-16 * mu
-    return (abs(r[0]) <= tol and r[2] == 0.0 and abs(r[3]) <= tol
-            and r[5] == 0.0)
 
 
 def _log_expm1(z):
@@ -172,269 +145,219 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (35.0 / 384.0 - 5179.0 / 57600.0,
                                 -1.0 / 40.0)
 
 
-def integrate_logistic(t_out, x_first, x_dt, x_vals, p_vals, mu_mode,
-                       mu_const, mu_vals, mu0, m_servers, alpha, gate_on,
-                       cap_k, h0, gate_n, q0, rtol, atol):
-    """The state (q, served-bits, lost-bits) of the queue fed by x_vals,
-    starting at backlog q0, on the inflow grid t_out (x_first - x_dt
-    followed by the knots).
+def integrate_logistic(t0, x_dt, x_vals, p_vals, mu_vals, m_servers, alpha,
+                       gate_on, cap_k, h0, gate_n, q0, rtol, atol):
+    """The state (q, served-bits, lost-bits) of the queue fed by x_vals on
+    m_servers servers of speed mu_vals (sampled as x_vals is), starting at
+    backlog q0, at t0 and at the end of each inflow bin.
 
     A nonempty p_vals adds a priority class (qp, served_p, lost_p), starting
     empty, that is served first (see priority_split); the single queue skips
     every priority-class operation.
 
-    Each inflow bin of a single queue with a constant or time-varying mu is
-    solved exactly (_exact_bin) when the finite-buffer gate is exactly 1 at
-    the bin's largest backlog, so the gate is 1 all along it.  For the pair
-    and a multi-server mu, a bin that starts empty and stays in free flow
-    (no backlog growth or loss at either end) is solved in closed form.
-    Every other bin takes adaptive Dormand-Prince 5(4) steps, none longer
-    than the bin.  Returns (out, stats): the rows of out are q, outflow,
-    served and lost of the queue, then in pair mode the same four for the
-    priority class; stats is (status, n_steps, n_rejected, n_closed_form,
+    Each bin of a single queue with one server is solved exactly
+    (_exact_bin) when the finite-buffer gate is exactly 1 at the bin's
+    largest backlog, so the gate is 1 all along it.  For the pair and for
+    m > 1 servers, a bin is free flow when both backlogs are 0 at its start,
+    the gate is exactly 1 at q = 0 and X + X_p <= mu at both samples: the
+    three are linear, so X + X_p <= mu all along the bin, each class's
+    outflow is its inflow and the backlogs stay 0.  Every other bin takes
+    adaptive Dormand-Prince 5(4) steps, the last of which lands on the bin
+    end.  t0 places the bin ends on the output grid t0 + j x_dt, where the
+    exact bins keep the FIFO order of exit times.
+
+    Returns (out, stats): the rows of out are q, outflow, served and lost
+    of the queue, then in pair mode the same four for the priority class;
+    stats is (status, n_steps, n_rejected, n_closed_form,
     worst_negative_q), where n_closed_form counts the bins solved without
     steps.
     """
+    n = x_vals.shape[0]
     pair = p_vals.shape[0] > 0
-    exact = not pair and mu_mode != MU_MULTISERVER
-    n_out = t_out.shape[0]
-    out = np.empty((8 if pair else 4, n_out))
+    exact = not pair and m_servers == 1.0
+    free_gate = not gate_on or _gate(0.0, cap_k, h0, gate_n) == 1.0
+    out = np.empty((8 if pair else 4, n + 1))
+    min_step = 1e-13 * n * x_dt
+    w = h = x_dt
 
     # state
     q = q0
-    served = 0.0
-    lost = 0.0
-    qp = 0.0
-    served_p = 0.0
-    lost_p = 0.0
-    worst_neg = 0.0
-    n_steps = 0
-    n_rej = 0
-    n_closed = 0
+    served = lost = qp = served_p = lost_p = worst_neg = 0.0
+    n_steps = n_rej = n_closed = 0
     status = OK
 
-    span = t_out[n_out - 1] - t_out[0]
-    min_step = 1e-13 * span if span > 0 else 1e-13
-    h = x_dt
-    if n_out > 1 and t_out[1] - t_out[0] < h:
-        h = t_out[1] - t_out[0]
+    def stage(s, q, qp):
+        """The _rhs row of the state (q, qp) at the fraction s of the bin."""
+        c = 1.0 - s
+        return _rhs(q, qp, pair, c * xa + s * xb, c * pa + s * pb,
+                    c * mua + s * mub, m_servers, alpha, gate_on, cap_k, h0,
+                    gate_n)
 
-    t = float(t_out[0])
-    # the _rhs row of the state at t, which gives the output row
-    r = _rhs(t, q, qp, pair, x_first, x_dt, x_vals, p_vals, mu_mode,
-             mu_const, mu_vals, mu0, m_servers, alpha, gate_on, cap_k, h0,
-             gate_n)
-    for j in range(n_out):
-        target = float(t_out[j])
-        # the row r at target must be evaluated unless a branch reuses one
-        fresh = t < target
-        if fresh and exact:
-            # X and mu at the bin's ends are samples, read by index; the
-            # first bin holds the first sample
-            ia = j - 2 if j > 1 else 0
-            xa = float(x_vals[ia])
-            xb = float(x_vals[j - 1])
-            mua = mub = mu_const
-            if mu_mode == MU_TIME:
-                mua = float(mu_vals[ia])
-                mub = float(mu_vals[j - 1])
-            q_end, q_peak = _exact_bin(q, xa - mua, xb - mub, target - t,
-                                       alpha)
-            if mu_mode == MU_CONST:
-                # FIFO: the outflow never exceeds mu, so the exit time
-                # t + q / mu never falls.  Where X = 0 and alpha q is large
-                # the softplus form can round q_end an ulp below that;
-                # raise it to the least backlog that keeps the order
-                e = t + q / mu_const
-                if target + q_end / mu_const < e:
-                    q_end = (e - target) * mu_const
-                    while target + q_end / mu_const < e:
-                        q_end += q_end * 2.220446049250313e-16
-                    q_peak = max(q_peak, q_end)
-            if not gate_on or _gate(q_peak, cap_k, h0, gate_n) == 1.0:
-                # the outflow is what the inflow brought in and q kept
-                served += 0.5 * (target - t) * (xa + xb) - (q_end - q)
-                q = q_end
-                t = target
+    # Python floats read faster than numpy scalars, bin by bin
+    xs, mus = x_vals.tolist(), mu_vals.tolist()
+    ps = p_vals.tolist() if pair else [0.0] * n
+    # the samples at the end of bin 0, which is the point t0
+    xb, pb, mub = xs[0], ps[0], mus[0]
+    for j in range(n + 1):
+        if j > 0:
+            xa, pa, mua = xb, pb, mub
+            xb, pb, mub = xs[j - 1], ps[j - 1], mus[j - 1]
+            closed = False
+            if exact:
+                q_end, q_peak = _exact_bin(q, xa - mua, xb - mub, w, alpha)
+                if mua == mub:
+                    # FIFO: the outflow never exceeds mu, so the exit time
+                    # t + q / mu never falls.  Where X = 0 and alpha q is
+                    # large the softplus form can round q_end an ulp below
+                    # that; raise it to the least backlog that keeps the
+                    # order on the output grid
+                    t_end = t0 + x_dt * j
+                    e = (t0 + x_dt * (j - 1)) + q / mub
+                    if t_end + q_end / mub < e:
+                        q_end = (e - t_end) * mub
+                        while t_end + q_end / mub < e:
+                            q_end += q_end * 2.220446049250313e-16
+                        q_peak = max(q_peak, q_end)
+                closed = (not gate_on
+                          or _gate(q_peak, cap_k, h0, gate_n) == 1.0)
+                if closed:
+                    # the outflow is what the inflow brought in and q kept
+                    served += 0.5 * w * (xa + xb) - (q_end - q)
+                    q = q_end
+            elif (q == 0.0 and qp == 0.0 and free_gate and xa + pa <= mua
+                  and xb + pb <= mub):
+                served += 0.5 * w * (xa + xb)
+                served_p += 0.5 * w * (pa + pb)
+                closed = True
+            if closed:
                 n_closed += 1
-                # the outflow law at the bin's end, where the gate is 1; the
-                # row r is read only by the free-flow branch, which these
-                # queues never take
-                out[0, j], out[2, j], out[3, j] = q, served, lost
-                out[1, j] = mub + math.exp(-alpha * q) * (min(xb, mub) - mub)
-                continue
-        elif fresh and q == 0.0 and qp == 0.0:
-            # Free-flow bin.  At q = qp = 0 the service rate and the gate do
-            # not change inside the bin (a time-varying mu is linear between
-            # its samples), and X, X_p are linear.  Rows at rest at both
-            # ends (to rounding, see _at_rest) therefore mean X <= mu at
-            # both ends (X + X_p <= mu for the pair, whose split then gives
-            # each class its inflow's share of mu), so all along the bin:
-            # the outflow is the linear inflow, the backlog stays exactly
-            # 0, and the served bits are the trapezoid of the inflow.  A
-            # gate below 1 passes the rows only where X = 0.
-            r_end = _rhs(target, 0.0, 0.0, pair, x_first, x_dt, x_vals,
-                         p_vals, mu_mode, mu_const, mu_vals, mu0, m_servers,
-                         alpha, gate_on, cap_k, h0, gate_n)
-            if (_at_rest(r, _mu_at(t, 0.0, mu_mode, mu_const, x_first, x_dt,
-                                   mu_vals, mu0, m_servers))
-                    and _at_rest(r_end, _mu_at(target, 0.0, mu_mode,
-                                               mu_const, x_first, x_dt,
-                                               mu_vals, mu0, m_servers))):
-                half = 0.5 * (target - t)
-                served += half * (_interp_grid(t, x_first, x_dt, x_vals)
-                                  + _interp_grid(target, x_first, x_dt,
-                                                 x_vals))
+            tau = w if closed else 0.0      # a closed bin takes no steps
+            while tau < w:
+                if tau + h >= w:
+                    h = w - tau
+                    tau_end = w
+                else:
+                    tau_end = tau + h
+                s_end = tau_end / w
+
+                # stage derivatives: (q, served, lost), then the priority
+                # class
+                k1q, k1y, k1l, k1p, k1yp, k1lp = stage(tau / w, q, qp)
+                k2q, k2y, k2l, k2p, k2yp, k2lp = stage(
+                    (tau + _C2 * h) / w, q + h * _A21 * k1q,
+                    qp + h * _A21 * k1p)
+                k3q, k3y, k3l, k3p, k3yp, k3lp = stage(
+                    (tau + _C3 * h) / w, q + h * (_A31 * k1q + _A32 * k2q),
+                    qp + h * (_A31 * k1p + _A32 * k2p))
+                k4q, k4y, k4l, k4p, k4yp, k4lp = stage(
+                    (tau + _C4 * h) / w,
+                    q + h * (_A41 * k1q + _A42 * k2q + _A43 * k3q),
+                    qp + h * (_A41 * k1p + _A42 * k2p + _A43 * k3p))
+                k5q, k5y, k5l, k5p, k5yp, k5lp = stage(
+                    (tau + _C5 * h) / w,
+                    q + h * (_A51 * k1q + _A52 * k2q + _A53 * k3q
+                             + _A54 * k4q),
+                    qp + h * (_A51 * k1p + _A52 * k2p + _A53 * k3p
+                              + _A54 * k4p))
+                k6q, k6y, k6l, k6p, k6yp, k6lp = stage(
+                    s_end,
+                    q + h * (_A61 * k1q + _A62 * k2q + _A63 * k3q
+                             + _A64 * k4q + _A65 * k5q),
+                    qp + h * (_A61 * k1p + _A62 * k2p + _A63 * k3p
+                              + _A64 * k4p + _A65 * k5p))
+
+                q_new = q + h * (_B1 * k1q + _B3 * k3q + _B4 * k4q
+                                 + _B5 * k5q + _B6 * k6q)
+                served_new = served + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y
+                                           + _B5 * k5y + _B6 * k6y)
+                lost_new = lost + h * (_B1 * k1l + _B3 * k3l + _B4 * k4l
+                                       + _B5 * k5l + _B6 * k6l)
                 if pair:
-                    served_p += half * (
-                        _interp_grid(t, x_first, x_dt, p_vals)
-                        + _interp_grid(target, x_first, x_dt, p_vals))
-                t = target
-                r = r_end
-                n_closed += 1
-                fresh = False
-        while t < target:
-            # a remainder at roundoff scale means the target is reached
-            scale_t = abs(target) if abs(target) > 1.0 else 1.0
-            if target - t <= 16.0 * 2.220446049250313e-16 * scale_t:
-                t = target
-                break
-            if h > x_dt:
-                h = x_dt
-            if t + h > target:
-                h = target - t
-            if h < min_step:
-                status = STEP_FAILURE
-                break
+                    qp_new = qp + h * (_B1 * k1p + _B3 * k3p + _B4 * k4p
+                                       + _B5 * k5p + _B6 * k6p)
+                    served_p_new = served_p + h * (_B1 * k1yp + _B3 * k3yp
+                                                   + _B4 * k4yp + _B5 * k5yp
+                                                   + _B6 * k6yp)
+                    lost_p_new = lost_p + h * (_B1 * k1lp + _B3 * k3lp
+                                               + _B4 * k4lp + _B5 * k5lp
+                                               + _B6 * k6lp)
+                else:
+                    qp_new = served_p_new = lost_p_new = 0.0
 
-            # stage derivatives: (q, served, lost), then the priority class
-            k1q, k1y, k1l, k1p, k1yp, k1lp = _rhs(
-                t, q, qp, pair, x_first, x_dt, x_vals, p_vals, mu_mode,
-                mu_const, mu_vals, mu0, m_servers, alpha, gate_on, cap_k, h0,
-                gate_n)
-            k2q, k2y, k2l, k2p, k2yp, k2lp = _rhs(
-                t + _C2 * h, q + h * _A21 * k1q,
-                qp + h * _A21 * k1p if pair else 0.0, pair, x_first, x_dt,
-                x_vals, p_vals, mu_mode, mu_const, mu_vals, mu0, m_servers,
-                alpha, gate_on, cap_k, h0, gate_n)
-            k3q, k3y, k3l, k3p, k3yp, k3lp = _rhs(
-                t + _C3 * h, q + h * (_A31 * k1q + _A32 * k2q),
-                qp + h * (_A31 * k1p + _A32 * k2p) if pair else 0.0, pair,
-                x_first, x_dt, x_vals, p_vals, mu_mode, mu_const, mu_vals,
-                mu0, m_servers, alpha, gate_on, cap_k, h0, gate_n)
-            k4q, k4y, k4l, k4p, k4yp, k4lp = _rhs(
-                t + _C4 * h, q + h * (_A41 * k1q + _A42 * k2q + _A43 * k3q),
-                qp + h * (_A41 * k1p + _A42 * k2p + _A43 * k3p)
-                if pair else 0.0, pair, x_first, x_dt, x_vals, p_vals,
-                mu_mode, mu_const, mu_vals, mu0, m_servers, alpha, gate_on,
-                cap_k, h0, gate_n)
-            k5q, k5y, k5l, k5p, k5yp, k5lp = _rhs(
-                t + _C5 * h,
-                q + h * (_A51 * k1q + _A52 * k2q + _A53 * k3q + _A54 * k4q),
-                qp + h * (_A51 * k1p + _A52 * k2p + _A53 * k3p + _A54 * k4p)
-                if pair else 0.0, pair, x_first, x_dt, x_vals, p_vals,
-                mu_mode, mu_const, mu_vals, mu0, m_servers, alpha, gate_on,
-                cap_k, h0, gate_n)
-            k6q, k6y, k6l, k6p, k6yp, k6lp = _rhs(
-                t + h,
-                q + h * (_A61 * k1q + _A62 * k2q + _A63 * k3q + _A64 * k4q
-                         + _A65 * k5q),
-                qp + h * (_A61 * k1p + _A62 * k2p + _A63 * k3p + _A64 * k4p
-                          + _A65 * k5p) if pair else 0.0, pair, x_first,
-                x_dt, x_vals, p_vals, mu_mode, mu_const, mu_vals, mu0,
-                m_servers, alpha, gate_on, cap_k, h0, gate_n)
+                k7q, k7y, k7l, k7p, k7yp, k7lp = stage(s_end, q_new, qp_new)
 
-            q_new = q + h * (_B1 * k1q + _B3 * k3q + _B4 * k4q + _B5 * k5q
-                             + _B6 * k6q)
-            served_new = served + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y
-                                       + _B5 * k5y + _B6 * k6y)
-            lost_new = lost + h * (_B1 * k1l + _B3 * k3l + _B4 * k4l
-                                   + _B5 * k5l + _B6 * k6l)
-            if pair:
-                qp_new = qp + h * (_B1 * k1p + _B3 * k3p + _B4 * k4p
-                                   + _B5 * k5p + _B6 * k6p)
-                served_p_new = served_p + h * (_B1 * k1yp + _B3 * k3yp
-                                               + _B4 * k4yp + _B5 * k5yp
-                                               + _B6 * k6yp)
-                lost_p_new = lost_p + h * (_B1 * k1lp + _B3 * k3lp
-                                           + _B4 * k4lp + _B5 * k5lp
-                                           + _B6 * k6lp)
-            else:
-                qp_new = served_p_new = lost_p_new = 0.0
+                err_q = h * (_E1 * k1q + _E3 * k3q + _E4 * k4q + _E5 * k5q
+                             + _E6 * k6q + _E7 * k7q)
+                err_s = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y
+                             + _E6 * k6y + _E7 * k7y)
+                err_l = h * (_E1 * k1l + _E3 * k3l + _E4 * k4l + _E5 * k5l
+                             + _E6 * k6l + _E7 * k7l)
 
-            k7q, k7y, k7l, k7p, k7yp, k7lp = _rhs(
-                t + h, q_new, qp_new, pair, x_first, x_dt, x_vals, p_vals,
-                mu_mode, mu_const, mu_vals, mu0, m_servers, alpha, gate_on,
-                cap_k, h0, gate_n)
-
-            err_q = h * (_E1 * k1q + _E3 * k3q + _E4 * k4q + _E5 * k5q
-                         + _E6 * k6q + _E7 * k7q)
-            err_s = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y
-                         + _E6 * k6y + _E7 * k7y)
-            err_l = h * (_E1 * k1l + _E3 * k3l + _E4 * k4l + _E5 * k5l
-                         + _E6 * k6l + _E7 * k7l)
-
-            aq = abs(q) if abs(q) > abs(q_new) else abs(q_new)
-            asv = abs(served_new)
-            al = abs(lost_new)
-            e1 = abs(err_q) / (atol + rtol * aq)
-            e2 = abs(err_s) / (atol + rtol * asv)
-            e3 = abs(err_l) / (atol + rtol * al)
-            if pair:
-                err_q = h * (_E1 * k1p + _E3 * k3p + _E4 * k4p + _E5 * k5p
-                             + _E6 * k6p + _E7 * k7p)
-                err_s = h * (_E1 * k1yp + _E3 * k3yp + _E4 * k4yp
-                             + _E5 * k5yp + _E6 * k6yp + _E7 * k7yp)
-                err_l = h * (_E1 * k1lp + _E3 * k3lp + _E4 * k4lp
-                             + _E5 * k5lp + _E6 * k6lp + _E7 * k7lp)
-                aq = abs(qp) if abs(qp) > abs(qp_new) else abs(qp_new)
-                e4 = abs(err_q) / (atol + rtol * aq)
-                e5 = abs(err_s) / (atol + rtol * abs(served_p_new))
-                e6 = abs(err_l) / (atol + rtol * abs(lost_p_new))
-                err = np.sqrt((e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4
-                               + e5 * e5 + e6 * e6) / 6.0)
-            else:
-                err = np.sqrt((e1 * e1 + e2 * e2 + e3 * e3) / 3.0)
-
-            if err <= 1.0:
-                t = t + h
-                q = q_new
-                served = served_new
-                lost = lost_new
-                if q < worst_neg:
-                    worst_neg = q
-                if q < 0.0:
-                    q = 0.0
+                aq = abs(q) if abs(q) > abs(q_new) else abs(q_new)
+                e1 = abs(err_q) / (atol + rtol * aq)
+                e2 = abs(err_s) / (atol + rtol * abs(served_new))
+                e3 = abs(err_l) / (atol + rtol * abs(lost_new))
                 if pair:
-                    qp = qp_new
-                    served_p = served_p_new
-                    lost_p = lost_p_new
-                    if qp < worst_neg:
-                        worst_neg = qp
-                    if qp < 0.0:
-                        qp = 0.0
-                n_steps += 1
-            else:
-                n_rej += 1
+                    err_q = h * (_E1 * k1p + _E3 * k3p + _E4 * k4p
+                                 + _E5 * k5p + _E6 * k6p + _E7 * k7p)
+                    err_s = h * (_E1 * k1yp + _E3 * k3yp + _E4 * k4yp
+                                 + _E5 * k5yp + _E6 * k6yp + _E7 * k7yp)
+                    err_l = h * (_E1 * k1lp + _E3 * k3lp + _E4 * k4lp
+                                 + _E5 * k5lp + _E6 * k6lp + _E7 * k7lp)
+                    aq = abs(qp) if abs(qp) > abs(qp_new) else abs(qp_new)
+                    e4 = abs(err_q) / (atol + rtol * aq)
+                    e5 = abs(err_s) / (atol + rtol * abs(served_p_new))
+                    e6 = abs(err_l) / (atol + rtol * abs(lost_p_new))
+                    err = math.sqrt((e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4
+                                     + e5 * e5 + e6 * e6) / 6.0)
+                else:
+                    err = math.sqrt((e1 * e1 + e2 * e2 + e3 * e3) / 3.0)
+                if not math.isfinite(err):
+                    # a NaN state would fail err <= 1 without shrinking h
+                    status = STEP_FAILURE
+                    break
 
-            if err > 1e-12:
-                factor = _SAFETY * err ** -0.2
-            else:
-                factor = _MAX_FACTOR
-            if factor < _MIN_FACTOR:
-                factor = _MIN_FACTOR
-            elif factor > _MAX_FACTOR:
-                factor = _MAX_FACTOR
-            h = h * factor
+                if err <= 1.0:
+                    tau = tau_end
+                    q = q_new
+                    served = served_new
+                    lost = lost_new
+                    if q < worst_neg:
+                        worst_neg = q
+                    if q < 0.0:
+                        q = 0.0
+                    if pair:
+                        qp = qp_new
+                        served_p = served_p_new
+                        lost_p = lost_p_new
+                        if qp < worst_neg:
+                            worst_neg = qp
+                        if qp < 0.0:
+                            qp = 0.0
+                    n_steps += 1
+                else:
+                    n_rej += 1
 
-        if status != OK:
-            out[:, j:] = np.nan
-            break
+                if err > 1e-12:
+                    factor = _SAFETY * err ** -0.2
+                else:
+                    factor = _MAX_FACTOR
+                if factor < _MIN_FACTOR:
+                    factor = _MIN_FACTOR
+                elif factor > _MAX_FACTOR:
+                    factor = _MAX_FACTOR
+                h = h * factor
+                if err > 1.0 and h < min_step:
+                    status = STEP_FAILURE
+                    break
 
-        if fresh:
-            r = _rhs(t, q, qp, pair, x_first, x_dt, x_vals, p_vals, mu_mode,
-                     mu_const, mu_vals, mu0, m_servers, alpha, gate_on, cap_k,
-                     h0, gate_n)
+            if status != OK:
+                out[:, j:] = np.nan
+                break
+
+        # the outflow law at the bin's end
+        r = _rhs(q, qp, pair, xb, pb, mub, m_servers, alpha, gate_on, cap_k,
+                 h0, gate_n)
         out[0, j], out[1, j], out[2, j], out[3, j] = q, r[1], served, lost
         if pair:
             out[4, j], out[5, j], out[6, j], out[7, j] = (qp, r[4], served_p,
@@ -443,89 +366,71 @@ def integrate_logistic(t_out, x_first, x_dt, x_vals, p_vals, mu_mode,
     return out, (status, n_steps, n_rej, n_closed, -worst_neg)
 
 
-def point_queue_exact(t_out, x_first, x_dt, x_vals, mu, q0):
-    """Exact trajectory of the projected point-queue dynamics.
+def point_queue_exact(x_dt, x_vals, mu, q0):
+    """Exact trajectory of the projected point-queue dynamics at the start
+    and at the end of each inflow bin.
 
-    The inflow is piecewise linear, so between breakpoints q' = X - mu
-    integrates to a quadratic; hitting q = 0 and the later release when X
-    crosses mu are located by closed-form root finding.  Output times must
-    be nondecreasing.
+    The inflow is linear in each bin, so there q' = X - mu integrates to a
+    quadratic; hitting q = 0 and the later release when X crosses mu are
+    located by closed-form root finding.
     """
-    n_out = t_out.shape[0]
-    q_out = np.empty(n_out)
+    n = x_vals.shape[0]
+    q_out = np.empty(n + 1)
     q_out[0] = q0
     q = q0
-    n_x = x_vals.shape[0]
+    w = x_dt
+    xb = float(x_vals[0])
+    for j in range(1, n + 1):
+        xa, xb = xb, float(x_vals[j - 1])
+        slope = (xb - xa) / w
 
-    for j in range(1, n_out):
-        a_seg = t_out[j - 1]
-        b_end = t_out[j]
-        # walk inflow-grid breakpoints inside (a_seg, b_end)
-        while a_seg < b_end:
-            # next inflow knot strictly after a_seg
-            pos = (a_seg - x_first) / x_dt
-            ki = int(np.floor(pos + 1e-12)) + 1
-            b_seg = x_first + ki * x_dt
-            if ki < 1:
-                b_seg = x_first
-            if b_seg <= a_seg + 1e-15 * (1.0 + abs(a_seg)):
-                b_seg = a_seg + x_dt
-            if b_seg > b_end:
-                b_seg = b_end
-
-            xa = _interp_grid(a_seg, x_first, x_dt, x_vals)
-            xb = _interp_grid(b_seg, x_first, x_dt, x_vals)
-            w = b_seg - a_seg
-            slope = (xb - xa) / w if w > 0 else 0.0
-
-            tau = 0.0  # local time within [a_seg, b_seg]
-            while tau < w:
-                rem = w - tau
-                xt = xa + slope * tau
-                if q <= 0.0:
-                    q = 0.0
-                    if xt > mu:
-                        pass  # growing immediately
-                    elif slope > 0.0 and xa + slope * w > mu:
-                        t_rel = (mu - xa) / slope
-                        if t_rel > tau:
-                            tau = t_rel if t_rel < w else w
-                            continue
-                    else:
-                        tau = w  # stays empty for the rest of the segment
+        tau = 0.0  # local time within the bin
+        while tau < w:
+            rem = w - tau
+            xt = xa + slope * tau
+            if q <= 0.0:
+                q = 0.0
+                if xt > mu:
+                    pass  # growing immediately
+                elif slope > 0.0 and xa + slope * w > mu:
+                    t_rel = (mu - xa) / slope
+                    if t_rel > tau:
+                        tau = t_rel if t_rel < w else w
                         continue
-                # q > 0 (or released): integrate quadratic until root or end
-                c1 = (xa + slope * tau) - mu
-                c2 = slope
-                # q(tau + s) = q + c1*s + 0.5*c2*s^2
-                # smallest positive root of 0.5*c2 s^2 + c1 s + q = 0 in (0, rem]
-                s_hit = -1.0
-                if abs(c2) < 1e-300:
-                    if c1 < 0.0:
-                        s_root = -q / c1
-                        if 0.0 < s_root <= rem:
-                            s_hit = s_root
                 else:
-                    disc = c1 * c1 - 2.0 * c2 * q
-                    if disc >= 0.0:
-                        sq = np.sqrt(disc)
-                        r1 = (-c1 - sq) / c2
-                        r2 = (-c1 + sq) / c2
-                        lo = r1 if r1 < r2 else r2
-                        hi = r1 if r1 > r2 else r2
-                        if 0.0 < lo <= rem:
-                            s_hit = lo
-                        elif 0.0 < hi <= rem:
-                            s_hit = hi
-                if s_hit > 0.0 and q + c1 * s_hit + 0.5 * c2 * s_hit * s_hit < 1e-9 * (1.0 + q):
+                    tau = w  # stays empty for the rest of the bin
+                    continue
+            # q > 0 (or released): integrate quadratic until root or end
+            c1 = (xa + slope * tau) - mu
+            c2 = slope
+            # q(tau + s) = q + c1*s + 0.5*c2*s^2
+            # smallest positive root of 0.5*c2 s^2 + c1 s + q = 0 in (0, rem]
+            s_hit = -1.0
+            if abs(c2) < 1e-300:
+                if c1 < 0.0:
+                    s_root = -q / c1
+                    if 0.0 < s_root <= rem:
+                        s_hit = s_root
+            else:
+                disc = c1 * c1 - 2.0 * c2 * q
+                if disc >= 0.0:
+                    sq = np.sqrt(disc)
+                    r1 = (-c1 - sq) / c2
+                    r2 = (-c1 + sq) / c2
+                    lo = r1 if r1 < r2 else r2
+                    hi = r1 if r1 > r2 else r2
+                    if 0.0 < lo <= rem:
+                        s_hit = lo
+                    elif 0.0 < hi <= rem:
+                        s_hit = hi
+            if s_hit > 0.0 and q + c1 * s_hit + 0.5 * c2 * s_hit * s_hit < 1e-9 * (1.0 + q):
+                q = 0.0
+                tau = tau + s_hit
+            else:
+                q = q + c1 * rem + 0.5 * c2 * rem * rem
+                if q < 0.0:
                     q = 0.0
-                    tau = tau + s_hit
-                else:
-                    q = q + c1 * rem + 0.5 * c2 * rem * rem
-                    if q < 0.0:
-                        q = 0.0
-                    tau = w
-            a_seg = b_seg
+                tau = w
         q_out[j] = q
     return q_out
 

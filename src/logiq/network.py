@@ -7,6 +7,7 @@ row-stochastic matrix to egress queues.  Latency follows a packet through the
 three stages, looking the queues up at its (staggered) arrival instants.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,10 +47,11 @@ class Topology:
         if not np.all(np.abs(row_sums - 1.0) <= 1e-3):
             raise ParameterError("routing rows must sum to 1")
         object.__setattr__(self, "routing", routing / row_sums[:, None])
-        if not all(v > 0 for v in self.access_mu + self.egress_xi):
-            raise ParameterError("all rates must be positive")
-        if not (self.core_mu > 0 and self.core_k > 0):
-            raise ParameterError("core rate and capacity must be positive")
+        if not all(0 < v < math.inf for v in self.access_mu + self.egress_xi):
+            raise ParameterError("all rates must be finite and positive")
+        if not (0 < self.core_mu < math.inf and 0 < self.core_k < math.inf):
+            raise ParameterError("core rate and capacity must be finite and "
+                                 "positive")
         if not self.packet_size_bits >= 0:
             raise ParameterError("packet size must be nonnegative")
 

@@ -100,12 +100,12 @@ class RateSeries:
         object.__setattr__(self, "dt", float(self.dt))
         if not math.isfinite(self.t0):
             raise ParameterError("t0 must be finite")
-        if not self.dt > 0:
-            raise ParameterError("dt must be > 0")
+        if not 0 < self.dt < math.inf:
+            raise ParameterError("dt must be finite and > 0")
         if values.ndim != 1:
             raise ParameterError("values must be a 1-d array")
-        if not np.all(values >= 0):     # NaN fails too
-            raise ParameterError("rates must be nonnegative")
+        if not np.all((values >= 0) & (values < math.inf)):   # NaN too
+            raise ParameterError("rates must be finite and nonnegative")
 
     def __len__(self):
         return self.values.size
@@ -245,8 +245,8 @@ def _bin_bits(times, sizes, t0, t1, dt) -> np.ndarray:
     by searchsorted, and the rule itself settles the few within tol.  Sums
     over a bin are exact for integer-valued sizes.
     """
-    if not dt > 0:      # NaN fails too
-        raise ParameterError("dt must be > 0")
+    if not 0 < dt < math.inf:       # NaN fails too
+        raise ParameterError("dt must be finite and > 0")
     n_bins = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
     n = len(times)
     if n == 0:

@@ -556,3 +556,16 @@ class TestOutflowBinning:
     def test_config_rejects_nan(self, kwargs):
         with pytest.raises(ParameterError):
             DesConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(mu=np.nan), dict(mu=np.inf), dict(mu=1.0, sample_dt=np.nan),
+    dict(mu=1.0, sample_dt=np.inf), dict(mu=1.0, capacity_k=np.nan),
+    dict(mu=1.0, capacity_k=np.inf),
+], ids=["mu_nan", "mu_inf", "sample_dt_nan", "sample_dt_inf",
+        "capacity_nan", "capacity_inf"])
+def test_config_rejects_nan_and_inf(kwargs):
+    # sample_dt=inf gave the sample times [nan, inf]; None is the infinite
+    # buffer
+    with pytest.raises(ParameterError):
+        DesConfig(**kwargs)

@@ -156,18 +156,16 @@ class TestIntegration:
         assert exit_time(10.0, 5e6, 1e6) == pytest.approx(15.0)
 
 
-def inflow_trapezoid(inflow, grid):
-    """Cumulative integral of the inflow the solver sees on ``grid``: the
+def inflow_trapezoid(inflow):
+    """Cumulative integral of the inflow the solver sees, bin by bin: the
     first bin holds the first sample, the others interpolate linearly."""
     x = inflow.values
     left = np.concatenate([[x[0]], x[:-1]])
-    return np.concatenate([[0.0], np.cumsum(0.5 * np.diff(grid) * (left + x))])
+    return np.concatenate([[0.0], np.cumsum(0.5 * inflow.dt * (left + x))])
 
 
 # a free-flow inflow: bin width, and each sample's fraction of the service
-# rate, with 0 and 1 (inflow == mu) included.  It starts at t = 0, since
-# far from the origin the knot times round and move the kernel's reading of
-# a jump in the inflow by ~eps * t / dt of its size.
+# rate, with 0 and 1 (inflow == mu) included
 free_flow = dict(
     fractions=st.lists(st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
                        min_size=1, max_size=40),
@@ -178,9 +176,10 @@ class TestFreeFlow:
     """An empty queue whose inflow stays at or below its service rate is
     solved in closed form: no steps, q identically 0, served = inflow.
 
-    A constant or time-varying mu solves every bin exactly (TestExactBins),
-    so the tests of the stepper's own free-flow test use a one-server
-    MultiServerRate, whose rate is the constant mu0."""
+    A single server, with a constant or time-varying mu, solves every bin
+    exactly (TestExactBins), so the tests of the stepper's own free-flow
+    test use m = 3 servers, or a priority pair whose priority class is idle
+    (see stepped)."""
 
     MU = 1e6
 
@@ -189,11 +188,9 @@ class TestFreeFlow:
         assert traj.stats.steps == 0 and traj.stats.rejected == 0
         assert traj.stats.closed_form == n_bins
         assert np.all(traj.q == 0.0) and np.all(traj.lost == 0.0)
-        # the kernel reads the inflow at rounded knot positions, so a bin
-        # next to a jump can carry roundoff of the total inflow
-        expected = inflow_trapezoid(inflow, traj.grid)
-        np.testing.assert_allclose(traj.served, expected, rtol=1e-12,
-                                   atol=1e-12 * expected[-1])
+        # the kernel reads each bin's two samples by index and sums the
+        # trapezoids in order, as cumsum does
+        np.testing.assert_array_equal(traj.served, inflow_trapezoid(inflow))
 
     @settings(max_examples=40, deadline=None)
     @given(mode=st.sampled_from(["const", "mu_t", "multi", "finite"]),
@@ -235,8 +232,8 @@ class TestFreeFlow:
         mu, dt = self.MU, 60.0
         over = mu * (1.0 + 1e-9)
         inflow = RateSeries(0.0, dt, np.array([0.5 * mu, over, over]))
-        traj = integrate_queue(inflow, QueueSpec(
-            mu=MultiServerRate(mu0=mu, m=1), alpha=1.0 / mu))
+        traj = stepped(inflow, QueueSpec(mu=mu, alpha=1.0 / mu),
+                       SolverOptions())
         # the first bin is free flow; the two ending above mu are stepped
         assert traj.stats.closed_form == 1 and traj.stats.steps > 0
         assert traj.q[1] == 0.0 and traj.q[-1] > 0.0
@@ -246,7 +243,7 @@ class TestFreeFlow:
 
     def test_backlog_is_stepped_until_it_drains(self):
         inflow = const_inflow(0.5 * self.MU, 60.0)
-        spec = QueueSpec(mu=MultiServerRate(mu0=self.MU, m=1), alpha=1e-5,
+        spec = QueueSpec(mu=MultiServerRate(mu0=self.MU, m=3), alpha=1e-5,
                          q0=1e5)
         traj = integrate_queue(inflow, spec)
         assert traj.stats.steps > 0
@@ -260,15 +257,14 @@ class TestFreeFlow:
         assert traj.served[-1] == pytest.approx(mass_in, rel=1e-9)
 
 
-def stepped(inflow, spec):
+def stepped(inflow, spec, opts=SolverOptions(rel_tol=1e-12)):
     """The queue ``spec`` fed by ``inflow`` as the Dormand-Prince stepper
-    solves it at rel_tol 1e-12: the low class of a priority pair whose
-    priority class is idle.  For an inflow above 1e-12 the split gives the
-    low class all of mu, so its law is the single queue's, and the pair
+    solves it, by default at rel_tol 1e-12: the low class of a priority pair
+    whose priority class is idle.  For an inflow above 1e-12 the split gives
+    the low class all of mu, so its law is the single queue's, and the pair
     takes no exact bins."""
     idle = RateSeries(inflow.t0, inflow.dt, np.zeros(len(inflow)))
-    _, low = integrate_priority_pair(idle, inflow, spec,
-                                     SolverOptions(rel_tol=1e-12))
+    _, low = integrate_priority_pair(idle, inflow, spec, opts)
     return low
 
 
@@ -386,6 +382,18 @@ class TestExactBins:
                                                   capacity_k=1.05 * peak))
         assert gated.stats.closed_form == 1 and gated.stats.steps > 0
 
+    def test_one_server_is_the_constant_rate(self):
+        # MultiServerRate(mu0, 1) serves at mu0 * min(1 + q, 1) = mu0: the
+        # same law as mu = mu0, solved by the same exact bins
+        inflow = random_inflow(np.random.default_rng(3), peak=2.0 * self.MU)
+        const = integrate_queue(inflow, QueueSpec(mu=self.MU, alpha=1e-6))
+        one = integrate_queue(inflow, QueueSpec(
+            mu=MultiServerRate(mu0=self.MU, m=1), alpha=1e-6))
+        assert one.stats == const.stats and one.stats.steps == 0
+        for row in ("q", "y", "served", "lost"):
+            np.testing.assert_array_equal(getattr(one, row),
+                                          getattr(const, row))
+
 
 class TestBounds:
     def setup_method(self):
@@ -412,6 +420,25 @@ class TestBounds:
             emptying_time_bound(0.0, 1.0, 2.0, 1.0, 0.5, 0.5)  # eps > q_x
         with pytest.raises(DomainError):
             queue_decay_bound(0.0, 0.0, 1.0, 1.0, 1.5, 0.5)    # x_inf >= mu
+
+    # alpha=0 raised ZeroDivisionError, alpha=-1 gave a time of -0.193 and
+    # the NaN cases returned NaN
+    @pytest.mark.parametrize("call", [
+        lambda: emptying_time_bound(0.0, 1.0, 0.5, 2.0, 1.0, np.nan),
+        lambda: emptying_time_bound(0.0, 1.0, 0.5, 2.0, 1.0, 0.0),
+        lambda: emptying_time_bound(0.0, 1.0, 0.5, 2.0, 1.0, -1.0),
+        lambda: emptying_time_bound(np.nan, 1.0, 0.5, 2.0, 1.0, 1.0),
+        lambda: queue_decay_bound(1.0, 0.0, 1.0, 2.0, 1.0, np.nan),
+        lambda: queue_decay_bound(1.0, 0.0, 1.0, 2.0, 1.0, 0.0),
+        lambda: queue_decay_bound(1.0, 0.0, 1.0, 2.0, 1.0, -1.0),
+        lambda: queue_decay_bound(1.0, 0.0, np.nan, 2.0, 1.0, 1.0),
+        lambda: queue_decay_bound(1.0, np.nan, 1.0, 2.0, 1.0, 1.0),
+    ], ids=["empty_alpha_nan", "empty_alpha_0", "empty_alpha_neg",
+            "empty_t_x_nan", "decay_alpha_nan", "decay_alpha_0",
+            "decay_alpha_neg", "decay_q_x_nan", "decay_t_x_nan"])
+    def test_bounds_reject_bad_alpha_and_nan(self, call):
+        with pytest.raises(DomainError):
+            call()
 
 
 class TestFiniteQueue:
@@ -610,6 +637,31 @@ class TestSpecValidation:
     def test_rejects_nan(self, kwargs):
         with pytest.raises(ParameterError):
             QueueSpec(**kwargs)
+
+    # each passes a "> 0" check: capacity_k=inf ran the stepper for more
+    # than 15 s on 5 bins, and mu=inf gave y = NaN; None is the infinite
+    # buffer
+    @pytest.mark.parametrize("kwargs", [
+        dict(mu=np.inf, alpha=1.0),
+        dict(mu=1.0, alpha=np.inf),
+        dict(mu=1.0, alpha=1.0, q0=np.inf),
+        dict(mu=1.0, alpha=1.0, capacity_k=np.inf),
+    ], ids=["mu", "alpha", "q0", "capacity_k"])
+    def test_rejects_inf(self, kwargs):
+        with pytest.raises(ParameterError):
+            QueueSpec(**kwargs)
+
+    @pytest.mark.parametrize("call", [
+        lambda x: integrate_point_queue(x, 1.0, q0=np.nan),
+        lambda x: integrate_point_queue(x, 1.0, q0=-1.0),
+        lambda x: integrate_point_queue(x, 1.0, q0=np.inf),
+        lambda x: integrate_queue(x, QueueSpec(mu=lambda t: np.inf,
+                                               alpha=1.0)),
+    ], ids=["point_queue_q0_nan", "point_queue_q0_negative",
+            "point_queue_q0_inf", "mu_of_t_inf"])
+    def test_rejects_bad_backlog_and_rate(self, call):
+        with pytest.raises(ParameterError):
+            call(const_inflow(0.5, 5.0))
 
     # the constructor alone: at such a tolerance the stepper rejects every
     # attempt and never finishes a bin

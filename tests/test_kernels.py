@@ -1,10 +1,15 @@
-"""``kernels.integrate_logistic`` called directly, on an input that takes it
+"""``kernels.integrate_logistic`` called directly: on an input that takes it
 through stepped bins first and closed-form bins after, for the single queue
-and the priority pair.  The other kernels are tested through fluid.py and
+and the priority pair; on a NaN gate, which must fail the solve; and for
+causality across bins.  The other kernels are tested through fluid.py and
 des.py."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logiq import kernels
 
@@ -15,15 +20,13 @@ def logistic_args(rng, n=60, pair=False):
     and is solved in closed form: exactly for the single queue, whose
     exponential drain underflows to 0 at this alpha, and after the steps
     of the drain as free flow for the pair."""
-    grid = np.arange(n + 1, dtype=float)
     x_vals = rng.uniform(0.0, 2e6, n)
     x_vals[n // 3:] = rng.uniform(0.0, 0.5e6, n - n // 3)
     p_vals = rng.uniform(0.0, 1e6, n) if pair else np.empty(0)
     if pair:
         p_vals[n // 3:] = rng.uniform(0.0, 0.4e6, n - n // 3)
-    return dict(t_out=grid, x_first=1.0, x_dt=1.0, x_vals=x_vals,
-                p_vals=p_vals, mu_mode=kernels.MU_CONST, mu_const=1e6,
-                mu_vals=np.empty(0), mu0=0.0, m_servers=1.0, alpha=1e-4,
+    return dict(t0=0.0, x_dt=1.0, x_vals=x_vals, p_vals=p_vals,
+                mu_vals=np.broadcast_to(1e6, n), m_servers=1.0, alpha=1e-4,
                 gate_on=True, cap_k=2e6, h0=0.5, gate_n=1e-4, q0=0.0,
                 rtol=1e-6, atol=1e-9)
 
@@ -37,3 +40,52 @@ def test_stepped_then_closed_form_bins(pair):
     assert status == kernels.OK and n_steps > 0
     assert 0 < n_closed_form < len(args["x_vals"])
     assert np.all(out[0::4, -1] == 0.0)
+
+
+def test_nan_gate_fails_the_solve():
+    # gate_n = 0 and cap_k = inf make the gate's exponent 0 * -inf = NaN.
+    # A NaN error norm fails err <= 1 without shrinking the step, so the
+    # stepper would retry the same step for ever
+    args = logistic_args(np.random.default_rng(0), n=5)
+    args.update(cap_k=math.inf, gate_n=0.0)
+    out, stats = kernels.integrate_logistic(**args)
+    assert stats[0] == kernels.STEP_FAILURE
+    assert np.all(np.isnan(out[:, 1:]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(["single", "pair", "multi", "mu_t"]),
+       gate_on=st.booleans(), n=st.integers(2, 20), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_later_samples_leave_earlier_bins_unchanged(mode, gate_on, n, data,
+                                                    seed):
+    # Column j is the state at the end of bin j, which reads the samples
+    # 0..j-1 only: new samples from j on leave columns 0..j as they were
+    j = data.draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(seed)
+    # rates of order 1, so that m servers relax the backlog at a rate of
+    # order 1 per bin, not 1e6
+    mu = 1.0
+
+    def draw(lo, hi):
+        vals = rng.uniform(lo, hi, n)
+        later = vals.copy()
+        later[j:] = rng.uniform(lo, hi, n - j)
+        return vals, later
+
+    x_vals, x_later = draw(0.0, 2.0 * mu)
+    p_vals = p_later = np.empty(0)
+    mu_vals = mu_later = np.broadcast_to(mu, n)
+    if mode == "pair":
+        p_vals, p_later = draw(0.0, 0.5 * mu)
+    elif mode == "mu_t":
+        mu_vals, mu_later = draw(0.5 * mu, 1.5 * mu)
+    args = dict(t0=0.0, x_dt=1.0, m_servers=3.0 if mode == "multi" else 1.0,
+                alpha=1.0 / mu, gate_on=gate_on, cap_k=2.0 * mu, h0=0.5,
+                gate_n=500.0 / (2.0 * mu), q0=0.0, rtol=1e-6, atol=1e-9)
+    out, stats = kernels.integrate_logistic(
+        x_vals=x_vals, p_vals=p_vals, mu_vals=mu_vals, **args)
+    out_later, stats_later = kernels.integrate_logistic(
+        x_vals=x_later, p_vals=p_later, mu_vals=mu_later, **args)
+    assert stats[0] == stats_later[0] == kernels.OK
+    np.testing.assert_array_equal(out[:, :j + 1], out_later[:, :j + 1])

@@ -57,6 +57,16 @@ class TestTopology:
         with pytest.raises(ParameterError):
             small_topology(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("access_mu", (25e9, np.inf)),
+        ("core_mu", np.inf),
+        ("core_k", np.inf),
+        ("egress_xi", (np.inf, 20e9)),
+    ])
+    def test_rejects_inf(self, field, value):
+        with pytest.raises(ParameterError):
+            small_topology(**{field: value})
+
 
 class TestPropagate:
     def test_zero_inflows_zero_queues(self):

@@ -99,6 +99,11 @@ class TestRateSeries:
         with pytest.raises(ParameterError):
             RateSeries(0.0, np.nan, np.array([1.0]))
 
+    def test_rejects_infinite_rates(self):
+        # an infinite sample made the fluid backlog [0, 0, inf, nan]
+        with pytest.raises(ParameterError):
+            RateSeries(0.0, 1.0, np.array([1.0, np.inf, 1.0]))
+
     @pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_t0(self, t0):
         with pytest.raises(ParameterError):
@@ -384,3 +389,15 @@ def test_mean_rate_and_intensity():
 def test_bin_rates_rejects_nan_dt():
     with pytest.raises(ParameterError):
         bin_rates(np.array([1.0]), np.array([8.0]), 0.0, 10.0, np.nan)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: RateSeries(0.0, np.inf, [1.0]),
+    lambda: bin_rates(np.array([1.0]), np.array([8.0]), 0.0, 10.0, np.inf),
+    lambda: trace_to_inflow(PacketTrace(np.array([1.0]), np.array([8.0]),
+                                        (0.0, 10.0)), np.inf),
+], ids=["rate_series", "bin_rates", "trace_to_inflow"])
+def test_rejects_infinite_dt(call):
+    # one bin of width inf would hold every bit at rate 0
+    with pytest.raises(ParameterError):
+        call()
