@@ -68,8 +68,8 @@ def parse_config(raw):
 
 def _parse_user_params(obj, path):
     _check_keys(obj, {"packet_size", "burst_size_mean", "burst_size_dispersion",
-                      "dispersion_is", "interburst", "interpacket", "interuse",
-                      "sessions"}, path)
+                      "interburst", "interpacket", "interuse", "sessions"},
+                path)
     kwargs = {}
     if "packet_size" in obj:
         kwargs["packet_size_bits"] = int(_get(obj, "packet_size", None, path, parse_size))
@@ -82,8 +82,6 @@ def _parse_user_params(obj, path):
                       ("interuse", "interuse_mean_s")):
         if key in obj:
             kwargs[name] = _get(obj, key, None, path, parse_duration)
-    if "dispersion_is" in obj:
-        kwargs["dispersion_is"] = obj["dispersion_is"]
     if "sessions" in obj:
         try:
             kwargs["session_lengths"] = tuple(

@@ -361,7 +361,8 @@ def integrate_finite_queue(inflow: RateSeries, spec: QueueSpec,
 def integrate_point_queue(inflow: RateSeries, mu: float, q0: float = 0.0
                           ) -> tuple[np.ndarray, np.ndarray]:
     """(grid, q): exact trajectory of the projected point-queue model on
-    the inflow grid (piecewise-quadratic closed form, no ODE stepping)."""
+    the inflow grid: the exact logistic bins at alpha = inf, no ODE
+    stepping."""
     if not mu > 0:      # NaN fails too
         raise ParameterError("mu must be > 0")
     if not 0 <= q0 < math.inf:

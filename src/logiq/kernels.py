@@ -1,6 +1,6 @@
 """Numeric inner loops: one integrator for the logistic queue family and the
-coupled priority pair, an exact point-queue reference, and the packet-level
-drop-tail FIFO recursion.
+coupled priority pair, the exact point-queue reference (the exact logistic
+bins at alpha = inf), and the packet-level drop-tail FIFO recursion.
 
 The fluid kernels walk the inflow bins by index.  Every bin is dt wide and
 is solved in its own time tau, from 0 to dt.  Bin j (j >= 1) runs from the
@@ -107,10 +107,13 @@ def _exact_piece(q, d0, d1, w, alpha):
     Where X >= mu the outflow is mu, so q grows by the integral of X - mu.
     Where X < mu, u = e^(alpha q) - 1 obeys the linear u' = alpha (X - mu) u,
     so alpha q ends at softplus(log u + alpha * integral), which stays >= 0
-    and does not overflow."""
+    and does not overflow.  Its alpha = inf limit is the projected point
+    queue, which drains linearly and then stays empty."""
     area = 0.5 * w * (d0 + d1)
     if area >= 0.0:
         return q + area
+    if alpha == math.inf:
+        return max(q + area, 0.0)
     if alpha * q == 0.0:    # q == 0, or so small that alpha * q underflows
         return 0.0
     return _softplus(_log_expm1(alpha * q) + alpha * area) / alpha
@@ -368,70 +371,14 @@ def integrate_logistic(t0, x_dt, x_vals, p_vals, mu_vals, m_servers, alpha,
 
 def point_queue_exact(x_dt, x_vals, mu, q0):
     """Exact trajectory of the projected point-queue dynamics at the start
-    and at the end of each inflow bin.
-
-    The inflow is linear in each bin, so there q' = X - mu integrates to a
-    quadratic; hitting q = 0 and the later release when X crosses mu are
-    located by closed-form root finding.
-    """
-    n = x_vals.shape[0]
-    q_out = np.empty(n + 1)
-    q_out[0] = q0
-    q = q0
-    w = x_dt
+    and at the end of each inflow bin: the exact logistic bins at
+    alpha = inf (see _exact_piece)."""
+    q_out = np.empty(x_vals.shape[0] + 1)
+    q_out[0] = q = q0
     xb = float(x_vals[0])
-    for j in range(1, n + 1):
-        xa, xb = xb, float(x_vals[j - 1])
-        slope = (xb - xa) / w
-
-        tau = 0.0  # local time within the bin
-        while tau < w:
-            rem = w - tau
-            xt = xa + slope * tau
-            if q <= 0.0:
-                q = 0.0
-                if xt > mu:
-                    pass  # growing immediately
-                elif slope > 0.0 and xa + slope * w > mu:
-                    t_rel = (mu - xa) / slope
-                    if t_rel > tau:
-                        tau = t_rel if t_rel < w else w
-                        continue
-                else:
-                    tau = w  # stays empty for the rest of the bin
-                    continue
-            # q > 0 (or released): integrate quadratic until root or end
-            c1 = (xa + slope * tau) - mu
-            c2 = slope
-            # q(tau + s) = q + c1*s + 0.5*c2*s^2
-            # smallest positive root of 0.5*c2 s^2 + c1 s + q = 0 in (0, rem]
-            s_hit = -1.0
-            if abs(c2) < 1e-300:
-                if c1 < 0.0:
-                    s_root = -q / c1
-                    if 0.0 < s_root <= rem:
-                        s_hit = s_root
-            else:
-                disc = c1 * c1 - 2.0 * c2 * q
-                if disc >= 0.0:
-                    sq = np.sqrt(disc)
-                    r1 = (-c1 - sq) / c2
-                    r2 = (-c1 + sq) / c2
-                    lo = r1 if r1 < r2 else r2
-                    hi = r1 if r1 > r2 else r2
-                    if 0.0 < lo <= rem:
-                        s_hit = lo
-                    elif 0.0 < hi <= rem:
-                        s_hit = hi
-            if s_hit > 0.0 and q + c1 * s_hit + 0.5 * c2 * s_hit * s_hit < 1e-9 * (1.0 + q):
-                q = 0.0
-                tau = tau + s_hit
-            else:
-                q = q + c1 * rem + 0.5 * c2 * rem * rem
-                if q < 0.0:
-                    q = 0.0
-                tau = w
-        q_out[j] = q
+    for j, x in enumerate(x_vals.tolist(), start=1):
+        xa, xb = xb, x
+        q = q_out[j] = _exact_bin(q, xa - mu, xb - mu, x_dt, math.inf)[0]
     return q_out
 
 

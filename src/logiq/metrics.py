@@ -78,13 +78,9 @@ class ErrorReport:
     baseline_mean_rel_err: float
     baseline_global_rel_err: float
 
-    def to_text(self, path=None) -> str:
+    def to_text(self) -> str:
         lines = [f"{k}={v!r}" for k, v in asdict(self).items()]
-        text = "\n".join(lines) + "\n"
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        return "\n".join(lines) + "\n"
 
     @staticmethod
     def csv_header() -> str:

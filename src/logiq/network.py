@@ -8,7 +8,7 @@ three stages, looking the queues up at its (staggered) arrival instants.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,25 +94,11 @@ def _route_split(topology, access_out, core_out):
     return egress_in
 
 
-def _access_stage(topology, inflows, opts):
-    trajs, outs = [], []
-    for x, mu_i in zip(inflows, topology.access_mu):
-        spec = QueueSpec(mu=mu_i, alpha=_link_alpha(x, mu_i))
-        traj = integrate_queue(x, spec, opts)
-        trajs.append(traj)
-        # stage-to-stage coupling samples the outflow law at the bin edges;
-        # re-binning would smooth single-bin peaks a second time and hide
-        # them from the downstream queues
-        outs.append(traj.outflow_series("instant"))
-    return trajs, outs
-
-
-def _egress_stage(topology, egress_in, opts):
-    trajs = []
-    for z_j, xi_j in zip(egress_in, topology.egress_xi):
-        spec = QueueSpec(mu=xi_j, alpha=_link_alpha(z_j, xi_j))
-        trajs.append(integrate_queue(z_j, spec, opts))
-    return trajs
+def _queue_stage(inflows, rates, opts):
+    """One logistic queue per link, each with its own inflow and rate."""
+    return [integrate_queue(x, QueueSpec(mu=mu, alpha=_link_alpha(x, mu)),
+                            opts)
+            for x, mu in zip(inflows, rates)]
 
 
 def _propagate(topology, inflows, opts, priority_inflow=None, base=None):
@@ -127,7 +113,11 @@ def _propagate(topology, inflows, opts, priority_inflow=None, base=None):
         raise ParameterError("priority inflow must share the grid")
 
     if base is None:
-        access, access_out = _access_stage(topology, inflows, opts)
+        access = _queue_stage(inflows, topology.access_mu, opts)
+        # stage-to-stage coupling samples the outflow law at the bin edges;
+        # re-binning would smooth single-bin peaks a second time and hide
+        # them from the downstream queues
+        access_out = [traj.outflow_series("instant") for traj in access]
         core_in = RateSeries(inflows[0].t0, inflows[0].dt,
                              np.sum([y.values for y in access_out], axis=0))
     elif base.core_in.same_grid(inflows[0]):
@@ -148,7 +138,7 @@ def _propagate(topology, inflows, opts, priority_inflow=None, base=None):
                                              core_spec, opts)
     core_out = core.outflow_series("instant")
     egress_in = _route_split(topology, access_out, core_out)
-    egress = _egress_stage(topology, egress_in, opts)
+    egress = _queue_stage(egress_in, topology.egress_xi, opts)
     return DtState(tuple(access), core, tuple(egress), tuple(access_out),
                    core_in, core_out, tuple(egress_in), priority=prio)
 

@@ -8,7 +8,7 @@ A :class:`PacketTrace` is a time-sorted sequence of (arrival, size) events.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -6,8 +6,7 @@ of Normal-distributed size arrive separated by Exponential interburst gaps,
 and packets inside a burst are separated by Exponential interpacket gaps.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,16 +22,14 @@ DEFAULT_SESSION_TABLE = ((5 * 60.0, 0.4), (15 * 60.0, 0.3),
 class VideoUserParams:
     packet_size_bits: int = DEFAULT_PACKET_SIZE_BITS
     burst_size_mean: float = 1714.0          # packets per burst
-    burst_size_dispersion: float = 278.0     # packets; see dispersion_is
+    # The source measurement table labels the burst dispersion "variance";
+    # a variance of 278 packets^2 against a mean of 1714 gives implausibly
+    # deterministic bursts, so it is read as a standard deviation.
+    burst_size_dispersion: float = 278.0     # packets
     interburst_mean_s: float = 5.56
     interpacket_mean_s: float = 0.00345
     interuse_mean_s: float = 45 * 60.0
     session_lengths: tuple = DEFAULT_SESSION_TABLE
-    # The source measurement table labels the burst dispersion "variance";
-    # a variance of 278 packets^2 against a mean of 1714 gives implausibly
-    # deterministic bursts, so it is treated as a standard deviation by
-    # default. Set "variance" to adopt the literal reading.
-    dispersion_is: str = "std"
 
     def __post_init__(self):
         # negated checks, so that NaN fails them
@@ -44,8 +41,6 @@ class VideoUserParams:
             raise ParameterError("packet_size_bits must be strictly positive")
         if not self.burst_size_dispersion >= 0:
             raise ParameterError("burst_size_dispersion must be nonnegative")
-        if self.dispersion_is not in ("std", "variance"):
-            raise ParameterError("dispersion_is must be 'std' or 'variance'")
         table = tuple((float(d), float(p)) for d, p in self.session_lengths)
         object.__setattr__(self, "session_lengths", table)
         probs = [p for _, p in table]
@@ -55,12 +50,6 @@ class VideoUserParams:
             raise ParameterError("session probabilities must sum to 1")
         if not all(d >= 0 for d, _ in table):
             raise ParameterError("session durations must be nonnegative")
-
-    @property
-    def burst_size_std(self) -> float:
-        if self.dispersion_is == "std":
-            return self.burst_size_dispersion
-        return math.sqrt(self.burst_size_dispersion)
 
     @property
     def mean_session_s(self) -> float:
@@ -122,7 +111,7 @@ def generate_video_user(params: VideoUserParams, horizon, seed,
             burst_start = t
             while burst_start < session_end:
                 n_pkts = max(1, int(round(rng.normal(params.burst_size_mean,
-                                                     params.burst_size_std))))
+                                                     params.burst_size_dispersion))))
                 gaps = rng.exponential(params.interpacket_mean_s, n_pkts - 1)
                 times = np.empty(n_pkts)
                 times[0] = 0.0

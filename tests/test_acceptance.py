@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from logiq.config import load_config
-from logiq.fluid import (QueueSpec, SolverOptions, compute_alpha,
-                         integrate_finite_queue, integrate_point_queue,
-                         integrate_queue, priority_rates, queue_decay_bound,
+from logiq.fluid import (QueueSpec, SolverOptions, integrate_finite_queue,
+                         integrate_point_queue, integrate_queue,
+                         priority_rates, queue_decay_bound,
                          emptying_time_bound, split_outflow)
 from logiq.metrics import aggregation_error_bound
 from logiq.network import Topology, propagate

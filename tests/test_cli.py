@@ -7,8 +7,6 @@ import sys
 from pathlib import Path
 from unittest import mock
 
-import pytest
-
 from logiq import pipeline
 from logiq.cli import main
 from logiq.des import simulate_fifo

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from logiq import des, kernels
 from logiq.config import load_config
-from logiq.des import DesConfig, DesResult, departures_to_outflow, simulate_fifo
+from logiq.des import DesConfig, departures_to_outflow, simulate_fifo
 from logiq.series import PacketTrace, ParameterError, merge_traces
 from logiq.traffic import VideoUserParams, generate_users
 

@@ -596,18 +596,38 @@ class TestPointQueueLimit:
     def test_point_queue_matches_fine_euler(self):
         rng = np.random.default_rng(21)
         inflow = RateSeries(0.0, 1.0, rng.uniform(0.0, 2.0, 60))
-        mu = 0.9
-        grid, q = integrate_point_queue(inflow, mu)
-        # brute-force reference on a fine grid
-        fine = 2000
-        q_ref = np.zeros(len(grid))
-        qq = 0.0
-        for j in range(1, len(grid)):
-            for s in range(fine):
-                t = grid[j - 1] + (s + 0.5) * (grid[j] - grid[j - 1]) / fine
-                qq = max(0.0, qq + (inflow(t) - mu) * (grid[j] - grid[j - 1]) / fine)
-            q_ref[j] = qq
-        np.testing.assert_allclose(q, q_ref, atol=2e-3 * max(q_ref.max(), 1.0))
+        # mean overload from empty, then a backlog that drains to empty
+        for mu, q0 in ((0.9, 0.0), (1.2, 6.0)):
+            grid, q = integrate_point_queue(inflow, mu, q0)
+            # brute-force reference on a fine grid
+            fine = 2000
+            q_ref = np.zeros(len(grid))
+            q_ref[0] = qq = q0
+            for j in range(1, len(grid)):
+                for s in range(fine):
+                    t = grid[j - 1] + (s + 0.5) * (grid[j] - grid[j - 1]) / fine
+                    qq = max(0.0, qq + (inflow(t) - mu) * (grid[j] - grid[j - 1]) / fine)
+                q_ref[j] = qq
+            np.testing.assert_allclose(q, q_ref,
+                                       atol=2e-3 * max(q_ref.max(), 1.0))
+            assert q0 == 0.0 or q.min() == 0.0
+
+    def test_point_queue_hand_solved(self):
+        # mu = 1, dt = 1; X is linear in each bin, so on tau in [0, 1]
+        # q(tau) = q + (xa - 1) tau + (xb - xa) tau^2 / 2 while q > 0
+        inflow = RateSeries(0.0, 1.0, np.array([0.0, 1.5, 0.2, 0.2, 3.0, 0.0]))
+        grid, q = integrate_point_queue(inflow, 1.0)
+        # bin 2: X = 1.5 tau passes mu at tau = 2/3 from empty
+        q2 = 0.75 * (1.0 - 2.0 / 3.0) ** 2
+        # bin 3: q2 + 0.5 tau - 0.65 tau^2 reaches 0 inside the bin
+        tau_empty = (0.5 + np.sqrt(0.25 + 2.6 * q2)) / 1.3
+        assert tau_empty < 1.0
+        # bin 5: X - mu = -0.8 + 2.8 tau passes 0 at tau = 2/7 from empty
+        q5 = 1.4 * (1.0 - 2.0 / 7.0) ** 2
+        # bin 6: X - mu = 2 - 3 tau drains, but not to empty
+        q6 = q5 + 2.0 - 1.5
+        np.testing.assert_allclose(q, [0.0, 0.0, q2, 0.0, 0.0, q5, q6],
+                                   rtol=1e-12, atol=0.0)
 
 
 class TestSpecValidation:

@@ -26,7 +26,7 @@ def reference_video_user(params, horizon, seed, warmup_s=0.0):
             burst_start = t
             while burst_start < session_end:
                 n_pkts = max(1, int(round(rng.normal(params.burst_size_mean,
-                                                     params.burst_size_std))))
+                                                     params.burst_size_dispersion))))
                 gaps = rng.exponential(params.interpacket_mean_s, n_pkts - 1)
                 times = burst_start + np.concatenate(([0.0], np.cumsum(gaps)))
                 burst_end = times[-1]
@@ -67,19 +67,11 @@ class TestParams:
         duty = 1200.0 / (1200.0 + 2700.0)
         assert p.mean_rate_bps == pytest.approx(p.in_session_rate_bps * duty)
 
-    def test_dispersion_variance_reading(self):
-        p_std = VideoUserParams(dispersion_is="std")
-        p_var = VideoUserParams(dispersion_is="variance")
-        assert p_std.burst_size_std == 278.0
-        assert p_var.burst_size_std == pytest.approx(np.sqrt(278.0))
-
     def test_validation(self):
         with pytest.raises(ParameterError):
             VideoUserParams(burst_size_mean=0.0)
         with pytest.raises(ParameterError):
             VideoUserParams(session_lengths=((60.0, 0.5), (120.0, 0.4)))
-        with pytest.raises(ParameterError):
-            VideoUserParams(dispersion_is="stdev")
 
     @pytest.mark.parametrize("kwargs", [
         dict(packet_size_bits=np.nan), dict(burst_size_mean=np.nan),
