@@ -2,14 +2,12 @@
 coupled priority pair, the exact point-queue reference (the exact logistic
 bins at alpha = inf), and the packet-level drop-tail FIFO recursion.
 
-The fluid kernels walk the inflow bins by index.  Every bin is dt wide and
-is solved in its own time tau, from 0 to dt.  Bin j (j >= 1) runs from the
-inflow sample j-2 to the sample j-1, and bin 1 holds sample 0: the inflow,
-the priority inflow and the service rate mu(t) are linear between those two
-samples.  A bin is solved in closed form where the law has one (an exact
-logistic bin, or free flow) and by adaptive Dormand-Prince 5(4) steps
-elsewhere; all three read the same two samples, and each reports the
-outflow law at the bin end.
+The fluid kernels walk the inflow bins by index.  Every bin is dt wide, and
+bin j (j >= 1) runs from the inflow sample j-2 to the sample j-1 (bin 1
+holds sample 0): the inflow, the priority inflow and the service rate mu(t)
+are linear across it.  A single queue's bins are solved exactly, a run of
+them by one scan; other bins are free flow or take adaptive Dormand-Prince
+5(4) steps in their own time tau, from 0 to dt.
 
 The kernels are plain Python and numpy.  Inputs are plain float64 arrays;
 wrappers in fluid.py / des.py own validation and the public dataclasses.
@@ -22,6 +20,9 @@ import numpy as np
 # integration status codes
 OK = 0
 STEP_FAILURE = 1
+
+# the most bins one prefix scan covers (see _exact_bins)
+_SCAN = 128
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -41,6 +42,19 @@ def _gate(q, cap_k, h0, gate_n):
     if z > 700.0:
         return 0.0
     return 1.0 / (1.0 + (1.0 / h0 - 1.0) * math.exp(z))
+
+
+def _gate_limit(cap_k, h0, gate_n):
+    """The largest q >= 0 at which _gate is exactly 1 (-1 if none, as for a
+    NaN gate): it falls with q, so bisect on the bits of q, ordered as q."""
+    lo, hi = -1, 0x7FF0000000000000         # below 0.0, and inf's bits
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _gate(float(np.int64(mid).view(float)), cap_k, h0, gate_n) == 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return float(np.int64(lo).view(float)) if lo >= 0 else -1.0
 
 
 def priority_split(x1, x2, q1, mu, alpha):
@@ -86,50 +100,41 @@ def _rhs(q, qp, pair, x, xp, mu, m_servers, alpha, gate_on, cap_k, h0,
     return xh - y, y, x - xh, 0.0, 0.0, 0.0
 
 
-def _log_expm1(z):
-    """log(e^z - 1) for z > 0, without overflow for large z."""
-    if z > 1.0:
-        return z + math.log(-math.expm1(-z))
-    return math.log(math.expm1(z))
-
-
-def _softplus(s):
-    """log(1 + e^s), without overflow for large s."""
-    if s > 0.0:
-        return s + math.log1p(math.exp(-s))
-    return math.log1p(math.exp(s))
-
-
-def _exact_piece(q, d0, d1, w, alpha):
-    """Backlog after w seconds of the ungated logistic law from backlog q,
-    while X - mu runs linearly from d0 to d1 without changing sign.
-
-    Where X >= mu the outflow is mu, so q grows by the integral of X - mu.
-    Where X < mu, u = e^(alpha q) - 1 obeys the linear u' = alpha (X - mu) u,
-    so alpha q ends at softplus(log u + alpha * integral), which stays >= 0
-    and does not overflow.  Its alpha = inf limit is the projected point
-    queue, which drains linearly and then stays empty."""
-    area = 0.5 * w * (d0 + d1)
-    if area >= 0.0:
-        return q + area
-    if alpha == math.inf:
-        return max(q + area, 0.0)
-    if alpha * q == 0.0:    # q == 0, or so small that alpha * q underflows
-        return 0.0
-    return _softplus(_log_expm1(alpha * q) + alpha * area) / alpha
-
-
-def _exact_bin(q, da, db, w, alpha):
-    """(end backlog, largest backlog) over an inflow bin of width w that
-    starts at backlog q, with X - mu linear from da to db.  A sign change
-    splits the bin into two exact pieces at the crossing."""
-    if (da < 0.0 < db) or (db < 0.0 < da):
-        s = w * da / (da - db)
-        q_mid = _exact_piece(q, da, 0.0, s, alpha)
-        q_end = _exact_piece(q_mid, 0.0, db, w - s, alpha)
-        return q_end, max(q, q_mid, q_end)
-    q_end = _exact_piece(q, da, db, w, alpha)
-    return q_end, max(q, q_end)
+def _exact_bins(q, d, w, alpha):
+    """(mid, end) backlogs of ungated bins of width w from backlog q, where
+    X - mu runs linearly from d[i] to d[i + 1] in bin i.  A sign change
+    splits a bin into two pieces (else the second is empty).  Where X >= mu,
+    q grows by the piece's area A, the integral of X - mu; where X < mu,
+    u = e^(alpha q) - 1 obeys u' = alpha (X - mu) u.  So a piece maps u to
+    a u + b, a = e^(alpha A), b = max(a - 1, 0), and q enters as a growth
+    piece from empty.  In log space this is a prefix scan (Heinsen 2023,
+    arXiv:2311.06281): with P = cumsum(alpha A), log u = P +
+    logaddexp.accumulate(log b - P) and alpha q = softplus(log u).  At
+    alpha = inf it is the point queue's Lindley recursion q = max(q + A, 0),
+    unrolled: with P = cumsum(A), q = P - min(0, min P).  Each scan covers
+    _SCAN bins and carries q to the next, which bounds the rounding in P.
+    """
+    da, db = d[:-1], d[1:]
+    split = ((da < 0.0) & (db > 0.0)) | ((da > 0.0) & (db < 0.0))
+    qs = np.empty(2 * da.size + 1)        # the areas, then the backlogs
+    qs[0] = q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(split, w * da / (da - db), w)
+        qs[1::2] = 0.5 * s * np.where(split, da, da + db)
+        qs[2::2] = np.where(split, 0.5 * (w - s) * db, 0.0)
+        for i in range(0, qs.size - 1, 2 * _SCAN):
+            a = qs[i:i + 2 * _SCAN + 1]     # a view; a[0] is the backlog
+            if alpha == math.inf:
+                p = np.cumsum(a)
+                a[1:] = (p - np.minimum(np.minimum.accumulate(p), 0.0))[1:]
+            else:
+                p = np.cumsum(alpha * a)
+                grow = alpha * np.maximum(a, 0.0)
+                # log b = log(e^grow - 1), which is -inf for a draining piece
+                log_u = p + np.logaddexp.accumulate(
+                    grow + np.log(-np.expm1(-grow)) - p)
+                a[1:] = np.logaddexp(0.0, log_u[1:]) / alpha
+    return qs[1::2], qs[2::2]
 
 
 # Dormand-Prince 5(4) coefficients
@@ -158,16 +163,17 @@ def integrate_logistic(t0, x_dt, x_vals, p_vals, mu_vals, m_servers, alpha,
     empty, that is served first (see priority_split); the single queue skips
     every priority-class operation.
 
-    Each bin of a single queue with one server is solved exactly
-    (_exact_bin) when the finite-buffer gate is exactly 1 at the bin's
-    largest backlog, so the gate is 1 all along it.  For the pair and for
-    m > 1 servers, a bin is free flow when both backlogs are 0 at its start,
+    The bins of a single queue with one server are solved exactly, a run
+    at a time by one scan (_exact_bins), up to the first bin at whose
+    largest backlog the finite-buffer gate is below 1; that bin takes
+    steps, and the scan resumes after it.  For the pair and for m > 1
+    servers, a bin is free flow when both backlogs are 0 at its start,
     the gate is exactly 1 at q = 0 and X + X_p <= mu at both samples: the
     three are linear, so X + X_p <= mu all along the bin, each class's
     outflow is its inflow and the backlogs stay 0.  Every other bin takes
     adaptive Dormand-Prince 5(4) steps, the last of which lands on the bin
     end.  t0 places the bin ends on the output grid t0 + j x_dt, where the
-    exact bins keep the FIFO order of exit times.
+    exact bins keep the FIFO order of exit times when mu is constant.
 
     Returns (out, stats): the rows of out are q, outflow, served and lost
     of the queue, then in pair mode the same four for the priority class;
@@ -178,10 +184,17 @@ def integrate_logistic(t0, x_dt, x_vals, p_vals, mu_vals, m_servers, alpha,
     n = x_vals.shape[0]
     pair = p_vals.shape[0] > 0
     exact = not pair and m_servers == 1.0
-    free_gate = not gate_on or _gate(0.0, cap_k, h0, gate_n) == 1.0
+    q_on = _gate_limit(cap_k, h0, gate_n) if gate_on else math.inf
     out = np.empty((8 if pair else 4, n + 1))
     min_step = 1e-13 * n * x_dt
     w = h = x_dt
+
+    fifo = bool(np.all(mu_vals == mu_vals[0]))
+    # bin j runs from sample j - 1 to sample j of these padded copies
+    xe = np.concatenate((x_vals[:1], x_vals))
+    mue = np.concatenate((mu_vals[:1], mu_vals))
+    d = xe - mue
+    width = n + 1
 
     # state
     q = q0
@@ -197,42 +210,58 @@ def integrate_logistic(t0, x_dt, x_vals, p_vals, mu_vals, m_servers, alpha,
                     gate_n)
 
     # Python floats read faster than numpy scalars, bin by bin
-    xs, mus = x_vals.tolist(), mu_vals.tolist()
-    ps = p_vals.tolist() if pair else [0.0] * n
+    xs, mus = xe.tolist(), mue.tolist()
+    ps = p_vals[:1].tolist() + p_vals.tolist() if pair else [0.0] * (n + 1)
     # the samples at the end of bin 0, which is the point t0
     xb, pb, mub = xs[0], ps[0], mus[0]
-    for j in range(n + 1):
+    j = 0
+    while j <= n:
+        if j > 0 and exact and q <= q_on:
+            # the exact bins j..k-1, as far as the gate stays 1
+            k = min(j + width, n + 1)
+            q_mid, q_end = _exact_bins(q, d[j - 1:k], w, alpha)
+            # FIFO: the outflow never exceeds a constant mu, so exit times
+            # t + q / mu never fall, but where X = 0 and alpha q is large the
+            # scan can round one below an earlier one: raise q just enough
+            while fifo:
+                t = t0 + x_dt * np.arange(j - 1, k)
+                exits = t + np.concatenate(([q], q_end)) / mus[0]
+                floor = np.maximum.accumulate(exits)[:-1]
+                late = exits[1:] < floor
+                if not late.any():
+                    break
+                q_end[late] = np.maximum(q_end[late] * (1.0 + 2.0 ** -52),
+                                         (floor - t[1:])[late] * mus[0])
+            peak = np.maximum(np.maximum(q_mid, q_end),
+                              np.concatenate(([q], q_end[:-1])))
+            m = int(np.argmax(peak > q_on)) if peak.max() > q_on else k - j
+            if m:
+                cols = slice(j, j + m)
+                x_end, mu_end, q_end = xe[cols], mue[cols], q_end[:m]
+                # the outflow is what the inflow brought in and q kept
+                inflow = np.cumsum(0.5 * w * (xe[j - 1:j + m - 1] + x_end))
+                out[0, cols] = q_end
+                out[1, cols] = mu_end + np.exp(-alpha * q_end) * (
+                    np.minimum(x_end, mu_end) - mu_end)
+                out[2, cols] = served + inflow - (q_end - q)
+                out[3, cols] = lost
+                # Python floats step faster than numpy scalars
+                q, served = float(q_end[-1]), float(out[2, j + m - 1])
+                n_closed += m
+            # after a gated bin the next may be gated too: scan short runs,
+            # each twice as long as the last
+            width = 2 * width if j + m == k else 8
+            j += m
+            if j == k:
+                continue
         if j > 0:
-            xa, pa, mua = xb, pb, mub
-            xb, pb, mub = xs[j - 1], ps[j - 1], mus[j - 1]
-            closed = False
-            if exact:
-                q_end, q_peak = _exact_bin(q, xa - mua, xb - mub, w, alpha)
-                if mua == mub:
-                    # FIFO: the outflow never exceeds mu, so the exit time
-                    # t + q / mu never falls.  Where X = 0 and alpha q is
-                    # large the softplus form can round q_end an ulp below
-                    # that; raise it to the least backlog that keeps the
-                    # order on the output grid
-                    t_end = t0 + x_dt * j
-                    e = (t0 + x_dt * (j - 1)) + q / mub
-                    if t_end + q_end / mub < e:
-                        q_end = (e - t_end) * mub
-                        while t_end + q_end / mub < e:
-                            q_end += q_end * 2.220446049250313e-16
-                        q_peak = max(q_peak, q_end)
-                closed = (not gate_on
-                          or _gate(q_peak, cap_k, h0, gate_n) == 1.0)
-                if closed:
-                    # the outflow is what the inflow brought in and q kept
-                    served += 0.5 * w * (xa + xb) - (q_end - q)
-                    q = q_end
-            elif (q == 0.0 and qp == 0.0 and free_gate and xa + pa <= mua
-                  and xb + pb <= mub):
+            xa, pa, mua = xs[j - 1], ps[j - 1], mus[j - 1]
+            xb, pb, mub = xs[j], ps[j], mus[j]
+            closed = (not exact and q == 0.0 and qp == 0.0 and q_on >= 0.0
+                      and xa + pa <= mua and xb + pb <= mub)
+            if closed:
                 served += 0.5 * w * (xa + xb)
                 served_p += 0.5 * w * (pa + pb)
-                closed = True
-            if closed:
                 n_closed += 1
             tau = w if closed else 0.0      # a closed bin takes no steps
             while tau < w:
@@ -365,21 +394,16 @@ def integrate_logistic(t0, x_dt, x_vals, p_vals, mu_vals, m_servers, alpha,
         if pair:
             out[4, j], out[5, j], out[6, j], out[7, j] = (qp, r[4], served_p,
                                                           lost_p)
+        j += 1
 
     return out, (status, n_steps, n_rej, n_closed, -worst_neg)
 
 
 def point_queue_exact(x_dt, x_vals, mu, q0):
     """Exact trajectory of the projected point-queue dynamics at the start
-    and at the end of each inflow bin: the exact logistic bins at
-    alpha = inf (see _exact_piece)."""
-    q_out = np.empty(x_vals.shape[0] + 1)
-    q_out[0] = q = q0
-    xb = float(x_vals[0])
-    for j, x in enumerate(x_vals.tolist(), start=1):
-        xa, xb = xb, x
-        q = q_out[j] = _exact_bin(q, xa - mu, xb - mu, x_dt, math.inf)[0]
-    return q_out
+    and at the end of each inflow bin: the exact bins at alpha = inf."""
+    d = np.concatenate((x_vals[:1], x_vals)) - mu
+    return np.concatenate(([q0], _exact_bins(q0, d, x_dt, math.inf)[1]))
 
 
 def des_fifo(arrivals, sizes, mu, cap_k):

@@ -25,6 +25,10 @@ class ParameterError(ValueError):
     """Invalid model or operation parameter."""
 
 
+# packets per chunk of PacketTrace's sortedness check
+_SORT_CHECK = 1 << 16
+
+
 @dataclass(frozen=True)
 class PacketTrace:
     """Sorted packet arrivals (seconds) with sizes (bits) over a horizon.
@@ -44,9 +48,12 @@ class PacketTrace:
         object.__setattr__(self, "sizes", sizes)
         if times.shape != sizes.shape or times.ndim != 1:
             raise ParameterError("times and sizes must be 1-d arrays of equal length")
-        # negated checks, so that NaN fails them
-        if not np.all(times[1:] >= times[:-1]):
-            raise ParameterError("packet times must be sorted nondecreasing")
+        # negated checks, so that NaN fails them; sortedness is checked a
+        # chunk at a time, without an n-byte mask
+        for lo in range(0, times.size - 1, _SORT_CHECK):
+            chunk = times[lo:lo + _SORT_CHECK + 1]
+            if not np.all(chunk[1:] >= chunk[:-1]):
+                raise ParameterError("packet times must be sorted nondecreasing")
         # a stride-0 view holds one value: test it, not n copies of it
         if not np.all((sizes[:1] if sizes.strides == (0,) else sizes) > 0):
             raise ParameterError("packet sizes must be positive")
@@ -191,9 +198,18 @@ def _merge_sorted(runs, horizon):
 
     Edges spaced evenly over the horizon cut every run by searchsorted, so
     equal values (-0.0 and 0.0 among them) fall into one bucket.  Each bucket
-    is filled in run order and stable-sorted on its own, which keeps the
-    run order of equal values.  Skewed times only make the buckets uneven.
+    is filled in run order and sorted on its own.  Without NaN, which
+    PacketTrace rejects, only -0.0 and 0.0 compare equal and differ in their
+    bytes, so the default (unstable, faster) sort gives the stable result
+    unless some run holds a zero; then the buckets are stable-sorted, which
+    keeps the run order of equal values.  Skewed times only make the buckets
+    uneven.
     """
+    kind = None
+    for r in runs:
+        i = np.searchsorted(r, 0.0)
+        if i < r.size and r[i] == 0.0:
+            kind = "stable"
     n = sum(r.size for r in runs)
     out = np.empty(n)
     edges = np.linspace(horizon[0], horizon[1], max(1, n // _BUCKET) + 1)[1:-1]
@@ -205,7 +221,7 @@ def _merge_sorted(runs, horizon):
             part = r[cut[b]:cut[b + 1]]
             out[hi:hi + part.size] = part
             hi += part.size
-        out[lo:hi].sort(kind="stable")
+        out[lo:hi].sort(kind=kind)
         lo = hi
     return out
 

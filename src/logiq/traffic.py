@@ -6,6 +6,8 @@ of Normal-distributed size arrive separated by Exponential interburst gaps,
 and packets inside a burst are separated by Exponential interpacket gaps.
 """
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,39 +93,58 @@ def generate_video_user(params: VideoUserParams, horizon, seed,
     With ``warmup_s`` > 0 the session/gap alternation starts that many
     seconds before t0, so short windows see the process near steady state
     instead of every user starting idle.  Sessions that end before t0 are
-    regeneration points and are skipped without drawing their bursts; only
-    packets inside [t0, t1] are emitted.
+    regeneration points and are skipped without drawing their bursts, and
+    bursts that end before t0 are drawn but keep no array; only packets
+    inside [t0, t1] are emitted.
     """
     t0, t1 = float(horizon[0]), float(horizon[1])
-    if t1 <= t0:
-        raise ParameterError("horizon must be nonempty")
-    if warmup_s < 0:
-        raise ParameterError("warmup_s must be >= 0")
+    # negated checks, so that NaN fails them; an infinite end or warmup
+    # would never stop drawing
+    if not -math.inf < t0 < t1 < math.inf:
+        raise ParameterError("horizon must be finite and nonempty")
+    if not 0 <= warmup_s < math.inf:
+        raise ParameterError("warmup_s must be finite and >= 0")
     rng = np.random.default_rng(seed)
 
-    durations = np.array([d for d, _ in params.session_lengths])
-    probs = np.array([p for _, p in params.session_lengths])
+    # rng.choice(durations, p=probs) draws one random() and bisects this
+    # cdf, built as Generator.choice builds it: the same draw, without
+    # choice's checks and conversions on every call
+    durations = [d for d, _ in params.session_lengths]
+    cdf = np.array([p for _, p in params.session_lengths]).cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    # standard_exponential scaled by the mean is rng.exponential, byte for
+    # byte; the gaps of every burst are drawn into this one buffer
+    gaps = np.empty(4096)
     chunks = []
     t = t0 - warmup_s + rng.exponential(params.interuse_mean_s)
     while t < t1:
-        session_end = min(t + rng.choice(durations, p=probs), t1)
+        session_end = min(t + durations[bisect_right(cdf, rng.random())], t1)
         if session_end > t0:
             burst_start = t
             while burst_start < session_end:
                 n_pkts = max(1, int(round(rng.normal(params.burst_size_mean,
                                                      params.burst_size_dispersion))))
-                gaps = rng.exponential(params.interpacket_mean_s, n_pkts - 1)
-                times = np.empty(n_pkts)
-                times[0] = 0.0
-                np.cumsum(gaps, out=times[1:])
-                times += burst_start
-                burst_end = times[-1]
-                # times are nondecreasing: keep [t0, session_end) by bisection
-                lo = np.searchsorted(times, t0) if burst_start < t0 else 0
-                hi = (np.searchsorted(times, session_end)
-                      if burst_end >= session_end else n_pkts)
-                if lo < hi:
-                    chunks.append(times[lo:hi])
+                if n_pkts - 1 > gaps.size:
+                    gaps = np.empty(2 * n_pkts)
+                offsets = gaps[:n_pkts - 1]
+                rng.standard_exponential(out=offsets)
+                offsets *= params.interpacket_mean_s
+                np.cumsum(offsets, out=offsets)
+                burst_end = (burst_start + offsets[-1] if n_pkts > 1
+                             else burst_start)
+                if burst_end >= t0:
+                    # a new array: kept chunks never view the buffer
+                    times = np.empty(n_pkts)
+                    times[0] = burst_start
+                    np.add(offsets, burst_start, out=times[1:])
+                    # times are nondecreasing: keep [t0, session_end) by
+                    # bisection
+                    lo = np.searchsorted(times, t0) if burst_start < t0 else 0
+                    hi = (np.searchsorted(times, session_end)
+                          if burst_end >= session_end else n_pkts)
+                    if lo < hi:
+                        chunks.append(times[lo:hi])
                 burst_start = burst_end + rng.exponential(params.interburst_mean_s)
         t = session_end + rng.exponential(params.interuse_mean_s)
 
@@ -142,8 +163,8 @@ def generate_users(params: VideoUserParams, horizon, seed, n_users: int,
     Per-user streams come from SeedSequence.spawn, so user i's trace does not
     depend on how many users are generated or in which order.
     """
-    if not float(horizon[1]) > float(horizon[0]):    # NaN fails too
-        raise ParameterError("horizon must be nonempty")
+    if not -math.inf < float(horizon[0]) < float(horizon[1]) < math.inf:
+        raise ParameterError("horizon must be finite and nonempty")
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     return [generate_video_user(params, horizon, child, warmup_s)

@@ -629,6 +629,37 @@ class TestPointQueueLimit:
         np.testing.assert_allclose(q, [0.0, 0.0, q2, 0.0, 0.0, q5, q6],
                                    rtol=1e-12, atol=0.0)
 
+    # The bound holds for the exact solutions; the computed gap fell below 0
+    # by at most 4.6e-15 of max(1, alpha max(q_point, mu dt)) over 6 000
+    # random cases (mu 1e-2..1e7, dt 1e-2..1e2, alpha mu dt 0.1..100)
+    ROUNDING = 1e-13
+
+    @settings(max_examples=100, deadline=None)
+    @given(fractions=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 2.5)),
+                              min_size=1, max_size=60),
+           mu=st.floats(1e-2, 1e7), dt=st.floats(1e-2, 100.0),
+           alpha_dt=st.floats(0.1, 100.0),
+           q0_bins=st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    def test_logistic_queue_within_log_n_of_point_queue(
+            self, fractions, mu, dt, alpha_dt, q0_bins):
+        # 0 <= alpha (q_alpha - q_point) <= log 2 + log N, with N one plus
+        # the number of bins so far in which X exceeds mu: the logsumexp of
+        # the scan is at most its largest term plus log N, softplus(z) is
+        # at most max(z, 0) + log 2, and log(e^(alpha A) - 1) <= alpha A
+        inflow = RateSeries(0.0, dt, np.asarray(fractions) * mu)
+        q0 = q0_bins * mu * dt
+        alpha = alpha_dt / (mu * dt)
+        traj = integrate_queue(inflow, QueueSpec(mu=mu, alpha=alpha, q0=q0))
+        _, q_point = integrate_point_queue(inflow, mu, q0)
+        x = np.concatenate((inflow.values[:1], inflow.values))
+        n_terms = 1 + np.concatenate(
+            ([0], np.cumsum(np.maximum(x[:-1], x[1:]) > mu)))
+        gap = alpha * (traj.q - q_point)
+        tol = self.ROUNDING * np.maximum(
+            1.0, alpha * np.maximum(q_point, mu * dt))
+        assert np.all(gap >= -tol)
+        assert np.all(gap <= np.log(2.0) + np.log(n_terms) + tol)
+
 
 class TestSpecValidation:
     def test_bad_parameters(self):

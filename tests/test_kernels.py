@@ -1,10 +1,12 @@
 """``kernels.integrate_logistic`` called directly: on an input that takes it
 through stepped bins first and closed-form bins after, for the single queue
 and the priority pair; on a NaN gate, which must fail the solve; and for
-causality across bins.  The other kernels are tested through fluid.py and
-des.py."""
+causality across bins.  Also the backlog below which the gate is exactly
+1, and the backlog the exact-bin scans carry from one run to the next.  The
+other kernels are tested through fluid.py and des.py."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -89,3 +91,38 @@ def test_later_samples_leave_earlier_bins_unchanged(mode, gate_on, n, data,
         x_vals=x_later, p_vals=p_later, mu_vals=mu_later, **args)
     assert stats[0] == stats_later[0] == kernels.OK
     np.testing.assert_array_equal(out[:, :j + 1], out_later[:, :j + 1])
+
+
+@pytest.mark.parametrize("cap_k, h0, gate_n", [
+    (2e6, 0.5, 500.0 / 2e6), (1.0, 0.9, 500.0), (3e9, 1.0, 500.0 / 3e9)])
+def test_gate_limit_is_the_last_backlog_of_a_full_gate(cap_k, h0, gate_n):
+    q_on = kernels._gate_limit(cap_k, h0, gate_n)
+    assert 0.0 < q_on < math.inf
+    assert kernels._gate(q_on, cap_k, h0, gate_n) == 1.0
+    assert kernels._gate(math.nextafter(q_on, math.inf), cap_k, h0,
+                         gate_n) < 1.0
+
+
+def test_gate_limit_without_a_full_gate():
+    # a gate below 1 at an empty queue, and a NaN gate (0 * -inf)
+    assert kernels._gate_limit(1.0, 0.5, 1.0) == -1.0
+    assert kernels._gate_limit(math.inf, 0.5, 0.0) == -1.0
+
+
+def test_scans_carry_the_backlog():
+    # runs of 2 bins per scan against the default: the carried backlog
+    # joins the runs, so both agree to rounding
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 2.0, 300) * rng.integers(0, 2, 300)
+    args = dict(t0=0.0, x_dt=1.0, x_vals=x, p_vals=np.empty(0),
+                mu_vals=np.broadcast_to(1.0, 300), m_servers=1.0,
+                alpha=3.0, gate_on=False, cap_k=0.0, h0=1.0, gate_n=1.0,
+                q0=4.0, rtol=1e-6, atol=1e-9)
+    out, _ = kernels.integrate_logistic(**args)
+    point = kernels.point_queue_exact(1.0, x, 1.0, 4.0)
+    with mock.patch.object(kernels, "_SCAN", 2):
+        short, _ = kernels.integrate_logistic(**args)
+        point_short = kernels.point_queue_exact(1.0, x, 1.0, 4.0)
+    assert out[0].max() > 1.0 and point.max() > 1.0
+    np.testing.assert_allclose(short, out, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(point_short, point, rtol=1e-13, atol=1e-13)

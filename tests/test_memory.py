@@ -1,8 +1,8 @@
 """Memory the one-size packet path holds and peaks at, counted by
 tracemalloc, which numpy reports its buffers to.  Bounds are in units of 8n
 bytes, one float64 per packet of the trace; the counts are deterministic.
-Each stage keeps one full-length array: the bounds leave room for the
-n-byte sortedness mask PacketTrace builds and for chunk-sized scratch."""
+Each stage keeps one full-length array: the bounds leave room for
+chunk-sized scratch, such as that of PacketTrace's sortedness check."""
 
 import tracemalloc
 

@@ -25,6 +25,19 @@ class TestPacketTrace:
         with pytest.raises(ParameterError):
             make_trace([2.0, 1.0])
 
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_rejects_unsorted_in_any_chunk(self, k):
+        # the check runs 4 packets at a time here: a descent at any
+        # position, on a chunk edge too, and a NaN fail it
+        times = np.arange(13.0)
+        with mock.patch.object(series, "_SORT_CHECK", 4):
+            make_trace(times, horizon=(0.0, 12.0))
+            for bad in (times[k - 1] - 0.5, np.nan):
+                broken = times.copy()
+                broken[k] = bad
+                with pytest.raises(ParameterError, match="sorted"):
+                    make_trace(broken, horizon=(-1.0, 12.0))
+
     def test_rejects_nonpositive_sizes(self):
         with pytest.raises(ParameterError):
             PacketTrace(np.array([1.0]), np.array([0.0]), (0.0, 2.0))

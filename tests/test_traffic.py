@@ -185,6 +185,22 @@ class TestMatchesReferenceLoop:
             burst_size_mean=1.0, burst_size_dispersion=0.0,
             interburst_mean_s=2.0, interuse_mean_s=60.0),
             (50.0, 650.0), 600.0),
+        # session tables whose cdf repeats a value, and one of one entry:
+        # the bisected draw must pick what rng.choice picks
+        "zero_probability_first": (VideoUserParams(
+            session_lengths=((60.0, 0.0), (300.0, 0.5), (900.0, 0.5)),
+            interuse_mean_s=300.0), (0.0, 3600.0), 3600.0),
+        "zero_probability_middle": (VideoUserParams(
+            session_lengths=((60.0, 0.5), (300.0, 0.0), (900.0, 0.5)),
+            interuse_mean_s=300.0), (0.0, 3600.0), 3600.0),
+        "zero_probability_last": (VideoUserParams(
+            session_lengths=((60.0, 0.5), (300.0, 0.5), (900.0, 0.0)),
+            interuse_mean_s=300.0), (0.0, 3600.0), 3600.0),
+        "one_entry_table": (VideoUserParams(
+            session_lengths=((240.0, 1.0),), interuse_mean_s=300.0),
+            (0.0, 3600.0), 3600.0),
+        # the flows of scenarios/dt_star.json: 600 s after a 1 d warmup
+        "dt_star_flow": (VideoUserParams(), (0.0, 600.0), 86400.0),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -244,3 +260,16 @@ class TestWarmup:
     def test_negative_warmup_rejected(self):
         with pytest.raises(ParameterError):
             generate_video_user(VideoUserParams(), (0.0, 600.0), 0, warmup_s=-1.0)
+
+    # A NaN warmup used to return no packets, an infinite one to start the
+    # first session at -inf and never finish; an infinite horizon end would
+    # draw without end
+    @pytest.mark.parametrize("horizon, warmup_s", [
+        ((0.0, 600.0), np.nan), ((0.0, 600.0), np.inf),
+        ((0.0, np.inf), 0.0), ((-np.inf, 600.0), 0.0),
+        ((np.nan, 600.0), 0.0), ((0.0, np.nan), 0.0)])
+    def test_non_finite_window_rejected(self, horizon, warmup_s):
+        with pytest.raises(ParameterError):
+            generate_video_user(VideoUserParams(), horizon, 0, warmup_s)
+        with pytest.raises(ParameterError):
+            generate_users(VideoUserParams(), horizon, 0, 2, warmup_s)
