@@ -6,7 +6,6 @@ artifacts into --out, and is deterministic given config + seed.
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import pipeline, plot
@@ -158,6 +157,8 @@ def cmd_sweep(cfg, out: Path) -> int:
     targets = cfg["sweep"]["rho_targets"]
     tasks = [(cfg, rho) for rho in targets]
     if cfg["workers"] > 1 and len(tasks) > 1:
+        # imported here: only a parallel sweep needs the process pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     else:

@@ -1,17 +1,28 @@
 """Packet-level single-server FIFO simulator (the ground-truth oracle): the
-Lindley recursion in closed form.  With a drop-tail buffer, only the busy
-periods whose backlog comes near the capacity follow the event loop exactly;
-every other packet keeps its closed-form departure.  When those periods hold
-one packet size (all generated traffic), their long busy runs are walked in
-exact numpy blocks and only short ones take the event loop's scalar step;
-mixed sizes (CSV-loaded traces) run the event loop kernels.des_fifo.
+event loop kernels.des_fifo, reproduced bit for bit by one Lindley scan that
+serves both buffers.
 
-Either buffer keeps one full-length array, the departure times: the
-drop-tail scan works in chunks, a long hot period is walked in a view of
-the departures (short ones are gathered a chunk at a time), the accepted
-departures are compacted in place, and the backlog samples read the last
-completion only at the sample points.  Departures of a one-size trace keep
-its sizes as a stride-0 view.
+The loop sets c = fl(m + tau) with m = max(c_prev, a) and tau = fl(s / mu).
+Let m lie in the binade [2^e, 2^(e+1)), where floats are the multiples of
+u = 2^(e-52), and let tau_e be tau rounded to a multiple of u.  If tau / u
+is not a half-integer and m + tau_e < 2^(e+1), then fl(m + tau) = m + tau_e
+exactly, since m is a multiple of u.  While that holds the loop is exact
+arithmetic and unrolls to c_j = T_j + max(c_prev, max over k <= j of
+(a_k - T_(k-1))), T the running sum of tau_e: a block in one binade costs
+one running maximum (_lindley).  m never decreases, so each binade is
+entered once.
+
+Mode L runs such blocks and, with a finite buffer, the loop's own drop test
+on them, accepting every packet before the first drop.  From a drop, mode D
+walks the busy run: in numpy blocks for one size (_busy_walk), up to the
+first idle arrival; with the loop itself for mixed sizes, up to a stretch
+without drops.  The loop's scalar step takes only the packets where the
+rule fails: at a binade crossing, in a binade where the one size ties, and
+where m is below the smallest normal float (zero and negative times).
+
+Accepted departures, the one full-length array, are written compacted as
+they are made; the backlog samples read the last completion only at the
+sample points.  A one-size trace's departures view its sizes.
 
 Backlog counts every bit that has arrived but not yet departed, including the
 remainder of the in-service packet.  With a finite buffer, an arriving packet
@@ -24,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .series import (PacketTrace, RateSeries, ParameterError, bin_rates,
-                     run_indices)
+from .series import PacketTrace, RateSeries, ParameterError, bin_rates
 
 
 @dataclass(frozen=True)
@@ -53,8 +63,8 @@ class DesResult:
     departures: PacketTrace
     drop_count: int
     drop_bits: float
-    looped: int     # packets of the drop-tail periods that come near K
-    stepped: int    # of those, packets taken one at a time, not in a block
+    looped: int     # packets of the busy runs walked after a drop (mode D)
+    stepped: int    # packets taken by the event loop's scalar step
 
     def q_to_csv(self, path):
         with open(path, "w") as fh:
@@ -71,295 +81,282 @@ def simulate_fifo(trace: PacketTrace, cfg: DesConfig) -> DesResult:
     sample_times = t0 + cfg.sample_dt * np.arange(n + 1)
     # arrivals at or before each sample time
     seen = np.searchsorted(trace.times, sample_times, side="right")
-
-    dep_sizes, bits_drop = trace.sizes, 0.0
-    if cfg.capacity_k is None:
-        depart = _lindley(trace.times, trace.sizes, float(cfg.mu))
-        looped = stepped = 0
-    else:
-        depart, looped, stepped = _drop_tail(
-            trace.times, trace.sizes, float(cfg.mu), float(cfg.capacity_k))
-        if looped:          # only the looped periods can drop packets
-            # mixed sizes are gathered; one size stays a stride-0 view
-            if dep_sizes.strides != (0,):
-                dep_sizes = dep_sizes[~np.isnan(depart)]
-            w, seen, bits_drop = _compact(depart, trace.sizes, seen)
-            depart, dep_sizes = depart[:w], dep_sizes[:w]
+    scan = _Scan(trace.times, trace.sizes, float(cfg.mu), cfg.capacity_k,
+                 seen)
+    depart, dep_sizes = scan.run()
     dep_end = float(depart[-1]) if depart.size else t1
     departures = PacketTrace(depart, dep_sizes, (t0, max(t1, dep_end)))
 
     # backlog(t) = mu * max(0, C(t) - t) with C(t) the completion time of
-    # the last accepted arrival at or before t: seen now counts the
-    # accepted ones, and departures keep arrival order
+    # the last accepted arrival at or before t: kept counts the accepted
+    # ones, and departures keep arrival order
     if depart.size:
-        c_at = np.where(seen > 0, depart[np.maximum(seen - 1, 0)], -np.inf)
+        kept = scan.kept
+        c_at = np.where(kept > 0, depart[np.maximum(kept - 1, 0)], -np.inf)
         q = cfg.mu * np.maximum(0.0, c_at - sample_times)
-        q[~np.isfinite(q)] = 0.0
     else:
         q = np.zeros_like(sample_times)
 
     return DesResult(sample_times, q, departures, len(trace) - depart.size,
-                     float(bits_drop), looped, stepped)
+                     float(scan.bits), scan.looped, scan.stepped)
 
 
-# chunk length in packets of _lindley, the drop-tail scan and the
-# compaction: their scratch arrays hold one chunk, not the whole trace
+# block lengths in packets: mode L's blocks grow from _BLOCK_MIN to _CHUNK,
+# a busy walk's to _BLOCK_MAX, doubling while nothing cuts them short; the
+# scratch arrays hold one block, not the whole trace
 _CHUNK = 1 << 16
-
-
-def _lindley(arrivals, sizes, mu):
-    """Departure times of an infinite-buffer FIFO server, without a loop.
-
-    With S the cumulative service time (S_(-1) = 0), the Lindley recursion
-    c_j = max(c_(j-1), a_j) + s_j unrolls to
-    c_j = S_j + max over k <= j of (a_k - S_(k-1)).  The result is the only
-    full-length array: chunks of _CHUNK packets carry S and the running
-    maximum from one to the next.  add.accumulate and maximum.accumulate
-    run left to right, so the sums are those of one global cumsum (and
-    0.0 + s_0 == s_0 starts them).
-    """
-    n = arrivals.size
-    c = np.empty(n)
-    s = np.zeros(min(n, _CHUNK) + 1)
-    peak = -np.inf
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        m = hi - lo
-        np.divide(sizes[lo:hi], mu, out=s[1:m + 1])
-        np.add.accumulate(s[:m + 1], out=s[:m + 1])
-        cc = c[lo:hi]
-        np.subtract(arrivals[lo:hi], s[:m], out=cc)
-        cc[0] = np.maximum(peak, cc[0])
-        np.maximum.accumulate(cc, out=cc)
-        peak = cc[-1]
-        cc += s[1:m + 1]
-        s[0] = s[m]
-    return c
-
-
-def _drop_tail(arrivals, sizes, mu, cap_k):
-    """kernels.des_fifo's departures (NaN for a drop), with its loop run only
-    where needed and in numpy blocks where the packets share one size.
-
-    The drop-tail backlog never exceeds the infinite-buffer backlog on the
-    same arrivals (the recursion is monotone in its input, and so is its
-    rounding).  An infinite-buffer busy period in which no arrival sees
-    backlog + size near cap_k therefore starts empty under both disciplines
-    and drops nothing: _lindley's departures stand.  The remaining ("hot")
-    periods are contiguous slices, and each starts empty, so the loop walks
-    them from c_prev = -inf, writing over _lindley's departures: a long one
-    in a view, short ones as _walk_groups gathers them.  If every hot
-    packet has one size, _one_size_drop_tail gives the loop's results bit
-    for bit, walking long busy runs in blocks; otherwise kernels.des_fifo
-    runs.
-
-    ``tol`` bounds how far the cumulative-sum form of _lindley can sit from
-    the loop's rounding (about 3 n ulps of the largest time).  A period
-    starts only where the queue is empty by more than tol, and an arrival is
-    hot from cap_k - mu * tol on; both only enlarge the hot set.  Returns
-    (depart, looped packets, of those the packets taken one at a time).
-    """
-    c = _lindley(arrivals, sizes, mu)
-    n = c.size
-    if n == 0:
-        return c, 0, 0
-    eps = np.finfo(np.float64).eps
-    tol = 4.0 * n * eps * (abs(c[-1]) + abs(arrivals[0]) + 1.0)
-    slack = mu * tol + 8.0 * eps * cap_k
-    lo, hi = _hot_ranges(c, arrivals, sizes, mu, tol, cap_k - slack)
-    looped = int((hi - lo).sum())
-    one_size = _one_size(sizes, lo, hi)
-    stepped = 0
-    for sel in _walk_groups(lo, hi):
-        dep = c[sel]        # a view of a slice, a copy of gathered indices
-        if one_size:
-            stepped += _one_size_drop_tail(arrivals[sel], float(sizes[lo[0]]),
-                                           mu, cap_k, dep)
-        else:
-            dep[:] = kernels.des_fifo(arrivals[sel], sizes[sel], mu, cap_k)[0]
-            stepped += dep.size
-        c[sel] = dep
-    return c, looped, stepped
-
-
-def _hot_ranges(c, arrivals, sizes, mu, tol, level):
-    """(lo, hi) arrays of the infinite-buffer busy periods [lo, hi) in which
-    an arrival sees backlog + size > level, adjacent ones merged.  A period
-    starts at an arrival that finds the server idle by more than tol.  The
-    scan takes one _CHUNK at a time, carrying the open period's start and
-    whether it is hot, so it holds chunk-sized scratch and the hot periods.
-    """
-    n = c.size
-    wait = np.empty(min(n, _CHUNK))    # > 0: the arrival finds a backlog
-    los, his = [], []
-    start, hot = 0, False              # the open period
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        w = wait[:hi - lo]
-        if lo:
-            np.subtract(c[lo - 1:hi - 1], arrivals[lo:hi], out=w)
-        else:
-            w[0] = -np.inf
-            np.subtract(c[:hi - 1], arrivals[1:hi], out=w[1:])
-        # the periods that meet this chunk start at b[0], ..., b[-1] (in
-        # the first chunk b[0] == b[1], and that empty period is not hot)
-        b = np.append(start, lo + np.flatnonzero(w < -tol))
-        np.maximum(w, 0.0, out=w)
-        w *= mu
-        w += sizes[lo:hi]
-        hot_b = np.zeros(b.size, dtype=bool)
-        hot_b[np.searchsorted(b, lo + np.flatnonzero(w > level),
-                              side="right") - 1] = True
-        hot_b[0] |= hot
-        los.append(b[:-1][hot_b[:-1]])
-        his.append(b[1:][hot_b[:-1]])
-        start, hot = b[-1], hot_b[-1]
-    if hot:
-        los.append([start])
-        his.append([n])
-    lo, hi = np.concatenate(los), np.concatenate(his)
-    apart = np.flatnonzero(lo[1:] != hi[:-1])    # range i + 1 not adjacent
-    return (np.append(lo[:1], lo[apart + 1]),
-            np.append(hi[apart], hi[-1:]))
-
-
-def _walk_groups(lo, hi):
-    """The hot ranges [lo, hi) in order, one walk each: a slice of the
-    trace, or the gathered indices of ranges shorter than _CHUNK that start
-    in one chunk of the trace.  Each range starts empty, so walking them
-    back to back is exact; it spares many short ranges the per-call cost,
-    and a gather holds under 2 * _CHUNK packets."""
-    if not lo.size:
-        return
-    short = hi - lo < _CHUNK
-    key = np.where(short, lo // _CHUNK, -1 - np.arange(lo.size))
-    cut = np.flatnonzero(key[1:] != key[:-1]) + 1
-    for a, b in zip(np.split(lo, cut), np.split(hi, cut)):
-        yield slice(int(a[0]), int(b[0])) if a.size == 1 else run_indices(a, b)
-
-
-def _one_size(sizes, lo, hi):
-    """Whether the packets of the ranges [lo, hi) (sorted, nonempty and
-    apart) all have one size."""
-    if sizes.strides == (0,):
-        return True
-    # reduceat reduces from each edge to the next, the last one to the end
-    edges = np.column_stack((lo, hi)).ravel()
-    edges = edges[edges < sizes.size]
-    return bool(edges.size) and (np.minimum.reduceat(sizes, edges)[::2].min()
-                                 == np.maximum.reduceat(sizes, edges)[::2].max())
-
-
-def _compact(depart, sizes, seen):
-    """Move the accepted (non-NaN) departures to the front of ``depart`` in
-    arrival order, one _CHUNK at a time; the write position never passes
-    the read position.  Returns their number; for each entry i of the
-    nondecreasing ``seen``, how many of them lie in depart[:i]; and the
-    dropped bits, added in arrival order as the event loop adds them."""
-    w, bits = 0, 0.0
-    kept_before = np.zeros_like(seen)
-    for lo in range(0, depart.size, _CHUNK):
-        chunk = depart[lo:lo + _CHUNK]
-        keep = ~np.isnan(chunk)
-        first, last = np.searchsorted(seen, [lo, lo + chunk.size],
-                                      side="right")
-        for i in range(first, last):
-            kept_before[i] = w + np.count_nonzero(keep[:seen[i] - lo])
-        kept = chunk[keep]
-        if kept.size < chunk.size:
-            bits = _add_in_order(bits, sizes[lo:lo + chunk.size][~keep])
-        depart[w:w + kept.size] = kept
-        w += kept.size
-    return w, kept_before, bits
-
-
-# _one_size_drop_tail's block policy: a busy run is walked in blocks once it
-# holds _RUN_MIN packets; a block starts at _BLOCK_MIN packets and doubles up
-# to _BLOCK_MAX while the server stays busy.
-_RUN_MIN = 32
 _BLOCK_MIN = 64
 _BLOCK_MAX = 4096
+# the binade rule needs the ulp of m to be a float
+_TINY = float(np.finfo(np.float64).tiny)
 
 
-def _one_size_drop_tail(arrivals, size, mu, cap_k, depart):
-    """Write kernels.des_fifo(arrivals, sizes, mu, cap_k)'s departures for
-    sizes all equal to ``size`` into ``depart``, bit for bit, with long busy
-    runs walked in numpy blocks.  ``depart`` may be a view of a larger
-    array; only ``arrivals`` is read.
+class _Scan:
+    """One pass of kernels.des_fifo's loop over a trace, in the modes of the
+    module docstring.  The state is the loop's: the next arrival j, the last
+    completion c, and the dropped bits so far (added in arrival order, as
+    the loop adds them).  The accepted departures are out[:w].
+    kept[i] counts the accepted packets among the first seen[i] arrivals."""
 
-    While the server stays busy, the loop's completion time after k more
-    accepted packets is comp[k] = c + tau + ... + tau (tau = size / mu),
-    which add.accumulate sums in the loop's order.  The loop's drop test
-    (comp - a) * mu + size > cap_k is monotone in comp and in a, so
-    arrival i would be accepted at each of the first m_i entries of comp
-    and at none after them, and m is nondecreasing.  Arrival i finds k_i
-    accepted before it and is accepted iff k_i < m_i; hence
-    k_(i+1) = min(k_i + 1, m_i), which unrolls to
-    k_i = i + min(0, min over l < i of (m_l - l - 1)).  A block ends at the
-    first arrival that finds the server idle (comp[k_i] <= a_i), where the
-    loop restarts from the arrival itself; short busy runs take the loop's
-    own step.  The loop's last completion is the forward fill of these
-    departures, so none is kept.  Returns the packets taken one at a time.
-    """
-    n = arrivals.size
-    tau = size / mu
-    c = -np.inf
-    j = run = stepped = 0
-    block = _BLOCK_MIN
-    while j < n:
-        a = arrivals[j]
-        if run < _RUN_MIN or not c > a:
-            if c > a:
-                backlog, start = (c - a) * mu, c
+    def __init__(self, arrivals, sizes, mu, cap_k, seen):
+        n = arrivals.size
+        self.a, self.s, self.mu, self.cap = arrivals, sizes, mu, cap_k
+        self.one = n > 0 and (sizes.strides == (0,)
+                              or sizes.min() == sizes.max())
+        self.tau = float(sizes[0]) / mu if self.one else None
+        self.out = np.empty(n)
+        # the drop test's scratch
+        self.d = None if cap_k is None else np.empty(min(n, _CHUNK))
+        self.seen, self.kept, self.si = seen, np.zeros_like(seen), 0
+        self.j = self.w = self.looped = self.stepped = 0
+        self.c, self.bits = -math.inf, 0.0
+        self.dropped = []       # mixed sizes: the indices of the drops
+        self.ex = self.ramp = None
+
+    def run(self):
+        """(accepted departures, their sizes)."""
+        a, n = self.a, self.a.size
+        if self.one and self.cap is not None and self.s[0] > self.cap:
+            # backlog + size > K for every arrival: all are dropped
+            for lo in range(0, n, _CHUNK):
+                self.bits = _add_in_order(self.bits, self.s[lo:lo + _CHUNK])
+            return self.out[:0], self.s[:0]
+        block = _BLOCK_MIN
+        while self.j < n:
+            j = self.j
+            m = max(self.c, a[j])
+            if not m >= _TINY:
+                self._loop(j + max(1, int(np.searchsorted(a[j:], _TINY))))
+                continue
+            ex = math.frexp(m)[1]
+            top = math.ldexp(1.0, ex)           # m lies in [top / 2, top)
+            hi = j + int(np.searchsorted(a[j:j + block], top))
+            if self.one and self._ramp(ex, top) is None:
+                self._loop(hi)                  # a tie for every packet
+                continue
+            got = self._lindley(hi, ex, top)
+            take = got if self.cap is None else self._first_drop(got)
+            if take:
+                self.w += take
+                self.j += take
+                self.c = self.out[self.w - 1]
+                self._settle()
+            if take < got:                      # mode D from the drop
+                if self.one:
+                    self._busy_walk()
+                else:   # the loop, in stretches that double while they drop
+                    span = _BLOCK_MIN
+                    while self.j < n and self._loop(min(n, self.j + span),
+                                                    walk=True):
+                        span = min(2 * span, _CHUNK)
+                block = _BLOCK_MIN
+            elif got < hi - j:                  # the rule fails here
+                self._loop(self.j + 1)
+                block = _BLOCK_MIN
             else:
-                backlog, start, run, block = 0.0, a, 0, _BLOCK_MIN
-            if backlog + size > cap_k:
-                depart[j] = np.nan
-            else:
-                c = start + tau
-                depart[j] = c
-            run += 1
-            j += 1
-            stepped += 1
-            continue
+                block = min(2 * block, _CHUNK)
+        self.d = self.ramp = None       # the scratch goes before the result
+        if self.dropped:
+            return self.out[:self.w], np.delete(self.s,
+                                                np.concatenate(self.dropped))
+        return self.out[:self.w], self.s[:self.w]
 
-        ab = arrivals[j:j + block]
-        b = ab.size
-        comp = np.full(b + 1, tau)
-        comp[0] = c
-        np.add.accumulate(comp, out=comp)
-        m = np.searchsorted(comp, ab + (cap_k - size) / mu, side="right")
-        # settle m on the loop's own test, which the threshold's rounding
-        # can miss by an entry
-        while True:
-            i = np.flatnonzero(m)
-            i = i[(comp[m[i] - 1] - ab[i]) * mu + size > cap_k]
-            if not i.size:
-                break
-            m[i] -= 1
-        while True:
-            i = np.flatnonzero(m <= b)
-            i = i[(comp[m[i]] - ab[i]) * mu + size <= cap_k]
-            if not i.size:
-                break
-            m[i] += 1
-        k = np.arange(b + 1)
-        gap = m - k[1:]
-        np.minimum.accumulate(gap, out=gap)
-        np.minimum(gap, 0, out=gap)
-        k[1:] += gap
-        busy = comp[k[:-1]] > ab
-        e = int(busy.argmin())          # busy[0] holds, since c > a
-        if busy[e]:
-            e = b
+    def _ramp(self, ex, top):
+        """One size: T_k = k tau_e for the binade below ``top`` (2^ex), or
+        None where tau / u is a half-integer or tau >= top."""
+        if ex != self.ex:
+            self.ex, self.ramp = ex, None
+            r = math.ldexp(self.tau, 53 - ex) if self.tau < top else 0.5
+            if r % 1.0 != 0.5:
+                self.ramp = np.arange(min(self.a.size, _CHUNK) + 1.0)
+                self.ramp *= math.ldexp(round(r), ex - 53)
+        return self.ramp
+
+    def _lindley(self, hi, ex, top):
+        """Mode L: write the departures of arrivals j..hi - 1 (all below
+        ``top``) to out[w:], and return how many of them come before the
+        first packet that breaks the binade rule.  Every operation on those
+        is exact: T and the differences a_k - T_(k-1) that can win the
+        maximum are multiples of u below top in magnitude, and a smaller
+        a_k rounds to at most the running maximum."""
+        j = self.j
+        b = hi - j
+        ab = self.a[j:hi]
+        dep = self.out[self.w:self.w + b]
+        ok = b
+        if self.one:
+            np.subtract(ab, self.ramp[:b], out=dep)
+            t = self.ramp[1:b + 1]
+        else:
+            tau = self.s[j:hi] / self.mu
+            r = np.ldexp(np.minimum(tau, top, out=tau), 53 - ex)   # tau / u
+            bad = (r % 1.0 == 0.5) | (r >= 2.0 ** 53)
+            if bad.any():
+                ok = int(bad.argmax())
+            t = np.ldexp(np.rint(r), ex - 53)
+            np.add.accumulate(t, out=t)
+            dep[0] = ab[0]
+            np.subtract(ab[1:], t[:-1], out=dep[1:])
+        dep[0] = max(dep[0], self.c)
+        # fmax is maximum without NaN handling (there is no NaN), and faster
+        np.fmax.accumulate(dep, out=dep)
+        dep += t
+        # the computed c never decreases, even past the first failure
+        if ok and dep[ok - 1] >= top:
+            ok = int(np.searchsorted(dep[:ok], top))
+        return ok
+
+    def _first_drop(self, got):
+        """The loop's drop test on the ``got`` packets _lindley wrote: the
+        index of the first drop, or got."""
+        if not got:
+            return 0
+        ab = self.a[self.j:self.j + got]
+        d = self.d[:got]
+        d[0] = self.c - ab[0]
+        np.subtract(self.out[self.w:self.w + got - 1], ab[1:], out=d[1:])
+        if self.one:
+            # the test is nondecreasing in c - a: try the largest first
+            if not d.max() * self.mu + self.s[0] > self.cap:
+                return got
+            d *= self.mu
+            d += self.s[0]
+        else:
+            s = self.s[self.j:self.j + got]
+            d *= self.mu
+            d += s
+            # at an idle server the loop tests s > K alone
+            np.maximum(d, s, out=d)
+        hit = d > self.cap
+        f = int(hit.argmax())
+        return f if hit[f] else got
+
+    def _settle(self, j0=0, w0=0, counts=None):
+        """kept for the sample points up to j: w - (j - seen) if every
+        packet since the last call was accepted, else from counts, the
+        accepted packets among the first i arrivals from j0 on."""
+        seen, si = self.seen, self.si
+        if si < seen.size and seen[si] <= self.j:
+            hi = si + int(np.searchsorted(seen[si:], self.j, side="right"))
+            idx = seen[si:hi]
+            self.kept[si:hi] = (self.w - self.j + idx if counts is None
+                                else w0 + counts[idx - j0])
+            self.si = hi
+
+    def _loop(self, hi, walk=False):
+        """The loop's scalar step over arrivals j..hi - 1, counted as mode D
+        if ``walk``.  Returns the drops."""
+        j0, w0 = self.j, self.w
+        dep, last_c, lost, _ = kernels.des_fifo(
+            self.a[j0:hi], self.s[j0:hi], self.mu, self.cap or 0.0, self.c)
+        keep = ~np.isnan(dep)
+        kept = dep[keep]
+        self.out[w0:w0 + kept.size] = kept
+        self.w += kept.size
+        self.j, self.c = hi, last_c[-1]
+        self.stepped += hi - j0
+        self.looped += walk * (hi - j0)
+        if lost:
+            self.bits = _add_in_order(self.bits, self.s[j0:hi][~keep])
+            if not self.one:
+                self.dropped.append(j0 + np.flatnonzero(~keep))
+        self._settle(j0, w0, np.concatenate(([0], np.cumsum(keep))))
+        return lost
+
+    def _busy_walk(self):
+        """Mode D for one size: kernels.des_fifo's results, bit for bit,
+        for the busy run from j, walked in numpy blocks up to the first
+        arrival that finds the server idle.
+
+        While the server stays busy, the loop's completion time after k more
+        accepted packets is comp[k] = c + k tau_e, by the binade rule, as
+        long as that stays below top; where the rule fails, the loop takes
+        one step.  The loop's drop test (comp - a) * mu + size > cap_k is
+        monotone in comp and in a, so arrival i would be accepted at each of
+        the first m_i entries of comp and at none after them, and m is
+        nondecreasing.  Arrival i finds k_i accepted before it and is
+        accepted iff k_i < m_i; hence k_(i+1) = min(k_i + 1, m_i), which
+        unrolls to k_i = i + min(0, min over l < i of (m_l - l - 1)).
+        """
+        a, mu, cap = self.a, self.mu, self.cap
+        size = float(self.s[0])
+        off = (cap - size) / mu
+        block = _BLOCK_MIN
+        while self.j < a.size:
+            j0, w0, c = self.j, self.w, self.c
+            ex = math.frexp(c)[1]
+            top = math.ldexp(1.0, ex)
+            b = tau_e = 0
+            if c >= _TINY and self._ramp(ex, top) is not None:
+                tau_e = self.ramp[1]
+                # the entries comp[0..b] below top
+                b = int(np.searchsorted(self.ramp[:block + 1], top - c)) - 1
+            ab = a[j0:j0 + b]
+            b = ab.size
+            if not b or not tau_e:
+                self._loop(j0 + 1, walk=True)
+                continue
+            # ext[k + 1] = comp[k]; the ends pass and fail the drop test
+            ext = np.empty(b + 3)
+            ext[0], ext[-1] = -np.inf, np.inf
+            comp = ext[1:-1]
+            np.add(self.ramp[:b + 1], c, out=comp)
+            # m from the entries up to a + off, counted by division, then
+            # settled on the loop's own test, which that count's rounding
+            # can miss by an entry: pass at comp[m - 1], fail at comp[m]
+            est = ab + off
+            est -= c
+            est /= tau_e
+            np.floor(est, out=est)
+            m = np.clip(est, -1.0, b, out=est).astype(np.intp) + 1
+            i = np.arange(b)
+            while i.size:
+                mi, ai = m[i], ab[i]
+                step = ((ext[mi + 1] - ai) * mu + size <= cap).astype(np.intp)
+                step -= (ext[mi] - ai) * mu + size > cap
+                m[i] = mi + step
+                i = i[step != 0]
+            k = np.arange(b + 1)
+            gap = m - k[1:]
+            np.minimum.accumulate(gap, out=gap)
+            np.minimum(gap, 0, out=gap)
+            k[1:] += gap
+            busy = comp[k[:-1]] > ab
+            e = int(busy.argmin())
+            if busy[e]:
+                e = b
+            got = int(k[e])
+            self.out[w0:w0 + got] = comp[1:got + 1]
+            self.w += got
+            self.j += e
+            self.c = comp[got]
+            self.looped += e
+            if e > got:
+                self.bits = _add_in_order(self.bits, np.full(e - got, size))
+            self._settle(j0, w0, k)
+            if e < b:
+                return
             block = min(2 * block, _BLOCK_MAX)
-        kept = comp[k[1:e + 1]]
-        dep = depart[j:j + e]
-        dep[:] = kept
-        dep[k[1:e + 1] == k[:e]] = np.nan
-        c = kept[-1]
-        j += e
-    return stepped
 
 
 def _add_in_order(total, values):

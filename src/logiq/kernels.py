@@ -406,28 +406,27 @@ def point_queue_exact(x_dt, x_vals, mu, q0):
     return np.concatenate(([q0], _exact_bins(q0, d, x_dt, math.inf)[1]))
 
 
-def des_fifo(arrivals, sizes, mu, cap_k):
-    """Single-server FIFO (Lindley) recursion with optional drop-tail buffer.
+def des_fifo(arrivals, sizes, mu, cap_k, c_prev=-math.inf):
+    """Single-server FIFO (Lindley) recursion with optional drop-tail buffer
+    (cap_k > 0; 0 is the infinite buffer), from the last completion time
+    ``c_prev`` (-inf: an empty server).
 
-    des.simulate_fifo hands it only the infinite-buffer busy periods whose
-    backlog comes near cap_k, a long one as a slice of the trace and short
-    ones gathered back to back (each of them starts empty), and only when
-    their packets have mixed sizes; one size
-    takes the block walk des._one_size_drop_tail, which reproduces this
-    loop's departures bit for bit.  des keeps only ``depart``, whose drops
-    are the NaN entries.
+    des.simulate_fifo reproduces it bit for bit with one Lindley scan and
+    steps it only where that scan's binade rule fails (a binade crossing, a
+    binade where the one size's service time ties, times below the smallest
+    normal float) and, for mixed sizes, over the busy runs that drop
+    packets, carrying c_prev from one stretch to the next.
 
     Returns (depart, last_completion, n_dropped, dropped_bits); depart[j] is
     NaN for dropped packets (a departure can come at any time, negative
     ones too), last_completion[j] is the completion time of the latest
     accepted packet among the first j+1 arrivals (server work function).
-    last_completion is returned for the tests, which compare it with the
-    forward fill of depart.
+    des reads depart and the last completion; the tests compare
+    last_completion with the forward fill of depart.
     """
     n = arrivals.shape[0]
     depart = np.empty(n)
     last_c = np.empty(n)
-    c_prev = -np.inf
     n_drop = 0
     bits_drop = 0.0
     for j in range(n):

@@ -119,9 +119,9 @@ def generate_flow_inflows(params: VideoUserParams, n_flows: int,
     horizon = (0.0, horizon_s)
     inflows = []
     for child in ss.spawn(n_flows):
-        traces = generate_users(params, horizon, child, users_per_flow,
-                                warmup_s)
-        inflow = trace_to_inflow(traces, dt, horizon)
+        inflow = trace_to_inflow(
+            _user_traces(params, horizon, child, users_per_flow, warmup_s),
+            dt, horizon)
         if target_rate is not None:
             lam = mean_rate(inflow)
             if lam <= 0:
@@ -130,6 +130,18 @@ def generate_flow_inflows(params: VideoUserParams, n_flows: int,
                                 inflow.values * (target_rate / lam))
         inflows.append(inflow)
     return inflows
+
+
+def _user_traces(params, horizon, seed, n_users, warmup_s):
+    """generate_users(params, horizon, seed, n_users, warmup_s), one trace
+    at a time: user i comes from a copy of ``seed`` that has spawned i
+    children, so its stream is seed.spawn(n_users)[i], and the caller can
+    let each trace go before the next is drawn."""
+    for i in range(n_users):
+        parent = np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size,
+            n_children_spawned=i)
+        yield generate_users(params, horizon, parent, 1, warmup_s)[0]
 
 
 def dt_scenario(topology: Topology, inflows, priority_rates=()) -> DtRun:

@@ -176,7 +176,9 @@ def merge_traces(traces, horizon=None) -> PacketTrace:
             raise ParameterError("cannot merge traces with different horizons")
     if not traces:
         return PacketTrace(np.empty(0), np.empty(0), horizon)
-    sized = [tr.sizes for tr in traces if len(tr)]
+    # a stride-0 view holds one value: read it once, as PacketTrace does
+    sized = [tr.sizes[:1] if tr.sizes.strides == (0,) else tr.sizes
+             for tr in traces if len(tr)]
     if sized and all(s.min() == s.max() == sized[0][0] for s in sized):
         times = _merge_sorted([tr.times for tr in traces], horizon)
         return PacketTrace(times, np.broadcast_to(sized[0][0], times.shape),
@@ -230,20 +232,25 @@ def trace_to_inflow(trace, dt: float, horizon=None) -> RateSeries:
     """Aggregate packet arrivals into a rate series with bin width ``dt``.
 
     Bin i collects bits arriving in (t0 + i*dt, t0 + (i+1)*dt]; an arrival
-    exactly at t0 goes to bin 0 so total mass is conserved.  A sequence of
+    exactly at t0 goes to bin 0 so total mass is conserved.  An iterable of
     traces sharing ``horizon`` (defaulted as merge_traces does) is binned
-    trace by trace, summing bits per bin in trace order: for integer-valued
-    sizes that is the binned merge_traces(trace), bit for bit.
+    trace by trace as it is consumed, summing bits per bin in trace order:
+    for integer-valued sizes that is the binned merge_traces(trace), bit for
+    bit.  Each trace is let go once binned, so a generator of traces never
+    has two alive here.
     """
-    traces = [trace] if isinstance(trace, PacketTrace) else list(trace)
+    traces = iter([trace] if isinstance(trace, PacketTrace) else trace)
+    tr = next(traces, None)
     if horizon is None:
-        horizon = traces[0].horizon if traces else (0.0, 0.0)
-    if any(tuple(tr.horizon) != tuple(horizon) for tr in traces):
-        raise ParameterError("cannot bin traces with different horizons")
+        horizon = tr.horizon if tr is not None else (0.0, 0.0)
     t0, t1 = horizon
     bits = _bin_bits((), (), t0, t1, dt)     # the empty grid; checks dt
-    for tr in traces:
+    while tr is not None:
+        if tuple(tr.horizon) != tuple(horizon):
+            raise ParameterError("cannot bin traces with different horizons")
         bits += _bin_bits(tr.times, tr.sizes, t0, t1, dt)
+        del tr
+        tr = next(traces, None)
     return RateSeries(t0, dt, bits / dt)
 
 

@@ -130,7 +130,7 @@ def generate_video_user(params: VideoUserParams, horizon, seed,
                 offsets = gaps[:n_pkts - 1]
                 rng.standard_exponential(out=offsets)
                 offsets *= params.interpacket_mean_s
-                np.cumsum(offsets, out=offsets)
+                np.add.accumulate(offsets, out=offsets)
                 burst_end = (burst_start + offsets[-1] if n_pkts > 1
                              else burst_start)
                 if burst_end >= t0:

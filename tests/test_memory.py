@@ -78,9 +78,9 @@ def test_infinite_buffer_oracle_peak(traced):
 
 
 def test_drop_tail_oracle_peak(traced):
-    # 175 581 drops; the result holds the compacted departure times in the
-    # one array the walk wrote, and a stride-0 view of the one size.
-    # Measured: a peak of 1.17 and 1.00 held, per 8n bytes
+    # 175 581 drops; the result holds the departure times in the one array
+    # the scan wrote compacted, and a stride-0 view of the one size.
+    # Measured: a peak of 1.15 and 1.00 held, per 8n bytes
     merged = merge_traces(generate(), horizon=HORIZON)
     n = len(merged)
     base = tracemalloc.get_traced_memory()[0]

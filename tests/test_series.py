@@ -1,5 +1,6 @@
 """Packet traces, rate series, binning and CSV round-trips."""
 
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -277,6 +278,32 @@ class TestBinPerTrace:
     def test_no_traces_keep_horizon(self):
         inflow = trace_to_inflow([], 60.0, horizon=(0.0, 600.0))
         assert len(inflow) == 10 and np.all(inflow.values == 0.0)
+
+    def test_generator_binned_one_trace_at_a_time(self):
+        # each trace is let go once binned, before the next is made; the
+        # bins are those of the list, and a bad horizon still raises
+        rng = np.random.default_rng(2)
+        horizon = (0.0, 50.0)
+        traces = [make_trace(np.sort(rng.uniform(0.0, 50.0, 300)),
+                             size=1000.0 + k, horizon=horizon)
+                  for k in range(4)]
+        refs = []
+
+        def one_at_a_time():
+            for tr in traces:
+                assert all(r() is None for r in refs)
+                copy = PacketTrace(tr.times.copy(), tr.sizes.copy(), horizon)
+                refs.append(weakref.ref(copy))
+                yield copy
+                del copy
+
+        out = trace_to_inflow(one_at_a_time(), 1.0)
+        assert len(refs) == 4 and refs[-1]() is None
+        assert out.values.tobytes() == trace_to_inflow(
+            traces, 1.0).values.tobytes()
+        late = make_trace([1.0], horizon=(0.0, 60.0))
+        with pytest.raises(ParameterError):
+            trace_to_inflow(iter(traces + [late]), 1.0)
 
 
 class TestMerge:

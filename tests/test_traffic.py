@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from logiq import pipeline
 from logiq.series import PacketTrace, ParameterError
 from logiq.traffic import (VideoUserParams, generate_aggregate, generate_users,
                            generate_video_user, interuse_for_rate)
@@ -273,3 +274,18 @@ class TestWarmup:
             generate_video_user(VideoUserParams(), horizon, 0, warmup_s)
         with pytest.raises(ParameterError):
             generate_users(VideoUserParams(), horizon, 0, 2, warmup_s)
+
+
+def test_user_traces_one_at_a_time_match_generate_users():
+    # logiq dt draws a flow's users one at a time, each from the stream
+    # generate_users would give it
+    p = VideoUserParams()
+    flow = np.random.SeedSequence(484).spawn(3)[2]
+    lazy = pipeline._user_traces(p, (0.0, 600.0), flow, 5, 3600.0)
+    ref = generate_users(p, (0.0, 600.0),
+                         np.random.SeedSequence(484).spawn(3)[2], 5, 3600.0)
+    got = list(lazy)
+    assert len(got) == 5 and sum(len(tr) for tr in got) > 0
+    for a, b in zip(got, ref):
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.sizes.tobytes() == b.sizes.tobytes()
