@@ -111,11 +111,12 @@ def _write_validation(run, out: Path):
     text += (f"lambda_bps={run.lam!r}\nrho={run.rho!r}\nalpha={run.alpha!r}\n"
              f"runtime_logistic_s={run.runtime_logistic_s!r}\n"
              f"runtime_des_s={run.runtime_des_s!r}\nspeedup={run.speedup!r}\n"
-             f"packets={len(des.departures) + des.drop_count}\n"
+             f"packets={des.packets}\n"
              f"des_drops={des.drop_count}\n"
              f"des_drop_bits={des.drop_bits!r}\n"
              f"des_loop_packets={des.looped}\n"
-             f"des_step_packets={des.stepped}\n")
+             f"des_step_packets={des.stepped}\n"
+             f"des_segments={des.segments}\n")
     with open(out / "report.txt", "w") as fh:
         fh.write(text)
     with open(out / "report.csv", "w") as fh:

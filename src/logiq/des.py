@@ -20,9 +20,11 @@ without drops.  The loop's scalar step takes only the packets where the
 rule fails: at a binade crossing, in a binade where the one size ties, and
 where m is below the smallest normal float (zero and negative times).
 
-Accepted departures, the one full-length array, are written compacted as
-they are made; the backlog samples read the last completion only at the
-sample points.  A one-size trace's departures view its sizes.
+Accepted departures, the one array as long as the trace, are written
+compacted as they are made; the backlog samples read the last completion
+only at the sample points.  A one-size trace's departures view its sizes.
+A trace can also be fed in time segments (FifoCarry): the scan carries the
+loop's state from one to the next, so only a segment's arrays are alive.
 
 Backlog counts every bit that has arrived but not yet departed, including the
 remainder of the in-service packet.  With a finite buffer, an arriving packet
@@ -60,11 +62,13 @@ class DesConfig:
 class DesResult:
     sample_times: np.ndarray
     q_sampled: np.ndarray      # bits, includes the in-service remainder
-    departures: PacketTrace
+    departures: PacketTrace    # None for a trace fed in segments
     drop_count: int
     drop_bits: float
     looped: int     # packets of the busy runs walked after a drop (mode D)
     stepped: int    # packets taken by the event loop's scalar step
+    packets: int    # arrivals
+    segments: int   # time segments the arrivals were fed in
 
     def q_to_csv(self, path):
         with open(path, "w") as fh:
@@ -73,32 +77,82 @@ class DesResult:
                 fh.write(f"{t:.9f},{float(q)!r}\n")
 
 
-def simulate_fifo(trace: PacketTrace, cfg: DesConfig) -> DesResult:
+def simulate_fifo(trace: PacketTrace, cfg: DesConfig,
+                  carry=None) -> DesResult:
     """Run the FIFO recursion over a sorted trace and sample the backlog on
-    the grid t0 + i*sample_dt covering the horizon."""
-    t0, t1 = trace.horizon
-    n = max(1, int(round((t1 - t0) / cfg.sample_dt)))
-    sample_times = t0 + cfg.sample_dt * np.arange(n + 1)
-    # arrivals at or before each sample time
-    seen = np.searchsorted(trace.times, sample_times, side="right")
-    scan = _Scan(trace.times, trace.sizes, float(cfg.mu), cfg.capacity_k,
-                 seen)
-    depart, dep_sizes = scan.run()
-    dep_end = float(depart[-1]) if depart.size else t1
-    departures = PacketTrace(depart, dep_sizes, (t0, max(t1, dep_end)))
+    the grid t0 + i*sample_dt covering the horizon.
 
-    # backlog(t) = mu * max(0, C(t) - t) with C(t) the completion time of
-    # the last accepted arrival at or before t: kept counts the accepted
-    # ones, and departures keep arrival order
-    if depart.size:
-        kept = scan.kept
-        c_at = np.where(kept > 0, depart[np.maximum(kept - 1, 0)], -np.inf)
-        q = cfg.mu * np.maximum(0.0, c_at - sample_times)
-    else:
-        q = np.zeros_like(sample_times)
+    With a ``carry`` (FifoCarry(cfg, horizon)), ``trace`` is the next time
+    segment of a longer trace on that horizon, no packet earlier than the
+    last segment's.  The loop goes on from the carried state, and the
+    result is the segment's: its departures, drops and added dropped bits,
+    and the samples it settled; carry.result() gives the whole trace's.
+    The departures view a buffer that the next segment reuses.
+    """
+    if carry is None:
+        carry = FifoCarry(cfg, trace.horizon)
+        return carry.result(carry.feed(trace).departures)
+    if carry.cfg != cfg:
+        raise ParameterError("cfg must be the carry's cfg")
+    return carry.feed(trace)
 
-    return DesResult(sample_times, q, departures, len(trace) - depart.size,
-                     float(scan.bits), scan.looped, scan.stepped)
+
+class FifoCarry:
+    """A trace fed to one _Scan in time segments, and the backlog samples
+    settled so far.
+
+    backlog(t) = mu * max(0, C(t) - t) with C(t) the completion time of the
+    last accepted arrival at or before t.  A segment settles the samples
+    before its last arrival, since every later arrival comes after them;
+    for one with no accepted arrival at or before it in the segment, C is
+    the carried c (-inf before the first acceptance).  result() settles the
+    rest from the last c.
+    """
+
+    def __init__(self, cfg: DesConfig, horizon):
+        self.cfg = cfg
+        self.t0, self.t1 = horizon
+        n = max(1, int(round((self.t1 - self.t0) / cfg.sample_dt)))
+        self.sample_times = self.t0 + cfg.sample_dt * np.arange(n + 1)
+        self.q = np.zeros(n + 1)
+        self.si = 0     # the samples before si are settled
+        self.scan = _Scan(float(cfg.mu), cfg.capacity_k)
+
+    def feed(self, trace):
+        """One segment through the scan; simulate_fifo describes the
+        result."""
+        scan, times, si = self.scan, trace.times, self.si
+        hi = si + (int(np.searchsorted(self.sample_times[si:], times[-1]))
+                   if times.size else 0)
+        samples = self.sample_times[si:hi]
+        c, bits, drops = scan.c, scan.bits, scan.drops
+        looped, stepped = scan.looped, scan.stepped
+        # arrivals at or before each sample time
+        scan.load(times, trace.sizes,
+                  np.searchsorted(times, samples, side="right"))
+        depart, dep_sizes = scan.run()
+        # kept counts the accepted arrivals among the first seen, and
+        # departures keep arrival order
+        c_at = (np.where(scan.kept > 0, depart[np.maximum(scan.kept - 1, 0)],
+                         c) if depart.size else c)
+        self.q[si:hi] = scan.mu * np.maximum(0.0, c_at - samples)
+        self.si = hi
+        return DesResult(
+            samples, self.q[si:hi],
+            PacketTrace.unchecked(depart, dep_sizes, (self.t0, max(
+                self.t1, float(depart[-1]) if depart.size else self.t1))),
+            scan.drops - drops, scan.bits - bits, scan.looped - looped,
+            scan.stepped - stepped, times.size, 1)
+
+    def result(self, departures=None) -> DesResult:
+        """The whole trace's result, with the given departures."""
+        scan, si = self.scan, self.si
+        self.q[si:] = scan.mu * np.maximum(0.0,
+                                           scan.c - self.sample_times[si:])
+        self.si = self.q.size
+        return DesResult(self.sample_times, self.q, departures, scan.drops,
+                         float(scan.bits), scan.looped, scan.stepped,
+                         scan.packets, scan.segments)
 
 
 # block lengths in packets: mode L's blocks grow from _BLOCK_MIN to _CHUNK,
@@ -112,36 +166,60 @@ _TINY = float(np.finfo(np.float64).tiny)
 
 
 class _Scan:
-    """One pass of kernels.des_fifo's loop over a trace, in the modes of the
-    module docstring.  The state is the loop's: the next arrival j, the last
-    completion c, and the dropped bits so far (added in arrival order, as
-    the loop adds them).  The accepted departures are out[:w].
-    kept[i] counts the accepted packets among the first seen[i] arrivals."""
+    """kernels.des_fifo's loop over a trace fed in one or more time
+    segments, in the modes of the module docstring.  The state is the
+    loop's: the last completion c and the dropped bits so far (added in
+    arrival order, as the loop adds them), with the busy walk a segment
+    ended in, if any (walking; span is a mixed-size walk's stretch), so the
+    counts of mode D are the whole trace's for one size.  In a segment, j
+    is the next arrival and the accepted departures are out[:w]; kept[i]
+    counts the accepted packets among the first seen[i] arrivals.  The
+    departures' buffer and the scratch serve every segment."""
 
-    def __init__(self, arrivals, sizes, mu, cap_k, seen):
+    def __init__(self, mu, cap_k):
+        self.mu, self.cap = mu, cap_k
+        self.c, self.bits = -math.inf, 0.0
+        self.walking, self.span = False, _BLOCK_MIN
+        self.looped = self.stepped = self.drops = 0
+        self.packets = self.segments = 0
+        self.out = np.empty(0)
+        self.d = np.empty(0)    # the drop test's scratch
+        self.tau = self.ex = self.ramp = None
+
+    def load(self, arrivals, sizes, seen):
+        """Swap in the next segment: its arrivals, sizes and seen."""
         n = arrivals.size
-        self.a, self.s, self.mu, self.cap = arrivals, sizes, mu, cap_k
+        self.a, self.s, self.seen = arrivals, sizes, seen
+        self.kept, self.si = np.zeros_like(seen), 0
+        self.j = self.w = 0
+        self.dropped = []       # mixed sizes: the indices of the drops
+        self.packets += n
+        self.segments += 1
         self.one = n > 0 and (sizes.strides == (0,)
                               or sizes.min() == sizes.max())
-        self.tau = float(sizes[0]) / mu if self.one else None
-        self.out = np.empty(n)
-        # the drop test's scratch
-        self.d = None if cap_k is None else np.empty(min(n, _CHUNK))
-        self.seen, self.kept, self.si = seen, np.zeros_like(seen), 0
-        self.j = self.w = self.looped = self.stepped = 0
-        self.c, self.bits = -math.inf, 0.0
-        self.dropped = []       # mixed sizes: the indices of the drops
-        self.ex = self.ramp = None
+        tau = float(sizes[0]) / self.mu if self.one else None
+        block = min(n, _CHUNK)
+        if tau != self.tau or (self.ramp is not None
+                               and self.ramp.size <= block):
+            self.tau, self.ex, self.ramp = tau, None, None
+        if self.out.size < n:
+            self.out = np.empty(n)
+        if self.cap is not None and self.d.size < block:
+            self.d = np.empty(block)
 
     def run(self):
-        """(accepted departures, their sizes)."""
+        """The segment's (accepted departures, their sizes); the departures
+        view the buffer that the next segment reuses."""
         a, n = self.a, self.a.size
         if self.one and self.cap is not None and self.s[0] > self.cap:
             # backlog + size > K for every arrival: all are dropped
             for lo in range(0, n, _CHUNK):
                 self.bits = _add_in_order(self.bits, self.s[lo:lo + _CHUNK])
+            self.drops += n
             return self.out[:0], self.s[:0]
         block = _BLOCK_MIN
+        if self.walking:
+            self._walk()
         while self.j < n:
             j = self.j
             m = max(self.c, a[j])
@@ -162,24 +240,33 @@ class _Scan:
                 self.c = self.out[self.w - 1]
                 self._settle()
             if take < got:                      # mode D from the drop
-                if self.one:
-                    self._busy_walk()
-                else:   # the loop, in stretches that double while they drop
-                    span = _BLOCK_MIN
-                    while self.j < n and self._loop(min(n, self.j + span),
-                                                    walk=True):
-                        span = min(2 * span, _CHUNK)
+                self.span = _BLOCK_MIN
+                self._walk()
                 block = _BLOCK_MIN
             elif got < hi - j:                  # the rule fails here
                 self._loop(self.j + 1)
                 block = _BLOCK_MIN
             else:
                 block = min(2 * block, _CHUNK)
-        self.d = self.ramp = None       # the scratch goes before the result
+        self.drops += n - self.w
         if self.dropped:
             return self.out[:self.w], np.delete(self.s,
                                                 np.concatenate(self.dropped))
         return self.out[:self.w], self.s[:self.w]
+
+    def _walk(self):
+        """Mode D from j: for one size the busy walk, for mixed sizes the
+        loop, in stretches that double while they drop.  walking tells
+        whether the segment ended before the walk did."""
+        if self.one:
+            self.walking = not self._busy_walk()
+            return
+        n, lost = self.a.size, True
+        while lost and self.j < n:
+            lost = self._loop(min(n, self.j + self.span), walk=True)
+            if lost:
+                self.span = min(2 * self.span, _CHUNK)
+        self.walking = bool(lost)
 
     def _ramp(self, ex, top):
         """One size: T_k = k tau_e for the binade below ``top`` (2^ex), or
@@ -286,7 +373,8 @@ class _Scan:
     def _busy_walk(self):
         """Mode D for one size: kernels.des_fifo's results, bit for bit,
         for the busy run from j, walked in numpy blocks up to the first
-        arrival that finds the server idle.
+        arrival that finds the server idle.  Returns whether it got there
+        before the end of the segment.
 
         While the server stays busy, the loop's completion time after k more
         accepted packets is comp[k] = c + k tau_e, by the binade rule, as
@@ -355,8 +443,9 @@ class _Scan:
                 self.bits = _add_in_order(self.bits, np.full(e - got, size))
             self._settle(j0, w0, k)
             if e < b:
-                return
+                return True
             block = min(2 * block, _BLOCK_MAX)
+        return False
 
 
 def _add_in_order(total, values):

@@ -7,14 +7,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .des import DesConfig, DesResult, departures_to_outflow, simulate_fifo
+from .des import (DesConfig, DesResult, FifoCarry, departures_to_outflow,
+                  simulate_fifo)
 from .fluid import QueueSpec, QueueTrajectory, compute_alpha, integrate_queue
 from .metrics import ErrorReport, build_report
 from .network import (DtState, Topology, inject_priority_flow, latency_series,
                       max_expected_latency, propagate)
-from .series import RateSeries, ParameterError, intensity, mean_rate, trace_to_inflow
+from .series import (PacketTrace, RateSeries, ParameterError, bin_range,
+                     edge_counts, intensity, mean_rate, merge_traces,
+                     merged_segments, n_bins, run_sums, trace_to_inflow)
 from .traffic import (VideoUserParams, generate_users, interuse_for_rate,
-                      merge_traces)
+                      user_chunks)
 
 
 @dataclass(frozen=True)
@@ -38,16 +41,23 @@ class ValidationRun:
         return self.runtime_des_s / self.runtime_logistic_s
 
 
+# the oracle path holds one time segment of whole bins at a time, sized to
+# hold about this many packets at the expected rate
+_SEGMENT_PACKETS = 1 << 18
+
+
 def validate_scenario(params: VideoUserParams, users: int, horizon_s: float,
                       dt: float, seed, mu: float, alpha=None, q0=0.0,
                       capacity=None) -> ValidationRun:
     """Feed one generated inflow to both the packet oracle and the logistic
-    model on the same grid and compare them."""
+    model on the same grid and compare them.  The packets take the oracle
+    path a time segment at a time (stream_oracle)."""
     horizon = (0.0, horizon_s)
-    traces = generate_users(params, horizon, seed, users)
-    merged = merge_traces(traces, horizon=horizon)
-    del traces
-    inflow = trace_to_inflow(merged, dt)
+    per_bin = users * params.mean_rate_bps * dt / params.packet_size_bits
+    width = max(1, int(_SEGMENT_PACKETS / per_bin)) if per_bin > 0 else None
+    inflow, des_result, y_disc, runtime_des = stream_oracle(
+        user_chunks(params, horizon, seed, users), params.packet_size_bits,
+        horizon, DesConfig(mu=mu, capacity_k=capacity, sample_dt=dt), width)
     lam = mean_rate(inflow)
     rho = intensity(inflow, mu)
     if alpha is None:
@@ -58,26 +68,81 @@ def validate_scenario(params: VideoUserParams, users: int, horizon_s: float,
     traj = integrate_queue(inflow, spec)
     runtime_log = time.perf_counter() - t_start
 
-    cfg = DesConfig(mu=mu, capacity_k=capacity, sample_dt=dt)
-    t_start = time.perf_counter()
-    des_result = simulate_fifo(merged, cfg)
-    runtime_des = time.perf_counter() - t_start
-
     # The oracle comparison samples the fluid outflow law at the bin edges
     # ("instant"): the solver consumes the piecewise-linear interpolant of
     # the binned inflow, so bin-averaged served mass shifts between adjacent
     # bins and would inflate the per-bin error without changing the model.
-    n = len(inflow)
     y_log = traj.outflow_series("instant").values
-    y_disc_series = departures_to_outflow(des_result, dt)
-    y_disc = np.zeros(n)
-    m = min(n, len(y_disc_series))
-    y_disc[:m] = y_disc_series.values[:m]
-
     report = build_report(des_result.q_sampled, traj.q, y_disc, y_log,
                           inflow.values, mu, rho, dt)
     return ValidationRun(report, inflow, traj, des_result, y_log, y_disc,
                          lam, rho, alpha, runtime_log, runtime_des)
+
+
+def stream_oracle(runs, size, horizon, cfg: DesConfig, width=None):
+    """The merged packets of ``runs`` (iterators over the nondecreasing time
+    arrays of each source, as user_chunks gives them) of one ``size``,
+    through the oracle on bins of width cfg.sample_dt, ``width`` bins at a
+    time (None: all).  Returns (inflow, DesResult without departures, the
+    departures' rates on the inflow's bins, the oracle's seconds).
+
+    Each segment is binned, fed to simulate_fifo with the carried state,
+    and its departures are counted per bin, the bins past the inflow's in
+    one count.  The whole trace's outflow grid reaches its last departure,
+    and its last bin takes every later departure: the last inflow bin
+    takes that count when the two grids end together.  A bin's bits are
+    the sum of as many copies of ``size`` as the whole trace's binning
+    sums: the inflow, q samples and outflow are the whole trace's byte for
+    byte.
+    """
+    t0 = float(horizon[0])
+    dt = cfg.sample_dt
+    n = n_bins(t0, horizon[1], dt)
+    carry = FifoCarry(cfg, horizon)
+    bits_in, departed = np.zeros(n), np.zeros(n + 1, dtype=np.intp)
+    runtime = 0.0
+    for times, b0, b1 in merged_segments(runs, t0, dt, n, width or n):
+        sizes = np.broadcast_to(float(size), times.shape)
+        bits_in[b0:b1] = bin_range(times, sizes, t0, dt, b0, b1)
+        t_start = time.perf_counter()
+        part = simulate_fifo(PacketTrace.unchecked(times, sizes, horizon),
+                             cfg, carry)
+        runtime += time.perf_counter() - t_start
+        dep = part.departures.times
+        if dep.size:
+            # every departure lies in a bin from b0 to that of the last
+            last = int(np.ceil((dep[-1] - t0) / dt)) - 1
+            k = np.arange(b0 + 1, min(last, n) + 1)
+            departed[b0:b0 + k.size + 1] += np.diff(edge_counts(
+                dep, t0, dt, k), prepend=0, append=dep.size)
+    t_start = time.perf_counter()
+    des_result = carry.result()
+    runtime += time.perf_counter() - t_start
+    end = max(float(carry.sample_times[-1]), horizon[1], carry.scan.c)
+    if n_bins(t0, end, dt) == n:
+        departed[n - 1] += departed[n]
+    bounds = np.concatenate(([0], np.cumsum(departed[:n])))
+    bits_out = run_sums(np.broadcast_to(float(size), bounds[-1]), bounds)
+    return (RateSeries(t0, dt, bits_in / dt), des_result, bits_out / dt,
+            runtime)
+
+
+def whole_trace_oracle(traces, cfg: DesConfig):
+    """The oracle path on whole traces of any sizes sharing one horizon:
+    merge_traces, trace_to_inflow, simulate_fifo and departures_to_outflow,
+    with arrays as long as the trace alive at once.  Returns (inflow,
+    DesResult, the departures' rates on the inflow's bins); for one-size
+    traffic stream_oracle gives them byte for byte, and its tests compare
+    against this path."""
+    merged = merge_traces(traces)
+    inflow = trace_to_inflow(merged, cfg.sample_dt)
+    des_result = simulate_fifo(merged, cfg)
+    del merged
+    out = departures_to_outflow(des_result, cfg.sample_dt).values
+    y = np.zeros(len(inflow))
+    m = min(y.size, out.size)
+    y[:m] = out[:m]
+    return inflow, des_result, y
 
 
 def sweep_point(params: VideoUserParams, users: int, horizon_s: float,

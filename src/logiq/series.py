@@ -63,6 +63,18 @@ class PacketTrace:
         if times.size and not (t0 <= times[0] and times[-1] <= t1):
             raise ParameterError("packet times outside horizon")
 
+    @classmethod
+    def unchecked(cls, times, sizes, horizon):
+        """The trace of float64 ``times`` and ``sizes`` that their maker
+        has made valid, sorted, positive and inside ``horizon``, as the
+        oracle's departures and a merged segment are, without
+        __post_init__'s passes over the packets."""
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "times", times)
+        object.__setattr__(trace, "sizes", sizes)
+        object.__setattr__(trace, "horizon", horizon)
+        return trace
+
     def __len__(self):
         return self.times.size
 
@@ -194,9 +206,10 @@ def merge_traces(traces, horizon=None) -> PacketTrace:
 _BUCKET = 1 << 15
 
 
-def _merge_sorted(runs, horizon):
+def _merge_sorted(runs, horizon, out=None):
     """np.sort(np.concatenate(runs), kind="stable"), byte for byte, for
-    nondecreasing ``runs`` inside ``horizon``, holding one full-length array.
+    nondecreasing ``runs`` inside ``horizon``, written to ``out`` (a new
+    array if None) and holding no other array as long.
 
     Edges spaced evenly over the horizon cut every run by searchsorted, so
     equal values (-0.0 and 0.0 among them) fall into one bucket.  Each bucket
@@ -204,8 +217,8 @@ def _merge_sorted(runs, horizon):
     PacketTrace rejects, only -0.0 and 0.0 compare equal and differ in their
     bytes, so the default (unstable, faster) sort gives the stable result
     unless some run holds a zero; then the buckets are stable-sorted, which
-    keeps the run order of equal values.  Skewed times only make the buckets
-    uneven.
+    keeps the run order of equal values.  Skewed times, or times outside the
+    horizon, only make the buckets uneven.
     """
     kind = None
     for r in runs:
@@ -213,7 +226,7 @@ def _merge_sorted(runs, horizon):
         if i < r.size and r[i] == 0.0:
             kind = "stable"
     n = sum(r.size for r in runs)
-    out = np.empty(n)
+    out = np.empty(n) if out is None else out
     edges = np.linspace(horizon[0], horizon[1], max(1, n // _BUCKET) + 1)[1:-1]
     cuts = [[0, *np.searchsorted(r, edges).tolist(), r.size] for r in runs]
     lo = 0
@@ -262,33 +275,103 @@ def bin_rates(times, sizes, t0, t1, dt) -> RateSeries:
 
 def _bin_bits(times, sizes, t0, t1, dt) -> np.ndarray:
     """The bits per bin of bin_rates.  A packet at t goes to bin
-    clip(ceil((t - t0) / dt) - 1), evaluated in floating point.  The rule is
-    nondecreasing in t, so each bin holds a run of consecutive packets: the
-    packets more than ``tol`` (a few ulps) from bin edge k fall on its side
-    by searchsorted, and the rule itself settles the few within tol.  Sums
-    over a bin are exact for integer-valued sizes.
-    """
+    clip(ceil((t - t0) / dt) - 1), evaluated in floating point."""
     if not 0 < dt < math.inf:       # NaN fails too
         raise ParameterError("dt must be finite and > 0")
-    n_bins = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
+    return bin_range(times, sizes, t0, dt, 0, n_bins(t0, t1, dt))
+
+
+def n_bins(t0, t1, dt) -> int:
+    """The number of bins of width dt that bin_rates puts on [t0, t1]."""
+    return max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
+
+
+def bin_range(times, sizes, t0, dt, b0, b1) -> np.ndarray:
+    """The bits per bin of bins b0..b1-1 of the grid t0 + k dt, for
+    nondecreasing ``times`` that _bin_bits puts in those bins, the last bin
+    taking every packet past its left edge.  Each bin holds a run of
+    consecutive packets (edge_counts), and sums over a bin are exact for
+    integer-valued sizes."""
     n = len(times)
     if n == 0:
-        return np.zeros(n_bins)
-    k = np.arange(1, n_bins)
+        return np.zeros(b1 - b0)
+    return run_sums(sizes, np.concatenate((
+        [0], edge_counts(times, t0, dt, np.arange(b0 + 1, b1)), [n])))
+
+
+def run_sums(values, bounds) -> np.ndarray:
+    """The sums of values[bounds[i]:bounds[i + 1]] for nondecreasing
+    ``bounds`` that end at values.size, each added as np.add.reduceat adds
+    it."""
+    sums = np.zeros(bounds.size - 1)
+    filled = bounds[:-1] < bounds[1:]
+    sums[filled] = np.add.reduceat(values, bounds[:-1][filled])
+    return sums
+
+
+def edge_counts(times, t0, dt, k) -> np.ndarray:
+    """For each edge index in ``k``, the number of leading ``times`` that
+    lie in a bin below edge t0 + k dt, that is with (t - t0) / dt <= k in
+    floating point.  The rule is nondecreasing in t, so the packets more
+    than ``tol`` (a few ulps) from the edge fall on its side by
+    searchsorted, and the rule itself settles the few within tol."""
     edges = t0 + dt * k
     tol = 4.0 * np.finfo(np.float64).eps * (abs(t0) + np.abs(edges) + dt * k)
     lo = np.searchsorted(times, edges - tol, side="right")
     hi = np.searchsorted(times, edges + tol, side="right")
     near = run_indices(lo, hi)
     owner = np.repeat(np.arange(k.size), hi - lo)
-    below = (times[near] - t0) / dt <= k[owner]      # bin index < k
-    first = lo + np.bincount(owner[below], minlength=k.size)
+    below = (times[near] - t0) / dt <= k[owner]
+    return lo + np.bincount(owner[below], minlength=k.size)
 
-    bounds = np.concatenate(([0], first, [n]))
-    filled = bounds[:-1] < bounds[1:]
-    bits = np.zeros(n_bins)
-    bits[filled] = np.add.reduceat(sizes, bounds[:-1][filled])
-    return bits
+
+def merged_segments(runs, t0, dt, n, width):
+    """The stable merge of ``runs`` binned on n bins of the grid t0 + k dt,
+    one segment of ``width`` bins at a time.
+
+    Each run is an iterator over the nondecreasing arrays of one source,
+    in time order.  Yields (times, b0, b1): the merged times that _bin_bits
+    puts in bins b0..b1-1, the last segment taking every time left.  The
+    bin rule is nondecreasing in t, so equal times share a segment, and the
+    segments in turn are np.sort(np.concatenate(all), kind="stable") byte
+    for byte.  A segment's parts are joined run by run (_take) and merged by
+    _merge_sorted into one reused buffer, so each segment is overwritten by
+    the next.  Only the chunk that straddles a segment's end is held over,
+    with the part of it the segment does not take.
+    """
+    heads = [np.empty(0)] * len(runs)
+    buf = np.empty(0)
+    for b0 in range(0, n, width):
+        b1 = min(b0 + width, n)
+        taken = _take(runs, heads, t0, dt, b1 if b1 < n else None)
+        size = sum(r.size for r in taken)
+        if buf.size < size:
+            buf = np.empty(size)
+        times = _merge_sorted(taken, (t0 + b0 * dt, t0 + b1 * dt),
+                              buf[:size])
+        del taken
+        yield times, b0, b1
+
+
+def _take(runs, heads, t0, dt, k):
+    """Every run's times below edge index ``k`` (None: all of them), in run
+    order, each joined from its head, the part already drawn, and the
+    run's next chunks; the rest of the last chunk drawn becomes its head."""
+    taken = []
+    for i, run in enumerate(runs):
+        chunk, parts = heads[i], []
+        while chunk is not None and (k is None or not chunk.size
+                                     or (chunk[-1] - t0) / dt <= k):
+            parts.append(chunk)
+            chunk = next(run, None)
+        if chunk is None:
+            heads[i] = np.empty(0)
+        else:
+            cut = int(edge_counts(chunk, t0, dt, np.array([k]))[0])
+            parts.append(chunk[:cut])
+            heads[i] = chunk[cut:]
+        taken.append(np.concatenate(parts))
+    return taken
 
 
 def run_indices(begin, end):

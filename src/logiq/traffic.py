@@ -85,10 +85,26 @@ def interuse_for_rate(params: VideoUserParams, target_bps: float) -> float:
 
 def generate_video_user(params: VideoUserParams, horizon, seed,
                         warmup_s: float = 0.0) -> PacketTrace:
-    """Generate one user's packet trace on [t0, t1], deterministic in seed.
+    """Generate one user's packet trace on [t0, t1], deterministic in seed:
+    the concatenated chunks of video_user_chunks.
 
     ``seed`` may be an int or a numpy SeedSequence; multi-user scenarios
     derive per-user seeds by SeedSequence spawning (see generate_users).
+    """
+    t0, t1 = float(horizon[0]), float(horizon[1])
+    chunks = list(video_user_chunks(params, horizon, seed, warmup_s))
+    # Already sorted and inside [t0, t1): a burst starts after the previous
+    # burst's end, a session after the previous session_end, and every kept
+    # time is below its session_end <= t1.  PacketTrace checks the order.
+    times = np.concatenate(chunks) if chunks else np.empty(0)
+    sizes = np.broadcast_to(float(params.packet_size_bits), times.shape)
+    return PacketTrace(times, sizes, (t0, t1))
+
+
+def video_user_chunks(params: VideoUserParams, horizon, seed,
+                      warmup_s: float = 0.0):
+    """The packet times of one user on [t0, t1], as a generator of the
+    nondecreasing arrays each burst keeps, in time order.
 
     With ``warmup_s`` > 0 the session/gap alternation starts that many
     seconds before t0, so short windows see the process near steady state
@@ -116,7 +132,6 @@ def generate_video_user(params: VideoUserParams, horizon, seed,
     # standard_exponential scaled by the mean is rng.exponential, byte for
     # byte; the gaps of every burst are drawn into this one buffer
     gaps = np.empty(4096)
-    chunks = []
     t = t0 - warmup_s + rng.exponential(params.interuse_mean_s)
     while t < t1:
         session_end = min(t + durations[bisect_right(cdf, rng.random())], t1)
@@ -144,16 +159,18 @@ def generate_video_user(params: VideoUserParams, horizon, seed,
                     hi = (np.searchsorted(times, session_end)
                           if burst_end >= session_end else n_pkts)
                     if lo < hi:
-                        chunks.append(times[lo:hi])
+                        yield times[lo:hi]
                 burst_start = burst_end + rng.exponential(params.interburst_mean_s)
         t = session_end + rng.exponential(params.interuse_mean_s)
 
-    # Already sorted and inside [t0, t1): a burst starts after the previous
-    # burst's end, a session after the previous session_end, and every kept
-    # time is below its session_end <= t1.  PacketTrace checks the order.
-    times = np.concatenate(chunks) if chunks else np.empty(0)
-    sizes = np.broadcast_to(float(params.packet_size_bits), times.shape)
-    return PacketTrace(times, sizes, (t0, t1))
+
+def _user_seeds(horizon, seed, n_users):
+    """The per-user seeds of generate_users, spawned from one master seed."""
+    if not -math.inf < float(horizon[0]) < float(horizon[1]) < math.inf:
+        raise ParameterError("horizon must be finite and nonempty")
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return seed.spawn(n_users)
 
 
 def generate_users(params: VideoUserParams, horizon, seed, n_users: int,
@@ -163,12 +180,16 @@ def generate_users(params: VideoUserParams, horizon, seed, n_users: int,
     Per-user streams come from SeedSequence.spawn, so user i's trace does not
     depend on how many users are generated or in which order.
     """
-    if not -math.inf < float(horizon[0]) < float(horizon[1]) < math.inf:
-        raise ParameterError("horizon must be finite and nonempty")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
     return [generate_video_user(params, horizon, child, warmup_s)
-            for child in seed.spawn(n_users)]
+            for child in _user_seeds(horizon, seed, n_users)]
+
+
+def user_chunks(params: VideoUserParams, horizon, seed, n_users: int,
+                warmup_s: float = 0.0):
+    """generate_users' users as video_user_chunks generators: the same
+    per-user streams, to be drawn a time segment at a time."""
+    return [video_user_chunks(params, horizon, child, warmup_s)
+            for child in _user_seeds(horizon, seed, n_users)]
 
 
 def generate_aggregate(params: VideoUserParams, horizon, seed, n_users: int,

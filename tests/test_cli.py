@@ -96,30 +96,40 @@ class TestCommands:
         assert "packets=" in (tmp_path / "out" / "report.txt").read_text()
 
     def test_validate_drop_tail_reports_looped_packets(self, tmp_path):
+        # segments of one bin: the oracle sees the trace in 30 pieces
         payload = {**BASE, "queue": {"mu": "3.4 Mb/s", "capacity": "100 kB"}}
-        results = []
+        segments = []
 
-        def spy(*args):
-            results.append(simulate_fifo(*args))
-            return results[-1]
+        def spy(trace, cfg, carry):
+            segments.append((len(trace), simulate_fifo(trace, cfg, carry)))
+            return segments[-1][1]
 
-        with mock.patch.object(pipeline, "simulate_fifo", spy):
+        with mock.patch.object(pipeline, "simulate_fifo", spy), \
+                mock.patch.object(pipeline, "_SEGMENT_PACKETS", 1):
             code, out = run(tmp_path, "validate", payload)
         assert code == 0
         report = dict(line.split("=", 1) for line in
                       (out / "report.txt").read_text().splitlines())
-        (des,) = results
-        assert int(report["des_drops"]) == des.drop_count > 0
-        assert float(report["des_drop_bits"]) == des.drop_bits > 0.0
-        # every generated packet departs or is dropped
+        assert int(report["des_segments"]) == len(segments) == 30
+        parts = [part for _, part in segments]
+        drops = sum(part.drop_count for part in parts)
+        assert int(report["des_drops"]) == drops > 0
+        # integer sizes: the segments' dropped bits add up exactly
+        assert float(report["des_drop_bits"]) == sum(
+            part.drop_bits for part in parts) > 0.0
+        # every generated packet reaches the oracle, and departs or is
+        # dropped
         _, gen = run(tmp_path, "generate", payload)
         n_packets = len((gen / "trace.csv").read_text().splitlines()) - 1
-        assert int(report["packets"]) == n_packets == (
-            len(des.departures) + int(report["des_drops"]))
+        assert int(report["packets"]) == n_packets == sum(
+            n for n, _ in segments) == (
+            sum(len(part.departures) for part in parts) + drops)
         # des_loop_packets: the busy runs walked from a drop to the next
         # idle arrival; des_step_packets: the loop's scalar steps, which one
         # size takes only at a few binade crossings
         assert int(report["packets"]) > int(report["des_loop_packets"]) > 0
+        assert int(report["des_loop_packets"]) == sum(
+            part.looped for part in parts)
         assert 0 <= int(report["des_step_packets"]) <= 64
 
     def test_import_leaves_the_process_pool_out(self):

@@ -65,7 +65,8 @@ def busy_walk(times, size, mu, cap, c):
     departures, drops and dropped bits are the loop's from c over the
     arrivals it took, and it stops only at an idle arrival."""
     sizes = np.broadcast_to(size, times.shape)
-    scan = des._Scan(times, sizes, mu, cap, np.array([times.size]))
+    scan = des._Scan(mu, cap)
+    scan.load(times, sizes, np.array([times.size]))
     scan.c = c
     scan._busy_walk()
     j = scan.j
@@ -540,7 +541,9 @@ class TestLoopExact:
         span = float(sizes.sum()) / (rho * mu)
         rel = np.cumsum(gaps) - gaps[0]
         if rel[-1] > 0:
-            rel *= span / rel[-1]
+            # divided first: span / rel[-1] overflows for a subnormal rel[-1]
+            rel /= rel[-1]
+            rel *= span
         start = {"zero": 0.0,                   # the first packet at 0
                  "negative": -0.5 * span,       # straddling 0
                  "powers": span / 16,           # four powers of two
@@ -552,6 +555,8 @@ class TestLoopExact:
         with small_blocks(chunk):
             res, (_, last_c, _, _) = loop_results(times, sizes, mu, cap,
                                                   sample_dt=span / 7 or 1.0)
+        # the departures are built without PacketTrace's sortedness check
+        assert np.all(res.departures.times[1:] >= res.departures.times[:-1])
         assert res.q_sampled.tobytes() == loop_sampled_backlog(
             times, last_c, mu, res.sample_times).tobytes()
         if cap is None:
@@ -669,3 +674,13 @@ def test_config_rejects_nan_and_inf(kwargs):
     # buffer
     with pytest.raises(ParameterError):
         DesConfig(**kwargs)
+
+
+def test_carry_rejects_another_cfg():
+    # a segment goes on from the carry's state, which holds its cfg
+    cfg = DesConfig(mu=1.0, sample_dt=1.0)
+    carry = des.FifoCarry(cfg, (0.0, 2.0))
+    trace = PacketTrace(np.array([0.5]), np.array([1.0]), (0.0, 2.0))
+    with pytest.raises(ParameterError):
+        simulate_fifo(trace, DesConfig(mu=2.0, sample_dt=1.0), carry)
+    assert simulate_fifo(trace, cfg, carry).packets == 1

@@ -2,15 +2,17 @@
 tracemalloc, which numpy reports its buffers to.  Bounds are in units of 8n
 bytes, one float64 per packet of the trace; the counts are deterministic.
 Each stage keeps one full-length array: the bounds leave room for
-chunk-sized scratch, such as that of PacketTrace's sortedness check."""
+chunk-sized scratch, such as that of PacketTrace's sortedness check.
+validate's oracle path keeps none: it holds one time segment at a time."""
 
 import tracemalloc
 
 import pytest
 
 from logiq.des import DesConfig, simulate_fifo
+from logiq.pipeline import stream_oracle, validate_scenario
 from logiq.series import merge_traces, trace_to_inflow
-from logiq.traffic import VideoUserParams, generate_users
+from logiq.traffic import VideoUserParams, generate_users, user_chunks
 
 HORIZON = (0.0, 2 * 3600.0)
 USERS = 4
@@ -91,3 +93,40 @@ def test_drop_tail_oracle_peak(traced):
     assert res.departures.sizes.strides == (0,)
     assert peak <= 1.25 * 8 * n
     assert held <= 1.1 * 8 * n
+
+
+def test_validate_peak_flat_in_the_horizon(traced):
+    # segments of about 2^18 expected packets: 6 of them over 2 h, 11 over
+    # 4 h.  The peak holds the largest segment's chunks, its merged times
+    # and its departures.  Measured: 9.93 and 10.02 MB, 1.07 and 0.51 per
+    # 8n; a merged trace alone would be 1.0
+    peaks = []
+    for hours in (2, 4):
+        run, peak = peak_above_current(
+            validate_scenario, VideoUserParams(), USERS, hours * 3600.0,
+            60.0, SEED, USERS * 1.2e6)
+        peaks.append(peak)
+    n = run.des_result.packets
+    assert n > 2_000_000 and run.des_result.segments == 11
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert peaks[1] <= 0.6 * 8 * n
+
+
+def test_drop_tail_oracle_path_peak_flat_in_the_horizon(traced):
+    # validate's oracle path alone, in validate's segments of 23 bins:
+    # under tracemalloc the drop-tail fluid solve's many small steps take
+    # half a minute.  Measured: 9.92 and 10.02 MB (175 581 and 289 465
+    # drops), 1.07 and 0.51 per 8n
+    cfg = DesConfig(mu=2.88e6, capacity_k=2e7, sample_dt=60.0)
+    peaks = []
+    for hours in (2, 4):
+        horizon = (0.0, hours * 3600.0)
+        (_, res, _, _), peak = peak_above_current(
+            stream_oracle, user_chunks(VideoUserParams(), horizon, SEED,
+                                       USERS),
+            VideoUserParams().packet_size_bits, horizon, cfg, 23)
+        peaks.append(peak)
+    assert res.packets > 2_000_000 and res.drop_count > 200_000
+    assert res.segments == 11
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert peaks[1] <= 0.6 * 8 * res.packets

@@ -417,6 +417,48 @@ class TestBucketedMerge:
         assert np.all(merged.sizes == VideoUserParams().packet_size_bits)
 
 
+class TestMergedSegments:
+    """merged_segments against the stable sort of all times and the
+    per-packet bin rule clip(ceil((t - t0) / dt) - 1)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 4), n_bins=st.integers(1, 9),
+           horizon=st.sampled_from([(0.0, 10.0), (-1.0, 1.0), (2.0, 2.5)]),
+           lengths=st.lists(st.integers(0, 12), max_size=4))
+    def test_segments_cut_the_merge_at_bin_edges(self, data, width, n_bins,
+                                                 horizon, lengths):
+        # times on and an ulp off the bin edges and signed zeros tie within
+        # and across sources and chunks
+        t0, t1 = horizon
+        dt = (t1 - t0) / n_bins
+        edges = [t0 + dt * k for k in range(n_bins + 1)]
+        near = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+        near = [t for t in near if t0 <= t <= t1]
+        zeros = [-0.0, 0.0] if t0 <= 0.0 else []
+        time_st = st.one_of(st.sampled_from(edges + near + zeros),
+                            st.floats(t0, t1))
+        runs = []
+        for k in lengths:
+            times = np.asarray(sorted(data.draw(st.lists(
+                time_st, min_size=k, max_size=k))), float)
+            cuts = sorted(data.draw(st.lists(st.integers(0, k), max_size=3)))
+            runs.append(np.split(times, cuts))
+        # a segment is overwritten by the next: keep a copy
+        got = [(times.copy(), b0, b1) for times, b0, b1 in
+               series.merged_segments([iter(r) for r in runs], t0, dt,
+                                      n_bins, width)]
+        assert [(b0, b1) for _, b0, b1 in got] == [
+            (b0, min(b0 + width, n_bins)) for b0 in range(0, n_bins, width)]
+        merged = np.concatenate([times for times, *_ in got])
+        ref = np.sort(np.concatenate([np.empty(0)] + [c for r in runs
+                                                       for c in r]),
+                      kind="stable")
+        assert merged.tobytes() == ref.tobytes()
+        for times, b0, b1 in got:
+            idx = np.clip(np.ceil((times - t0) / dt) - 1, 0, n_bins - 1)
+            assert np.all((b0 <= idx) & (idx < b1))
+
+
 def test_mean_rate_and_intensity():
     rs = RateSeries(0.0, 1.0, np.array([4.0, 8.0]))
     assert mean_rate(rs) == 6.0

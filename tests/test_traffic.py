@@ -9,7 +9,8 @@ from scipy import stats
 from logiq import pipeline
 from logiq.series import PacketTrace, ParameterError
 from logiq.traffic import (VideoUserParams, generate_aggregate, generate_users,
-                           generate_video_user, interuse_for_rate)
+                           generate_video_user, interuse_for_rate,
+                           user_chunks)
 
 
 def reference_video_user(params, horizon, seed, warmup_s=0.0):
@@ -221,6 +222,20 @@ class TestMatchesReferenceLoop:
                        for tr in traces)
 
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_chunks_concatenate_to_the_trace(self, case):
+        # the oracle path draws the same streams, a kept chunk at a time
+        params, horizon, warmup_s = self.CASES[case]
+        traces = generate_users(params, horizon, 2024, 30, warmup_s)
+        streams = user_chunks(params, horizon, 2024, 30, warmup_s)
+        assert len(streams) == 30
+        for tr, stream in zip(traces, streams):
+            chunks = list(stream)
+            assert all(c.size for c in chunks)
+            times = np.concatenate(chunks) if chunks else np.empty(0)
+            assert times.tobytes() == tr.times.tobytes()
+
+
 class TestMeanRate:
     def test_equilibrium_rate_matches_analytic(self):
         # many short warm-started windows estimate the long-run mean rate
@@ -274,6 +289,10 @@ class TestWarmup:
             generate_video_user(VideoUserParams(), horizon, 0, warmup_s)
         with pytest.raises(ParameterError):
             generate_users(VideoUserParams(), horizon, 0, 2, warmup_s)
+        with pytest.raises(ParameterError):
+            for stream in user_chunks(VideoUserParams(), horizon, 0, 2,
+                                      warmup_s):
+                next(stream, None)
 
 
 def test_user_traces_one_at_a_time_match_generate_users():
