@@ -116,7 +116,8 @@ def _write_validation(run, out: Path):
              f"des_drop_bits={des.drop_bits!r}\n"
              f"des_loop_packets={des.looped}\n"
              f"des_step_packets={des.stepped}\n"
-             f"des_segments={des.segments}\n")
+             f"des_segments={des.segments}\n"
+             f"traffic_process={run.traffic_process}\n")
     with open(out / "report.txt", "w") as fh:
         fh.write(text)
     with open(out / "report.csv", "w") as fh:

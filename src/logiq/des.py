@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .series import PacketTrace, RateSeries, ParameterError, bin_rates
+from .series import (PacketTrace, RateSeries, ParameterError, bin_rates,
+                     n_bins)
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ class FifoCarry:
     def __init__(self, cfg: DesConfig, horizon):
         self.cfg = cfg
         self.t0, self.t1 = horizon
-        n = max(1, int(round((self.t1 - self.t0) / cfg.sample_dt)))
+        n = n_bins(self.t0, self.t1, cfg.sample_dt)
         self.sample_times = self.t0 + cfg.sample_dt * np.arange(n + 1)
         self.q = np.zeros(n + 1)
         self.si = 0     # the samples before si are settled

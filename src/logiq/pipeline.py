@@ -15,7 +15,8 @@ from .network import (DtState, Topology, inject_priority_flow, latency_series,
                       max_expected_latency, propagate)
 from .series import (PacketTrace, RateSeries, ParameterError, bin_range,
                      edge_counts, intensity, mean_rate, merge_traces,
-                     merged_segments, n_bins, run_sums, trace_to_inflow)
+                     merged_segments, n_bins, run_sums, traffic_process,
+                     trace_to_inflow)
 from .traffic import (VideoUserParams, generate_users, interuse_for_rate,
                       user_chunks)
 
@@ -33,6 +34,7 @@ class ValidationRun:
     alpha: float
     runtime_logistic_s: float
     runtime_des_s: float
+    traffic_process: str    # where the packets were drawn: "child", "inline"
 
     @property
     def speedup(self) -> float:
@@ -51,7 +53,8 @@ def validate_scenario(params: VideoUserParams, users: int, horizon_s: float,
                       capacity=None) -> ValidationRun:
     """Feed one generated inflow to both the packet oracle and the logistic
     model on the same grid and compare them.  The packets take the oracle
-    path a time segment at a time (stream_oracle)."""
+    path a time segment at a time (stream_oracle), drawn in a child process
+    where os.fork exists (series.merged_segments)."""
     horizon = (0.0, horizon_s)
     per_bin = users * params.mean_rate_bps * dt / params.packet_size_bits
     width = max(1, int(_SEGMENT_PACKETS / per_bin)) if per_bin > 0 else None
@@ -76,7 +79,8 @@ def validate_scenario(params: VideoUserParams, users: int, horizon_s: float,
     report = build_report(des_result.q_sampled, traj.q, y_disc, y_log,
                           inflow.values, mu, rho, dt)
     return ValidationRun(report, inflow, traj, des_result, y_log, y_disc,
-                         lam, rho, alpha, runtime_log, runtime_des)
+                         lam, rho, alpha, runtime_log, runtime_des,
+                         traffic_process())
 
 
 def stream_oracle(runs, size, horizon, cfg: DesConfig, width=None):
@@ -101,20 +105,25 @@ def stream_oracle(runs, size, horizon, cfg: DesConfig, width=None):
     carry = FifoCarry(cfg, horizon)
     bits_in, departed = np.zeros(n), np.zeros(n + 1, dtype=np.intp)
     runtime = 0.0
-    for times, b0, b1 in merged_segments(runs, t0, dt, n, width or n):
-        sizes = np.broadcast_to(float(size), times.shape)
-        bits_in[b0:b1] = bin_range(times, sizes, t0, dt, b0, b1)
-        t_start = time.perf_counter()
-        part = simulate_fifo(PacketTrace.unchecked(times, sizes, horizon),
-                             cfg, carry)
-        runtime += time.perf_counter() - t_start
-        dep = part.departures.times
-        if dep.size:
-            # every departure lies in a bin from b0 to that of the last
-            last = int(np.ceil((dep[-1] - t0) / dt)) - 1
-            k = np.arange(b0 + 1, min(last, n) + 1)
-            departed[b0:b0 + k.size + 1] += np.diff(edge_counts(
-                dep, t0, dt, k), prepend=0, append=dep.size)
+    segments = merged_segments(runs, t0, dt, n, width or n)
+    try:
+        for times, b0, b1 in segments:
+            sizes = np.broadcast_to(float(size), times.shape)
+            bits_in[b0:b1] = bin_range(times, sizes, t0, dt, b0, b1)
+            t_start = time.perf_counter()
+            part = simulate_fifo(
+                PacketTrace.unchecked(times, sizes, horizon), cfg, carry)
+            runtime += time.perf_counter() - t_start
+            dep = part.departures.times
+            if dep.size:
+                # every departure lies in a bin from b0 to that of the last
+                last = int(np.ceil((dep[-1] - t0) / dt)) - 1
+                k = np.arange(b0 + 1, min(last, n) + 1)
+                departed[b0:b0 + k.size + 1] += np.diff(edge_counts(
+                    dep, t0, dt, k), prepend=0, append=dep.size)
+    finally:
+        # a child drawing the traffic is reaped however the loop ends
+        segments.close()
     t_start = time.perf_counter()
     des_result = carry.result()
     runtime += time.perf_counter() - t_start
@@ -177,8 +186,9 @@ def generate_flow_inflows(params: VideoUserParams, n_flows: int,
 
     When target_rate is set, each flow's rate series is rescaled to that
     mean, which keeps the burstiness shape of the tractable user count while
-    standing in for a much larger population.  A nonzero warmup_s starts the
-    session processes before the window so short horizons are stationary.
+    standing in for a much larger population.  A nonzero warmup_s runs each
+    user's session process for that many seconds before the window, so the
+    window does not begin with every user idle.
     """
     ss = np.random.SeedSequence(seed)
     horizon = (0.0, horizon_s)

@@ -7,6 +7,7 @@ A :class:`PacketTrace` is a time-sorted sequence of (arrival, size) events.
 """
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -334,23 +335,50 @@ def merged_segments(runs, t0, dt, n, width):
     puts in bins b0..b1-1, the last segment taking every time left.  The
     bin rule is nondecreasing in t, so equal times share a segment, and the
     segments in turn are np.sort(np.concatenate(all), kind="stable") byte
-    for byte.  A segment's parts are joined run by run (_take) and merged by
-    _merge_sorted into one reused buffer, so each segment is overwritten by
-    the next.  Only the chunk that straddles a segment's end is held over,
-    with the part of it the segment does not take.
+    for byte.  A segment's parts are joined run by run (_drawn) and merged
+    by _merge_sorted into one reused buffer, so each segment is overwritten
+    by the next.
+
+    Where os.fork exists (traffic_process), the runs are drawn in a child
+    process (producer.drawn_in_child), which draws the next segment while
+    this one is merged and used; else they are drawn here.  Close the
+    generator to end and reap the child early.
     """
-    heads = [np.empty(0)] * len(runs)
+    ends = [min(b0 + width, n) for b0 in range(0, n, width)]
+    drawn = _drawn(runs, t0, dt, [b1 if b1 < n else None for b1 in ends])
+    if traffic_process() == "child":
+        # imported here: only a stream needs it, and setup need not
+        # compile it
+        from .producer import drawn_in_child
+        drawn = drawn_in_child(drawn)
     buf = np.empty(0)
-    for b0 in range(0, n, width):
-        b1 = min(b0 + width, n)
-        taken = _take(runs, heads, t0, dt, b1 if b1 < n else None)
-        size = sum(r.size for r in taken)
-        if buf.size < size:
-            buf = np.empty(size)
-        times = _merge_sorted(taken, (t0 + b0 * dt, t0 + b1 * dt),
-                              buf[:size])
-        del taken
-        yield times, b0, b1
+    try:
+        for b0, b1 in zip(range(0, n, width), ends):
+            taken = next(drawn)
+            size = sum(r.size for r in taken)
+            if buf.size < size:
+                buf = np.empty(size)
+            times = _merge_sorted(taken, (t0 + b0 * dt, t0 + b1 * dt),
+                                  buf[:size])
+            del taken
+            yield times, b0, b1
+    finally:
+        drawn.close()
+
+
+def traffic_process():
+    """Where merged_segments draws its runs: "child", a process forked for
+    them, where os.fork exists, else "inline"."""
+    return "child" if hasattr(os, "fork") else "inline"
+
+
+def _drawn(runs, t0, dt, cuts):
+    """Each run's times below each edge index of ``cuts`` in turn (None:
+    all that is left), as _take gives them.  Only the chunk that straddles
+    an edge is held over, with the part of it the segment does not take."""
+    heads = [np.empty(0)] * len(runs)
+    for k in cuts:
+        yield _take(runs, heads, t0, dt, k)
 
 
 def _take(runs, heads, t0, dt, k):

@@ -7,9 +7,13 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
+import pytest
+
 from logiq import pipeline
 from logiq.cli import main
 from logiq.des import simulate_fifo
+from logiq.series import ParameterError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -77,12 +81,42 @@ class TestCommands:
         assert "err_rel_max=" in report and "speedup=" in report
         assert "des_loop_packets=0\n" in report   # infinite buffer: no loop
         assert "des_step_packets=0\n" in report
+        assert "traffic_process=child\n" in report
         assert (out / "q_disc.csv").exists()
         # the oracle saw every packet of the merged trace
         _, gen = run(tmp_path, "generate", BASE)
         n_packets = len((gen / "trace.csv").read_text().splitlines()) - 1
         assert n_packets > 0
         assert f"packets={n_packets}\n" in report.splitlines(keepends=True)
+
+    def test_validate_inline_traffic(self, tmp_path, monkeypatch):
+        # without os.fork the traffic is drawn in the process itself, with
+        # the same files
+        _, child = run(tmp_path, "validate", BASE, name="a.json")
+        monkeypatch.delattr(os, "fork")
+        code, inline = run(tmp_path, "validate", BASE, name="b.json")
+        assert code == 0
+        for name in ("inflow.csv", "q_disc.csv", "outflow_disc.csv",
+                     "outflow_log.csv", "trajectory.csv"):
+            assert (child / name).read_bytes() == (inline / name).read_bytes()
+        reports = [(out / "report.txt").read_text().splitlines()
+                   for out in (child, inline)]
+        kept = [[line for line in r if not line.startswith(
+            ("runtime_", "speedup=", "traffic_process="))] for r in reports]
+        assert kept[0] == kept[1]
+        assert "traffic_process=inline" in reports[1]
+
+    def test_validate_horizon_not_whole_bins(self, tmp_path):
+        # 150 s in 60 s bins: three inflow bins, the last reaching 180 s,
+        # and the backlog sampled at their four edges
+        payload = {**BASE, "traffic": {"users": 10, "horizon": "150 s",
+                                       "dt": "60 s", "seed": 3}}
+        code, out = run(tmp_path, "validate", payload)
+        assert code == 0
+        assert len((out / "inflow.csv").read_text().splitlines()) == 1 + 3
+        rows = (out / "q_disc.csv").read_text().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [0, 60, 120, 180]
+        assert float(rows[2].split(",")[1]) > 0
 
     def test_python_m_logiq_runs_from_source(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -221,6 +255,22 @@ class TestExitCodes:
                    "queue": {"mu": "1 Mb/s"}}
         code, _ = run(tmp_path, "validate", payload)
         assert code == 1
+
+    def test_producer_error_is_1(self, tmp_path, capsys):
+        # a ParameterError raised where the traffic is drawn, in the child
+        # process, reaches the command with its message
+        def failing_runs(*args):
+            def broken():
+                yield np.array([1.0, 2.0])
+                raise ParameterError("burst 2 is malformed")
+            return [broken()]
+
+        with mock.patch.object(pipeline, "user_chunks", failing_runs):
+            code, _ = run(tmp_path, "validate", BASE)
+        assert code == 1
+        assert capsys.readouterr().err == "error: burst 2 is malformed\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_nan_packet_size_is_1(self, tmp_path, capsys):
         # json writes and reads the NaN literal

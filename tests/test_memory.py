@@ -3,8 +3,12 @@ tracemalloc, which numpy reports its buffers to.  Bounds are in units of 8n
 bytes, one float64 per packet of the trace; the counts are deterministic.
 Each stage keeps one full-length array: the bounds leave room for
 chunk-sized scratch, such as that of PacketTrace's sortedness check.
-validate's oracle path keeps none: it holds one time segment at a time."""
+validate's oracle path keeps none: it holds one time segment at a time.
+Its traffic is drawn in a child process that tracemalloc does not see, so
+that path is measured both ways: with the child, and drawn inline."""
 
+import contextlib
+import os
 import tracemalloc
 
 import pytest
@@ -95,38 +99,61 @@ def test_drop_tail_oracle_peak(traced):
     assert held <= 1.1 * 8 * n
 
 
+@contextlib.contextmanager
+def drawn_inline(inline):
+    """With ``inline``, the traffic drawn in this process (no os.fork), so
+    tracemalloc sees the producer's arrays as well as the merge and the
+    oracle's; else in the child process, outside tracemalloc."""
+    if not inline:
+        yield
+        return
+    fork = os.fork
+    del os.fork
+    try:
+        yield
+    finally:
+        os.fork = fork
+
+
 def test_validate_peak_flat_in_the_horizon(traced):
     # segments of about 2^18 expected packets: 6 of them over 2 h, 11 over
-    # 4 h.  The peak holds the largest segment's chunks, its merged times
-    # and its departures.  Measured: 9.93 and 10.02 MB, 1.07 and 0.51 per
-    # 8n; a merged trace alone would be 1.0
-    peaks = []
-    for hours in (2, 4):
-        run, peak = peak_above_current(
-            validate_scenario, VideoUserParams(), USERS, hours * 3600.0,
-            60.0, SEED, USERS * 1.2e6)
-        peaks.append(peak)
-    n = run.des_result.packets
-    assert n > 2_000_000 and run.des_result.segments == 11
-    assert peaks[1] <= 1.1 * peaks[0]
-    assert peaks[1] <= 0.6 * 8 * n
+    # 4 h.  The peak holds the largest segment's merged times and its
+    # departures, and, drawn inline, its chunks.  Measured: 10.37 and
+    # 10.46 MB inline, 1.12 and 0.53 per 8n (a merged trace alone would be
+    # 1.0); 8.25 and 8.24 MB with the traffic drawn in the child
+    for inline in (False, True):
+        peaks = []
+        with drawn_inline(inline):
+            for hours in (2, 4):
+                run, peak = peak_above_current(
+                    validate_scenario, VideoUserParams(), USERS,
+                    hours * 3600.0, 60.0, SEED, USERS * 1.2e6)
+                peaks.append(peak)
+        n = run.des_result.packets
+        assert run.traffic_process == ("inline" if inline else "child")
+        assert n > 2_000_000 and run.des_result.segments == 11
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] <= 0.6 * 8 * n
 
 
 def test_drop_tail_oracle_path_peak_flat_in_the_horizon(traced):
     # validate's oracle path alone, in validate's segments of 23 bins:
     # under tracemalloc the drop-tail fluid solve's many small steps take
-    # half a minute.  Measured: 9.92 and 10.02 MB (175 581 and 289 465
-    # drops), 1.07 and 0.51 per 8n
+    # half a minute.  Measured: 10.89 and 10.99 MB inline (175 581 and
+    # 289 465 drops), 1.17 and 0.56 per 8n; 9.12 and 9.12 MB with the
+    # traffic drawn in the child
     cfg = DesConfig(mu=2.88e6, capacity_k=2e7, sample_dt=60.0)
-    peaks = []
-    for hours in (2, 4):
-        horizon = (0.0, hours * 3600.0)
-        (_, res, _, _), peak = peak_above_current(
-            stream_oracle, user_chunks(VideoUserParams(), horizon, SEED,
-                                       USERS),
-            VideoUserParams().packet_size_bits, horizon, cfg, 23)
-        peaks.append(peak)
-    assert res.packets > 2_000_000 and res.drop_count > 200_000
-    assert res.segments == 11
-    assert peaks[1] <= 1.1 * peaks[0]
-    assert peaks[1] <= 0.6 * 8 * res.packets
+    for inline in (False, True):
+        peaks = []
+        with drawn_inline(inline):
+            for hours in (2, 4):
+                horizon = (0.0, hours * 3600.0)
+                (_, res, _, _), peak = peak_above_current(
+                    stream_oracle, user_chunks(VideoUserParams(), horizon,
+                                               SEED, USERS),
+                    VideoUserParams().packet_size_bits, horizon, cfg, 23)
+                peaks.append(peak)
+        assert res.packets > 2_000_000 and res.drop_count > 200_000
+        assert res.segments == 11
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] <= 0.6 * 8 * res.packets

@@ -1,7 +1,18 @@
 """The streamed oracle path against the whole-trace one
 (pipeline.whole_trace_oracle: merge_traces, simulate_fifo, then
-departures_to_outflow), byte for byte."""
+departures_to_outflow), byte for byte, with the traffic drawn in a child
+process, in slot-sized pieces, or inline; and the child process reaped
+however the stream ends."""
 
+import contextlib
+import itertools
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,12 +20,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logiq import pipeline
+from logiq import pipeline, producer, series
 from logiq.des import DesConfig, simulate_fifo
-from logiq.series import PacketTrace
-from logiq.traffic import VideoUserParams, generate_users
+from logiq.series import PacketTrace, ParameterError, n_bins
+from logiq.traffic import VideoUserParams, generate_users, user_chunks
 
 SIZE = 11712.0
+SRC = Path(__file__).resolve().parents[1] / "src"
+PRODUCERS = ("child", "pieces", "inline")
+
+
+@contextlib.contextmanager
+def drawing(kind):
+    """The traffic drawn in a forked child ("child"), in that child through
+    a slot of 16 packet times ("pieces"), or without os.fork ("inline")."""
+    if kind == "pieces":
+        with mock.patch.object(producer, "_SLOT", 16):
+            yield
+    elif kind == "inline":
+        fork = os.fork
+        del os.fork
+        try:
+            assert series.traffic_process() == "inline"
+            yield
+        finally:
+            os.fork = fork
+    else:
+        yield
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def assert_same(streamed, whole):
@@ -46,15 +83,22 @@ class TestStreamedValidate:
     """validate_scenario with segments of one bin: edges fall inside busy
     runs and, with a buffer, inside drop-tail busy walks."""
 
-    @pytest.mark.parametrize("capacity", [None, 4e6])
-    def test_matches_whole_trace(self, capacity):
+    @pytest.mark.parametrize("capacity, kind", [
+        pytest.param(None, "child", id="None"),
+        pytest.param(4e6, "child", id="4000000.0"),
+        pytest.param(None, "pieces", id="None-pieces"),
+        pytest.param(4e6, "inline", id="4000000.0-inline")])
+    def test_matches_whole_trace(self, capacity, kind):
         params = VideoUserParams()
         horizon, dt, seed, users, mu = 7200.0, 60.0, 5, 4, 3.0e6
         calls = []
         with mock.patch.object(pipeline, "_SEGMENT_PACKETS", 1), \
-                carried_states(calls):
+                carried_states(calls), drawing(kind):
             run = pipeline.validate_scenario(params, users, horizon, dt,
                                              seed, mu, capacity=capacity)
+        assert run.traffic_process == ("inline" if kind == "inline"
+                                       else "child")
+        assert_no_child()
         res = run.des_result
         assert res.segments == len(calls) == 120
         traces = generate_users(params, (0.0, horizon), seed, users)
@@ -90,24 +134,31 @@ class TestStreamOracle:
            gaps=st.lists(st.floats(0.0, 0.3), min_size=1, max_size=80),
            rho=st.floats(0.5, 4.0), k=st.one_of(st.none(),
                                                st.floats(0.5, 6.0)),
-           width=st.sampled_from([1, 2, 5, None]))
-    def test_matches_whole_trace(self, edges, gaps, rho, k, width):
+           width=st.sampled_from([1, 2, 5, None]),
+           end=st.sampled_from([12.0, 2.5]), kind=st.sampled_from(PRODUCERS))
+    def test_matches_whole_trace(self, edges, gaps, rho, k, width, end,
+                                 kind):
         # dt = 1 s over 12 s: packets on edges, bursts across them, and a
-        # server slow enough to stay busy past several edges
-        dt, horizon = 1.0, (0.0, 12.0)
+        # server slow enough to stay busy past several edges; or over 2.5 s,
+        # whose last bin and backlog sample lie past the horizon
+        dt, horizon = 1.0, (0.0, end)
         chunks = edge_runs(edges, gaps, dt)
         chunks = [[c[c <= horizon[1]] for c in run] for run in chunks]
         n = sum(c.size for run in chunks for c in run)
         mu = max(n, 1) * SIZE / (rho * horizon[1])
         cfg = DesConfig(mu=mu, capacity_k=None if k is None else k * SIZE,
                         sample_dt=dt)
-        streamed = pipeline.stream_oracle(
-            [iter(run) for run in chunks], SIZE, horizon, cfg, width)
+        with drawing(kind):
+            streamed = pipeline.stream_oracle(
+                [iter(run) for run in chunks], SIZE, horizon, cfg, width)
         traces = [PacketTrace(np.concatenate(run),
                               np.full(sum(c.size for c in run), SIZE),
                               horizon) for run in chunks]
         assert_same(streamed, pipeline.whole_trace_oracle(traces, cfg))
-        assert streamed[1].segments == -(-12 // (width or 12))
+        bins = n_bins(*horizon, dt)
+        assert bins == (12 if end == 12.0 else 3)
+        assert streamed[1].segments == -(-bins // (width or bins))
+        assert streamed[1].q_sampled.size == bins + 1
 
     @pytest.mark.parametrize("service_s", [4e-15, 4.0])
     @pytest.mark.parametrize("width", [1, None])
@@ -126,3 +177,101 @@ class TestStreamOracle:
         last = whole[1].departures.times[-1]
         assert last > 12.0 and streamed[2][-1] == (
             2 * SIZE if service_s < 1 else 0.0)
+
+
+def failing_runs(*args):
+    """user_chunks' runs, the first of which raises after 40 chunks."""
+    runs = user_chunks(*args)
+
+    def broken(run):
+        yield from itertools.islice(run, 40)
+        raise ParameterError("burst 41 is malformed")
+    return [broken(runs[0]), *runs[1:]]
+
+
+class TestTrafficProcess:
+    """validate leaves no child process behind, however its stream ends."""
+
+    ARGS = (VideoUserParams(), 4, 7200.0, 60.0, 5, 3.0e6)
+
+    def test_normal_run(self):
+        run = pipeline.validate_scenario(*self.ARGS)
+        assert run.traffic_process == "child"
+        assert run.des_result.segments > 1
+        assert_no_child()
+
+    def test_consumer_raises(self):
+        def fail_third(trace, cfg, carry):
+            fail_third.calls += 1
+            if fail_third.calls == 3:
+                raise ZeroDivisionError("oracle failed")
+            return simulate_fifo(trace, cfg, carry)
+        fail_third.calls = 0
+        with mock.patch.object(pipeline, "simulate_fifo", fail_third), \
+                pytest.raises(ZeroDivisionError, match="oracle failed"):
+            pipeline.validate_scenario(*self.ARGS)
+        assert_no_child()
+
+    @pytest.mark.parametrize("kind", PRODUCERS)
+    def test_producer_raises(self, kind):
+        # the child's ParameterError reaches the caller with its type and
+        # message, as the inline producer's does.  A slow oracle on
+        # segments of one bin lets the child send the error and exit
+        # before the slot it last filled is acknowledged
+        def slow(trace, cfg, carry):
+            time.sleep(0.01)
+            return simulate_fifo(trace, cfg, carry)
+        with mock.patch.object(pipeline, "user_chunks", failing_runs), \
+                mock.patch.object(pipeline, "simulate_fifo", slow), \
+                mock.patch.object(pipeline, "_SEGMENT_PACKETS", 1), \
+                drawing(kind), \
+                pytest.raises(ParameterError, match="^burst 41 is malformed$"):
+            pipeline.validate_scenario(*self.ARGS)
+        assert_no_child()
+
+    def test_killed_parent(self):
+        # the parent is SIGKILLed at its third segment, with the child
+        # drawing or waiting for the slot; the child shares its stdout, so
+        # the pipe's EOF tells that the child exited too
+        script = textwrap.dedent("""
+            import os, signal
+            from unittest import mock
+            from logiq import pipeline
+            from logiq.traffic import VideoUserParams
+
+            fork, oracle, calls = os.fork, pipeline.simulate_fifo, []
+
+            def spy():
+                pid = fork()
+                if pid:
+                    print(pid, flush=True)
+                return pid
+
+            def die(trace, cfg, carry):
+                calls.append(len(trace))
+                if len(calls) == 3:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return oracle(trace, cfg, carry)
+
+            os.fork = spy
+            # segments of one bin: the child has 117 still to send
+            pipeline._SEGMENT_PACKETS = 1
+            with mock.patch.object(pipeline, "simulate_fifo", die):
+                pipeline.validate_scenario(VideoUserParams(), 4, 7200.0,
+                                           60.0, 5, 3.0e6)
+            """)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        child = int(proc.stdout.readline() or 0)
+        try:
+            assert proc.wait(timeout=60) == -signal.SIGKILL
+            killed = time.monotonic()
+            proc.communicate(timeout=5)
+            assert time.monotonic() - killed < 5
+        finally:
+            proc.kill()
+            if child:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(child, signal.SIGKILL)
+        assert child > 0
