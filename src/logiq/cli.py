@@ -12,10 +12,16 @@ from . import pipeline, plot
 from .config import ConfigError, load_config
 from .fluid import (DomainError, IntegrationError, QueueSpec, compute_alpha,
                     integrate_queue)
+from .metrics import DegenerateInputError
 from .network import Topology
 from .series import ParameterError, RateSeries, intensity, mean_rate, trace_to_inflow
 from .traffic import generate_users, merge_traces
 from .units import fmt_rate
+
+# the errors of a run whose input is out of the model's domain: an
+# ``error:`` line for a command, a failure line for a sweep point
+_INPUT_ERRORS = (ParameterError, DomainError, IntegrationError,
+                DegenerateInputError)
 
 
 def _scaled_inflow(traffic_cfg, traces):
@@ -143,7 +149,7 @@ def _sweep_worker(task):
             t["params"], t["users"], t["horizon"], t["dt"], t["seed"],
             q["mu"], rho_target, alpha=q["alpha"], q0=q["q0"],
             capacity=q["capacity"])
-    except (ParameterError, DomainError, IntegrationError) as exc:
+    except _INPUT_ERRORS as exc:
         return str(exc)
 
 
@@ -322,7 +328,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ParameterError, DomainError, IntegrationError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,6 +1,6 @@
 """The logistic queue model: smooth outflow law, ODE integration and the
-finite-buffer / variable-rate / multi-server / flow-separation / priority
-extensions, plus the projected point-queue reference model.
+finite-buffer / variable-rate / flow-separation / priority extensions, plus
+the projected point-queue reference model.
 
 Backlog q' = X - Y with Y = mu + exp(-alpha*q) * (min(mu, X) - mu); the
 served and lost bit totals are integrated alongside q so conservation can be
@@ -8,6 +8,7 @@ checked to solver accuracy instead of by grid quadrature.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,28 +30,10 @@ class IntegrationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class MultiServerRate:
-    """Queue-dependent service rate of m parallel servers of speed mu0."""
-
-    mu0: float
-    m: int
-
-    def __post_init__(self):
-        # negated checks, so that NaN fails them before int() sees it
-        if not 0 < self.mu0 < math.inf:
-            raise ParameterError("mu0 must be finite and > 0")
-        if not 1 <= self.m < math.inf or int(self.m) != self.m:
-            raise ParameterError("m must be an integer >= 1")
-
-    def __call__(self, q):
-        return multi_server_rate(q, self.mu0, self.m)
-
-
-@dataclass(frozen=True)
 class QueueSpec:
-    """One queue/server: service rate (constant, time function, or
-    MultiServerRate), logistic steepness alpha, initial backlog, and an
-    optional finite capacity K in bits.
+    """One queue/server: service rate (a constant or a function of time),
+    logistic steepness alpha, initial backlog, and an optional finite
+    capacity K in bits.
 
     A finite queue gates its inflow with the smoothed Heaviside H(q).  The
     gate is derived from the server and its inflow, not configured.  At
@@ -70,8 +53,10 @@ class QueueSpec:
             raise ParameterError("alpha must be finite and > 0")
         if not 0 <= self.q0 < math.inf:
             raise ParameterError("q0 must be finite and >= 0")
-        if isinstance(self.mu, (int, float)) and not 0 < self.mu < math.inf:
-            raise ParameterError("mu must be finite and > 0")
+        if not (callable(self.mu) or isinstance(self.mu, numbers.Real)
+                and 0 < self.mu < math.inf):
+            raise ParameterError("mu must be a function of time, or a real "
+                                 "number that is finite and > 0")
         if self.capacity_k is not None:
             if not 0 < self.capacity_k < math.inf:
                 raise ParameterError("capacity_k must be finite and > 0; "
@@ -270,16 +255,6 @@ def heaviside_smooth(q, k, h0, n):
     return _elementwise(lambda qi: kernels._gate(qi, k, h0, n), q)
 
 
-def multi_server_rate(q, mu0, m):
-    """Aggregate rate of m servers of speed mu0, continuous at q = m - 1."""
-    if not 1 <= m < math.inf:
-        raise ParameterError("m must be finite and >= 1")
-    if not 0 < mu0 < math.inf:
-        raise ParameterError("mu0 must be finite and > 0")
-    return _elementwise(
-        lambda qi: kernels._service_rate(float(mu0), qi, float(m)), q)
-
-
 def _grid(inflow: RateSeries):
     """t0 followed by the inflow's sample times."""
     return inflow.t0 + inflow.dt * np.arange(len(inflow) + 1)
@@ -287,18 +262,16 @@ def _grid(inflow: RateSeries):
 
 def _server_args(spec: QueueSpec, inflow: RateSeries):
     """Kernel arguments for the server ``spec`` fed by ``inflow``: (mu_vals,
-    m_servers, alpha, gate_on, cap_k, h0, gate_n), with mu sampled at the
-    inflow's sample times (a stride-0 view when it is constant) and the
+    alpha, gate_on, cap_k, h0, gate_n), with mu sampled at the inflow's
+    sample times (a stride-0 view when it is constant) and the
     finite-buffer gate derived as QueueSpec describes."""
-    multi = isinstance(spec.mu, MultiServerRate)
-    rate = spec.mu.mu0 if multi else spec.mu
-    if callable(rate):
-        mu_vals = np.asarray([float(rate(t)) for t in inflow.sample_times],
-                             dtype=float)
+    if callable(spec.mu):
+        mu_vals = np.asarray([float(spec.mu(t))
+                              for t in inflow.sample_times], dtype=float)
         if not np.all((mu_vals > 0) & (mu_vals < math.inf)):  # NaN too
             raise ParameterError("mu(t) must stay finite and positive")
     else:
-        mu_vals = np.broadcast_to(float(rate), len(inflow))
+        mu_vals = np.broadcast_to(float(spec.mu), len(inflow))
     if spec.capacity_k is None:
         gate_args = (False, 0.0, 1.0, 1.0)
     else:
@@ -306,8 +279,7 @@ def _server_args(spec: QueueSpec, inflow: RateSeries):
         m_x = float(inflow.values.max())
         h0 = min(1.0, float(mu_vals.min()) / m_x) if m_x > 0 else 1.0
         gate_args = (True, cap_k, h0, 500.0 / cap_k)
-    return (mu_vals, float(spec.mu.m) if multi else 1.0,
-            float(spec.alpha)) + gate_args
+    return (mu_vals, float(spec.alpha)) + gate_args
 
 
 def _solve(inflow: RateSeries, spec: QueueSpec, opts: SolverOptions,

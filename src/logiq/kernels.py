@@ -29,13 +29,6 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
-def _service_rate(mu, q, m):
-    """Rate of m parallel servers of speed mu at backlog q:
-    mu * min(1 + q, m), which is mu for one server and q >= 0."""
-    c = 1.0 + q
-    return mu * (c if c < m else m)
-
-
 def _gate(q, cap_k, h0, gate_n):
     """Smoothed Heaviside annihilating inflow near capacity."""
     z = gate_n * (q - cap_k)
@@ -69,13 +62,11 @@ def priority_split(x1, x2, q1, mu, alpha):
     return mu - mu2, mu2
 
 
-def _rhs(q, qp, pair, x, xp, mu, m_servers, alpha, gate_on, cap_k, h0,
-         gate_n):
+def _rhs(q, qp, pair, x, xp, mu, alpha, gate_on, cap_k, h0, gate_n):
     """Returns (dq/dt, outflow, lost-rate) of the queue with inflow x, then
     the same three for the priority class with inflow xp (zeros unless
-    ``pair``), on m_servers servers of speed mu (see _service_rate).
-    Backlogs are evaluated at max(q, 0); in a pair the gate and the service
-    rate see the total backlog q + qp."""
+    ``pair``), on a server of rate mu.  Backlogs are evaluated at
+    max(q, 0); in a pair the gate sees the total backlog q + qp."""
     qc = q if q > 0.0 else 0.0
     q_all = qc
     if pair:
@@ -87,7 +78,6 @@ def _rhs(q, qp, pair, x, xp, mu, m_servers, alpha, gate_on, cap_k, h0,
     else:
         g = 1.0
         xh = x
-    mu = _service_rate(mu, q_all, m_servers)
     if pair:
         mu_p, mu = priority_split(xp, x, qpc, mu, alpha)
         xph = g * xp
@@ -153,27 +143,27 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (35.0 / 384.0 - 5179.0 / 57600.0,
                                 -1.0 / 40.0)
 
 
-def integrate_logistic(t0, x_dt, x_vals, p_vals, mu_vals, m_servers, alpha,
-                       gate_on, cap_k, h0, gate_n, q0, rtol, atol):
+def integrate_logistic(t0, x_dt, x_vals, p_vals, mu_vals, alpha, gate_on,
+                       cap_k, h0, gate_n, q0, rtol, atol):
     """The state (q, served-bits, lost-bits) of the queue fed by x_vals on
-    m_servers servers of speed mu_vals (sampled as x_vals is), starting at
-    backlog q0, at t0 and at the end of each inflow bin.
+    a server of rate mu_vals (sampled as x_vals is), starting at backlog
+    q0, at t0 and at the end of each inflow bin.
 
     A nonempty p_vals adds a priority class (qp, served_p, lost_p), starting
     empty, that is served first (see priority_split); the single queue skips
     every priority-class operation.
 
-    The bins of a single queue with one server are solved exactly, a run
-    at a time by one scan (_exact_bins), up to the first bin at whose
-    largest backlog the finite-buffer gate is below 1; that bin takes
-    steps, and the scan resumes after it.  For the pair and for m > 1
-    servers, a bin is free flow when both backlogs are 0 at its start,
-    the gate is exactly 1 at q = 0 and X + X_p <= mu at both samples: the
-    three are linear, so X + X_p <= mu all along the bin, each class's
-    outflow is its inflow and the backlogs stay 0.  Every other bin takes
-    adaptive Dormand-Prince 5(4) steps, the last of which lands on the bin
-    end.  t0 places the bin ends on the output grid t0 + j x_dt, where the
-    exact bins keep the FIFO order of exit times when mu is constant.
+    The bins of a single queue are solved exactly, a run at a time by one
+    scan (_exact_bins), up to the first bin at whose largest backlog the
+    finite-buffer gate is below 1; that bin takes steps, and the scan
+    resumes after it.  For the pair, a bin is free flow when both backlogs
+    are 0 at its start, the gate is exactly 1 at q = 0 and X + X_p <= mu
+    at both samples: the three are linear, so X + X_p <= mu all along the
+    bin, each class's outflow is its inflow and the backlogs stay 0.
+    Every other bin takes adaptive Dormand-Prince 5(4) steps, the last of
+    which lands on the bin end.  t0 places the bin ends on the output grid
+    t0 + j x_dt, where the exact bins keep the FIFO order of exit times
+    when mu is constant.
 
     Returns (out, stats): the rows of out are q, outflow, served and lost
     of the queue, then in pair mode the same four for the priority class;
@@ -183,7 +173,7 @@ def integrate_logistic(t0, x_dt, x_vals, p_vals, mu_vals, m_servers, alpha,
     """
     n = x_vals.shape[0]
     pair = p_vals.shape[0] > 0
-    exact = not pair and m_servers == 1.0
+    exact = not pair
     q_on = _gate_limit(cap_k, h0, gate_n) if gate_on else math.inf
     out = np.empty((8 if pair else 4, n + 1))
     min_step = 1e-13 * n * x_dt
@@ -206,8 +196,7 @@ def integrate_logistic(t0, x_dt, x_vals, p_vals, mu_vals, m_servers, alpha,
         """The _rhs row of the state (q, qp) at the fraction s of the bin."""
         c = 1.0 - s
         return _rhs(q, qp, pair, c * xa + s * xb, c * pa + s * pb,
-                    c * mua + s * mub, m_servers, alpha, gate_on, cap_k, h0,
-                    gate_n)
+                    c * mua + s * mub, alpha, gate_on, cap_k, h0, gate_n)
 
     # Python floats read faster than numpy scalars, bin by bin
     xs, mus = xe.tolist(), mue.tolist()
@@ -388,8 +377,8 @@ def integrate_logistic(t0, x_dt, x_vals, p_vals, mu_vals, m_servers, alpha,
                 break
 
         # the outflow law at the bin's end
-        r = _rhs(q, qp, pair, xb, pb, mub, m_servers, alpha, gate_on, cap_k,
-                 h0, gate_n)
+        r = _rhs(q, qp, pair, xb, pb, mub, alpha, gate_on, cap_k, h0,
+                 gate_n)
         out[0, j], out[1, j], out[2, j], out[3, j] = q, r[1], served, lost
         if pair:
             out[4, j], out[5, j], out[6, j], out[7, j] = (qp, r[4], served_p,

@@ -229,8 +229,8 @@ def test_criterion_7_performance(desk_runs):
 
 def test_single_queues_take_no_steps(desk_runs):
     # every desk bin and every queue of dt_star's base propagation is solved
-    # in closed form; only bins near a buffer, multi-server queues and the
-    # priority pair are stepped
+    # in closed form; only bins near a buffer and the priority pair are
+    # stepped
     runs, _ = desk_runs
     for run in runs:
         assert run.trajectory.stats.steps == 0

@@ -13,6 +13,7 @@ import pytest
 from logiq import pipeline
 from logiq.cli import main
 from logiq.des import simulate_fifo
+from logiq.metrics import DegenerateInputError
 from logiq.series import ParameterError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -271,6 +272,35 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: burst 2 is malformed\n"
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_queue_never_built_is_1(self, tmp_path, capsys):
+        # the oracle's backlog is 0 at every sample, so the relative
+        # occupancy error has no reference
+        payload = {"traffic": {"users": 30, "horizon": "150 s", "dt": "60 s",
+                               "seed": 1},
+                   "queue": {"mu": "3.4 Mb/s"}}
+        code, _ = run(tmp_path, "validate", payload)
+        assert code == 1
+        assert (capsys.readouterr().err
+                == "error: reference queue is identically zero\n")
+
+    def test_sweep_point_without_a_queue_is_a_failure(self, tmp_path):
+        sweep_point = pipeline.sweep_point
+
+        def degenerate_at_half(*args, **kwargs):
+            if args[6] == 0.5:
+                raise DegenerateInputError("reference queue is identically "
+                                           "zero")
+            return sweep_point(*args, **kwargs)
+
+        payload = dict(BASE, sweep={"rho_targets": [0.5, 0.7]})
+        with mock.patch.object(pipeline, "sweep_point", degenerate_at_half):
+            code, out = run(tmp_path, "sweep", payload)
+        assert code == 1
+        assert ((out / "failures.txt").read_text()
+                == "rho_target=0.5: reference queue is identically zero\n")
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [0.7]
 
     def test_nan_packet_size_is_1(self, tmp_path, capsys):
         # json writes and reads the NaN literal

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logiq.fluid import (DomainError, MultiServerRate, QueueSpec,
-                         SolverOptions, compute_alpha, emptying_time_bound,
-                         exit_time, heaviside_smooth, integrate_finite_queue,
+from logiq.fluid import (DomainError, QueueSpec, SolverOptions,
+                         compute_alpha, emptying_time_bound, exit_time,
+                         heaviside_smooth, integrate_finite_queue,
                          integrate_point_queue, integrate_priority_pair,
-                         integrate_queue, logistic_rhs, multi_server_rate,
-                         outflow_rate, point_queue_rhs, priority_rates,
-                         queue_decay_bound, split_outflow)
+                         integrate_queue, logistic_rhs, outflow_rate,
+                         point_queue_rhs, priority_rates, queue_decay_bound,
+                         split_outflow)
 from logiq.series import ParameterError, RateSeries
 
 
@@ -176,10 +176,9 @@ class TestFreeFlow:
     """An empty queue whose inflow stays at or below its service rate is
     solved in closed form: no steps, q identically 0, served = inflow.
 
-    A single server, with a constant or time-varying mu, solves every bin
+    A single queue, with a constant or time-varying mu, solves every bin
     exactly (TestExactBins), so the tests of the stepper's own free-flow
-    test use m = 3 servers, or a priority pair whose priority class is idle
-    (see stepped)."""
+    test use a priority pair whose priority class is idle (see stepped)."""
 
     MU = 1e6
 
@@ -193,7 +192,7 @@ class TestFreeFlow:
         np.testing.assert_array_equal(traj.served, inflow_trapezoid(inflow))
 
     @settings(max_examples=40, deadline=None)
-    @given(mode=st.sampled_from(["const", "mu_t", "multi", "finite"]),
+    @given(mode=st.sampled_from(["const", "mu_t", "finite"]),
            **free_flow)
     def test_underloaded_empty_queue_skips_every_bin(self, mode, fractions,
                                                      dt):
@@ -201,9 +200,6 @@ class TestFreeFlow:
         if mode == "mu_t":
             spec = QueueSpec(mu=lambda t: mu * (1.5 + np.sin(t / (7 * dt))),
                              alpha=1.0 / mu)
-        elif mode == "multi":
-            # at q = 0 one of the m servers is busy
-            spec = QueueSpec(mu=MultiServerRate(mu0=mu, m=3), alpha=1.0 / mu)
         elif mode == "finite":
             spec = QueueSpec(mu=mu, alpha=1.0 / mu, capacity_k=5.0 * mu)
         else:
@@ -242,10 +238,10 @@ class TestFreeFlow:
                                                         rel=1e-3)
 
     def test_backlog_is_stepped_until_it_drains(self):
+        # the low class needs an inflow: the pair never drains one without
         inflow = const_inflow(0.5 * self.MU, 60.0)
-        spec = QueueSpec(mu=MultiServerRate(mu0=self.MU, m=3), alpha=1e-5,
-                         q0=1e5)
-        traj = integrate_queue(inflow, spec)
+        spec = QueueSpec(mu=self.MU, alpha=1e-5, q0=1e5)
+        traj = stepped(inflow, spec, SolverOptions())
         assert traj.stats.steps > 0
         # the bins up to the first empty knot are stepped, every later bin
         # is free flow
@@ -382,18 +378,6 @@ class TestExactBins:
                                                   capacity_k=1.05 * peak))
         assert gated.stats.closed_form == 1 and gated.stats.steps > 0
 
-    def test_one_server_is_the_constant_rate(self):
-        # MultiServerRate(mu0, 1) serves at mu0 * min(1 + q, 1) = mu0: the
-        # same law as mu = mu0, solved by the same exact bins
-        inflow = random_inflow(np.random.default_rng(3), peak=2.0 * self.MU)
-        const = integrate_queue(inflow, QueueSpec(mu=self.MU, alpha=1e-6))
-        one = integrate_queue(inflow, QueueSpec(
-            mu=MultiServerRate(mu0=self.MU, m=1), alpha=1e-6))
-        assert one.stats == const.stats and one.stats.steps == 0
-        for row in ("q", "y", "served", "lost"):
-            np.testing.assert_array_equal(getattr(one, row),
-                                          getattr(const, row))
-
 
 class TestBounds:
     def setup_method(self):
@@ -479,38 +463,6 @@ class TestFiniteQueue:
         with pytest.raises(ParameterError):
             integrate_finite_queue(const_inflow(1.0, 10.0),
                                    QueueSpec(mu=1.0, alpha=1.0))
-
-
-class TestMultiServer:
-    def test_rate_continuous_at_breakpoint(self):
-        m, mu0 = 4, 2.0
-        below = multi_server_rate(m - 1 - 1e-9, mu0, m)
-        above = multi_server_rate(m - 1 + 1e-9, mu0, m)
-        assert below == pytest.approx(above, rel=1e-6)
-        assert above == pytest.approx(mu0 * m)
-
-    def test_integration_saturates_at_aggregate_rate(self):
-        mu = MultiServerRate(mu0=0.5e6, m=4)
-        inflow = const_inflow(3e6, 100.0)
-        traj = integrate_queue(inflow, QueueSpec(mu=mu, alpha=1e-5))
-        assert np.all(traj.y <= 2e6 * (1.0 + 1e-9))
-        assert traj.y[-1] == pytest.approx(2e6, rel=1e-3)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            MultiServerRate(mu0=1.0, m=0)
-        with pytest.raises(ParameterError):
-            multi_server_rate(0.0, -1.0, 2)
-
-    # the constructors alone: a NaN rate makes the stepper reject every step
-    @pytest.mark.parametrize("mu0, m", [
-        (np.nan, 2), (np.inf, 2), (1.0, np.nan), (1.0, np.inf),
-    ])
-    def test_rejects_nan_and_inf(self, mu0, m):
-        with pytest.raises(ParameterError):
-            MultiServerRate(mu0=mu0, m=m)
-        with pytest.raises(ParameterError):
-            multi_server_rate(0.0, mu0, m)
 
 
 class TestSplit:
@@ -701,6 +653,24 @@ class TestSpecValidation:
     def test_rejects_inf(self, kwargs):
         with pytest.raises(ParameterError):
             QueueSpec(**kwargs)
+
+    # the constructor alone: a negative numpy or string rate kept the exact
+    # bins' FIFO raise looping for ever, and a numpy NaN gave a NaN
+    # trajectory
+    @pytest.mark.parametrize("mu", [
+        np.float32(-1.0), np.int64(-2), "-3", "3", np.float32("nan"), None,
+    ], ids=["float32_negative", "int64_negative", "str_negative", "str",
+            "float32_nan", "none"])
+    def test_rejects_a_rate_that_is_not_a_positive_real(self, mu):
+        with pytest.raises(ParameterError):
+            QueueSpec(mu=mu, alpha=1.0)
+
+    @pytest.mark.parametrize("mu", [np.float32(2.0), np.int64(2), 2])
+    def test_numpy_and_int_rates_are_the_float_rate(self, mu):
+        inflow = const_inflow(3.0, 5.0)
+        traj = integrate_queue(inflow, QueueSpec(mu=mu, alpha=1.0))
+        ref = integrate_queue(inflow, QueueSpec(mu=2.0, alpha=1.0))
+        np.testing.assert_array_equal(traj.q, ref.q)
 
     @pytest.mark.parametrize("call", [
         lambda x: integrate_point_queue(x, 1.0, q0=np.nan),

@@ -28,7 +28,7 @@ def logistic_args(rng, n=60, pair=False):
     if pair:
         p_vals[n // 3:] = rng.uniform(0.0, 0.4e6, n - n // 3)
     return dict(t0=0.0, x_dt=1.0, x_vals=x_vals, p_vals=p_vals,
-                mu_vals=np.broadcast_to(1e6, n), m_servers=1.0, alpha=1e-4,
+                mu_vals=np.broadcast_to(1e6, n), alpha=1e-4,
                 gate_on=True, cap_k=2e6, h0=0.5, gate_n=1e-4, q0=0.0,
                 rtol=1e-6, atol=1e-9)
 
@@ -56,7 +56,7 @@ def test_nan_gate_fails_the_solve():
 
 
 @settings(max_examples=40, deadline=None)
-@given(mode=st.sampled_from(["single", "pair", "multi", "mu_t"]),
+@given(mode=st.sampled_from(["single", "pair", "mu_t"]),
        gate_on=st.booleans(), n=st.integers(2, 20), data=st.data(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_later_samples_leave_earlier_bins_unchanged(mode, gate_on, n, data,
@@ -65,8 +65,6 @@ def test_later_samples_leave_earlier_bins_unchanged(mode, gate_on, n, data,
     # 0..j-1 only: new samples from j on leave columns 0..j as they were
     j = data.draw(st.integers(1, n - 1))
     rng = np.random.default_rng(seed)
-    # rates of order 1, so that m servers relax the backlog at a rate of
-    # order 1 per bin, not 1e6
     mu = 1.0
 
     def draw(lo, hi):
@@ -82,9 +80,9 @@ def test_later_samples_leave_earlier_bins_unchanged(mode, gate_on, n, data,
         p_vals, p_later = draw(0.0, 0.5 * mu)
     elif mode == "mu_t":
         mu_vals, mu_later = draw(0.5 * mu, 1.5 * mu)
-    args = dict(t0=0.0, x_dt=1.0, m_servers=3.0 if mode == "multi" else 1.0,
-                alpha=1.0 / mu, gate_on=gate_on, cap_k=2.0 * mu, h0=0.5,
-                gate_n=500.0 / (2.0 * mu), q0=0.0, rtol=1e-6, atol=1e-9)
+    args = dict(t0=0.0, x_dt=1.0, alpha=1.0 / mu, gate_on=gate_on,
+                cap_k=2.0 * mu, h0=0.5, gate_n=500.0 / (2.0 * mu), q0=0.0,
+                rtol=1e-6, atol=1e-9)
     out, stats = kernels.integrate_logistic(
         x_vals=x_vals, p_vals=p_vals, mu_vals=mu_vals, **args)
     out_later, stats_later = kernels.integrate_logistic(
@@ -115,8 +113,7 @@ def test_scans_carry_the_backlog():
     rng = np.random.default_rng(5)
     x = rng.uniform(0.0, 2.0, 300) * rng.integers(0, 2, 300)
     args = dict(t0=0.0, x_dt=1.0, x_vals=x, p_vals=np.empty(0),
-                mu_vals=np.broadcast_to(1.0, 300), m_servers=1.0,
-                alpha=3.0, gate_on=False, cap_k=0.0, h0=1.0, gate_n=1.0,
+                mu_vals=np.broadcast_to(1.0, 300), alpha=3.0, gate_on=False, cap_k=0.0, h0=1.0, gate_n=1.0,
                 q0=4.0, rtol=1e-6, atol=1e-9)
     out, _ = kernels.integrate_logistic(**args)
     point = kernels.point_queue_exact(1.0, x, 1.0, 4.0)
