@@ -29,6 +29,10 @@ class IntegrationError(RuntimeError):
         self.t_fail = t_fail
 
 
+def _real(value):
+    return isinstance(value, numbers.Real)
+
+
 @dataclass(frozen=True)
 class QueueSpec:
     """One queue/server: service rate (a constant or a function of time),
@@ -48,19 +52,23 @@ class QueueSpec:
     capacity_k: float = None
 
     def __post_init__(self):
-        # negated checks, so that NaN and infinities fail them
-        if not 0 < self.alpha < math.inf:
-            raise ParameterError("alpha must be finite and > 0")
-        if not 0 <= self.q0 < math.inf:
-            raise ParameterError("q0 must be finite and >= 0")
-        if not (callable(self.mu) or isinstance(self.mu, numbers.Real)
+        # negated checks, so that NaN and infinities fail them; a value
+        # that is not a real number fails before it is compared
+        if not (_real(self.alpha) and 0 < self.alpha < math.inf):
+            raise ParameterError("alpha must be a real number that is "
+                                 "finite and > 0")
+        if not (_real(self.q0) and 0 <= self.q0 < math.inf):
+            raise ParameterError("q0 must be a real number that is finite "
+                                 "and >= 0")
+        if not (callable(self.mu) or _real(self.mu)
                 and 0 < self.mu < math.inf):
             raise ParameterError("mu must be a function of time, or a real "
                                  "number that is finite and > 0")
         if self.capacity_k is not None:
-            if not 0 < self.capacity_k < math.inf:
-                raise ParameterError("capacity_k must be finite and > 0; "
-                                     "None is the infinite buffer")
+            if not (_real(self.capacity_k) and 0 < self.capacity_k < math.inf):
+                raise ParameterError("capacity_k must be a real number that "
+                                     "is finite and > 0; None is the "
+                                     "infinite buffer")
             if not self.q0 < self.capacity_k:
                 raise ParameterError("q0 must be < capacity_k")
 
@@ -131,12 +139,14 @@ class QueueTrajectory:
 
         "binned": bin-average rates from the served-bits accumulator (mass
         exact); "instant": instantaneous outflow at the right bin edges.
+        Both are floored at 0: a priority pair's low class is a difference
+        of two queues (integrate_priority_pair), which can dip below it.
         """
         dt = self.output_dt
         if kind == "binned":
             values = np.maximum(np.diff(self.served), 0.0) / dt
         elif kind == "instant":
-            values = self.y[1:]
+            values = np.maximum(self.y[1:], 0.0)
         else:
             raise ParameterError(f"unknown outflow kind {kind!r}")
         return RateSeries(float(self.grid[0]), dt, values)
@@ -156,13 +166,13 @@ def _elementwise(law, *args):
 
 
 def _rhs_at(t, q, inflow: RateSeries, spec: QueueSpec):
-    """The kernel's (dq/dt, outflow, lost-rate, ...) row for ``spec`` fed by
+    """The kernel's (dq/dt, outflow, lost-rate) row for ``spec`` fed by
     ``inflow``, with X and a sampled mu(t) linear between the inflow's
     sample times and constant beyond them, as the kernel reads them."""
     mu_vals, *law = _server_args(spec, inflow)
     times = inflow.sample_times
     x, mu = np.interp(t, times, inflow.values), np.interp(t, times, mu_vals)
-    return kernels._rhs(float(q), 0.0, False, float(x), 0.0, float(mu), *law)
+    return kernels._rhs(float(q), float(x), float(mu), *law)
 
 
 def outflow_rate(x, q, mu, alpha):
@@ -265,6 +275,8 @@ def _server_args(spec: QueueSpec, inflow: RateSeries):
     alpha, gate_on, cap_k, h0, gate_n), with mu sampled at the inflow's
     sample times (a stride-0 view when it is constant) and the
     finite-buffer gate derived as QueueSpec describes."""
+    if len(inflow) == 0:
+        raise ParameterError("empty inflow")
     if callable(spec.mu):
         mu_vals = np.asarray([float(spec.mu(t))
                               for t in inflow.sample_times], dtype=float)
@@ -282,43 +294,37 @@ def _server_args(spec: QueueSpec, inflow: RateSeries):
     return (mu_vals, float(spec.alpha)) + gate_args
 
 
-def _solve(inflow: RateSeries, spec: QueueSpec, opts: SolverOptions,
-           x_vals, p_vals):
-    """Run the kernel for the server ``spec`` on the total ``inflow``, split
-    into the queue's own inflow ``x_vals`` and the priority inflow
-    ``p_vals`` (empty for a single queue).  Returns (grid, kernel output
-    rows, stats)."""
-    if len(inflow) == 0:
-        raise ParameterError("empty inflow")
+def _solve(inflow: RateSeries, server, q0, opts: SolverOptions):
+    """Run the kernel on ``inflow`` for the server arguments ``server`` (see
+    _server_args) from the backlog q0."""
     grid = _grid(inflow)
     out, stats = kernels.integrate_logistic(
-        inflow.t0, inflow.dt, x_vals, p_vals, *_server_args(spec, inflow),
-        float(spec.q0), opts.rel_tol, opts.abs_tol)
+        inflow.t0, inflow.dt, inflow.values, *server, float(q0),
+        opts.rel_tol, opts.abs_tol)
 
     status, n_steps, n_rej, n_closed, max_neg = stats
     if status != kernels.OK:
         t_fail = float(grid[np.isnan(out[0])][0])
         raise IntegrationError(f"step size underflow near t={t_fail:.6g} s",
                                t_fail=t_fail)
-    q_max = float(out[0::4].max())
+    q_max = float(out[0].max())
     # Roundoff alone produces excursions of order eps * step * rate, so the
     # tolerance carries an absolute floor on the same (integral X + q0) scale
     # used by the conservation property.
-    mass = float(inflow.integral()) + float(spec.q0)
+    mass = float(inflow.integral()) + float(q0)
     neg_tol = max(1e-6 * q_max, 10.0 * opts.abs_tol, 1e-12 * mass)
     if max_neg > neg_tol:
         raise IntegrationError(
             f"negative backlog excursion {max_neg:g} exceeds tolerance {neg_tol:g}")
-    return grid, out, SolverStats(int(n_steps), int(n_rej), int(n_closed),
-                                  float(max_neg))
+    return QueueTrajectory(grid, *out, SolverStats(
+        int(n_steps), int(n_rej), int(n_closed), float(max_neg)))
 
 
 def integrate_queue(inflow: RateSeries, spec: QueueSpec,
                     opts: SolverOptions = SolverOptions()) -> QueueTrajectory:
     """Integrate the queue ODE (finite-buffer gate included when the spec
     carries a capacity) over the inflow's window."""
-    grid, out, stats = _solve(inflow, spec, opts, inflow.values, np.empty(0))
-    return QueueTrajectory(grid, *out, stats)
+    return _solve(inflow, _server_args(spec, inflow), spec.q0, opts)
 
 
 def integrate_finite_queue(inflow: RateSeries, spec: QueueSpec,
@@ -360,24 +366,37 @@ def split_outflow(components, total_out: RateSeries):
 
 
 def priority_rates(x1, x2, q1, mu, alpha):
-    """Service split (mu1, mu2) of the priority pair; mu1 + mu2 == mu."""
-    return kernels.priority_split(x1, x2, max(q1, 0.0), mu, alpha)
+    """Service split (mu1, mu2) of the priority pair; mu1 + mu2 == mu.  The
+    high class, a queue of its own, is served at its outflow law at inflow
+    x1 and backlog q1; the low class gets the rest.  x2 does not enter."""
+    mu1 = outflow_rate(x1, max(q1, 0.0), mu, alpha)
+    return mu1, mu - mu1
 
 
 def integrate_priority_pair(x1: RateSeries, x2: RateSeries, spec: QueueSpec,
                             opts: SolverOptions = SolverOptions()):
-    """Integrate the coupled priority system on the server ``spec``; x1 has
-    priority over x2.
+    """Integrate the priority pair on the server ``spec``; x1 has
+    preemptive priority over x2.
 
-    The server sees the aggregate inflow x1 + x2: a finite ``spec`` gates
-    both classes on the total backlog, and each class accounts its own lost
-    mass.  ``spec.q0`` is the low class's initial backlog; the priority
-    class starts empty.  Returns (priority trajectory, low-priority
-    trajectory), which share one stepper and its stats.
+    Work conservation: the pair's total backlog is that of one queue fed
+    by both classes, and the high class, which never waits for the low
+    one, is a queue of its own.  So the aggregate is the single queue
+    ``spec`` on x1 + x2, starting at ``spec.q0``; the high class is the
+    same server on x1 alone, starting empty; and the low class is the
+    aggregate minus the high class, field by field.  A finite buffer gates
+    both queues with the aggregate's gate, each on its own backlog: the
+    high class loses inflow only once its own backlog fills the buffer,
+    and the low class loses the rest of the aggregate's loss (push-out).
+
+    Returns (high-priority trajectory, low-priority trajectory); the first
+    carries the high class's solver stats, the second the aggregate's.
     """
     if not x1.same_grid(x2):
         raise ParameterError("priority inflows must share the grid")
     aggregate = RateSeries(x1.t0, x1.dt, x1.values + x2.values)
-    grid, out, stats = _solve(aggregate, spec, opts, x2.values, x1.values)
-    return (QueueTrajectory(grid, *out[4:], stats),
-            QueueTrajectory(grid, *out[:4], stats))
+    server = _server_args(spec, aggregate)
+    total = _solve(aggregate, server, spec.q0, opts)
+    high = _solve(x1, server, 0.0, opts)
+    return high, QueueTrajectory(
+        total.grid, total.q - high.q, total.y - high.y,
+        total.served - high.served, total.lost - high.lost, total.stats)

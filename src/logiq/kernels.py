@@ -1,12 +1,12 @@
-"""Numeric inner loops: one integrator for the logistic queue family and the
-coupled priority pair, the exact point-queue reference (the exact logistic
-bins at alpha = inf), and the packet-level drop-tail FIFO recursion.
+"""Numeric inner loops: one integrator for the logistic queue family, the
+exact point-queue reference (the exact logistic bins at alpha = inf), and
+the packet-level drop-tail FIFO recursion.
 
 The fluid kernels walk the inflow bins by index.  Every bin is dt wide, and
 bin j (j >= 1) runs from the inflow sample j-2 to the sample j-1 (bin 1
-holds sample 0): the inflow, the priority inflow and the service rate mu(t)
-are linear across it.  A single queue's bins are solved exactly, a run of
-them by one scan; other bins are free flow or take adaptive Dormand-Prince
+holds sample 0): the inflow and the service rate mu(t) are linear across
+it.  A queue's bins are solved exactly, a run of them by one scan; bins in
+which the finite-buffer gate falls below 1 take adaptive Dormand-Prince
 5(4) steps in their own time tau, from 0 to dt.
 
 The kernels are plain Python and numpy.  Inputs are plain float64 arrays;
@@ -50,44 +50,14 @@ def _gate_limit(cap_k, h0, gate_n):
     return float(np.int64(lo).view(float)) if lo >= 0 else -1.0
 
 
-def priority_split(x1, x2, q1, mu, alpha):
-    """Service split (mu1, mu2) between a priority class with inflow x1 and
-    backlog q1 >= 0 and a low class with inflow x2: the low class gets its
-    inflow share of mu, collapsing as the priority backlog grows, so
-    mu1 + mu2 == mu."""
-    x = x1 + x2
-    if x < 1e-12:
-        return mu, 0.0
-    mu2 = (x2 / x) * mu * math.exp(-alpha * q1)
-    return mu - mu2, mu2
-
-
-def _rhs(q, qp, pair, x, xp, mu, alpha, gate_on, cap_k, h0, gate_n):
-    """Returns (dq/dt, outflow, lost-rate) of the queue with inflow x, then
-    the same three for the priority class with inflow xp (zeros unless
-    ``pair``), on a server of rate mu.  Backlogs are evaluated at
-    max(q, 0); in a pair the gate sees the total backlog q + qp."""
+def _rhs(q, x, mu, alpha, gate_on, cap_k, h0, gate_n):
+    """Returns (dq/dt, outflow, lost-rate) of the queue with inflow x on a
+    server of rate mu.  The backlog is evaluated at max(q, 0)."""
     qc = q if q > 0.0 else 0.0
-    q_all = qc
-    if pair:
-        qpc = qp if qp > 0.0 else 0.0
-        q_all = qc + qpc
-    if gate_on:
-        g = _gate(q_all, cap_k, h0, gate_n)
-        xh = g * x
-    else:
-        g = 1.0
-        xh = x
-    if pair:
-        mu_p, mu = priority_split(xp, x, qpc, mu, alpha)
-        xph = g * xp
-        mnp = xph if xph < mu_p else mu_p
-        yp = mu_p + math.exp(-alpha * qpc) * (mnp - mu_p)
+    xh = _gate(qc, cap_k, h0, gate_n) * x if gate_on else x
     mn = xh if xh < mu else mu
     y = mu + math.exp(-alpha * qc) * (mn - mu)
-    if pair:
-        return xh - y, y, x - xh, xph - yp, yp, xp - xph
-    return xh - y, y, x - xh, 0.0, 0.0, 0.0
+    return xh - y, y, x - xh
 
 
 def _exact_bins(q, d, w, alpha):
@@ -143,39 +113,28 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (35.0 / 384.0 - 5179.0 / 57600.0,
                                 -1.0 / 40.0)
 
 
-def integrate_logistic(t0, x_dt, x_vals, p_vals, mu_vals, alpha, gate_on,
-                       cap_k, h0, gate_n, q0, rtol, atol):
+def integrate_logistic(t0, x_dt, x_vals, mu_vals, alpha, gate_on, cap_k, h0,
+                       gate_n, q0, rtol, atol):
     """The state (q, served-bits, lost-bits) of the queue fed by x_vals on
     a server of rate mu_vals (sampled as x_vals is), starting at backlog
     q0, at t0 and at the end of each inflow bin.
 
-    A nonempty p_vals adds a priority class (qp, served_p, lost_p), starting
-    empty, that is served first (see priority_split); the single queue skips
-    every priority-class operation.
-
-    The bins of a single queue are solved exactly, a run at a time by one
-    scan (_exact_bins), up to the first bin at whose largest backlog the
-    finite-buffer gate is below 1; that bin takes steps, and the scan
-    resumes after it.  For the pair, a bin is free flow when both backlogs
-    are 0 at its start, the gate is exactly 1 at q = 0 and X + X_p <= mu
-    at both samples: the three are linear, so X + X_p <= mu all along the
-    bin, each class's outflow is its inflow and the backlogs stay 0.
-    Every other bin takes adaptive Dormand-Prince 5(4) steps, the last of
-    which lands on the bin end.  t0 places the bin ends on the output grid
+    The bins are solved exactly, a run at a time by one scan
+    (_exact_bins), up to the first bin at whose largest backlog the
+    finite-buffer gate is below 1; that bin takes adaptive Dormand-Prince
+    5(4) steps, the last of which lands on the bin end, and the scan
+    resumes after it.  t0 places the bin ends on the output grid
     t0 + j x_dt, where the exact bins keep the FIFO order of exit times
     when mu is constant.
 
-    Returns (out, stats): the rows of out are q, outflow, served and lost
-    of the queue, then in pair mode the same four for the priority class;
+    Returns (out, stats): the rows of out are q, outflow, served and lost;
     stats is (status, n_steps, n_rejected, n_closed_form,
     worst_negative_q), where n_closed_form counts the bins solved without
     steps.
     """
     n = x_vals.shape[0]
-    pair = p_vals.shape[0] > 0
-    exact = not pair
     q_on = _gate_limit(cap_k, h0, gate_n) if gate_on else math.inf
-    out = np.empty((8 if pair else 4, n + 1))
+    out = np.empty((4, n + 1))
     min_step = 1e-13 * n * x_dt
     w = h = x_dt
 
@@ -188,24 +147,23 @@ def integrate_logistic(t0, x_dt, x_vals, p_vals, mu_vals, alpha, gate_on,
 
     # state
     q = q0
-    served = lost = qp = served_p = lost_p = worst_neg = 0.0
+    served = lost = worst_neg = 0.0
     n_steps = n_rej = n_closed = 0
     status = OK
 
-    def stage(s, q, qp):
-        """The _rhs row of the state (q, qp) at the fraction s of the bin."""
+    def stage(s, q):
+        """The _rhs row of the backlog q at the fraction s of the bin."""
         c = 1.0 - s
-        return _rhs(q, qp, pair, c * xa + s * xb, c * pa + s * pb,
-                    c * mua + s * mub, alpha, gate_on, cap_k, h0, gate_n)
+        return _rhs(q, c * xa + s * xb, c * mua + s * mub, alpha, gate_on,
+                    cap_k, h0, gate_n)
 
     # Python floats read faster than numpy scalars, bin by bin
     xs, mus = xe.tolist(), mue.tolist()
-    ps = p_vals[:1].tolist() + p_vals.tolist() if pair else [0.0] * (n + 1)
     # the samples at the end of bin 0, which is the point t0
-    xb, pb, mub = xs[0], ps[0], mus[0]
+    xb, mub = xs[0], mus[0]
     j = 0
     while j <= n:
-        if j > 0 and exact and q <= q_on:
+        if j > 0 and q <= q_on:
             # the exact bins j..k-1, as far as the gate stays 1
             k = min(j + width, n + 1)
             q_mid, q_end = _exact_bins(q, d[j - 1:k], w, alpha)
@@ -244,15 +202,9 @@ def integrate_logistic(t0, x_dt, x_vals, p_vals, mu_vals, alpha, gate_on,
             if j == k:
                 continue
         if j > 0:
-            xa, pa, mua = xs[j - 1], ps[j - 1], mus[j - 1]
-            xb, pb, mub = xs[j], ps[j], mus[j]
-            closed = (not exact and q == 0.0 and qp == 0.0 and q_on >= 0.0
-                      and xa + pa <= mua and xb + pb <= mub)
-            if closed:
-                served += 0.5 * w * (xa + xb)
-                served_p += 0.5 * w * (pa + pb)
-                n_closed += 1
-            tau = w if closed else 0.0      # a closed bin takes no steps
+            xa, mua = xs[j - 1], mus[j - 1]
+            xb, mub = xs[j], mus[j]
+            tau = 0.0
             while tau < w:
                 if tau + h >= w:
                     h = w - tau
@@ -261,31 +213,23 @@ def integrate_logistic(t0, x_dt, x_vals, p_vals, mu_vals, alpha, gate_on,
                     tau_end = tau + h
                 s_end = tau_end / w
 
-                # stage derivatives: (q, served, lost), then the priority
-                # class
-                k1q, k1y, k1l, k1p, k1yp, k1lp = stage(tau / w, q, qp)
-                k2q, k2y, k2l, k2p, k2yp, k2lp = stage(
-                    (tau + _C2 * h) / w, q + h * _A21 * k1q,
-                    qp + h * _A21 * k1p)
-                k3q, k3y, k3l, k3p, k3yp, k3lp = stage(
-                    (tau + _C3 * h) / w, q + h * (_A31 * k1q + _A32 * k2q),
-                    qp + h * (_A31 * k1p + _A32 * k2p))
-                k4q, k4y, k4l, k4p, k4yp, k4lp = stage(
+                # stage derivatives of (q, served, lost)
+                k1q, k1y, k1l = stage(tau / w, q)
+                k2q, k2y, k2l = stage((tau + _C2 * h) / w,
+                                      q + h * _A21 * k1q)
+                k3q, k3y, k3l = stage((tau + _C3 * h) / w,
+                                      q + h * (_A31 * k1q + _A32 * k2q))
+                k4q, k4y, k4l = stage(
                     (tau + _C4 * h) / w,
-                    q + h * (_A41 * k1q + _A42 * k2q + _A43 * k3q),
-                    qp + h * (_A41 * k1p + _A42 * k2p + _A43 * k3p))
-                k5q, k5y, k5l, k5p, k5yp, k5lp = stage(
+                    q + h * (_A41 * k1q + _A42 * k2q + _A43 * k3q))
+                k5q, k5y, k5l = stage(
                     (tau + _C5 * h) / w,
                     q + h * (_A51 * k1q + _A52 * k2q + _A53 * k3q
-                             + _A54 * k4q),
-                    qp + h * (_A51 * k1p + _A52 * k2p + _A53 * k3p
-                              + _A54 * k4p))
-                k6q, k6y, k6l, k6p, k6yp, k6lp = stage(
+                             + _A54 * k4q))
+                k6q, k6y, k6l = stage(
                     s_end,
                     q + h * (_A61 * k1q + _A62 * k2q + _A63 * k3q
-                             + _A64 * k4q + _A65 * k5q),
-                    qp + h * (_A61 * k1p + _A62 * k2p + _A63 * k3p
-                              + _A64 * k4p + _A65 * k5p))
+                             + _A64 * k4q + _A65 * k5q))
 
                 q_new = q + h * (_B1 * k1q + _B3 * k3q + _B4 * k4q
                                  + _B5 * k5q + _B6 * k6q)
@@ -293,19 +237,8 @@ def integrate_logistic(t0, x_dt, x_vals, p_vals, mu_vals, alpha, gate_on,
                                            + _B5 * k5y + _B6 * k6y)
                 lost_new = lost + h * (_B1 * k1l + _B3 * k3l + _B4 * k4l
                                        + _B5 * k5l + _B6 * k6l)
-                if pair:
-                    qp_new = qp + h * (_B1 * k1p + _B3 * k3p + _B4 * k4p
-                                       + _B5 * k5p + _B6 * k6p)
-                    served_p_new = served_p + h * (_B1 * k1yp + _B3 * k3yp
-                                                   + _B4 * k4yp + _B5 * k5yp
-                                                   + _B6 * k6yp)
-                    lost_p_new = lost_p + h * (_B1 * k1lp + _B3 * k3lp
-                                               + _B4 * k4lp + _B5 * k5lp
-                                               + _B6 * k6lp)
-                else:
-                    qp_new = served_p_new = lost_p_new = 0.0
 
-                k7q, k7y, k7l, k7p, k7yp, k7lp = stage(s_end, q_new, qp_new)
+                k7q, k7y, k7l = stage(s_end, q_new)
 
                 err_q = h * (_E1 * k1q + _E3 * k3q + _E4 * k4q + _E5 * k5q
                              + _E6 * k6q + _E7 * k7q)
@@ -318,21 +251,7 @@ def integrate_logistic(t0, x_dt, x_vals, p_vals, mu_vals, alpha, gate_on,
                 e1 = abs(err_q) / (atol + rtol * aq)
                 e2 = abs(err_s) / (atol + rtol * abs(served_new))
                 e3 = abs(err_l) / (atol + rtol * abs(lost_new))
-                if pair:
-                    err_q = h * (_E1 * k1p + _E3 * k3p + _E4 * k4p
-                                 + _E5 * k5p + _E6 * k6p + _E7 * k7p)
-                    err_s = h * (_E1 * k1yp + _E3 * k3yp + _E4 * k4yp
-                                 + _E5 * k5yp + _E6 * k6yp + _E7 * k7yp)
-                    err_l = h * (_E1 * k1lp + _E3 * k3lp + _E4 * k4lp
-                                 + _E5 * k5lp + _E6 * k6lp + _E7 * k7lp)
-                    aq = abs(qp) if abs(qp) > abs(qp_new) else abs(qp_new)
-                    e4 = abs(err_q) / (atol + rtol * aq)
-                    e5 = abs(err_s) / (atol + rtol * abs(served_p_new))
-                    e6 = abs(err_l) / (atol + rtol * abs(lost_p_new))
-                    err = math.sqrt((e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4
-                                     + e5 * e5 + e6 * e6) / 6.0)
-                else:
-                    err = math.sqrt((e1 * e1 + e2 * e2 + e3 * e3) / 3.0)
+                err = math.sqrt((e1 * e1 + e2 * e2 + e3 * e3) / 3.0)
                 if not math.isfinite(err):
                     # a NaN state would fail err <= 1 without shrinking h
                     status = STEP_FAILURE
@@ -347,14 +266,6 @@ def integrate_logistic(t0, x_dt, x_vals, p_vals, mu_vals, alpha, gate_on,
                         worst_neg = q
                     if q < 0.0:
                         q = 0.0
-                    if pair:
-                        qp = qp_new
-                        served_p = served_p_new
-                        lost_p = lost_p_new
-                        if qp < worst_neg:
-                            worst_neg = qp
-                        if qp < 0.0:
-                            qp = 0.0
                     n_steps += 1
                 else:
                     n_rej += 1
@@ -377,12 +288,8 @@ def integrate_logistic(t0, x_dt, x_vals, p_vals, mu_vals, alpha, gate_on,
                 break
 
         # the outflow law at the bin's end
-        r = _rhs(q, qp, pair, xb, pb, mub, alpha, gate_on, cap_k, h0,
-                 gate_n)
-        out[0, j], out[1, j], out[2, j], out[3, j] = q, r[1], served, lost
-        if pair:
-            out[4, j], out[5, j], out[6, j], out[7, j] = (qp, r[4], served_p,
-                                                          lost_p)
+        out[:, j] = q, _rhs(q, xb, mub, alpha, gate_on, cap_k, h0,
+                            gate_n)[1], served, lost
         j += 1
 
     return out, (status, n_steps, n_rej, n_closed, -worst_neg)

@@ -202,8 +202,9 @@ def test_criterion_6_digital_twin():
 
     band_ok = 0.05 <= run.l_max <= 0.5
     pl = np.asarray(run.priority_l_max)
-    # nondecreasing up to solver accuracy: sub-threshold injections re-solve
-    # the core as a different coupled system, so exact equality is not owed
+    # nondecreasing up to rounding: sub-threshold injections re-solve the
+    # core as the aggregate less the high class, so exact equality is not
+    # owed
     mono_ok = bool(np.all(np.diff(pl) >= -1e-3 * pl[:-1]))
     # per-Gb/s slopes of the last two segments (15->18 and 18->20 Gb/s)
     slope_mid = (pl[4] - pl[3]) / 3.0
@@ -229,8 +230,8 @@ def test_criterion_7_performance(desk_runs):
 
 def test_single_queues_take_no_steps(desk_runs):
     # every desk bin and every queue of dt_star's base propagation is solved
-    # in closed form; only bins near a buffer and the priority pair are
-    # stepped
+    # in closed form; only bins in which a finite buffer's gate falls below
+    # 1 are stepped, in the priority pair's two queues too
     runs, _ = desk_runs
     for run in runs:
         assert run.trajectory.stats.steps == 0

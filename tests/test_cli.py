@@ -273,6 +273,14 @@ class TestExitCodes:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_backlog_that_is_not_a_number_is_1(self, tmp_path, capsys):
+        # a null q0 passes the config's parsing and used to escape QueueSpec
+        # as a raw TypeError
+        payload = {**BASE, "queue": {"mu": "3.4 Mb/s", "q0": None}}
+        code, _ = run(tmp_path, "simulate", payload)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: q0 must be")
+
     def test_queue_never_built_is_1(self, tmp_path, capsys):
         # the oracle's backlog is 0 at every sample, so the relative
         # occupancy error has no reference

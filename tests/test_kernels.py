@@ -1,9 +1,9 @@
 """``kernels.integrate_logistic`` called directly: on an input that takes it
-through stepped bins first and closed-form bins after, for the single queue
-and the priority pair; on a NaN gate, which must fail the solve; and for
-causality across bins.  Also the backlog below which the gate is exactly
-1, and the backlog the exact-bin scans carry from one run to the next.  The
-other kernels are tested through fluid.py and des.py."""
+through stepped bins first and closed-form bins after; on a NaN gate, which
+must fail the solve; and for causality across bins.  Also the backlog below
+which the gate is exactly 1, and the backlog the exact-bin scans carry from
+one run to the next.  The other kernels are tested through fluid.py and
+des.py."""
 
 import math
 from unittest import mock
@@ -16,32 +16,26 @@ from hypothesis import strategies as st
 from logiq import kernels
 
 
-def logistic_args(rng, n=60, pair=False):
+def logistic_args(rng, n=60):
     """An overloaded first third that fills the buffer, whose bins are
     stepped, then an underloaded stretch in which the queue drains to 0
-    and is solved in closed form: exactly for the single queue, whose
-    exponential drain underflows to 0 at this alpha, and after the steps
-    of the drain as free flow for the pair."""
+    and is solved exactly: its exponential drain underflows to 0 at this
+    alpha."""
     x_vals = rng.uniform(0.0, 2e6, n)
     x_vals[n // 3:] = rng.uniform(0.0, 0.5e6, n - n // 3)
-    p_vals = rng.uniform(0.0, 1e6, n) if pair else np.empty(0)
-    if pair:
-        p_vals[n // 3:] = rng.uniform(0.0, 0.4e6, n - n // 3)
-    return dict(t0=0.0, x_dt=1.0, x_vals=x_vals, p_vals=p_vals,
+    return dict(t0=0.0, x_dt=1.0, x_vals=x_vals,
                 mu_vals=np.broadcast_to(1e6, n), alpha=1e-4,
                 gate_on=True, cap_k=2e6, h0=0.5, gate_n=1e-4, q0=0.0,
                 rtol=1e-6, atol=1e-9)
 
 
-@pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])
-def test_stepped_then_closed_form_bins(pair):
-    # the pair's free-flow branch is reached by no other test
-    args = logistic_args(np.random.default_rng(0), pair=pair)
+def test_stepped_then_closed_form_bins():
+    args = logistic_args(np.random.default_rng(0))
     out, stats = kernels.integrate_logistic(**args)
     status, n_steps, _, n_closed_form, _ = stats
     assert status == kernels.OK and n_steps > 0
     assert 0 < n_closed_form < len(args["x_vals"])
-    assert np.all(out[0::4, -1] == 0.0)
+    assert out[0, -1] == 0.0
 
 
 def test_nan_gate_fails_the_solve():
@@ -56,7 +50,7 @@ def test_nan_gate_fails_the_solve():
 
 
 @settings(max_examples=40, deadline=None)
-@given(mode=st.sampled_from(["single", "pair", "mu_t"]),
+@given(mode=st.sampled_from(["single", "mu_t"]),
        gate_on=st.booleans(), n=st.integers(2, 20), data=st.data(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_later_samples_leave_earlier_bins_unchanged(mode, gate_on, n, data,
@@ -74,19 +68,16 @@ def test_later_samples_leave_earlier_bins_unchanged(mode, gate_on, n, data,
         return vals, later
 
     x_vals, x_later = draw(0.0, 2.0 * mu)
-    p_vals = p_later = np.empty(0)
     mu_vals = mu_later = np.broadcast_to(mu, n)
-    if mode == "pair":
-        p_vals, p_later = draw(0.0, 0.5 * mu)
-    elif mode == "mu_t":
+    if mode == "mu_t":
         mu_vals, mu_later = draw(0.5 * mu, 1.5 * mu)
     args = dict(t0=0.0, x_dt=1.0, alpha=1.0 / mu, gate_on=gate_on,
                 cap_k=2.0 * mu, h0=0.5, gate_n=500.0 / (2.0 * mu), q0=0.0,
                 rtol=1e-6, atol=1e-9)
     out, stats = kernels.integrate_logistic(
-        x_vals=x_vals, p_vals=p_vals, mu_vals=mu_vals, **args)
+        x_vals=x_vals, mu_vals=mu_vals, **args)
     out_later, stats_later = kernels.integrate_logistic(
-        x_vals=x_later, p_vals=p_later, mu_vals=mu_later, **args)
+        x_vals=x_later, mu_vals=mu_later, **args)
     assert stats[0] == stats_later[0] == kernels.OK
     np.testing.assert_array_equal(out[:, :j + 1], out_later[:, :j + 1])
 
@@ -112,9 +103,9 @@ def test_scans_carry_the_backlog():
     # joins the runs, so both agree to rounding
     rng = np.random.default_rng(5)
     x = rng.uniform(0.0, 2.0, 300) * rng.integers(0, 2, 300)
-    args = dict(t0=0.0, x_dt=1.0, x_vals=x, p_vals=np.empty(0),
-                mu_vals=np.broadcast_to(1.0, 300), alpha=3.0, gate_on=False, cap_k=0.0, h0=1.0, gate_n=1.0,
-                q0=4.0, rtol=1e-6, atol=1e-9)
+    args = dict(t0=0.0, x_dt=1.0, x_vals=x,
+                mu_vals=np.broadcast_to(1.0, 300), alpha=3.0, gate_on=False,
+                cap_k=0.0, h0=1.0, gate_n=1.0, q0=4.0, rtol=1e-6, atol=1e-9)
     out, _ = kernels.integrate_logistic(**args)
     point = kernels.point_queue_exact(1.0, x, 1.0, 4.0)
     with mock.patch.object(kernels, "_SCAN", 2):
