@@ -29,10 +29,6 @@ class IntegrationError(RuntimeError):
         self.t_fail = t_fail
 
 
-def _real(value):
-    return isinstance(value, numbers.Real)
-
-
 @dataclass(frozen=True)
 class QueueSpec:
     """One queue/server: service rate (a constant or a function of time),
@@ -54,18 +50,21 @@ class QueueSpec:
     def __post_init__(self):
         # negated checks, so that NaN and infinities fail them; a value
         # that is not a real number fails before it is compared
-        if not (_real(self.alpha) and 0 < self.alpha < math.inf):
+        if not (isinstance(self.alpha, numbers.Real)
+                and 0 < self.alpha < math.inf):
             raise ParameterError("alpha must be a real number that is "
                                  "finite and > 0")
-        if not (_real(self.q0) and 0 <= self.q0 < math.inf):
+        if not (isinstance(self.q0, numbers.Real)
+                and 0 <= self.q0 < math.inf):
             raise ParameterError("q0 must be a real number that is finite "
                                  "and >= 0")
-        if not (callable(self.mu) or _real(self.mu)
+        if not (callable(self.mu) or isinstance(self.mu, numbers.Real)
                 and 0 < self.mu < math.inf):
             raise ParameterError("mu must be a function of time, or a real "
                                  "number that is finite and > 0")
         if self.capacity_k is not None:
-            if not (_real(self.capacity_k) and 0 < self.capacity_k < math.inf):
+            if not (isinstance(self.capacity_k, numbers.Real)
+                    and 0 < self.capacity_k < math.inf):
                 raise ParameterError("capacity_k must be a real number that "
                                      "is finite and > 0; None is the "
                                      "infinite buffer")
@@ -73,11 +72,20 @@ class QueueSpec:
                 raise ParameterError("q0 must be < capacity_k")
 
 
+# The loosest rel_tol of a priority pair's two solves: the low class is
+# their difference, so it carries both solves' error on the scale of the
+# aggregate's backlog.  At the default 1e-6 the low backlog dipped below 0,
+# and the low loss fell, by up to 1.9e-6 of the aggregate's peak.
+PAIR_REL_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Error tolerances of the adaptive stepper, so they govern only the
     bins it steps (see kernels.integrate_logistic).  Steps never exceed one
-    inflow bin, and the trajectory is reported on the inflow grid."""
+    inflow bin, and the trajectory is reported on the inflow grid.  A
+    priority pair steps at rel_tol PAIR_REL_TOL at the loosest
+    (integrate_priority_pair)."""
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9   # bits
@@ -307,17 +315,24 @@ def _solve(inflow: RateSeries, server, q0, opts: SolverOptions):
         t_fail = float(grid[np.isnan(out[0])][0])
         raise IntegrationError(f"step size underflow near t={t_fail:.6g} s",
                                t_fail=t_fail)
-    q_max = float(out[0].max())
+    _check_excursion("negative backlog excursion", max_neg, out[0], inflow,
+                     q0, opts)
+    return QueueTrajectory(grid, *out, SolverStats(
+        int(n_steps), int(n_rej), int(n_closed), float(max_neg)))
+
+
+def _check_excursion(what, excursion, q, inflow, q0, opts: SolverOptions):
+    """Raise IntegrationError if ``excursion``, a negative swing of the
+    queue with backlog ``q`` fed by ``inflow`` from q0, exceeds what the
+    solver's error allows."""
     # Roundoff alone produces excursions of order eps * step * rate, so the
     # tolerance carries an absolute floor on the same (integral X + q0) scale
     # used by the conservation property.
     mass = float(inflow.integral()) + float(q0)
-    neg_tol = max(1e-6 * q_max, 10.0 * opts.abs_tol, 1e-12 * mass)
-    if max_neg > neg_tol:
+    neg_tol = max(1e-6 * float(q.max()), 10.0 * opts.abs_tol, 1e-12 * mass)
+    if excursion > neg_tol:
         raise IntegrationError(
-            f"negative backlog excursion {max_neg:g} exceeds tolerance {neg_tol:g}")
-    return QueueTrajectory(grid, *out, SolverStats(
-        int(n_steps), int(n_rej), int(n_closed), float(max_neg)))
+            f"{what} {excursion:g} exceeds tolerance {neg_tol:g}")
 
 
 def integrate_queue(inflow: RateSeries, spec: QueueSpec,
@@ -388,15 +403,27 @@ def integrate_priority_pair(x1: RateSeries, x2: RateSeries, spec: QueueSpec,
     high class loses inflow only once its own backlog fills the buffer,
     and the low class loses the rest of the aggregate's loss (push-out).
 
+    Both solves step at rel_tol PAIR_REL_TOL at the loosest, since the
+    low class carries their error whole; IntegrationError reports a low
+    backlog below 0, or a falling low loss, beyond what a single queue's
+    backlog may dip (_solve).
+
     Returns (high-priority trajectory, low-priority trajectory); the first
     carries the high class's solver stats, the second the aggregate's.
     """
     if not x1.same_grid(x2):
         raise ParameterError("priority inflows must share the grid")
     aggregate = RateSeries(x1.t0, x1.dt, x1.values + x2.values)
+    opts = SolverOptions(min(opts.rel_tol, PAIR_REL_TOL), opts.abs_tol)
     server = _server_args(spec, aggregate)
     total = _solve(aggregate, server, spec.q0, opts)
     high = _solve(x1, server, 0.0, opts)
-    return high, QueueTrajectory(
+    low = QueueTrajectory(
         total.grid, total.q - high.q, total.y - high.y,
         total.served - high.served, total.lost - high.lost, total.stats)
+    for what, excursion in (("negative low-class backlog", -low.q.min()),
+                            ("falling low-class loss",
+                             -np.diff(low.lost).min())):
+        _check_excursion(what, float(excursion), total.q, aggregate,
+                         spec.q0, opts)
+    return high, low

@@ -167,7 +167,11 @@ def _upstream_legs(t, i, state: DtState, topology: Topology):
     s = topology.packet_size_bits
     d_access = (state.access[i].q_at(t) + s) / topology.access_mu[i]
     t_o = t + d_access
-    d_core = (state.core.q_at(t_o) + s) / topology.core_mu
+    q_core = state.core.q_at(t_o)
+    if state.priority is not None:
+        # a low packet also waits for the high backlog ahead of it
+        q_core = q_core + state.priority.q_at(t_o)
+    d_core = (q_core + s) / topology.core_mu
     return d_access + d_core, t_o, t_o + d_core
 
 
