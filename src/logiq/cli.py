@@ -13,7 +13,7 @@ from .config import ConfigError, load_config
 from .fluid import (DomainError, IntegrationError, QueueSpec, compute_alpha,
                     integrate_queue)
 from .metrics import DegenerateInputError
-from .network import Topology
+from .network import HorizonError, Topology
 from .series import ParameterError, RateSeries, intensity, mean_rate, trace_to_inflow
 from .traffic import generate_users, merge_traces
 from .units import fmt_rate
@@ -21,7 +21,7 @@ from .units import fmt_rate
 # the errors of a run whose input is out of the model's domain: an
 # ``error:`` line for a command, a failure line for a sweep point
 _INPUT_ERRORS = (ParameterError, DomainError, IntegrationError,
-                DegenerateInputError)
+                DegenerateInputError, HorizonError)
 
 
 def _scaled_inflow(traffic_cfg, traces):
@@ -94,13 +94,17 @@ def cmd_simulate(cfg, out: Path) -> int:
     return 0
 
 
+def _require_unscaled(traffic_cfg):
+    if traffic_cfg["rate_scale"] != 1.0:
+        raise ConfigError("config.traffic.rate_scale: must be 1 for validation "
+                          "(the oracle consumes the unscaled packets)")
+
+
 def _validate_once(cfg, seed):
     t, q = cfg["traffic"], cfg["queue"]
     if q["mu"] is None:
         raise ConfigError("config.queue.mu: required for validate")
-    if t["rate_scale"] != 1.0:
-        raise ConfigError("config.traffic.rate_scale: must be 1 for validation "
-                          "(the oracle consumes the unscaled packets)")
+    _require_unscaled(t)
     return pipeline.validate_scenario(
         t["params"], t["users"], t["horizon"], t["dt"], seed, q["mu"],
         alpha=q["alpha"], q0=q["q0"], capacity=q["capacity"])
@@ -162,6 +166,7 @@ _SWEEP_COLUMNS = ("rho_target", "rho", "err_rel_max", "max_occupancy_err",
 def cmd_sweep(cfg, out: Path) -> int:
     if cfg["queue"]["mu"] is None:
         raise ConfigError("config.queue.mu: required for sweep")
+    _require_unscaled(cfg["traffic"])
     targets = cfg["sweep"]["rho_targets"]
     tasks = [(cfg, rho) for rho in targets]
     if cfg["workers"] > 1 and len(tasks) > 1:

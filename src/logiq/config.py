@@ -30,7 +30,7 @@ def _get(obj, key, default, path, convert=None):
         return value
     try:
         return convert(value)
-    except (UnitError, TypeError, ValueError) as exc:
+    except (UnitError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}.{key}: {exc}") from None
 
 
@@ -72,7 +72,8 @@ def _parse_user_params(obj, path):
                 path)
     kwargs = {}
     if "packet_size" in obj:
-        kwargs["packet_size_bits"] = int(_get(obj, "packet_size", None, path, parse_size))
+        kwargs["packet_size_bits"] = _get(obj, "packet_size", None, path,
+                                          lambda v: int(parse_size(v)))
     for key, name in (("burst_size_mean", "burst_size_mean"),
                       ("burst_size_dispersion", "burst_size_dispersion")):
         if key in obj:

@@ -1,6 +1,6 @@
 """The logistic queue model: smooth outflow law, ODE integration and the
-finite-buffer / variable-rate / flow-separation / priority extensions, plus
-the projected point-queue reference model.
+finite-buffer / flow-separation / priority extensions, plus the projected
+point-queue reference model.
 
 Backlog q' = X - Y with Y = mu + exp(-alpha*q) * (min(mu, X) - mu); the
 served and lost bit totals are integrated alongside q so conservation can be
@@ -31,18 +31,17 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class QueueSpec:
-    """One queue/server: service rate (a constant or a function of time),
-    logistic steepness alpha, initial backlog, and an optional finite
-    capacity K in bits.
+    """One queue/server: constant service rate mu, logistic steepness
+    alpha, initial backlog, and an optional finite capacity K in bits.
 
     A finite queue gates its inflow with the smoothed Heaviside H(q).  The
     gate is derived from the server and its inflow, not configured.  At
-    q = K it passes h0 = min(1, mu_min / max X) of the inflow, so there the
-    gated inflow cannot exceed the lowest service rate and a single queue's
+    q = K it passes h0 = min(1, mu / max X) of the inflow, so there the
+    gated inflow cannot exceed the service rate and a single queue's
     backlog cannot grow past K.  Its width is K / 500.
     """
 
-    mu: object
+    mu: float
     alpha: float
     q0: float = 0.0
     capacity_k: float = None
@@ -58,10 +57,9 @@ class QueueSpec:
                 and 0 <= self.q0 < math.inf):
             raise ParameterError("q0 must be a real number that is finite "
                                  "and >= 0")
-        if not (callable(self.mu) or isinstance(self.mu, numbers.Real)
-                and 0 < self.mu < math.inf):
-            raise ParameterError("mu must be a function of time, or a real "
-                                 "number that is finite and > 0")
+        if not (isinstance(self.mu, numbers.Real) and 0 < self.mu < math.inf):
+            raise ParameterError("mu must be a real number that is finite "
+                                 "and > 0")
         if self.capacity_k is not None:
             if not (isinstance(self.capacity_k, numbers.Real)
                     and 0 < self.capacity_k < math.inf):
@@ -175,17 +173,16 @@ def _elementwise(law, *args):
 
 def _rhs_at(t, q, inflow: RateSeries, spec: QueueSpec):
     """The kernel's (dq/dt, outflow, lost-rate) row for ``spec`` fed by
-    ``inflow``, with X and a sampled mu(t) linear between the inflow's
-    sample times and constant beyond them, as the kernel reads them."""
-    mu_vals, *law = _server_args(spec, inflow)
-    times = inflow.sample_times
-    x, mu = np.interp(t, times, inflow.values), np.interp(t, times, mu_vals)
-    return kernels._rhs(float(q), float(x), float(mu), *law)
+    ``inflow``, with X linear between the inflow's sample times and
+    constant beyond them, as the kernel reads it."""
+    x = np.interp(t, inflow.sample_times, inflow.values)
+    return kernels._rhs(float(q), float(x), *_server_args(spec, inflow))
 
 
 def outflow_rate(x, q, mu, alpha):
     """Smooth outflow law: mu + exp(-alpha*q) * (min(mu, x) - mu)."""
-    if np.any(np.asarray(x) < 0) or np.any(np.asarray(q) < 0):
+    # negated checks, so that NaN fails them
+    if not (np.all(np.asarray(x) >= 0) and np.all(np.asarray(q) >= 0)):
         raise DomainError("inflow and backlog must be nonnegative")
     if not (mu > 0 and alpha > 0):      # NaN fails too
         raise DomainError("mu and alpha must be > 0")
@@ -279,27 +276,20 @@ def _grid(inflow: RateSeries):
 
 
 def _server_args(spec: QueueSpec, inflow: RateSeries):
-    """Kernel arguments for the server ``spec`` fed by ``inflow``: (mu_vals,
-    alpha, gate_on, cap_k, h0, gate_n), with mu sampled at the inflow's
-    sample times (a stride-0 view when it is constant) and the
-    finite-buffer gate derived as QueueSpec describes."""
+    """Kernel arguments for the server ``spec`` fed by ``inflow``: (mu,
+    alpha, gate_on, cap_k, h0, gate_n), with the finite-buffer gate derived
+    as QueueSpec describes."""
     if len(inflow) == 0:
         raise ParameterError("empty inflow")
-    if callable(spec.mu):
-        mu_vals = np.asarray([float(spec.mu(t))
-                              for t in inflow.sample_times], dtype=float)
-        if not np.all((mu_vals > 0) & (mu_vals < math.inf)):  # NaN too
-            raise ParameterError("mu(t) must stay finite and positive")
-    else:
-        mu_vals = np.broadcast_to(float(spec.mu), len(inflow))
+    mu = float(spec.mu)
     if spec.capacity_k is None:
         gate_args = (False, 0.0, 1.0, 1.0)
     else:
         cap_k = float(spec.capacity_k)
         m_x = float(inflow.values.max())
-        h0 = min(1.0, float(mu_vals.min()) / m_x) if m_x > 0 else 1.0
+        h0 = min(1.0, mu / m_x) if m_x > 0 else 1.0
         gate_args = (True, cap_k, h0, 500.0 / cap_k)
-    return (mu_vals, float(spec.alpha)) + gate_args
+    return (mu, float(spec.alpha)) + gate_args
 
 
 def _solve(inflow: RateSeries, server, q0, opts: SolverOptions):
@@ -384,6 +374,7 @@ def priority_rates(x1, x2, q1, mu, alpha):
     """Service split (mu1, mu2) of the priority pair; mu1 + mu2 == mu.  The
     high class, a queue of its own, is served at its outflow law at inflow
     x1 and backlog q1; the low class gets the rest.  x2 does not enter."""
+    # max keeps a NaN q1, which outflow_rate rejects
     mu1 = outflow_rate(x1, max(q1, 0.0), mu, alpha)
     return mu1, mu - mu1
 

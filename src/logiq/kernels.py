@@ -4,10 +4,10 @@ the packet-level drop-tail FIFO recursion.
 
 The fluid kernels walk the inflow bins by index.  Every bin is dt wide, and
 bin j (j >= 1) runs from the inflow sample j-2 to the sample j-1 (bin 1
-holds sample 0): the inflow and the service rate mu(t) are linear across
-it.  A queue's bins are solved exactly, a run of them by one scan; bins in
-which the finite-buffer gate falls below 1 take adaptive Dormand-Prince
-5(4) steps in their own time tau, from 0 to dt.
+holds sample 0): the inflow is linear across it, and the server's rate mu
+is one constant.  A queue's bins are solved exactly, a run of them by one
+scan; bins in which the finite-buffer gate falls below 1 take adaptive
+Dormand-Prince 5(4) steps in their own time tau, from 0 to dt.
 
 The kernels are plain Python and numpy.  Inputs are plain float64 arrays;
 wrappers in fluid.py / des.py own validation and the public dataclasses.
@@ -113,11 +113,11 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (35.0 / 384.0 - 5179.0 / 57600.0,
                                 -1.0 / 40.0)
 
 
-def integrate_logistic(t0, x_dt, x_vals, mu_vals, alpha, gate_on, cap_k, h0,
+def integrate_logistic(t0, x_dt, x_vals, mu, alpha, gate_on, cap_k, h0,
                        gate_n, q0, rtol, atol):
     """The state (q, served-bits, lost-bits) of the queue fed by x_vals on
-    a server of rate mu_vals (sampled as x_vals is), starting at backlog
-    q0, at t0 and at the end of each inflow bin.
+    a server of constant rate mu, starting at backlog q0, at t0 and at the
+    end of each inflow bin.
 
     The bins are solved exactly, a run at a time by one scan
     (_exact_bins), up to the first bin at whose largest backlog the
@@ -125,7 +125,7 @@ def integrate_logistic(t0, x_dt, x_vals, mu_vals, alpha, gate_on, cap_k, h0,
     5(4) steps, the last of which lands on the bin end, and the scan
     resumes after it.  t0 places the bin ends on the output grid
     t0 + j x_dt, where the exact bins keep the FIFO order of exit times
-    when mu is constant.
+    t + q / mu.
 
     Returns (out, stats): the rows of out are q, outflow, served and lost;
     stats is (status, n_steps, n_rejected, n_closed_form,
@@ -138,11 +138,9 @@ def integrate_logistic(t0, x_dt, x_vals, mu_vals, alpha, gate_on, cap_k, h0,
     min_step = 1e-13 * n * x_dt
     w = h = x_dt
 
-    fifo = bool(np.all(mu_vals == mu_vals[0]))
-    # bin j runs from sample j - 1 to sample j of these padded copies
+    # bin j runs from sample j - 1 to sample j of this padded copy
     xe = np.concatenate((x_vals[:1], x_vals))
-    mue = np.concatenate((mu_vals[:1], mu_vals))
-    d = xe - mue
+    d = xe - mu
     width = n + 1
 
     # state
@@ -153,43 +151,42 @@ def integrate_logistic(t0, x_dt, x_vals, mu_vals, alpha, gate_on, cap_k, h0,
 
     def stage(s, q):
         """The _rhs row of the backlog q at the fraction s of the bin."""
-        c = 1.0 - s
-        return _rhs(q, c * xa + s * xb, c * mua + s * mub, alpha, gate_on,
-                    cap_k, h0, gate_n)
+        return _rhs(q, (1.0 - s) * xa + s * xb, mu, alpha, gate_on, cap_k,
+                    h0, gate_n)
 
     # Python floats read faster than numpy scalars, bin by bin
-    xs, mus = xe.tolist(), mue.tolist()
-    # the samples at the end of bin 0, which is the point t0
-    xb, mub = xs[0], mus[0]
+    xs = xe.tolist()
+    # the sample at the end of bin 0, which is the point t0
+    xb = xs[0]
     j = 0
     while j <= n:
         if j > 0 and q <= q_on:
             # the exact bins j..k-1, as far as the gate stays 1
             k = min(j + width, n + 1)
             q_mid, q_end = _exact_bins(q, d[j - 1:k], w, alpha)
-            # FIFO: the outflow never exceeds a constant mu, so exit times
-            # t + q / mu never fall, but where X = 0 and alpha q is large the
-            # scan can round one below an earlier one: raise q just enough
-            while fifo:
+            # FIFO: the outflow never exceeds mu, so exit times t + q / mu
+            # never fall, but where X = 0 and alpha q is large the scan can
+            # round one below an earlier one: raise q just enough
+            while True:
                 t = t0 + x_dt * np.arange(j - 1, k)
-                exits = t + np.concatenate(([q], q_end)) / mus[0]
+                exits = t + np.concatenate(([q], q_end)) / mu
                 floor = np.maximum.accumulate(exits)[:-1]
                 late = exits[1:] < floor
                 if not late.any():
                     break
                 q_end[late] = np.maximum(q_end[late] * (1.0 + 2.0 ** -52),
-                                         (floor - t[1:])[late] * mus[0])
+                                         (floor - t[1:])[late] * mu)
             peak = np.maximum(np.maximum(q_mid, q_end),
                               np.concatenate(([q], q_end[:-1])))
             m = int(np.argmax(peak > q_on)) if peak.max() > q_on else k - j
             if m:
                 cols = slice(j, j + m)
-                x_end, mu_end, q_end = xe[cols], mue[cols], q_end[:m]
+                x_end, q_end = xe[cols], q_end[:m]
                 # the outflow is what the inflow brought in and q kept
                 inflow = np.cumsum(0.5 * w * (xe[j - 1:j + m - 1] + x_end))
                 out[0, cols] = q_end
-                out[1, cols] = mu_end + np.exp(-alpha * q_end) * (
-                    np.minimum(x_end, mu_end) - mu_end)
+                out[1, cols] = mu + np.exp(-alpha * q_end) * (
+                    np.minimum(x_end, mu) - mu)
                 out[2, cols] = served + inflow - (q_end - q)
                 out[3, cols] = lost
                 # Python floats step faster than numpy scalars
@@ -202,8 +199,7 @@ def integrate_logistic(t0, x_dt, x_vals, mu_vals, alpha, gate_on, cap_k, h0,
             if j == k:
                 continue
         if j > 0:
-            xa, mua = xs[j - 1], mus[j - 1]
-            xb, mub = xs[j], mus[j]
+            xa, xb = xs[j - 1], xs[j]
             tau = 0.0
             while tau < w:
                 if tau + h >= w:
@@ -288,7 +284,7 @@ def integrate_logistic(t0, x_dt, x_vals, mu_vals, alpha, gate_on, cap_k, h0,
                 break
 
         # the outflow law at the bin's end
-        out[:, j] = q, _rhs(q, xb, mub, alpha, gate_on, cap_k, h0,
+        out[:, j] = q, _rhs(q, xb, mu, alpha, gate_on, cap_k, h0,
                             gate_n)[1], served, lost
         j += 1
 

@@ -52,8 +52,9 @@ class Topology:
         if not (0 < self.core_mu < math.inf and 0 < self.core_k < math.inf):
             raise ParameterError("core rate and capacity must be finite and "
                                  "positive")
-        if not self.packet_size_bits >= 0:
-            raise ParameterError("packet size must be nonnegative")
+        if not 0 <= self.packet_size_bits < math.inf:
+            raise ParameterError("packet size must be finite and "
+                                 "nonnegative")
 
     @property
     def n_origins(self):

@@ -318,8 +318,40 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: packet size")
 
+    def test_packet_beyond_the_window_is_1(self, tmp_path, capsys):
+        # 10 TB takes 3 200 s to cross a 25 Gb/s access link, longer than
+        # the 300 s window, so no departure time has a latency
+        payload = dict(BASE)
+        payload["network"] = dict(NETWORK["network"], packet_size="10 TB")
+        code, _ = run(tmp_path, "dt", payload)
+        assert code == 1
+        assert (capsys.readouterr().err
+                == "error: no evaluable latency window\n")
+
+    def test_infinite_user_count_is_2(self, tmp_path, capsys):
+        # JSON reads 1e999 as inf, which int() cannot convert
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"traffic": {"users": 1e999}, '
+                       '"queue": {"mu": "3.4 Mb/s"}}')
+        code = main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: config.traffic.users: ")
+
     def test_scaled_validation_rejected(self, tmp_path):
         payload = dict(BASE)
         payload["traffic"] = dict(BASE["traffic"], rate_scale=2.0)
         code, _ = run(tmp_path, "validate", payload)
         assert code == 2
+
+    def test_scaled_sweep_rejected(self, tmp_path, capsys):
+        # each point validates against the oracle, which runs on the
+        # unscaled packets: the sweep used to drop the scale silently
+        payload = dict(BASE, sweep={"rho_targets": [0.5]})
+        payload["traffic"] = dict(BASE["traffic"], rate_scale=2.0)
+        code, out = run(tmp_path, "sweep", payload)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: config.traffic.rate_scale: ")
+        assert not (out / "sweep.csv").exists()

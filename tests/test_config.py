@@ -171,3 +171,20 @@ def test_load_config_round_trip(tmp_path):
     cfg = load_config(path)
     assert cfg["traffic"]["users"] == 3
     assert cfg["traffic"]["horizon"] == 3600.0
+
+
+# JSON reads 1e999 as inf, which int() cannot convert: each raised a raw
+# OverflowError
+@pytest.mark.parametrize("raw, path", [
+    ({"traffic": {"users": 1e999}}, "config.traffic.users"),
+    ({"traffic": {"seed": 1e999}}, "config.traffic.seed"),
+    ({"workers": 1e999}, "config.workers"),
+    ({"traffic": {"params": {"packet_size": 1e999}}},
+     "config.traffic.params.packet_size"),
+    ({"network": {**NETWORK, "flows": {**NETWORK["flows"],
+                                       "users_per_flow": 1e999}}},
+     "config.network.flows.users_per_flow"),
+], ids=["users", "seed", "workers", "packet_size", "flows.users_per_flow"])
+def test_infinite_count_rejected_with_path(raw, path):
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: ")):
+        parse_config(raw)

@@ -133,15 +133,6 @@ class TestIntegration:
         y = traj.outflow_series("binned")
         assert y.values.sum() * y.dt == pytest.approx(traj.served[-1], rel=1e-9)
 
-    def test_time_varying_mu(self):
-        # service collapses halfway through; the backlog must start growing
-        inflow = const_inflow(0.8e6, 200.0)
-        mu_t = lambda t: 1e6 if t < 100.0 else 0.5e6
-        traj = integrate_queue(inflow, QueueSpec(mu=mu_t, alpha=1e-5))
-        mid = np.searchsorted(traj.grid, 100.0)
-        assert traj.q[mid - 5] < 1.0
-        assert traj.q[-1] > 0.2 * (0.3e6 * 100.0)
-
     @settings(max_examples=30, deadline=None)
     @given(n_bins=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
     def test_grid_is_inflow_grid_and_conserves_mass(self, n_bins, seed):
@@ -191,22 +182,13 @@ class TestFreeFlow:
         np.testing.assert_array_equal(traj.served, inflow_trapezoid(inflow))
 
     @settings(max_examples=40, deadline=None)
-    @given(mode=st.sampled_from(["const", "mu_t", "finite"]),
-           **free_flow)
+    @given(mode=st.sampled_from(["const", "finite"]), **free_flow)
     def test_underloaded_empty_queue_skips_every_bin(self, mode, fractions,
                                                      dt):
         mu = self.MU
-        if mode == "mu_t":
-            spec = QueueSpec(mu=lambda t: mu * (1.5 + np.sin(t / (7 * dt))),
-                             alpha=1.0 / mu)
-        elif mode == "finite":
-            spec = QueueSpec(mu=mu, alpha=1.0 / mu, capacity_k=5.0 * mu)
-        else:
-            spec = QueueSpec(mu=mu, alpha=1.0 / mu)
-        times = dt * np.arange(1, len(fractions) + 1)
-        rate = (np.asarray([spec.mu(t) for t in times]) if mode == "mu_t"
-                else np.full(len(fractions), mu))
-        inflow = RateSeries(0.0, dt, np.asarray(fractions) * rate)
+        cap = 5.0 * mu if mode == "finite" else None
+        spec = QueueSpec(mu=mu, alpha=1.0 / mu, capacity_k=cap)
+        inflow = RateSeries(0.0, dt, np.asarray(fractions) * mu)
         self.assert_free_flow(integrate_queue(inflow, spec), inflow)
 
     @settings(max_examples=40, deadline=None)
@@ -289,7 +271,7 @@ def reference(inflow, spec):
 # each sample's fraction of 1e6, the bin width, alpha * 1e6 * dt, and the
 # initial backlog in bins of 1e6 * dt
 exact_case = dict(
-    mode=st.sampled_from(["const", "mu_t", "finite"]),
+    mode=st.sampled_from(["const", "finite"]),
     fractions=st.lists(st.floats(1e-3, 2.5), min_size=1, max_size=40),
     dt=st.floats(0.01, 100.0),
     alpha_dt=st.floats(0.1, 100.0),
@@ -297,32 +279,29 @@ exact_case = dict(
 
 
 class TestExactBins:
-    """A single queue with a constant or time-varying mu is solved exactly,
-    bin by bin, also with a finite buffer whose gate stays 1."""
+    """A single queue is solved exactly, bin by bin, also with a finite
+    buffer whose gate stays 1."""
 
     MU = 1e6
     # gap to a reference solve at rel_tol 1e-12, in units of the mass
     # (integral of X + q0): against the kernel's own Dormand-Prince stepper
-    # at most 2.3e-8 over 3000 random cases (mu(t)) and 2.8e-9 over 3000
-    # drawn here, against scipy's DOP853 at most 1.3e-10 over 200 cases
+    # at most 2.8e-9 over 3000 random cases drawn here, against scipy's
+    # DOP853 at most 1.3e-10 over 200 cases
     STEPPER_GAP = 1e-7
 
     def case(self, mode, fractions, dt, alpha_dt, q0_bins):
         mu = self.MU
-        rate = mu
-        if mode == "mu_t":
-            rate = lambda t: mu * (1.5 + np.sin(t / (7 * dt)))
         q0 = q0_bins * mu * dt
         # far above any backlog this inflow can build, so the gate is 1
         cap = q0 + 3.0 * mu * dt * len(fractions) if mode == "finite" else None
-        spec = QueueSpec(mu=rate, alpha=alpha_dt / (mu * dt), q0=q0,
+        spec = QueueSpec(mu=mu, alpha=alpha_dt / (mu * dt), q0=q0,
                          capacity_k=cap)
         return RateSeries(0.0, dt, np.asarray(fractions) * mu), spec
 
     @settings(max_examples=60, deadline=None)
     @given(**exact_case)
     # a backlog so small that alpha * q underflows to 0
-    @example(mode="mu_t", fractions=[1.0], dt=1.0, alpha_dt=0.5,
+    @example(mode="const", fractions=[1.0], dt=1.0, alpha_dt=0.5,
              q0_bins=5e-324)
     def test_matches_stepper(self, mode, fractions, dt, alpha_dt, q0_bins):
         inflow, spec = self.case(mode, fractions, dt, alpha_dt, q0_bins)
@@ -349,11 +328,10 @@ class TestExactBins:
         mass = inflow.integral() + spec.q0
         residual = mass - traj.q[-1] - traj.served[-1] - traj.lost[-1]
         assert abs(residual) <= 1e-12 * mass
-        if mode != "mu_t":
-            # the backlog drains slower than mu, so a bit arriving later
-            # leaves later: t + q / mu is nondecreasing
-            exit_times = exit_time(traj.grid, traj.q, self.MU)
-            assert np.all(np.diff(exit_times) >= 0.0)
+        # the backlog drains slower than mu, so a bit arriving later leaves
+        # later: t + q / mu is nondecreasing
+        exit_times = exit_time(traj.grid, traj.q, self.MU)
+        assert np.all(np.diff(exit_times) >= 0.0)
 
     def test_drain_at_mu_keeps_fifo_order(self):
         # X = 0 with alpha q of 10 000 and up: the drain is mu to within
@@ -743,8 +721,9 @@ class TestSpecValidation:
     # trajectory
     @pytest.mark.parametrize("mu", [
         np.float32(-1.0), np.int64(-2), "-3", "3", np.float32("nan"), None,
+        lambda t: 1.0,
     ], ids=["float32_negative", "int64_negative", "str_negative", "str",
-            "float32_nan", "none"])
+            "float32_nan", "none", "function_of_time"])
     def test_rejects_a_rate_that_is_not_a_positive_real(self, mu):
         with pytest.raises(ParameterError):
             QueueSpec(mu=mu, alpha=1.0)
@@ -769,10 +748,8 @@ class TestSpecValidation:
         lambda x: integrate_point_queue(x, 1.0, q0=np.nan),
         lambda x: integrate_point_queue(x, 1.0, q0=-1.0),
         lambda x: integrate_point_queue(x, 1.0, q0=np.inf),
-        lambda x: integrate_queue(x, QueueSpec(mu=lambda t: np.inf,
-                                               alpha=1.0)),
     ], ids=["point_queue_q0_nan", "point_queue_q0_negative",
-            "point_queue_q0_inf", "mu_of_t_inf"])
+            "point_queue_q0_inf"])
     def test_rejects_bad_backlog_and_rate(self, call):
         with pytest.raises(ParameterError):
             call(const_inflow(0.5, 5.0))
@@ -795,10 +772,10 @@ class TestSpecValidation:
         (lambda x: heaviside_smooth(0.0, 1.0, 0.5, np.nan), ParameterError),
         (lambda x: outflow_rate(0.5, 0.0, np.nan, 1.0), DomainError),
         (lambda x: outflow_rate(0.5, 0.0, 1.0, np.nan), DomainError),
-        (lambda x: integrate_queue(
-            x, QueueSpec(mu=lambda t: np.nan, alpha=1.0)), ParameterError),
+        (lambda x: outflow_rate(0.5, np.nan, 1.0, 1.0), DomainError),
+        (lambda x: priority_rates(0.5, 0.2, np.nan, 1.0, 1.0), DomainError),
     ], ids=["compute_alpha", "exit_time", "point_queue", "gate_k", "gate_n",
-            "outflow_mu", "outflow_alpha", "mu_of_t"])
+            "outflow_mu", "outflow_alpha", "outflow_q", "priority_q1"])
     def test_functions_reject_nan(self, call, error):
         with pytest.raises(error):
             call(const_inflow(0.5, 5.0))

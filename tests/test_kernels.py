@@ -23,8 +23,7 @@ def logistic_args(rng, n=60):
     alpha."""
     x_vals = rng.uniform(0.0, 2e6, n)
     x_vals[n // 3:] = rng.uniform(0.0, 0.5e6, n - n // 3)
-    return dict(t0=0.0, x_dt=1.0, x_vals=x_vals,
-                mu_vals=np.broadcast_to(1e6, n), alpha=1e-4,
+    return dict(t0=0.0, x_dt=1.0, x_vals=x_vals, mu=1e6, alpha=1e-4,
                 gate_on=True, cap_k=2e6, h0=0.5, gate_n=1e-4, q0=0.0,
                 rtol=1e-6, atol=1e-9)
 
@@ -50,34 +49,23 @@ def test_nan_gate_fails_the_solve():
 
 
 @settings(max_examples=40, deadline=None)
-@given(mode=st.sampled_from(["single", "mu_t"]),
-       gate_on=st.booleans(), n=st.integers(2, 20), data=st.data(),
+@given(gate_on=st.booleans(), n=st.integers(2, 20), data=st.data(),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_later_samples_leave_earlier_bins_unchanged(mode, gate_on, n, data,
-                                                    seed):
+def test_later_samples_leave_earlier_bins_unchanged(gate_on, n, data, seed):
     # Column j is the state at the end of bin j, which reads the samples
     # 0..j-1 only: new samples from j on leave columns 0..j as they were
     j = data.draw(st.integers(1, n - 1))
     rng = np.random.default_rng(seed)
     mu = 1.0
-
-    def draw(lo, hi):
-        vals = rng.uniform(lo, hi, n)
-        later = vals.copy()
-        later[j:] = rng.uniform(lo, hi, n - j)
-        return vals, later
-
-    x_vals, x_later = draw(0.0, 2.0 * mu)
-    mu_vals = mu_later = np.broadcast_to(mu, n)
-    if mode == "mu_t":
-        mu_vals, mu_later = draw(0.5 * mu, 1.5 * mu)
-    args = dict(t0=0.0, x_dt=1.0, alpha=1.0 / mu, gate_on=gate_on,
+    x_vals = rng.uniform(0.0, 2.0 * mu, n)
+    x_later = x_vals.copy()
+    x_later[j:] = rng.uniform(0.0, 2.0 * mu, n - j)
+    args = dict(t0=0.0, x_dt=1.0, mu=mu, alpha=1.0 / mu, gate_on=gate_on,
                 cap_k=2.0 * mu, h0=0.5, gate_n=500.0 / (2.0 * mu), q0=0.0,
                 rtol=1e-6, atol=1e-9)
-    out, stats = kernels.integrate_logistic(
-        x_vals=x_vals, mu_vals=mu_vals, **args)
-    out_later, stats_later = kernels.integrate_logistic(
-        x_vals=x_later, mu_vals=mu_later, **args)
+    out, stats = kernels.integrate_logistic(x_vals=x_vals, **args)
+    out_later, stats_later = kernels.integrate_logistic(x_vals=x_later,
+                                                        **args)
     assert stats[0] == stats_later[0] == kernels.OK
     np.testing.assert_array_equal(out[:, :j + 1], out_later[:, :j + 1])
 
@@ -103,8 +91,7 @@ def test_scans_carry_the_backlog():
     # joins the runs, so both agree to rounding
     rng = np.random.default_rng(5)
     x = rng.uniform(0.0, 2.0, 300) * rng.integers(0, 2, 300)
-    args = dict(t0=0.0, x_dt=1.0, x_vals=x,
-                mu_vals=np.broadcast_to(1.0, 300), alpha=3.0, gate_on=False,
+    args = dict(t0=0.0, x_dt=1.0, x_vals=x, mu=1.0, alpha=3.0, gate_on=False,
                 cap_k=0.0, h0=1.0, gate_n=1.0, q0=4.0, rtol=1e-6, atol=1e-9)
     out, _ = kernels.integrate_logistic(**args)
     point = kernels.point_queue_exact(1.0, x, 1.0, 4.0)

@@ -64,6 +64,7 @@ class TestTopology:
         ("core_mu", np.inf),
         ("core_k", np.inf),
         ("egress_xi", (np.inf, 20e9)),
+        ("packet_size_bits", np.inf),
     ])
     def test_rejects_inf(self, field, value):
         with pytest.raises(ParameterError):
