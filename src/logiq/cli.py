@@ -289,6 +289,7 @@ def cmd_dt(cfg, out: Path) -> int:
                        xlabel="priority inflow (b/s)", ylabel="L_max (s)")
         entries.extend((f"l_max_priority_{fmt_rate(r)}", repr(l))
                        for r, l in zip(run.priority_rates, run.priority_l_max))
+    entries.append(("traffic_process", run.traffic_process))
     _write_summary(out / "summary.txt", entries)
     return 0
 
@@ -322,6 +323,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed: must be >= 0")
             cfg["traffic"]["seed"] = args.seed
             if cfg["network"] is not None:
                 cfg["network"]["flows"]["seed"] = args.seed

@@ -34,6 +34,14 @@ def _get(obj, key, default, path, convert=None):
         raise ConfigError(f"{path}.{key}: {exc}") from None
 
 
+def _count(obj, key, default, path):
+    """A whole number field that must not be negative (nor null)."""
+    value = _get(obj, key, default, path, int)
+    if value is None or value < 0:
+        raise ConfigError(f"{path}.{key}: must be >= 0")
+    return value
+
+
 def _auto(convert):
     def inner(value):
         if value == "auto":
@@ -98,14 +106,11 @@ def _parse_user_params(obj, path):
 def _parse_traffic(obj):
     path = "config.traffic"
     _check_keys(obj, {"users", "horizon", "dt", "seed", "params", "rate_scale"}, path)
-    users = _get(obj, "users", 10, path, int)
-    if users < 0:
-        raise ConfigError(f"{path}.users: must be >= 0")
     return {
-        "users": users,
+        "users": _count(obj, "users", 10, path),
         "horizon": _get(obj, "horizon", "48 h", path, parse_duration),
         "dt": _get(obj, "dt", "60 s", path, parse_duration),
-        "seed": _get(obj, "seed", 0, path, int),
+        "seed": _count(obj, "seed", 0, path),
         "params": _parse_user_params(obj.get("params", {}), path + ".params"),
         "rate_scale": _get(obj, "rate_scale", 1.0, path, float),
     }
@@ -163,11 +168,12 @@ def _parse_network(obj):
         "packet_size": _get(obj, "packet_size", 1464 * 8, path, parse_size),
         "priority_rates": priority,
         "flows": {
-            "users_per_flow": _get(flows, "users_per_flow", 10, path + ".flows", int),
+            "users_per_flow": _count(flows, "users_per_flow", 10,
+                                     path + ".flows"),
             "target_rate": _get(flows, "target_rate", None, path + ".flows", parse_rate),
             "horizon": _get(flows, "horizon", "1 d", path + ".flows", parse_duration),
             "dt": _get(flows, "dt", "60 s", path + ".flows", parse_duration),
-            "seed": _get(flows, "seed", 0, path + ".flows", int),
+            "seed": _count(flows, "seed", 0, path + ".flows"),
             "warmup": _get(flows, "warmup", 0.0, path + ".flows", parse_duration),
             "params": _parse_user_params(flows.get("params", {}),
                                          path + ".flows.params"),

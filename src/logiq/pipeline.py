@@ -177,6 +177,9 @@ class DtRun:
     priority_rates: tuple
     priority_l_max: tuple
     priority_states: tuple    # DtState per priority rate
+    # where generate_flow_inflows draws the odd-numbered flows: "child",
+    # "inline"
+    traffic_process: str
 
 
 def generate_flow_inflows(params: VideoUserParams, n_flows: int,
@@ -189,22 +192,33 @@ def generate_flow_inflows(params: VideoUserParams, n_flows: int,
     standing in for a much larger population.  A nonzero warmup_s runs each
     user's session process for that many seconds before the window, so the
     window does not begin with every user idle.
+
+    Where os.fork exists (traffic_process), the odd-numbered flows are
+    drawn, binned and rescaled in a forked child while this process draws
+    the others (producer.shared_with_child).  Each flow has its own
+    spawned stream, so the inflows are the same either way.
     """
-    ss = np.random.SeedSequence(seed)
     horizon = (0.0, horizon_s)
-    inflows = []
-    for child in ss.spawn(n_flows):
+
+    def rates(child):
         inflow = trace_to_inflow(
             _user_traces(params, horizon, child, users_per_flow, warmup_s),
             dt, horizon)
-        if target_rate is not None:
-            lam = mean_rate(inflow)
-            if lam <= 0:
-                raise ParameterError("cannot rescale an all-idle flow")
-            inflow = RateSeries(inflow.t0, inflow.dt,
-                                inflow.values * (target_rate / lam))
-        inflows.append(inflow)
-    return inflows
+        if target_rate is None:
+            return inflow.values
+        lam = mean_rate(inflow)
+        if lam <= 0:
+            raise ParameterError("cannot rescale an all-idle flow")
+        return inflow.values * (target_rate / lam)
+
+    seeds = np.random.SeedSequence(seed).spawn(n_flows)
+    if traffic_process() == "child":
+        # imported here: setup need not compile it
+        from .producer import shared_with_child
+        drawn = shared_with_child(rates, seeds)
+    else:
+        drawn = map(rates, seeds)
+    return [RateSeries(horizon[0], dt, v) for v in drawn]
 
 
 def _user_traces(params, horizon, seed, n_users, warmup_s):
@@ -237,4 +251,4 @@ def dt_scenario(topology: Topology, inflows, priority_rates=()) -> DtRun:
 
     return DtRun(topology, tuple(inflows), state, times, l_od, l_max,
                  tuple(float(r) for r in priority_rates), tuple(prio_lmax),
-                 tuple(prio_states))
+                 tuple(prio_states), traffic_process())

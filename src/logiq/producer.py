@@ -1,6 +1,7 @@
 """series.merged_segments' traffic drawn in a forked child process, so
 that drawing one time segment overlaps the merge and the oracle of the one
-before.
+before; and pipeline.generate_flow_inflows' odd-numbered flows drawn in
+such a child while the parent draws the others.
 
 The child and its parent share one slot of memory, mapped before the fork,
 and two pipes: the child announces a segment written to the slot, and the
@@ -31,9 +32,33 @@ def drawn_in_child(drawn):
     own memory meanwhile.  A segment larger than the slot comes in
     slot-sized pieces, each acknowledged as soon as it is copied out.  An
     exception in the child is raised here, pickled over; a child that
-    finds a pipe closed exits.  Closing the generator kills and reaps the
-    child.
+    finds a pipe closed exits.
+
+    The child is forked here, so it draws while the caller goes on.
+    Closing the returned generator kills and reaps the child, also before
+    the first segment is asked for.
     """
+    stream = _stream(drawn)
+    next(stream)    # runs up to the fork and into the try that reaps
+    return stream
+
+
+def shared_with_child(draw, items):
+    """[draw(x) for x in items], the odd-numbered items drawn in a forked
+    child (drawn_in_child) while this process draws the even-numbered ones.
+    Each draw gives one float array; the child's come back copied.  The
+    results are taken in item order, so the exception raised is that of the
+    first item whose draw raises, wherever it was drawn."""
+    theirs = drawn_in_child([draw(x)] for x in items[1::2])
+    try:
+        return [next(theirs)[0].copy() if i % 2 else draw(x)
+                for i, x in enumerate(items)]
+    finally:
+        theirs.close()
+
+
+def _stream(drawn):
+    """drawn_in_child's generator: its first step forks."""
     slot = mmap.mmap(-1, 8 * _SLOT)
     cells = np.frombuffer(slot)
     data_r, data_w = os.pipe()
@@ -50,6 +75,7 @@ def drawn_in_child(drawn):
     os.close(data_w)
     os.close(ack_r)
     try:
+        yield
         while True:
             sizes = np.frombuffer(_receive(data_r), dtype=np.int64)
             total = int(sizes.sum())

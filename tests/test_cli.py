@@ -40,7 +40,8 @@ NETWORK = {
 def run(tmp_path, command, payload, name="cfg.json", extra=()):
     cfg = tmp_path / name
     cfg.write_text(json.dumps(payload))
-    out = tmp_path / f"out_{command}"
+    # one directory per config: two runs of a test do not share their files
+    out = tmp_path / f"out_{command}_{Path(name).stem}"
     return main([command, "--config", str(cfg), "--out", str(out), *extra]), out
 
 
@@ -168,9 +169,11 @@ class TestCommands:
         assert 0 <= int(report["des_step_packets"]) <= 64
 
     def test_import_leaves_the_process_pool_out(self):
-        # only a parallel sweep needs concurrent.futures.process
+        # only a parallel sweep needs concurrent.futures.process, and only
+        # a forked traffic child needs logiq.producer
         code = ("import sys, logiq.cli; "
-                "sys.exit('concurrent.futures.process' in sys.modules)")
+                "sys.exit('concurrent.futures.process' in sys.modules "
+                "or 'logiq.producer' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
@@ -180,8 +183,15 @@ class TestCommands:
         _, out1 = run(tmp_path, "validate", BASE, name="a.json")
         code, out2 = run(tmp_path, "validate", dict(BASE), name="b.json")
         assert code == 0
-        # same config, twice: byte-identical artifacts
-        assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+        # same config, twice: byte-identical artifacts, apart from the
+        # measured runtimes
+        for name in ("inflow.csv", "trajectory.csv", "q_disc.csv",
+                     "outflow_log.csv", "outflow_disc.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        rows = [[line.split(",")[:-2] for line in
+                 (out / "report.csv").read_text().splitlines()]
+                for out in (out1, out2)]
+        assert rows[0] == rows[1]
 
     def test_seed_override_changes_output(self, tmp_path):
         _, out1 = run(tmp_path, "validate", BASE, name="a.json")
@@ -219,6 +229,7 @@ class TestCommands:
         assert (out / "l_od.svg").exists()
         summary = (out / "summary.txt").read_text()
         assert "l_max_s=" in summary
+        assert summary.endswith("traffic_process=child\n")
         lines = (out / "solver_stats.csv").read_text().splitlines()
         assert lines[0] == "queue,steps,rejected,closed_form,max_negative_q"
         rows = [line.split(",") for line in lines[1:]]
@@ -239,6 +250,26 @@ class TestCommands:
         for row in rows:
             assert all(int(v) >= 0 for v in row[2:5])
             float(row[5])
+
+    def test_dt_inline_traffic(self, tmp_path, monkeypatch):
+        # without os.fork every flow is drawn in the process itself, with
+        # the same files
+        payload = {**BASE, **NETWORK}
+        _, child = run(tmp_path, "dt", payload, name="a.json")
+        monkeypatch.delattr(os, "fork")
+        code, inline = run(tmp_path, "dt", payload, name="b.json")
+        assert code == 0
+        names = sorted(p.name for p in child.iterdir())
+        assert names == sorted(p.name for p in inline.iterdir())
+        for name in names:
+            if name != "summary.txt":
+                assert ((child / name).read_bytes()
+                        == (inline / name).read_bytes()), name
+        summaries = [(out / "summary.txt").read_text().splitlines()
+                     for out in (child, inline)]
+        assert summaries[0][:-1] == summaries[1][:-1]
+        assert (summaries[0][-1], summaries[1][-1]) == (
+            "traffic_process=child", "traffic_process=inline")
 
 
 class TestExitCodes:
@@ -355,3 +386,68 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             "config error: config.traffic.rate_scale: ")
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("flow", [0, 1], ids=["parent", "child"])
+    def test_idle_flow_is_1(self, tmp_path, capsys, flow):
+        # one flow draws no packet, so it cannot be rescaled: flow 0 is
+        # drawn in this process, flow 1 in the forked child
+        user_traces = pipeline._user_traces
+
+        def idle_at(params, horizon, seed, n_users, warmup_s):
+            if seed.spawn_key[-1] == flow:
+                return iter(())
+            return user_traces(params, horizon, seed, n_users, warmup_s)
+
+        with mock.patch.object(pipeline, "_user_traces", idle_at):
+            code, out = run(tmp_path, "dt", {**BASE, **NETWORK})
+        assert code == 1
+        assert (capsys.readouterr().err
+                == "error: cannot rescale an all-idle flow\n")
+        assert not (out / "summary.txt").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def _with_seed(command, seed):
+    """The tiny payload of ``command`` with its config seed set to ``seed``."""
+    if command == "dt":
+        flows = dict(NETWORK["network"]["flows"], seed=seed)
+        return {**BASE, "network": dict(NETWORK["network"], flows=flows)}
+    return {**BASE, "traffic": dict(BASE["traffic"], seed=seed),
+            "sweep": {"rho_targets": [0.5]}}
+
+
+COMMANDS = ("generate", "simulate", "validate", "sweep", "dt")
+
+
+class TestNegativeSeed:
+    """A negative seed is a config error that names its field, before any
+    traffic is drawn."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_seed_is_2(self, tmp_path, capsys, command):
+        code, out = run(tmp_path, command, _with_seed(command, -1))
+        assert code == 2
+        field = ("config.network.flows.seed" if command == "dt"
+                 else "config.traffic.seed")
+        assert (capsys.readouterr().err
+                == f"config error: {field}: must be >= 0\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_seed_flag_is_2(self, tmp_path, capsys, command):
+        code, out = run(tmp_path, command, _with_seed(command, 1),
+                        extra=("--seed", "-1"))
+        assert code == 2
+        assert (capsys.readouterr().err
+                == "config error: --seed: must be >= 0\n")
+        assert not out.exists()
+
+
+def test_negative_users_per_flow_is_2(tmp_path, capsys):
+    flows = dict(NETWORK["network"]["flows"], users_per_flow=-3)
+    payload = {**BASE, "network": dict(NETWORK["network"], flows=flows)}
+    code, _ = run(tmp_path, "dt", payload)
+    assert code == 2
+    assert (capsys.readouterr().err == "config error: "
+            "config.network.flows.users_per_flow: must be >= 0\n")

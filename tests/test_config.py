@@ -188,3 +188,21 @@ def test_load_config_round_trip(tmp_path):
 def test_infinite_count_rejected_with_path(raw, path):
     with pytest.raises(ConfigError, match=re.escape(f"{path}: ")):
         parse_config(raw)
+
+
+# a negative or null seed used to reach numpy's SeedSequence as a raw
+# ValueError or a fresh random stream, and a negative user count ended as
+# an all-idle flow
+@pytest.mark.parametrize("raw, path", [
+    ({"traffic": {"users": -1}}, "config.traffic.users"),
+    ({"traffic": {"seed": -1}}, "config.traffic.seed"),
+    ({"traffic": {"seed": None}}, "config.traffic.seed"),
+    ({"network": {**NETWORK, "flows": {**NETWORK["flows"], "seed": -7}}},
+     "config.network.flows.seed"),
+    ({"network": {**NETWORK, "flows": {**NETWORK["flows"],
+                                       "users_per_flow": -3}}},
+     "config.network.flows.users_per_flow"),
+], ids=["users", "seed", "null_seed", "flows.seed", "flows.users_per_flow"])
+def test_negative_count_rejected_with_path(raw, path):
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: must be >= 0")):
+        parse_config(raw)

@@ -2,7 +2,8 @@
 (pipeline.whole_trace_oracle: merge_traces, simulate_fifo, then
 departures_to_outflow), byte for byte, with the traffic drawn in a child
 process, in slot-sized pieces, or inline; and the child process reaped
-however the stream ends."""
+however the stream ends.  Likewise dt's flow inflows, half of them drawn in
+a child, against the flows drawn one after another."""
 
 import contextlib
 import itertools
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from logiq import pipeline, producer, series
 from logiq.des import DesConfig, simulate_fifo
-from logiq.series import PacketTrace, ParameterError, n_bins
+from logiq.series import PacketTrace, ParameterError, n_bins, trace_to_inflow
 from logiq.traffic import VideoUserParams, generate_users, user_chunks
 
 SIZE = 11712.0
@@ -275,3 +276,78 @@ class TestTrafficProcess:
                 with contextlib.suppress(ProcessLookupError):
                     os.kill(child, signal.SIGKILL)
         assert child > 0
+
+
+class TestFlowInflows:
+    """generate_flow_inflows with its odd-numbered flows drawn in a child,
+    through slot-sized pieces, or inline."""
+
+    ARGS = (VideoUserParams(), 4, 3, 600.0, 10.0, 11)
+    KWARGS = {"target_rate": 1.25e10, "warmup_s": 3600.0}
+
+    @staticmethod
+    def serial(params, n_flows, users, horizon_s, dt, seed, target_rate,
+               warmup_s):
+        """The flows drawn one after another, as generate_users draws
+        them."""
+        horizon = (0.0, horizon_s)
+        out = []
+        for flow in np.random.SeedSequence(seed).spawn(n_flows):
+            inflow = trace_to_inflow(
+                generate_users(params, horizon, flow, users, warmup_s), dt,
+                horizon)
+            out.append(inflow.values * (target_rate / inflow.values.mean()))
+        return out
+
+    @staticmethod
+    def user_traces(fail=None, alive=None):
+        """pipeline._user_traces raising for flow ``fail``; the draw of
+        flow 0 appends to ``alive`` whether a child process is alive then."""
+        real = pipeline._user_traces
+
+        def traces(params, horizon, seed, n_users, warmup_s):
+            if seed.spawn_key[-1] == fail:
+                raise ParameterError(f"flow {fail} is malformed")
+            if seed.spawn_key[-1] == 0 and alive is not None:
+                try:
+                    alive.append(os.waitpid(-1, os.WNOHANG) == (0, 0))
+                except ChildProcessError:
+                    alive.append(False)
+            return real(params, horizon, seed, n_users, warmup_s)
+        return mock.patch.object(pipeline, "_user_traces", traces)
+
+    @pytest.mark.parametrize("kind", PRODUCERS)
+    def test_matches_serial(self, kind):
+        alive = []
+        with drawing(kind), self.user_traces(alive=alive):
+            inflows = pipeline.generate_flow_inflows(*self.ARGS,
+                                                     **self.KWARGS)
+        # the child is forked before this process draws its first flow
+        assert alive == [kind != "inline"]
+        reference = self.serial(*self.ARGS, **self.KWARGS)
+        assert len(inflows) == len(reference)
+        for inflow, values in zip(inflows, reference):
+            assert (inflow.t0, inflow.dt) == (0.0, 10.0)
+            assert inflow.values.tobytes() == values.tobytes()
+        assert_no_child()
+
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("kind", PRODUCERS)
+    def test_flow_raises(self, kind, k):
+        # flows 1 and 3 are the child's share, 0 and 2 this process's; at
+        # flow 0 the child is closed before its first flow is asked for.
+        # The child is reaped while the traceback still holds the frames
+        with drawing(kind), self.user_traces(fail=k), pytest.raises(
+                ParameterError, match=f"^flow {k} is malformed$") as info:
+            pipeline.generate_flow_inflows(*self.ARGS, **self.KWARGS)
+        assert_no_child()
+        assert info.traceback
+
+    def test_one_flow(self):
+        # the child has no flow to draw
+        one = (self.ARGS[0], 1) + self.ARGS[2:]
+        inflows = pipeline.generate_flow_inflows(*one, **self.KWARGS)
+        reference = self.serial(*one, **self.KWARGS)
+        assert [f.values.tobytes() for f in inflows] == [
+            v.tobytes() for v in reference]
+        assert_no_child()
