@@ -24,15 +24,6 @@ _INPUT_ERRORS = (ParameterError, DomainError, IntegrationError,
                 DegenerateInputError, HorizonError)
 
 
-def _scaled_inflow(traffic_cfg, traces):
-    inflow = trace_to_inflow(traces, traffic_cfg["dt"],
-                             (0.0, traffic_cfg["horizon"]))
-    scale = traffic_cfg["rate_scale"]
-    if scale != 1.0:
-        inflow = RateSeries(inflow.t0, inflow.dt, inflow.values * scale)
-    return inflow
-
-
 def _write_summary(path, entries):
     with open(path, "w") as fh:
         for key, value in entries:
@@ -47,7 +38,7 @@ def cmd_generate(cfg, out: Path) -> int:
         trace.to_csv(out / f"user_{i:03d}.csv")
     merged = merge_traces(traces, horizon=horizon)
     merged.to_csv(out / "trace.csv")
-    inflow = _scaled_inflow(t, merged)
+    inflow = trace_to_inflow(merged, t["dt"], horizon)
     inflow.to_csv(out / "inflow.csv")
 
     lam = mean_rate(inflow)
@@ -73,7 +64,7 @@ def cmd_simulate(cfg, out: Path) -> int:
         raise ConfigError("config.queue.mu: required for simulate")
     horizon = (0.0, t["horizon"])
     traces = generate_users(t["params"], horizon, t["seed"], t["users"])
-    inflow = _scaled_inflow(t, traces)
+    inflow = trace_to_inflow(traces, t["dt"], horizon)
     inflow.to_csv(out / "inflow.csv")
 
     alpha = q["alpha"] if q["alpha"] is not None else compute_alpha(inflow, q["mu"])
@@ -94,17 +85,10 @@ def cmd_simulate(cfg, out: Path) -> int:
     return 0
 
 
-def _require_unscaled(traffic_cfg):
-    if traffic_cfg["rate_scale"] != 1.0:
-        raise ConfigError("config.traffic.rate_scale: must be 1 for validation "
-                          "(the oracle consumes the unscaled packets)")
-
-
 def _validate_once(cfg, seed):
     t, q = cfg["traffic"], cfg["queue"]
     if q["mu"] is None:
         raise ConfigError("config.queue.mu: required for validate")
-    _require_unscaled(t)
     return pipeline.validate_scenario(
         t["params"], t["users"], t["horizon"], t["dt"], seed, q["mu"],
         alpha=q["alpha"], q0=q["q0"], capacity=q["capacity"])
@@ -166,7 +150,6 @@ _SWEEP_COLUMNS = ("rho_target", "rho", "err_rel_max", "max_occupancy_err",
 def cmd_sweep(cfg, out: Path) -> int:
     if cfg["queue"]["mu"] is None:
         raise ConfigError("config.queue.mu: required for sweep")
-    _require_unscaled(cfg["traffic"])
     targets = cfg["sweep"]["rho_targets"]
     tasks = [(cfg, rho) for rho in targets]
     if cfg["workers"] > 1 and len(tasks) > 1:
@@ -329,7 +312,9 @@ def main(argv=None) -> int:
             if cfg["network"] is not None:
                 cfg["network"]["flows"]["seed"] = args.seed
         if args.workers is not None:
-            cfg["workers"] = max(1, args.workers)
+            if args.workers < 1:
+                raise ConfigError("--workers: must be >= 1")
+            cfg["workers"] = args.workers
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out)

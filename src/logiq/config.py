@@ -105,14 +105,13 @@ def _parse_user_params(obj, path):
 
 def _parse_traffic(obj):
     path = "config.traffic"
-    _check_keys(obj, {"users", "horizon", "dt", "seed", "params", "rate_scale"}, path)
+    _check_keys(obj, {"users", "horizon", "dt", "seed", "params"}, path)
     return {
         "users": _count(obj, "users", 10, path),
         "horizon": _get(obj, "horizon", "48 h", path, parse_duration),
         "dt": _get(obj, "dt", "60 s", path, parse_duration),
         "seed": _count(obj, "seed", 0, path),
         "params": _parse_user_params(obj.get("params", {}), path + ".params"),
-        "rate_scale": _get(obj, "rate_scale", 1.0, path, float),
     }
 
 

@@ -1,6 +1,6 @@
 """Packet-level single-server FIFO simulator (the ground-truth oracle): the
 event loop kernels.des_fifo, reproduced bit for bit by one Lindley scan that
-serves both buffers.
+serves both buffers for a trace of one packet size.
 
 The loop sets c = fl(m + tau) with m = max(c_prev, a) and tau = fl(s / mu).
 Let m lie in the binade [2^e, 2^(e+1)), where floats are the multiples of
@@ -8,17 +8,16 @@ u = 2^(e-52), and let tau_e be tau rounded to a multiple of u.  If tau / u
 is not a half-integer and m + tau_e < 2^(e+1), then fl(m + tau) = m + tau_e
 exactly, since m is a multiple of u.  While that holds the loop is exact
 arithmetic and unrolls to c_j = T_j + max(c_prev, max over k <= j of
-(a_k - T_(k-1))), T the running sum of tau_e: a block in one binade costs
-one running maximum (_lindley).  m never decreases, so each binade is
-entered once.
+(a_k - T_(k-1))), T_k = k tau_e: a block in one binade costs one running
+maximum (_lindley).  m never decreases, so each binade is entered once.
 
 Mode L runs such blocks and, with a finite buffer, the loop's own drop test
 on them, accepting every packet before the first drop.  From a drop, mode D
-walks the busy run: in numpy blocks for one size (_busy_walk), up to the
-first idle arrival; with the loop itself for mixed sizes, up to a stretch
-without drops.  The loop's scalar step takes only the packets where the
-rule fails: at a binade crossing, in a binade where the one size ties, and
-where m is below the smallest normal float (zero and negative times).
+walks the busy run in numpy blocks up to the first idle arrival
+(_busy_walk).  The loop's scalar step takes only the packets where the rule
+fails: at a binade crossing, in a binade where the size ties, and where m
+is below the smallest normal float (zero and negative times).  A segment of
+mixed sizes runs the loop itself; the traffic model sends one size.
 
 Accepted departures, the one array as long as the trace, are written
 compacted as they are made; the backlog samples read the last completion
@@ -170,17 +169,17 @@ class _Scan:
     """kernels.des_fifo's loop over a trace fed in one or more time
     segments, in the modes of the module docstring.  The state is the
     loop's: the last completion c and the dropped bits so far (added in
-    arrival order, as the loop adds them), with the busy walk a segment
-    ended in, if any (walking; span is a mixed-size walk's stretch), so the
-    counts of mode D are the whole trace's for one size.  In a segment, j
-    is the next arrival and the accepted departures are out[:w]; kept[i]
-    counts the accepted packets among the first seen[i] arrivals.  The
-    departures' buffer and the scratch serve every segment."""
+    arrival order, as the loop adds them), with whether a segment ended
+    inside a busy walk (walking), so the counts of mode D are the whole
+    trace's.  In a segment, j is the next arrival and the accepted
+    departures are out[:w]; kept[i] counts the accepted packets among the
+    first seen[i] arrivals.  The departures' buffer and the scratch serve
+    every segment."""
 
     def __init__(self, mu, cap_k):
         self.mu, self.cap = mu, cap_k
         self.c, self.bits = -math.inf, 0.0
-        self.walking, self.span = False, _BLOCK_MIN
+        self.walking = False
         self.looped = self.stepped = self.drops = 0
         self.packets = self.segments = 0
         self.out = np.empty(0)
@@ -193,18 +192,18 @@ class _Scan:
         self.a, self.s, self.seen = arrivals, sizes, seen
         self.kept, self.si = np.zeros_like(seen), 0
         self.j = self.w = 0
-        self.dropped = []       # mixed sizes: the indices of the drops
         self.packets += n
         self.segments += 1
+        if self.out.size < n:
+            self.out = np.empty(n)
         self.one = n > 0 and (sizes.strides == (0,)
                               or sizes.min() == sizes.max())
-        tau = float(sizes[0]) / self.mu if self.one else None
-        block = min(n, _CHUNK)
+        if not self.one:
+            return
+        tau, block = float(sizes[0]) / self.mu, min(n, _CHUNK)
         if tau != self.tau or (self.ramp is not None
                                and self.ramp.size <= block):
             self.tau, self.ex, self.ramp = tau, None, None
-        if self.out.size < n:
-            self.out = np.empty(n)
         if self.cap is not None and self.d.size < block:
             self.d = np.empty(block)
 
@@ -212,7 +211,16 @@ class _Scan:
         """The segment's (accepted departures, their sizes); the departures
         view the buffer that the next segment reuses."""
         a, n = self.a, self.a.size
-        if self.one and self.cap is not None and self.s[0] > self.cap:
+        if not self.one:
+            # empty, or mixed sizes: the loop itself, a chunk at a time, so
+            # that its arrays stay a chunk long.  A busy walk under way goes
+            # on in the next one-size segment
+            keep = [self._loop(min(n, lo + _CHUNK))
+                    for lo in range(0, n, _CHUNK)]
+            self.drops += n - self.w
+            return self.out[:self.w], (self.s[np.concatenate(keep)]
+                                       if self.w < n else self.s)
+        if self.cap is not None and self.s[0] > self.cap:
             # backlog + size > K for every arrival: all are dropped
             for lo in range(0, n, _CHUNK):
                 self.bits = _add_in_order(self.bits, self.s[lo:lo + _CHUNK])
@@ -220,7 +228,7 @@ class _Scan:
             return self.out[:0], self.s[:0]
         block = _BLOCK_MIN
         if self.walking:
-            self._walk()
+            self.walking = not self._busy_walk()
         while self.j < n:
             j = self.j
             m = max(self.c, a[j])
@@ -230,10 +238,10 @@ class _Scan:
             ex = math.frexp(m)[1]
             top = math.ldexp(1.0, ex)           # m lies in [top / 2, top)
             hi = j + int(np.searchsorted(a[j:j + block], top))
-            if self.one and self._ramp(ex, top) is None:
+            if self._ramp(ex, top) is None:
                 self._loop(hi)                  # a tie for every packet
                 continue
-            got = self._lindley(hi, ex, top)
+            got = self._lindley(hi, top)
             take = got if self.cap is None else self._first_drop(got)
             if take:
                 self.w += take
@@ -241,8 +249,7 @@ class _Scan:
                 self.c = self.out[self.w - 1]
                 self._settle()
             if take < got:                      # mode D from the drop
-                self.span = _BLOCK_MIN
-                self._walk()
+                self.walking = not self._busy_walk()
                 block = _BLOCK_MIN
             elif got < hi - j:                  # the rule fails here
                 self._loop(self.j + 1)
@@ -250,24 +257,7 @@ class _Scan:
             else:
                 block = min(2 * block, _CHUNK)
         self.drops += n - self.w
-        if self.dropped:
-            return self.out[:self.w], np.delete(self.s,
-                                                np.concatenate(self.dropped))
         return self.out[:self.w], self.s[:self.w]
-
-    def _walk(self):
-        """Mode D from j: for one size the busy walk, for mixed sizes the
-        loop, in stretches that double while they drop.  walking tells
-        whether the segment ended before the walk did."""
-        if self.one:
-            self.walking = not self._busy_walk()
-            return
-        n, lost = self.a.size, True
-        while lost and self.j < n:
-            lost = self._loop(min(n, self.j + self.span), walk=True)
-            if lost:
-                self.span = min(2 * self.span, _CHUNK)
-        self.walking = bool(lost)
 
     def _ramp(self, ex, top):
         """One size: T_k = k tau_e for the binade below ``top`` (2^ex), or
@@ -280,61 +270,39 @@ class _Scan:
                 self.ramp *= math.ldexp(round(r), ex - 53)
         return self.ramp
 
-    def _lindley(self, hi, ex, top):
+    def _lindley(self, hi, top):
         """Mode L: write the departures of arrivals j..hi - 1 (all below
-        ``top``) to out[w:], and return how many of them come before the
-        first packet that breaks the binade rule.  Every operation on those
-        is exact: T and the differences a_k - T_(k-1) that can win the
-        maximum are multiples of u below top in magnitude, and a smaller
-        a_k rounds to at most the running maximum."""
+        ``top``) to out[w:], and return how many of them stay below top.
+        Every operation on those is exact: T and the differences
+        a_k - T_(k-1) that can win the maximum are multiples of u below top
+        in magnitude, and a smaller a_k rounds to at most the running
+        maximum."""
         j = self.j
         b = hi - j
-        ab = self.a[j:hi]
         dep = self.out[self.w:self.w + b]
-        ok = b
-        if self.one:
-            np.subtract(ab, self.ramp[:b], out=dep)
-            t = self.ramp[1:b + 1]
-        else:
-            tau = self.s[j:hi] / self.mu
-            r = np.ldexp(np.minimum(tau, top, out=tau), 53 - ex)   # tau / u
-            bad = (r % 1.0 == 0.5) | (r >= 2.0 ** 53)
-            if bad.any():
-                ok = int(bad.argmax())
-            t = np.ldexp(np.rint(r), ex - 53)
-            np.add.accumulate(t, out=t)
-            dep[0] = ab[0]
-            np.subtract(ab[1:], t[:-1], out=dep[1:])
+        np.subtract(self.a[j:hi], self.ramp[:b], out=dep)
         dep[0] = max(dep[0], self.c)
         # fmax is maximum without NaN handling (there is no NaN), and faster
         np.fmax.accumulate(dep, out=dep)
-        dep += t
-        # the computed c never decreases, even past the first failure
-        if ok and dep[ok - 1] >= top:
-            ok = int(np.searchsorted(dep[:ok], top))
-        return ok
+        dep += self.ramp[1:b + 1]
+        return int(np.searchsorted(dep, top)) if dep[-1] >= top else b
 
     def _first_drop(self, got):
         """The loop's drop test on the ``got`` packets _lindley wrote: the
-        index of the first drop, or got."""
+        index of the first drop, or got.  The test is nondecreasing in
+        c - a, and at an idle server it passes, since the size is at most
+        K."""
         if not got:
             return 0
         ab = self.a[self.j:self.j + got]
         d = self.d[:got]
         d[0] = self.c - ab[0]
         np.subtract(self.out[self.w:self.w + got - 1], ab[1:], out=d[1:])
-        if self.one:
-            # the test is nondecreasing in c - a: try the largest first
-            if not d.max() * self.mu + self.s[0] > self.cap:
-                return got
-            d *= self.mu
-            d += self.s[0]
-        else:
-            s = self.s[self.j:self.j + got]
-            d *= self.mu
-            d += s
-            # at an idle server the loop tests s > K alone
-            np.maximum(d, s, out=d)
+        # try the largest first
+        if not d.max() * self.mu + self.s[0] > self.cap:
+            return got
+        d *= self.mu
+        d += self.s[0]
         hit = d > self.cap
         f = int(hit.argmax())
         return f if hit[f] else got
@@ -353,7 +321,7 @@ class _Scan:
 
     def _loop(self, hi, walk=False):
         """The loop's scalar step over arrivals j..hi - 1, counted as mode D
-        if ``walk``.  Returns the drops."""
+        if ``walk``.  Returns the mask of the accepted ones."""
         j0, w0 = self.j, self.w
         dep, last_c, lost, _ = kernels.des_fifo(
             self.a[j0:hi], self.s[j0:hi], self.mu, self.cap or 0.0, self.c)
@@ -366,16 +334,14 @@ class _Scan:
         self.looped += walk * (hi - j0)
         if lost:
             self.bits = _add_in_order(self.bits, self.s[j0:hi][~keep])
-            if not self.one:
-                self.dropped.append(j0 + np.flatnonzero(~keep))
         self._settle(j0, w0, np.concatenate(([0], np.cumsum(keep))))
-        return lost
+        return keep
 
     def _busy_walk(self):
-        """Mode D for one size: kernels.des_fifo's results, bit for bit,
-        for the busy run from j, walked in numpy blocks up to the first
-        arrival that finds the server idle.  Returns whether it got there
-        before the end of the segment.
+        """Mode D: kernels.des_fifo's results, bit for bit, for the busy run
+        from j, walked in numpy blocks up to the first arrival that finds
+        the server idle.  Returns whether it got there before the end of the
+        segment.
 
         While the server stays busy, the loop's completion time after k more
         accepted packets is comp[k] = c + k tau_e, by the binade rule, as

@@ -303,11 +303,11 @@ def des_fifo(arrivals, sizes, mu, cap_k, c_prev=-math.inf):
     (cap_k > 0; 0 is the infinite buffer), from the last completion time
     ``c_prev`` (-inf: an empty server).
 
-    des.simulate_fifo reproduces it bit for bit with one Lindley scan and
-    steps it only where that scan's binade rule fails (a binade crossing, a
-    binade where the one size's service time ties, times below the smallest
-    normal float) and, for mixed sizes, over the busy runs that drop
-    packets, carrying c_prev from one stretch to the next.
+    des.simulate_fifo reproduces it bit for bit, for one packet size, with
+    one Lindley scan, and steps it only where that scan's binade rule fails
+    (a binade crossing, a binade where the service time ties, times below
+    the smallest normal float), carrying c_prev from one stretch to the
+    next.  A segment of mixed sizes runs it whole.
 
     Returns (depart, last_completion, n_dropped, dropped_bits); depart[j] is
     NaN for dropped packets (a departure can come at any time, negative

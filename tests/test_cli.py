@@ -370,21 +370,35 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             "config error: config.traffic.users: ")
 
-    def test_scaled_validation_rejected(self, tmp_path):
+    def test_scaled_validation_rejected(self, tmp_path, capsys):
+        # the oracle runs on the packets as drawn: no key scales the rates
         payload = dict(BASE)
         payload["traffic"] = dict(BASE["traffic"], rate_scale=2.0)
         code, _ = run(tmp_path, "validate", payload)
         assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: config.traffic.rate_scale: unknown key\n")
 
     def test_scaled_sweep_rejected(self, tmp_path, capsys):
         # each point validates against the oracle, which runs on the
-        # unscaled packets: the sweep used to drop the scale silently
+        # packets as drawn: the sweep used to drop the scale silently
         payload = dict(BASE, sweep={"rho_targets": [0.5]})
         payload["traffic"] = dict(BASE["traffic"], rate_scale=2.0)
         code, out = run(tmp_path, "sweep", payload)
         assert code == 2
-        assert capsys.readouterr().err.startswith(
-            "config error: config.traffic.rate_scale: ")
+        assert capsys.readouterr().err == (
+            "config error: config.traffic.rate_scale: unknown key\n")
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_2(self, tmp_path, capsys, workers):
+        # as "workers": 0 in the config is; the flag was clamped to 1
+        payload = dict(BASE, sweep={"rho_targets": [0.5]})
+        code, out = run(tmp_path, "sweep", payload,
+                        extra=("--workers", workers))
+        assert code == 2
+        assert (capsys.readouterr().err
+                == "config error: --workers: must be >= 1\n")
         assert not (out / "sweep.csv").exists()
 
     @pytest.mark.parametrize("flow", [0, 1], ids=["parent", "child"])

@@ -370,9 +370,7 @@ class TestDropTailOracle:
 
     def test_oversized_packet_at_empty_queue(self):
         # the packet at 7 s finds the queue empty and is dropped whole.  The
-        # first packet, at 0 s, is below the binade rule; the others take
-        # seconds of service, so three of them cross a power of two (the
-        # oversized one among them) and also take the loop's step
+        # sizes are mixed, so the loop's step takes every packet
         trace = make_trace([0.0, 0.5, 7.0, 7.0, 9.0],
                            [300.0, 300.0, 1200.0, 200.0, 300.0], (0.0, 10.0))
         res = simulate_fifo(trace, DesConfig(mu=100.0, capacity_k=1000.0,
@@ -380,7 +378,7 @@ class TestDropTailOracle:
         assert res.drop_count == 1 and res.drop_bits == 1200.0
         np.testing.assert_array_equal(res.departures.times,
                                       [3.0, 6.0, 9.0, 12.0])
-        assert res.looped == 0 and res.stepped == 4
+        assert res.looped == 0 and res.stepped == 5
         np.testing.assert_allclose(res.q_sampled[6:], [0.0, 200.0, 100.0,
                                                        300.0, 200.0])
 
@@ -480,7 +478,7 @@ class TestChunkedDropTail:
         res, depart = self.check(times, mixed, horizon, 100.0, 1000.0, chunk)
         assert np.isnan(depart).tolist() == [False, True, False, False,
                                              True, False]
-        # mixed sizes: the loop itself walks on from a drop
+        # mixed sizes: the loop itself takes the trace
         assert res.stepped >= res.looped
         np.testing.assert_array_equal(res.q_sampled[[3, 5, 6]],
                                       [0.0, 0.0, 800.0])
@@ -498,14 +496,75 @@ class TestChunkedDropTail:
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     def test_mixed_sizes_after_a_one_packet_period(self, chunk):
         # the first drop is one oversized packet at an empty queue; after a
-        # period without drops, the next drops among other sizes, and the
-        # loop walks on from both drops
+        # period without drops, the next drops among other sizes.  The loop
+        # takes every packet, not as a walk from a drop
         times = np.array([0.0, 5.0, 10.0, 10.0, 10.0])
         sizes = np.array([1200.0, 100.0, 400.0, 700.0, 300.0])
         res, depart = self.check(times, sizes, (0.0, 12.0), 1000.0, 1000.0,
                                  chunk)
         assert np.isnan(depart).tolist() == [True, False, False, True, False]
-        assert res.stepped >= res.looped > 0
+        assert res.looped == 0 and res.stepped == times.size
+
+
+class TestSegmentedSizes:
+    """FifoCarry over segments of one size and of mixed sizes in turn: the
+    scan takes the one-size segments and the loop the mixed ones, and the
+    state carried across them gives the whole-trace loop's results, byte
+    for byte."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts=st.lists(st.integers(0, 40), min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1), rho=st.floats(0.5, 3.0),
+           cap=st.one_of(st.none(), st.floats(2.0, 6.0)),
+           chunk=st.sampled_from([None, 1, 3]))
+    def test_alternating_segments_match_loop(self, counts, seed, rho, cap,
+                                             chunk):
+        rng = np.random.default_rng(seed)
+        size, mu = 1000.3, 1e4
+        if cap is not None:
+            cap *= size
+        # a burst of one size at 1 s, which a finite buffer drops from, so
+        # that its segment ends inside the busy walk; an empty segment; then
+        # segments of mixed sizes and of one size in turn, the first mixed
+        # one not empty.  A mixed size can exceed K and drop at an empty
+        # queue
+        segments = [(np.full(20, 1.0), np.broadcast_to(size, (20,))),
+                    (np.empty(0), np.empty(0))]
+        counts[0] += 1
+        end = 1.0
+        for k, count in enumerate(counts):
+            times = end + np.cumsum(rng.exponential(size / (rho * mu), count))
+            end = float(times[-1]) if count else end
+            segments.append((times, rng.uniform(100.0, 3 * size, count)
+                             if k % 2 == 0
+                             else np.broadcast_to(size, (count,))))
+        horizon = (0.0, end + 1.0)
+        cfg = DesConfig(mu=mu, capacity_k=cap, sample_dt=0.25)
+        carry = des.FifoCarry(cfg, horizon)
+        dep_times, dep_sizes = [], []
+        with small_blocks(chunk):
+            for i, (times, sizes) in enumerate(segments):
+                part = simulate_fifo(PacketTrace(times, sizes, horizon), cfg,
+                                     carry)
+                # the departures view a buffer that the next segment reuses
+                dep_times.append(part.departures.times.copy())
+                dep_sizes.append(part.departures.sizes.copy())
+                if i == 1:
+                    assert carry.scan.walking == (cap is not None)
+        res = carry.result()
+        times = np.concatenate([t for t, _ in segments])
+        sizes = np.concatenate([s for _, s in segments])
+        depart, last_c, n_drop, bits_drop = kernels.des_fifo(
+            times, sizes, mu, cap or 0.0)
+        accepted = ~np.isnan(depart)
+        assert (np.concatenate(dep_times).tobytes()
+                == depart[accepted].tobytes())
+        np.testing.assert_array_equal(np.concatenate(dep_sizes),
+                                      sizes[accepted])
+        assert res.drop_count == n_drop
+        assert res.drop_bits == bits_drop
+        assert res.q_sampled.tobytes() == loop_sampled_backlog(
+            times, last_c, mu, res.sample_times).tobytes()
 
 
 # tau / ulp is a half-integer for every time in [1, 2): with mu = 1 that

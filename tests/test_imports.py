@@ -1,13 +1,16 @@
-"""Every import in the package modules is used (the stdlib ``ast`` stands in
-for a linter).  ``__init__.py`` is skipped: its imports are the re-exports."""
+"""Every import in the package modules and the tests is used (the stdlib
+``ast`` stands in for a linter).  The package's ``__init__.py`` is skipped:
+its imports are the re-exports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "logiq"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "logiq"
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def unused_imports(source):
