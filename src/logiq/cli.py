@@ -108,6 +108,8 @@ def _write_validation(run, out: Path):
              f"packets={des.packets}\n"
              f"des_drops={des.drop_count}\n"
              f"des_drop_bits={des.drop_bits!r}\n"
+             f"lost_bits={run.trajectory.lost_mass!r}\n"
+             f"loss_rel_err={run.loss_rel_err!r}\n"
              f"des_loop_packets={des.looped}\n"
              f"des_step_packets={des.stepped}\n"
              f"des_segments={des.segments}\n"
@@ -116,8 +118,11 @@ def _write_validation(run, out: Path):
         fh.write(text)
     with open(out / "report.csv", "w") as fh:
         fh.write("rho," + run.report.csv_header()
+                 + ",des_drop_bits,lost_bits,loss_rel_err"
                  + ",runtime_logistic_s,runtime_des_s\n")
         fh.write(f"{run.rho!r}," + run.report.csv_row()
+                 + f",{des.drop_bits!r},{run.trajectory.lost_mass!r}"
+                 + f",{run.loss_rel_err!r}"
                  + f",{run.runtime_logistic_s!r},{run.runtime_des_s!r}\n")
 
 

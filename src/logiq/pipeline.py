@@ -42,6 +42,15 @@ class ValidationRun:
             return float("inf")
         return self.runtime_des_s / self.runtime_logistic_s
 
+    @property
+    def loss_rel_err(self) -> float:
+        """(fluid lost bits - oracle dropped bits) / oracle dropped bits; 0
+        when neither loses, inf when only the fluid does."""
+        lost, dropped = self.trajectory.lost_mass, self.des_result.drop_bits
+        if dropped > 0:
+            return (lost - dropped) / dropped
+        return 0.0 if lost == 0.0 else float("inf")
+
 
 # the oracle path holds one time segment of whole bins at a time, sized to
 # hold about this many packets at the expected rate

@@ -84,6 +84,8 @@ class TestCommands:
         assert "des_loop_packets=0\n" in report   # infinite buffer: no loop
         assert "des_step_packets=0\n" in report
         assert "traffic_process=child\n" in report
+        # infinite buffer: neither the fluid nor the oracle loses
+        assert "lost_bits=0.0\nloss_rel_err=0.0\n" in report
         assert (out / "q_disc.csv").exists()
         # the oracle saw every packet of the merged trace
         _, gen = run(tmp_path, "generate", BASE)
@@ -167,6 +169,16 @@ class TestCommands:
         assert int(report["des_loop_packets"]) == sum(
             part.looped for part in parts)
         assert 0 <= int(report["des_step_packets"]) <= 64
+        # the fluid's lost bits beside the oracle's, in both reports; its 60
+        # s bins average away the bursts that overflow 100 kB
+        lost = float(report["lost_bits"])
+        dropped = float(report["des_drop_bits"])
+        assert lost >= 0.0
+        assert float(report["loss_rel_err"]) == (lost - dropped) / dropped
+        header, row = (out / "report.csv").read_text().splitlines()
+        columns = dict(zip(header.split(","), row.split(",")))
+        for key in ("des_drop_bits", "lost_bits", "loss_rel_err"):
+            assert columns[key] == report[key]
 
     def test_import_leaves_the_process_pool_out(self):
         # only a parallel sweep needs concurrent.futures.process, and only
