@@ -5,9 +5,8 @@ from .series import (PacketTrace, RateSeries, ParameterError, intensity,
                      mean_rate, merge_traces, trace_to_inflow)
 from .traffic import (VideoUserParams, generate_aggregate, generate_users,
                       generate_video_user, interuse_for_rate)
-from .fluid import (DomainError, IntegrationError, QueueSpec, QueueTrajectory,
-                    SolverOptions, compute_alpha, emptying_time_bound,
-                    exit_time, heaviside_smooth, integrate_finite_queue,
+from .fluid import (DomainError, QueueSpec, QueueTrajectory, compute_alpha,
+                    emptying_time_bound, exit_time, integrate_finite_queue,
                     integrate_point_queue, integrate_priority_pair,
                     integrate_queue, logistic_rhs, outflow_rate,
                     point_queue_rhs, priority_rates, queue_decay_bound,

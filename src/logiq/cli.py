@@ -10,8 +10,7 @@ from pathlib import Path
 
 from . import pipeline, plot
 from .config import ConfigError, load_config
-from .fluid import (DomainError, IntegrationError, QueueSpec, compute_alpha,
-                    integrate_queue)
+from .fluid import DomainError, QueueSpec, compute_alpha, integrate_queue
 from .metrics import DegenerateInputError
 from .network import HorizonError, Topology
 from .series import ParameterError, RateSeries, intensity, mean_rate, trace_to_inflow
@@ -20,8 +19,8 @@ from .units import fmt_rate
 
 # the errors of a run whose input is out of the model's domain: an
 # ``error:`` line for a command, a failure line for a sweep point
-_INPUT_ERRORS = (ParameterError, DomainError, IntegrationError,
-                DegenerateInputError, HorizonError)
+_INPUT_ERRORS = (ParameterError, DomainError, DegenerateInputError,
+                HorizonError)
 
 
 def _write_summary(path, entries):

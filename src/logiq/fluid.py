@@ -1,10 +1,13 @@
-"""The logistic queue model: smooth outflow law, ODE integration and the
-finite-buffer / flow-separation / priority extensions, plus the projected
+"""The logistic queue model: smooth outflow law, its exact solution and
+the finite-buffer / flow-separation / priority extensions, plus the projected
 point-queue reference model.
 
-Backlog q' = X - Y with Y = mu + exp(-alpha*q) * (min(mu, X) - mu); the
-served and lost bit totals are integrated alongside q so conservation can be
-checked to solver accuracy instead of by grid quadrature.
+Backlog q' = X - Y with Y = mu + exp(-alpha*q) * (min(mu, X) - mu).  A
+finite buffer of K bits projects the backlog onto [0, K]: at q = K,
+q' = min(X - Y, 0), and the rest of the inflow is lost.  Each inflow bin is
+solved in closed form (kernels.integrate_logistic), and the served and lost
+bit totals are carried alongside q, so mass is conserved to rounding
+instead of by grid quadrature.
 """
 
 import math
@@ -21,24 +24,15 @@ class DomainError(ValueError):
     """Argument outside the operation's mathematical domain."""
 
 
-class IntegrationError(RuntimeError):
-    """Adaptive stepping failed; carries the first bad output time."""
-
-    def __init__(self, message, t_fail=None):
-        super().__init__(message)
-        self.t_fail = t_fail
-
-
 @dataclass(frozen=True)
 class QueueSpec:
     """One queue/server: constant service rate mu, logistic steepness
     alpha, initial backlog, and an optional finite capacity K in bits.
 
-    A finite queue gates its inflow with the smoothed Heaviside H(q).  The
-    gate is derived from the server and its inflow, not configured.  At
-    q = K it passes h0 = min(1, mu / max X) of the inflow, so there the
-    gated inflow cannot exceed the service rate and a single queue's
-    backlog cannot grow past K.  Its width is K / 500.
+    A finite queue's backlog is projected onto [0, K]: it never passes K,
+    and the inflow that would lift it past K is lost.  This is the sharp
+    limit of the paper's smoothed Heaviside gate, whose width K / 500 goes
+    to 0.
     """
 
     mu: float
@@ -70,35 +64,12 @@ class QueueSpec:
                 raise ParameterError("q0 must be < capacity_k")
 
 
-# The loosest rel_tol of a priority pair's two solves: the low class is
-# their difference, so it carries both solves' error on the scale of the
-# aggregate's backlog.  At the default 1e-6 the low backlog dipped below 0,
-# and the low loss fell, by up to 1.9e-6 of the aggregate's peak.
-PAIR_REL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Error tolerances of the adaptive stepper, so they govern only the
-    bins it steps (see kernels.integrate_logistic).  Steps never exceed one
-    inflow bin, and the trajectory is reported on the inflow grid.  A
-    priority pair steps at rel_tol PAIR_REL_TOL at the loosest
-    (integrate_priority_pair)."""
-
-    rel_tol: float = 1e-6
-    abs_tol: float = 1e-9   # bits
-
-    def __post_init__(self):
-        # negated checks, so that NaN fails them
-        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
-            raise ParameterError("tolerances must be finite and > 0")
-
-
 @dataclass(frozen=True)
 class SolverStats:
-    """Accepted and rejected steps, inflow bins solved in closed form
-    without steps (see kernels.integrate_logistic), and the worst negative
-    backlog excursion before clamping."""
+    """Accepted and rejected solver steps, inflow bins solved in closed
+    form, and the worst negative backlog excursion.  Every bin is solved in
+    closed form (kernels.integrate_logistic), so steps, rejected and the
+    excursion are 0."""
 
     steps: int
     rejected: int
@@ -116,9 +87,9 @@ class QueueTrajectory:
     """Queue solution on the inflow grid: ``grid`` is t0 followed by the
     inflow's sample times.
 
-    ``served`` and ``lost`` are cumulative bits (integrated with the state),
-    so ``q[i] - q[0] == inflow-integral - served[i] - lost[i]`` up to solver
-    tolerance.
+    ``served`` and ``lost`` are cumulative bits (solved with the state),
+    so ``q[i] - q[0] == inflow-integral - served[i] - lost[i]`` to
+    rounding.
     """
 
     grid: np.ndarray
@@ -176,7 +147,7 @@ def _rhs_at(t, q, inflow: RateSeries, spec: QueueSpec):
     ``inflow``, with X linear between the inflow's sample times and
     constant beyond them, as the kernel reads it."""
     x = np.interp(t, inflow.sample_times, inflow.values)
-    return kernels._rhs(float(q), float(x), *_server_args(spec, inflow))
+    return kernels._rhs(float(q), float(x), *_server_args(spec))
 
 
 def outflow_rate(x, q, mu, alpha):
@@ -193,10 +164,10 @@ def outflow_rate(x, q, mu, alpha):
 
 
 def logistic_rhs(t, q, inflow: RateSeries, spec: QueueSpec):
-    """Right-hand side dq/dt of the queue ODE as the solver integrates it:
-    the inflow interpolated on the ``inflow`` grid, gated by H(q) when the
-    spec has a capacity, minus the outflow law.  Small negative q is
-    evaluated at 0."""
+    """Right-hand side dq/dt of the queue ODE as the solver solves it: the
+    inflow interpolated on the ``inflow`` grid minus the outflow law, and
+    at a full buffer (q >= capacity_k) at most 0, the rest of the inflow
+    being lost.  Small negative q is evaluated at 0."""
     return _rhs_at(t, q, inflow, spec)[0]
 
 
@@ -261,84 +232,45 @@ def queue_decay_bound(t, t_x, q_x, mu, x_inf, alpha):
     return np.exp(alpha * (c - beta * np.asarray(t, dtype=float)))
 
 
-def heaviside_smooth(q, k, h0, n):
-    """Logistic gate: 1 at q << k, h0 at q = k, 0 at q >> k."""
-    if not (k > 0 and n > 0):       # NaN fails too
-        raise ParameterError("k and n must be > 0")
-    if not 0.0 < h0 <= 1.0:
-        raise ParameterError("h0 must be in (0, 1]")
-    return _elementwise(lambda qi: kernels._gate(qi, k, h0, n), q)
-
-
 def _grid(inflow: RateSeries):
     """t0 followed by the inflow's sample times."""
     return inflow.t0 + inflow.dt * np.arange(len(inflow) + 1)
 
 
-def _server_args(spec: QueueSpec, inflow: RateSeries):
-    """Kernel arguments for the server ``spec`` fed by ``inflow``: (mu,
-    alpha, gate_on, cap_k, h0, gate_n), with the finite-buffer gate derived
-    as QueueSpec describes."""
-    if len(inflow) == 0:
-        raise ParameterError("empty inflow")
-    mu = float(spec.mu)
-    if spec.capacity_k is None:
-        gate_args = (False, 0.0, 1.0, 1.0)
-    else:
-        cap_k = float(spec.capacity_k)
-        m_x = float(inflow.values.max())
-        h0 = min(1.0, mu / m_x) if m_x > 0 else 1.0
-        gate_args = (True, cap_k, h0, 500.0 / cap_k)
-    return (mu, float(spec.alpha)) + gate_args
+def _server_args(spec: QueueSpec):
+    """Kernel arguments (mu, alpha, cap_k) of the server ``spec``; cap_k is
+    inf for the infinite buffer."""
+    cap_k = math.inf if spec.capacity_k is None else float(spec.capacity_k)
+    return float(spec.mu), float(spec.alpha), cap_k
 
 
-def _solve(inflow: RateSeries, server, q0, opts: SolverOptions):
+def _solve(inflow: RateSeries, server, q0):
     """Run the kernel on ``inflow`` for the server arguments ``server`` (see
     _server_args) from the backlog q0."""
-    grid = _grid(inflow)
-    out, stats = kernels.integrate_logistic(
-        inflow.t0, inflow.dt, inflow.values, *server, float(q0),
-        opts.rel_tol, opts.abs_tol)
-
-    status, n_steps, n_rej, n_closed, max_neg = stats
-    if status != kernels.OK:
-        t_fail = float(grid[np.isnan(out[0])][0])
-        raise IntegrationError(f"step size underflow near t={t_fail:.6g} s",
-                               t_fail=t_fail)
-    _check_excursion("negative backlog excursion", max_neg, out[0], inflow,
-                     q0, opts)
-    return QueueTrajectory(grid, *out, SolverStats(
-        int(n_steps), int(n_rej), int(n_closed), float(max_neg)))
+    if len(inflow) == 0:
+        raise ParameterError("empty inflow")
+    out = kernels.integrate_logistic(inflow.t0, inflow.dt, inflow.values,
+                                     *server, float(q0))
+    # every bin is closed form; max_negative_q is written as -0.0, as the
+    # solver_stats files have always carried it
+    return QueueTrajectory(_grid(inflow), *out,
+                           SolverStats(0, 0, len(inflow), -0.0))
 
 
-def _check_excursion(what, excursion, q, inflow, q0, opts: SolverOptions):
-    """Raise IntegrationError if ``excursion``, a negative swing of the
-    queue with backlog ``q`` fed by ``inflow`` from q0, exceeds what the
-    solver's error allows."""
-    # Roundoff alone produces excursions of order eps * step * rate, so the
-    # tolerance carries an absolute floor on the same (integral X + q0) scale
-    # used by the conservation property.
-    mass = float(inflow.integral()) + float(q0)
-    neg_tol = max(1e-6 * float(q.max()), 10.0 * opts.abs_tol, 1e-12 * mass)
-    if excursion > neg_tol:
-        raise IntegrationError(
-            f"{what} {excursion:g} exceeds tolerance {neg_tol:g}")
-
-
-def integrate_queue(inflow: RateSeries, spec: QueueSpec,
-                    opts: SolverOptions = SolverOptions()) -> QueueTrajectory:
-    """Integrate the queue ODE (finite-buffer gate included when the spec
+def integrate_queue(inflow: RateSeries, spec: QueueSpec) -> QueueTrajectory:
+    """Solve the queue ODE (the finite buffer included when the spec
     carries a capacity) over the inflow's window."""
-    return _solve(inflow, _server_args(spec, inflow), spec.q0, opts)
+    return _solve(inflow, _server_args(spec), spec.q0)
 
 
-def integrate_finite_queue(inflow: RateSeries, spec: QueueSpec,
-                           opts: SolverOptions = SolverOptions()) -> QueueTrajectory:
-    """Finite-buffer integration; requires spec.capacity_k. The trajectory's
-    ``lost`` accumulator reports the annihilated inflow mass."""
+def integrate_finite_queue(inflow: RateSeries,
+                           spec: QueueSpec) -> QueueTrajectory:
+    """Finite-buffer solve; requires spec.capacity_k. The trajectory's
+    ``lost`` accumulator reports the inflow mass the full buffer turned
+    away."""
     if spec.capacity_k is None:
         raise ParameterError("integrate_finite_queue needs spec.capacity_k")
-    return integrate_queue(inflow, spec, opts)
+    return integrate_queue(inflow, spec)
 
 
 def integrate_point_queue(inflow: RateSeries, mu: float, q0: float = 0.0
@@ -379,25 +311,19 @@ def priority_rates(x1, x2, q1, mu, alpha):
     return mu1, mu - mu1
 
 
-def integrate_priority_pair(x1: RateSeries, x2: RateSeries, spec: QueueSpec,
-                            opts: SolverOptions = SolverOptions()):
-    """Integrate the priority pair on the server ``spec``; x1 has
-    preemptive priority over x2.
+def integrate_priority_pair(x1: RateSeries, x2: RateSeries, spec: QueueSpec):
+    """Solve the priority pair on the server ``spec``; x1 has preemptive
+    priority over x2.
 
     Work conservation: the pair's total backlog is that of one queue fed
     by both classes, and the high class, which never waits for the low
     one, is a queue of its own.  So the aggregate is the single queue
     ``spec`` on x1 + x2, starting at ``spec.q0``; the high class is the
     same server on x1 alone, starting empty; and the low class is the
-    aggregate minus the high class, field by field.  A finite buffer gates
-    both queues with the aggregate's gate, each on its own backlog: the
-    high class loses inflow only once its own backlog fills the buffer,
-    and the low class loses the rest of the aggregate's loss (push-out).
-
-    Both solves step at rel_tol PAIR_REL_TOL at the loosest, since the
-    low class carries their error whole; IntegrationError reports a low
-    backlog below 0, or a falling low loss, beyond what a single queue's
-    backlog may dip (_solve).
+    aggregate minus the high class, field by field.  A finite buffer
+    holds both queues at or below K, each on its own backlog: the high
+    class loses inflow only once its own backlog fills the buffer, and the
+    low class loses the rest of the aggregate's loss (push-out).
 
     Returns (high-priority trajectory, low-priority trajectory); the first
     carries the high class's solver stats, the second the aggregate's.
@@ -405,16 +331,10 @@ def integrate_priority_pair(x1: RateSeries, x2: RateSeries, spec: QueueSpec,
     if not x1.same_grid(x2):
         raise ParameterError("priority inflows must share the grid")
     aggregate = RateSeries(x1.t0, x1.dt, x1.values + x2.values)
-    opts = SolverOptions(min(opts.rel_tol, PAIR_REL_TOL), opts.abs_tol)
-    server = _server_args(spec, aggregate)
-    total = _solve(aggregate, server, spec.q0, opts)
-    high = _solve(x1, server, 0.0, opts)
+    server = _server_args(spec)
+    total = _solve(aggregate, server, spec.q0)
+    high = _solve(x1, server, 0.0)
     low = QueueTrajectory(
         total.grid, total.q - high.q, total.y - high.y,
         total.served - high.served, total.lost - high.lost, total.stats)
-    for what, excursion in (("negative low-class backlog", -low.q.min()),
-                            ("falling low-class loss",
-                             -np.diff(low.lost).min())):
-        _check_excursion(what, float(excursion), total.q, aggregate,
-                         spec.q0, opts)
     return high, low

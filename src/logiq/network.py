@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fluid import (QueueSpec, SolverOptions, QueueTrajectory, compute_alpha,
-                    integrate_queue, integrate_priority_pair, split_outflow)
+from .fluid import (QueueSpec, QueueTrajectory, compute_alpha, integrate_queue,
+                    integrate_priority_pair, split_outflow)
 from .series import RateSeries, ParameterError, mean_rate
 
 
@@ -95,14 +95,13 @@ def _route_split(topology, access_out, core_out):
     return egress_in
 
 
-def _queue_stage(inflows, rates, opts):
+def _queue_stage(inflows, rates):
     """One logistic queue per link, each with its own inflow and rate."""
-    return [integrate_queue(x, QueueSpec(mu=mu, alpha=_link_alpha(x, mu)),
-                            opts)
+    return [integrate_queue(x, QueueSpec(mu=mu, alpha=_link_alpha(x, mu)))
             for x, mu in zip(inflows, rates)]
 
 
-def _propagate(topology, inflows, opts, priority_inflow=None, base=None):
+def _propagate(topology, inflows, priority_inflow=None, base=None):
     inflows = list(inflows)
     if len(inflows) != topology.n_origins:
         raise ParameterError("one inflow per origin required")
@@ -114,7 +113,7 @@ def _propagate(topology, inflows, opts, priority_inflow=None, base=None):
         raise ParameterError("priority inflow must share the grid")
 
     if base is None:
-        access = _queue_stage(inflows, topology.access_mu, opts)
+        access = _queue_stage(inflows, topology.access_mu)
         # stage-to-stage coupling samples the outflow law at the bin edges;
         # re-binning would smooth single-bin peaks a second time and hide
         # them from the downstream queues
@@ -133,33 +132,31 @@ def _propagate(topology, inflows, opts, priority_inflow=None, base=None):
                           alpha=_link_alpha(total, topology.core_mu),
                           capacity_k=topology.core_k)
     if priority_inflow is None:
-        prio, core = None, integrate_queue(core_in, core_spec, opts)
+        prio, core = None, integrate_queue(core_in, core_spec)
     else:
         prio, core = integrate_priority_pair(priority_inflow, core_in,
-                                             core_spec, opts)
+                                             core_spec)
     core_out = core.outflow_series("instant")
     egress_in = _route_split(topology, access_out, core_out)
-    egress = _queue_stage(egress_in, topology.egress_xi, opts)
+    egress = _queue_stage(egress_in, topology.egress_xi)
     return DtState(tuple(access), core, tuple(egress), tuple(access_out),
                    core_in, core_out, tuple(egress_in), priority=prio)
 
 
-def propagate(topology: Topology, inflows,
-              opts: SolverOptions = SolverOptions()) -> DtState:
+def propagate(topology: Topology, inflows) -> DtState:
     """Run the access -> core -> egress pipeline for one inflow set."""
-    return _propagate(topology, inflows, opts)
+    return _propagate(topology, inflows)
 
 
 def inject_priority_flow(topology: Topology, inflows,
-                         priority_inflow: RateSeries,
-                         opts: SolverOptions = SolverOptions(), *,
+                         priority_inflow: RateSeries, *,
                          base: DtState = None) -> DtState:
     """Re-solve the pipeline with the core as a priority pair (the injected
     flow is served first, and shares the core's finite buffer); downstream
     propagation uses the non-priority outflow.  ``base``, the propagate()
     result for the same inputs, supplies the access stage, which the
     injected flow never reaches, instead of solving it again."""
-    return _propagate(topology, inflows, opts, priority_inflow, base)
+    return _propagate(topology, inflows, priority_inflow, base)
 
 
 def _upstream_legs(t, i, state: DtState, topology: Topology):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from logiq.config import load_config
-from logiq.fluid import (QueueSpec, SolverOptions, integrate_finite_queue,
+from logiq.fluid import (QueueSpec, integrate_finite_queue,
                          integrate_point_queue, integrate_queue,
                          priority_rates, queue_decay_bound,
                          emptying_time_bound, split_outflow)
@@ -73,7 +73,7 @@ def test_criterion_1_property_suite():
         # FIFO monotonicity of the cumulative served mass
         assert np.all(np.diff(traj.served) >= -1e-6 * mass_in)
 
-        # finite-buffer bound with the default gate H0 = min(1, mu / M_X)
+        # finite-buffer bound
         k = rng.uniform(0.1, 1.0) * mu
         fin = integrate_finite_queue(
             inflow, QueueSpec(mu=mu, alpha=alpha, capacity_k=k))
@@ -143,8 +143,7 @@ def test_criterion_4_asymptotic_bound():
     t0 = time.perf_counter()
     mu, x_inf, alpha, q0, eps = 1.0, 0.5, 0.5, 1.0, 0.05
     inflow = RateSeries(0.0, 0.1, np.full(300, x_inf))
-    traj = integrate_queue(inflow, QueueSpec(mu=mu, alpha=alpha, q0=q0),
-                           SolverOptions(rel_tol=1e-9, abs_tol=1e-12))
+    traj = integrate_queue(inflow, QueueSpec(mu=mu, alpha=alpha, q0=q0))
     bound = queue_decay_bound(traj.grid, 0.0, q0, mu, x_inf, alpha)
     below = np.all(traj.q <= bound * (1.0 + 1e-9))
     t_bound = emptying_time_bound(0.0, q0, eps, mu, x_inf, alpha)
@@ -230,8 +229,7 @@ def test_criterion_7_performance(desk_runs):
 
 def test_single_queues_take_no_steps(desk_runs):
     # every desk bin and every queue of dt_star's base propagation is solved
-    # in closed form; only bins in which a finite buffer's gate falls below
-    # 1 are stepped, in the priority pair's two queues too
+    # in closed form, as is every bin of any queue, finite buffers included
     runs, _ = desk_runs
     for run in runs:
         assert run.trajectory.stats.steps == 0

@@ -18,9 +18,9 @@ HORIZON = 6 * 3600.0
 
 # Bounds by bin width (s).  Binning averages away bursts of a few seconds
 # that overflow the buffer, so the fluid loses less than the oracle drops,
-# and less so at finer bins.  Measured on seeds 42 / 65: loss error -0.051 /
-# -0.049 at 60 s and -0.022 / -0.010 at 10 s; err_rel_max 0.074 / 0.063 and
-# 0.029 / 0.028.
+# and less so at finer bins.  Measured on seeds 42 / 65: loss error -0.052 /
+# -0.050 at 60 s and -0.023 / -0.011 at 10 s; err_rel_max 0.074 / 0.064 and
+# 0.030 / 0.028.
 LOSS_ERR = {60.0: 0.08, 10.0: 0.035}
 ERR_REL_MAX = {60.0: 0.10, 10.0: 0.045}
 
