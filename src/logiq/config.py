@@ -2,7 +2,11 @@
 
 Unknown keys are rejected with the offending field path.  Quantities accept
 suffixed literals ("11.33 Mb/s", "25 GB", "45 min"); bare numbers mean bits,
-bits/second and seconds.
+bits/second and seconds.  Null is refused, except where a field's None
+has a meaning: queue.mu, alpha and capacity, network.core's mu and
+capacity, and network.flows.target_rate.  Counts (users, seeds,
+users_per_flow, workers) are whole numbers: a fraction or a boolean is
+refused, not truncated.
 """
 
 import json
@@ -24,9 +28,15 @@ def _check_keys(obj, allowed, path):
             raise ConfigError(f"{path}.{key}: unknown key")
 
 
-def _get(obj, key, default, path, convert=None):
+def _get(obj, key, default, path, convert=None, nullable=False):
+    """obj[key] (``default`` when absent) through ``convert``.  Null is
+    refused unless ``nullable``, where it means the field's None."""
     value = obj.get(key, default)
-    if convert is None or value is None:
+    if value is None:
+        if not nullable:
+            raise ConfigError(f"{path}.{key}: must not be null")
+        return None
+    if convert is None:
         return value
     try:
         return convert(value)
@@ -34,9 +44,18 @@ def _get(obj, key, default, path, convert=None):
         raise ConfigError(f"{path}.{key}: {exc}") from None
 
 
+def _whole(value):
+    """int(value) for a whole number; a boolean or a fraction is refused,
+    not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"expected a whole number, got {json.dumps(value)}")
+    return int(value)
+
+
 def _count(obj, key, default, path):
     """A whole number field that must not be negative (nor null)."""
-    value = _get(obj, key, default, path, int)
+    value = _get(obj, key, default, path, _whole, nullable=True)
     if value is None or value < 0:
         raise ConfigError(f"{path}.{key}: must be >= 0")
     return value
@@ -67,7 +86,7 @@ def parse_config(raw):
         "queue": _parse_queue(raw.get("queue", {})),
         "sweep": _parse_sweep(raw.get("sweep", {})),
         "network": _parse_network(raw.get("network")) if "network" in raw else None,
-        "workers": _get(raw, "workers", 1, "config", int),
+        "workers": _get(raw, "workers", 1, "config", _whole),
     }
     if cfg["workers"] < 1:
         raise ConfigError("config.workers: must be >= 1")
@@ -119,10 +138,12 @@ def _parse_queue(obj):
     path = "config.queue"
     _check_keys(obj, {"mu", "alpha", "q0", "capacity"}, path)
     return {
-        "mu": _get(obj, "mu", None, path, parse_rate),
-        "alpha": _get(obj, "alpha", "auto", path, _auto(float)),
+        "mu": _get(obj, "mu", None, path, parse_rate, nullable=True),
+        "alpha": _get(obj, "alpha", "auto", path, _auto(float),
+                      nullable=True),
         "q0": _get(obj, "q0", 0.0, path, parse_size),
-        "capacity": _get(obj, "capacity", None, path, parse_size),
+        "capacity": _get(obj, "capacity", None, path, parse_size,
+                         nullable=True),
     }
 
 
@@ -160,8 +181,10 @@ def _parse_network(obj):
         raise ConfigError(f"{path}: {exc}") from None
     return {
         "access_mu": access_mu,
-        "core_mu": _get(core, "mu", None, path + ".core", parse_rate),
-        "core_k": _get(core, "capacity", None, path + ".core", parse_size),
+        "core_mu": _get(core, "mu", None, path + ".core", parse_rate,
+                        nullable=True),
+        "core_k": _get(core, "capacity", None, path + ".core", parse_size,
+                       nullable=True),
         "egress_xi": egress_xi,
         "routing": routing,
         "packet_size": _get(obj, "packet_size", 1464 * 8, path, parse_size),
@@ -169,7 +192,8 @@ def _parse_network(obj):
         "flows": {
             "users_per_flow": _count(flows, "users_per_flow", 10,
                                      path + ".flows"),
-            "target_rate": _get(flows, "target_rate", None, path + ".flows", parse_rate),
+            "target_rate": _get(flows, "target_rate", None, path + ".flows",
+                                parse_rate, nullable=True),
             "horizon": _get(flows, "horizon", "1 d", path + ".flows", parse_duration),
             "dt": _get(flows, "dt", "60 s", path + ".flows", parse_duration),
             "seed": _count(flows, "seed", 0, path + ".flows"),

@@ -5,7 +5,7 @@ such a child while the parent draws the others.
 
 The child and its parent share one slot of memory, mapped before the fork,
 and two pipes: the child announces a segment written to the slot, and the
-parent acknowledges the slot once it has merged from it.
+parent acknowledges the slot once it has copied the segment out of it.
 """
 
 import mmap
@@ -21,16 +21,20 @@ import numpy as np
 _SLOT = 1 << 20
 
 
-def drawn_in_child(drawn):
-    """The segments of ``drawn``, drawn in a forked child process.
+def drawn_in_child(drawn, take):
+    """take(runs) for each segment of ``drawn``, drawn in a forked child
+    process.
 
-    The child writes a segment's runs, joined, into a slot of shared memory
-    mapped before the fork, and announces it over a pipe with the runs'
-    sizes; the runs yielded view the slot.  When the caller asks for the
-    next segment, the slot is acknowledged over a second pipe, and only
-    then does the child write it again: it draws the next segment into its
-    own memory meanwhile.  A segment larger than the slot comes in
-    slot-sized pieces, each acknowledged as soon as it is copied out.  An
+    Each segment is a list of runs, each run a sequence of float arrays,
+    its parts.  The child writes a segment's parts, run after run, into a
+    slot of shared memory mapped before the fork, and announces it over a
+    pipe with the runs' sizes.  Here ``take`` is called on the runs, each
+    one array viewing the slot, and must copy out what it keeps; then the
+    slot is acknowledged over a second pipe, and only then does the child
+    write it again.  So the child writes the next segment, drawn into its
+    own memory meanwhile, while the caller uses take's result.  A segment
+    larger than the slot comes in slot-sized pieces, each acknowledged as
+    soon as it is copied out, and take sees the runs joined here.  An
     exception in the child is raised here, pickled over; a child that
     finds a pipe closed exits.
 
@@ -38,7 +42,7 @@ def drawn_in_child(drawn):
     Closing the returned generator kills and reaps the child, also before
     the first segment is asked for.
     """
-    stream = _stream(drawn)
+    stream = _stream(drawn, take)
     next(stream)    # runs up to the fork and into the try that reaps
     return stream
 
@@ -49,15 +53,16 @@ def shared_with_child(draw, items):
     Each draw gives one float array; the child's come back copied.  The
     results are taken in item order, so the exception raised is that of the
     first item whose draw raises, wherever it was drawn."""
-    theirs = drawn_in_child([draw(x)] for x in items[1::2])
+    theirs = drawn_in_child(([[draw(x)]] for x in items[1::2]),
+                            lambda runs: runs[0].copy())
     try:
-        return [next(theirs)[0].copy() if i % 2 else draw(x)
+        return [next(theirs) if i % 2 else draw(x)
                 for i, x in enumerate(items)]
     finally:
         theirs.close()
 
 
-def _stream(drawn):
+def _stream(drawn, take):
     """drawn_in_child's generator: its first step forks."""
     slot = mmap.mmap(-1, 8 * _SLOT)
     cells = np.frombuffer(slot)
@@ -79,20 +84,20 @@ def _stream(drawn):
         while True:
             sizes = np.frombuffer(_receive(data_r), dtype=np.int64)
             total = int(sizes.sum())
-            owed = total <= cells.size
-            if owed:
+            if total <= cells.size:
                 data = cells[:total]
             else:
                 data = np.empty(total)
                 for lo in range(0, total, cells.size):
                     if lo:
+                        _ack(ack_w)
                         _receive(data_r)
                     hi = min(lo + cells.size, total)
                     data[lo:hi] = cells[:hi - lo]
-                    _ack(ack_w)
-            yield np.split(data, np.cumsum(sizes)[:-1])
-            if owed:
-                _ack(ack_w)
+            taken = take(np.split(data, np.cumsum(sizes)[:-1]))
+            del data    # a copied-out oversized segment is not kept
+            _ack(ack_w)
+            yield taken
     finally:
         os.close(data_r)
         os.close(ack_w)
@@ -101,28 +106,34 @@ def _stream(drawn):
 
 
 def _serve(drawn, cells, out_fd, ack_fd):
-    """The child's side of drawn_in_child.  Returns its exit status: 0
-    when every segment was sent or the parent closed the acknowledgements,
-    1 after sending an exception."""
-    owed = False
+    """The child's side of drawn_in_child.  Each segment's parts are
+    written straight into the slot, run after run, once the slot is
+    acknowledged; a slot that fills before the segment ends is sent as a
+    piece, and written again once that is acknowledged.  Returns its exit
+    status: 0 when every segment was sent or the parent closed the
+    acknowledgements, 1 after sending an exception."""
+    owed = False    # the slot holds a segment not yet acknowledged
     try:
-        for taken in drawn:
-            sizes = np.array([r.size for r in taken], dtype=np.int64)
-            total = int(sizes.sum())
-            pieces = [taken]
-            if total > cells.size:
-                flat = np.concatenate(taken)
-                pieces = [[flat[lo:lo + cells.size]]
-                          for lo in range(0, total, cells.size)]
-            for i, piece in enumerate(pieces):
-                if owed and not os.read(ack_fd, 1):
-                    return 0
-                at = 0
-                for r in piece:
-                    cells[at:at + r.size] = r
-                    at += r.size
-                _send(out_fd, b"" if i else sizes.tobytes())
-                owed = True
+        for runs in drawn:
+            header = np.array([sum(part.size for part in run)
+                               for run in runs], dtype=np.int64).tobytes()
+            if owed and not os.read(ack_fd, 1):
+                return 0
+            at = 0
+            for run in runs:
+                for part in run:
+                    while at + part.size > cells.size:
+                        step = cells.size - at
+                        cells[at:] = part[:step]
+                        part = part[step:]
+                        _send(out_fd, header)
+                        header, at = b"", 0
+                        if not os.read(ack_fd, 1):
+                            return 0
+                    cells[at:at + part.size] = part
+                    at += part.size
+            _send(out_fd, header)
+            owed = True
     except Exception as exc:
         try:
             payload = pickle.dumps(exc)

@@ -335,35 +335,45 @@ def merged_segments(runs, t0, dt, n, width):
     puts in bins b0..b1-1, the last segment taking every time left.  The
     bin rule is nondecreasing in t, so equal times share a segment, and the
     segments in turn are np.sort(np.concatenate(all), kind="stable") byte
-    for byte.  A segment's parts are joined run by run (_drawn) and merged
-    by _merge_sorted into one reused buffer, so each segment is overwritten
-    by the next.
+    for byte.  A segment's runs are merged by _merge_sorted into one reused
+    buffer, so each segment is overwritten by the next.
 
     Where os.fork exists (traffic_process), the runs are drawn in a child
-    process (producer.drawn_in_child), which draws the next segment while
-    this one is merged and used; else they are drawn here.  Close the
-    generator to end and reap the child early.
+    process (producer.drawn_in_child), which writes each run's chunks
+    straight into the slot it shares with this process; the merge copies
+    the segment out of the slot, which is then acknowledged, so the child
+    writes the next segment while this one is binned and used.  Else they
+    are drawn here, each run's chunks joined as soon as the run is cut
+    (_take), so that a segment's chunks and its joined runs are not all
+    alive at once.  Close the generator to end and reap the child early.
     """
-    ends = [min(b0 + width, n) for b0 in range(0, n, width)]
-    drawn = _drawn(runs, t0, dt, [b1 if b1 < n else None for b1 in ends])
-    if traffic_process() == "child":
-        # imported here: only a stream needs it, and setup need not
-        # compile it
-        from .producer import drawn_in_child
-        drawn = drawn_in_child(drawn)
+    starts = range(0, n, width)
+    ends = [min(b0 + width, n) for b0 in starts]
+    spans = iter(zip(starts, ends))
     buf = np.empty(0)
+
+    def merge(taken):
+        nonlocal buf
+        b0, b1 = next(spans)
+        size = sum(r.size for r in taken)
+        if buf.size < size:
+            buf = np.empty(size)
+        return (_merge_sorted(taken, (t0 + b0 * dt, t0 + b1 * dt),
+                              buf[:size]), b0, b1)
+
+    cuts = [b1 if b1 < n else None for b1 in ends]
+    if traffic_process() == "inline":
+        # map lets each segment's joined runs go as soon as they are merged
+        yield from map(merge, _drawn(runs, t0, dt, cuts, np.concatenate))
+        return
+    # imported here: only a stream needs it, and setup need not compile it
+    from .producer import drawn_in_child
+    segments = drawn_in_child(_drawn(runs, t0, dt, cuts, list), merge)
     try:
-        for b0, b1 in zip(range(0, n, width), ends):
-            taken = next(drawn)
-            size = sum(r.size for r in taken)
-            if buf.size < size:
-                buf = np.empty(size)
-            times = _merge_sorted(taken, (t0 + b0 * dt, t0 + b1 * dt),
-                                  buf[:size])
-            del taken
-            yield times, b0, b1
+        for _ in starts:    # the stream has no end of its own to stop at
+            yield next(segments)
     finally:
-        drawn.close()
+        segments.close()
 
 
 def traffic_process():
@@ -372,19 +382,22 @@ def traffic_process():
     return "child" if hasattr(os, "fork") else "inline"
 
 
-def _drawn(runs, t0, dt, cuts):
+def _drawn(runs, t0, dt, cuts, join):
     """Each run's times below each edge index of ``cuts`` in turn (None:
     all that is left), as _take gives them.  Only the chunk that straddles
     an edge is held over, with the part of it the segment does not take."""
     heads = [np.empty(0)] * len(runs)
     for k in cuts:
-        yield _take(runs, heads, t0, dt, k)
+        yield _take(runs, heads, t0, dt, k, join)
 
 
-def _take(runs, heads, t0, dt, k):
+def _take(runs, heads, t0, dt, k, join):
     """Every run's times below edge index ``k`` (None: all of them), in run
-    order, each joined from its head, the part already drawn, and the
-    run's next chunks; the rest of the last chunk drawn becomes its head."""
+    order, each run given as join(parts): its head, the part already drawn,
+    and its next chunks, the last of them cut at the edge.  The rest of
+    that chunk becomes its head.  The child passes the parts on as they
+    are (join=list) and writes them straight into its slot; drawn inline
+    they are joined (np.concatenate) before the next run is drawn."""
     taken = []
     for i, run in enumerate(runs):
         chunk, parts = heads[i], []
@@ -398,7 +411,7 @@ def _take(runs, heads, t0, dt, k):
             cut = int(edge_counts(chunk, t0, dt, np.array([k]))[0])
             parts.append(chunk[:cut])
             heads[i] = chunk[cut:]
-        taken.append(np.concatenate(parts))
+        taken.append(join(parts))
     return taken
 
 

@@ -317,9 +317,10 @@ class TestExitCodes:
             os.waitpid(-1, os.WNOHANG)
 
     def test_backlog_that_is_not_a_number_is_1(self, tmp_path, capsys):
-        # a null q0 passes the config's parsing and used to escape QueueSpec
-        # as a raw TypeError
-        payload = {**BASE, "queue": {"mu": "3.4 Mb/s", "q0": None}}
+        # a NaN q0 (JSON's NaN literal) passes the config's parsing and is
+        # refused by QueueSpec.  A null one, which used to take this path
+        # too, is a config error (test_config.py)
+        payload = {**BASE, "queue": {"mu": "3.4 Mb/s", "q0": float("nan")}}
         code, _ = run(tmp_path, "simulate", payload)
         assert code == 1
         assert capsys.readouterr().err.startswith("error: q0 must be")

@@ -206,3 +206,84 @@ def test_infinite_count_rejected_with_path(raw, path):
 def test_negative_count_rejected_with_path(raw, path):
     with pytest.raises(ConfigError, match=re.escape(f"{path}: must be >= 0")):
         parse_config(raw)
+
+
+# a null field whose None has no meaning ended as a raw TypeError traceback
+# (workers, horizon, dt) or as an input error with exit 1 (q0)
+@pytest.mark.parametrize("raw, path", [
+    ({"workers": None}, "config.workers"),
+    ({"traffic": {"horizon": None}}, "config.traffic.horizon"),
+    ({"traffic": {"dt": None}}, "config.traffic.dt"),
+    ({"queue": {"q0": None}}, "config.queue.q0"),
+    ({"traffic": {"params": {"interuse": None}}},
+     "config.traffic.params.interuse"),
+    ({"network": {**NETWORK, "packet_size": None}},
+     "config.network.packet_size"),
+    ({"network": {**NETWORK, "flows": {**NETWORK["flows"], "horizon": None}}},
+     "config.network.flows.horizon"),
+    ({"network": {**NETWORK, "flows": {**NETWORK["flows"], "dt": None}}},
+     "config.network.flows.dt"),
+    ({"network": {**NETWORK, "flows": {**NETWORK["flows"], "warmup": None}}},
+     "config.network.flows.warmup"),
+], ids=["workers", "horizon", "dt", "q0", "params.interuse", "packet_size",
+        "flows.horizon", "flows.dt", "flows.warmup"])
+def test_null_field_rejected_with_path(raw, path):
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{path}: must not be null")):
+        parse_config(raw)
+
+
+def test_nullable_fields_mean_none():
+    cfg = parse_config({
+        "queue": {"mu": None, "alpha": None, "capacity": None},
+        "network": {**NETWORK, "core": {"mu": None, "capacity": None},
+                    "flows": {**NETWORK["flows"], "target_rate": None}}})
+    assert cfg["queue"] == {"mu": None, "alpha": None, "q0": 0.0,
+                            "capacity": None}
+    net = cfg["network"]
+    assert net["core_mu"] is net["core_k"] is net["flows"]["target_rate"] is None
+
+
+@pytest.mark.parametrize("field", ["horizon", "dt", "q0", "workers"])
+def test_null_field_exits_2(tmp_path, capsys, field):
+    from logiq.cli import main
+    raw = ({"workers": None} if field == "workers"
+           else {"queue": {"mu": "11.33 Mb/s", "q0": None}} if field == "q0"
+           else {"traffic": {field: None}})
+    code = main(["validate", "--config", str(write_cfg(tmp_path, raw)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "must not be null" in capsys.readouterr().err
+
+
+# int() truncated a fraction (2.7 users ran 2, seed 3.9 ran seed 3) and
+# read a boolean as 1
+@pytest.mark.parametrize("raw, path", [
+    ({"traffic": {"users": 2.7}}, "config.traffic.users"),
+    ({"traffic": {"users": True}}, "config.traffic.users"),
+    ({"traffic": {"seed": 3.9}}, "config.traffic.seed"),
+    ({"traffic": {"seed": False}}, "config.traffic.seed"),
+    ({"workers": True}, "config.workers"),
+    ({"workers": 1.5}, "config.workers"),
+    ({"network": {**NETWORK, "flows": {**NETWORK["flows"], "seed": 0.5}}},
+     "config.network.flows.seed"),
+    ({"network": {**NETWORK, "flows": {**NETWORK["flows"],
+                                       "users_per_flow": True}}},
+     "config.network.flows.users_per_flow"),
+], ids=["users_fraction", "users_bool", "seed_fraction", "seed_bool",
+        "workers_bool", "workers_fraction", "flows.seed_fraction",
+        "flows.users_per_flow_bool"])
+def test_count_not_whole_rejected_with_path(raw, path):
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{path}: expected a whole number")):
+        parse_config(raw)
+
+
+def test_whole_float_count_accepted():
+    cfg = parse_config({"traffic": {"users": 3.0, "seed": 7.0},
+                        "workers": 2.0})
+    assert (cfg["traffic"]["users"], cfg["traffic"]["seed"],
+            cfg["workers"]) == (3, 7, 2)
+    assert all(type(v) is int for v in (cfg["traffic"]["users"],
+                                        cfg["traffic"]["seed"],
+                                        cfg["workers"]))

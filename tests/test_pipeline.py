@@ -120,6 +120,55 @@ class TestStreamedValidate:
                                                  whole[1].stepped)
 
 
+class TestSlotAcknowledgement:
+    """The slot the child writes into is acknowledged as soon as the merge
+    has copied a segment out of it, so the child writes the next segment
+    while this one is binned and run through the oracle."""
+
+    @staticmethod
+    def spied(events, module, name, when):
+        """``module.name`` appending ``name`` to ``events`` before or after
+        the real call."""
+        real = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            if when == "before":
+                events.append(name)
+            out = real(*args, **kwargs)
+            if when == "after":
+                events.append(name)
+            return out
+        return mock.patch.object(module, name, spy)
+
+    def test_ack_between_merge_and_oracle(self):
+        events = []
+        with mock.patch.object(pipeline, "_SEGMENT_PACKETS", 1), \
+                self.spied(events, series, "_merge_sorted", "after"), \
+                self.spied(events, producer, "_ack", "before"), \
+                self.spied(events, pipeline, "simulate_fifo", "before"):
+            run = pipeline.validate_scenario(VideoUserParams(), 4, 7200.0,
+                                             60.0, 5, 3.0e6)
+        assert run.traffic_process == "child"
+        assert run.des_result.segments == 120
+        assert events == ["_merge_sorted", "_ack", "simulate_fifo"] * 120
+        assert_no_child()
+
+    @pytest.mark.parametrize("kind", ["child", "pieces"])
+    def test_shared_with_child_matches_inline(self, kind):
+        # draws of 0 to 40 floats: through a slot of 16 ("pieces") the
+        # larger ones come in several pieces
+        def draw(x):
+            return np.random.default_rng(x).random(x * 5)
+        items = list(range(9))
+        with drawing(kind):
+            shared = producer.shared_with_child(draw, items)
+        assert [a.tobytes() for a in shared] == [
+            draw(x).tobytes() for x in items]
+        # the child's arrays are copied out of the slot
+        assert all(a.flags.owndata for a in shared[1::2])
+        assert_no_child()
+
+
 def edge_runs(edges, gaps, dt):
     """Per-source chunk lists: one source puts a packet exactly on each bin
     edge picked (a sample time), the others bursts of ``gaps``."""
