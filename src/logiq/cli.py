@@ -13,8 +13,9 @@ from .config import ConfigError, load_config
 from .fluid import DomainError, QueueSpec, compute_alpha, integrate_queue
 from .metrics import DegenerateInputError
 from .network import HorizonError, Topology
-from .series import ParameterError, RateSeries, intensity, mean_rate, trace_to_inflow
-from .traffic import generate_users, merge_traces
+from .series import (PacketTrace, ParameterError, RateSeries, intensity,
+                     mean_rate, merge_traces, trace_to_inflow)
+from .traffic import generate_users
 from .units import fmt_rate
 
 # the errors of a run whose input is out of the model's domain: an
@@ -35,7 +36,8 @@ def cmd_generate(cfg, out: Path) -> int:
     traces = generate_users(t["params"], horizon, t["seed"], t["users"])
     for i, trace in enumerate(traces):
         trace.to_csv(out / f"user_{i:03d}.csv")
-    merged = merge_traces(traces, horizon=horizon)
+    merged = (merge_traces(traces, horizon=horizon) if traces else
+              PacketTrace((), t["params"].packet_size_bits, horizon))
     merged.to_csv(out / "trace.csv")
     inflow = trace_to_inflow(merged, t["dt"], horizon)
     inflow.to_csv(out / "inflow.csv")

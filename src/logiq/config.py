@@ -5,8 +5,10 @@ suffixed literals ("11.33 Mb/s", "25 GB", "45 min"); bare numbers mean bits,
 bits/second and seconds.  Null is refused, except where a field's None
 has a meaning: queue.mu, alpha and capacity, network.core's mu and
 capacity, and network.flows.target_rate.  Counts (users, seeds,
-users_per_flow, workers) are whole numbers: a fraction or a boolean is
-refused, not truncated.
+users_per_flow, workers) and a traffic packet_size in bits are whole
+numbers: a fraction or a boolean is refused, not truncated.  The network's
+list fields (access_mu, egress_xi, routing and its rows, priority_rates)
+are JSON arrays.
 """
 
 import json
@@ -51,6 +53,31 @@ def _whole(value):
                                    and not value.is_integer()):
         raise ValueError(f"expected a whole number, got {json.dumps(value)}")
     return int(value)
+
+
+def _packet_bits(value):
+    """A packet size in whole bits > 0, so that a bin's bits, its packet
+    count times the size, are exact: a fraction is refused, not
+    truncated."""
+    bits = parse_size(value)
+    if isinstance(value, bool) or not (bits > 0 and bits.is_integer()):
+        raise ValueError("expected a whole number of bits > 0, got "
+                         f"{json.dumps(value)}")
+    return int(bits)
+
+
+def _array(value, field, convert=None):
+    """The items of the JSON array ``value`` through ``convert``; anything
+    else, a string among them, is refused, not read item by item."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{field}: expected a JSON array, got "
+                          f"{json.dumps(value)}")
+    if convert is None:
+        return value
+    try:
+        return [convert(v) for v in value]
+    except (UnitError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{field}: {exc}") from None
 
 
 def _count(obj, key, default, path):
@@ -100,7 +127,7 @@ def _parse_user_params(obj, path):
     kwargs = {}
     if "packet_size" in obj:
         kwargs["packet_size_bits"] = _get(obj, "packet_size", None, path,
-                                          lambda v: int(parse_size(v)))
+                                          _packet_bits)
     for key, name in (("burst_size_mean", "burst_size_mean"),
                       ("burst_size_dispersion", "burst_size_dispersion")):
         if key in obj:
@@ -170,15 +197,15 @@ def _parse_network(obj):
     _check_keys(flows, {"users_per_flow", "target_rate", "horizon", "dt",
                         "seed", "warmup", "params"},
                 path + ".flows")
-    try:
-        access_mu = [parse_rate(v) for v in obj["access_mu"]]
-        egress_xi = [parse_rate(v) for v in obj["egress_xi"]]
-        routing = [[float(v) for v in row] for row in obj["routing"]]
-        priority = [parse_rate(v) for v in obj.get("priority_rates", [])]
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing required key {exc}") from None
-    except (UnitError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    for key in ("access_mu", "egress_xi", "routing"):
+        if key not in obj:
+            raise ConfigError(f"{path}: missing required key '{key}'")
+    access_mu = _array(obj["access_mu"], path + ".access_mu", parse_rate)
+    egress_xi = _array(obj["egress_xi"], path + ".egress_xi", parse_rate)
+    routing = [_array(row, f"{path}.routing[{i}]", float) for i, row in
+               enumerate(_array(obj["routing"], path + ".routing"))]
+    priority = _array(obj.get("priority_rates", []),
+                      path + ".priority_rates", parse_rate)
     return {
         "access_mu": access_mu,
         "core_mu": _get(core, "mu", None, path + ".core", parse_rate,

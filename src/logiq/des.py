@@ -16,14 +16,14 @@ on them, accepting every packet before the first drop.  From a drop, mode D
 walks the busy run in numpy blocks up to the first idle arrival
 (_busy_walk).  The loop's scalar step takes only the packets where the rule
 fails: at a binade crossing, in a binade where the size ties, and where m
-is below the smallest normal float (zero and negative times).  A segment of
-mixed sizes runs the loop itself; the traffic model sends one size.
+is below the smallest normal float (zero and negative times).  Dropped bits
+are drops x size, as the loop counts them.
 
 Accepted departures, the one array as long as the trace, are written
 compacted as they are made; the backlog samples read the last completion
-only at the sample points.  A one-size trace's departures view its sizes.
-A trace can also be fed in time segments (FifoCarry): the scan carries the
-loop's state from one to the next, so only a segment's arrays are alive.
+only at the sample points.  A trace can also be fed in time segments
+(FifoCarry), each of its own size: the scan carries the loop's state from
+one to the next, so only a segment's arrays are alive.
 
 Backlog counts every bit that has arrived but not yet departed, including the
 remainder of the in-service packet.  With a finite buffer, an arriving packet
@@ -84,9 +84,10 @@ def simulate_fifo(trace: PacketTrace, cfg: DesConfig,
 
     With a ``carry`` (FifoCarry(cfg, horizon)), ``trace`` is the next time
     segment of a longer trace on that horizon, no packet earlier than the
-    last segment's.  The loop goes on from the carried state, and the
-    result is the segment's: its departures, drops and added dropped bits,
-    and the samples it settled; carry.result() gives the whole trace's.
+    last segment's, and its packet size may be another.  The loop goes on
+    from the carried state, and the result is the segment's: its
+    departures, drops and dropped bits, and the samples it settled;
+    carry.result() gives the whole trace's.
     The departures view a buffer that the next segment reuses.
     """
     if carry is None:
@@ -125,12 +126,12 @@ class FifoCarry:
         hi = si + (int(np.searchsorted(self.sample_times[si:], times[-1]))
                    if times.size else 0)
         samples = self.sample_times[si:hi]
-        c, bits, drops = scan.c, scan.bits, scan.drops
+        c, drops = scan.c, scan.drops
         looped, stepped = scan.looped, scan.stepped
         # arrivals at or before each sample time
-        scan.load(times, trace.sizes,
+        scan.load(times, trace.packet_bits,
                   np.searchsorted(times, samples, side="right"))
-        depart, dep_sizes = scan.run()
+        depart = scan.run()
         # kept counts the accepted arrivals among the first seen, and
         # departures keep arrival order
         c_at = (np.where(scan.kept > 0, depart[np.maximum(scan.kept - 1, 0)],
@@ -139,9 +140,10 @@ class FifoCarry:
         self.si = hi
         return DesResult(
             samples, self.q[si:hi],
-            PacketTrace.unchecked(depart, dep_sizes, (self.t0, max(
+            PacketTrace.unchecked(depart, scan.size, (self.t0, max(
                 self.t1, float(depart[-1]) if depart.size else self.t1))),
-            scan.drops - drops, scan.bits - bits, scan.looped - looped,
+            scan.drops - drops, (scan.drops - drops) * scan.size,
+            scan.looped - looped,
             scan.stepped - stepped, times.size, 1)
 
     def result(self, departures=None) -> DesResult:
@@ -168,13 +170,13 @@ _TINY = float(np.finfo(np.float64).tiny)
 class _Scan:
     """kernels.des_fifo's loop over a trace fed in one or more time
     segments, in the modes of the module docstring.  The state is the
-    loop's: the last completion c and the dropped bits so far (added in
-    arrival order, as the loop adds them), with whether a segment ended
-    inside a busy walk (walking), so the counts of mode D are the whole
-    trace's.  In a segment, j is the next arrival and the accepted
-    departures are out[:w]; kept[i] counts the accepted packets among the
-    first seen[i] arrivals.  The departures' buffer and the scratch serve
-    every segment."""
+    loop's: the last completion c and the dropped bits so far (each
+    segment's drops x its size), with whether a segment ended inside a
+    busy walk (walking), so the counts of mode D are the whole trace's.  In
+    a segment, j is the next arrival and the accepted departures are
+    out[:w]; kept[i] counts the accepted packets among the first seen[i]
+    arrivals.  The departures' buffer and the scratch serve every
+    segment."""
 
     def __init__(self, mu, cap_k):
         self.mu, self.cap = mu, cap_k
@@ -186,21 +188,17 @@ class _Scan:
         self.d = np.empty(0)    # the drop test's scratch
         self.tau = self.ex = self.ramp = None
 
-    def load(self, arrivals, sizes, seen):
-        """Swap in the next segment: its arrivals, sizes and seen."""
+    def load(self, arrivals, size, seen):
+        """Swap in the next segment: its arrivals, packet size and seen."""
         n = arrivals.size
-        self.a, self.s, self.seen = arrivals, sizes, seen
+        self.a, self.size, self.seen = arrivals, size, seen
         self.kept, self.si = np.zeros_like(seen), 0
         self.j = self.w = 0
         self.packets += n
         self.segments += 1
         if self.out.size < n:
             self.out = np.empty(n)
-        self.one = n > 0 and (sizes.strides == (0,)
-                              or sizes.min() == sizes.max())
-        if not self.one:
-            return
-        tau, block = float(sizes[0]) / self.mu, min(n, _CHUNK)
+        tau, block = size / self.mu, min(n, _CHUNK)
         if tau != self.tau or (self.ramp is not None
                                and self.ramp.size <= block):
             self.tau, self.ex, self.ramp = tau, None, None
@@ -208,24 +206,13 @@ class _Scan:
             self.d = np.empty(block)
 
     def run(self):
-        """The segment's (accepted departures, their sizes); the departures
-        view the buffer that the next segment reuses."""
+        """The segment's accepted departures, a view of the buffer that the
+        next segment reuses."""
         a, n = self.a, self.a.size
-        if not self.one:
-            # empty, or mixed sizes: the loop itself, a chunk at a time, so
-            # that its arrays stay a chunk long.  A busy walk under way goes
-            # on in the next one-size segment
-            keep = [self._loop(min(n, lo + _CHUNK))
-                    for lo in range(0, n, _CHUNK)]
-            self.drops += n - self.w
-            return self.out[:self.w], (self.s[np.concatenate(keep)]
-                                       if self.w < n else self.s)
-        if self.cap is not None and self.s[0] > self.cap:
-            # backlog + size > K for every arrival: all are dropped
-            for lo in range(0, n, _CHUNK):
-                self.bits = _add_in_order(self.bits, self.s[lo:lo + _CHUNK])
-            self.drops += n
-            return self.out[:0], self.s[:0]
+        if self.cap is not None and self.size > self.cap:
+            # backlog + size > K for every arrival: all are dropped, so
+            # the segment is done
+            self.j = n
         block = _BLOCK_MIN
         if self.walking:
             self.walking = not self._busy_walk()
@@ -257,10 +244,11 @@ class _Scan:
             else:
                 block = min(2 * block, _CHUNK)
         self.drops += n - self.w
-        return self.out[:self.w], self.s[:self.w]
+        self.bits += (n - self.w) * self.size
+        return self.out[:self.w]
 
     def _ramp(self, ex, top):
-        """One size: T_k = k tau_e for the binade below ``top`` (2^ex), or
+        """T_k = k tau_e for the binade below ``top`` (2^ex), or
         None where tau / u is a half-integer or tau >= top."""
         if ex != self.ex:
             self.ex, self.ramp = ex, None
@@ -291,7 +279,7 @@ class _Scan:
         """The loop's drop test on the ``got`` packets _lindley wrote: the
         index of the first drop, or got.  The test is nondecreasing in
         c - a, and at an idle server it passes, since the size is at most
-        K."""
+        K (run drops every packet of a larger size)."""
         if not got:
             return 0
         ab = self.a[self.j:self.j + got]
@@ -299,10 +287,10 @@ class _Scan:
         d[0] = self.c - ab[0]
         np.subtract(self.out[self.w:self.w + got - 1], ab[1:], out=d[1:])
         # try the largest first
-        if not d.max() * self.mu + self.s[0] > self.cap:
+        if not d.max() * self.mu + self.size > self.cap:
             return got
         d *= self.mu
-        d += self.s[0]
+        d += self.size
         hit = d > self.cap
         f = int(hit.argmax())
         return f if hit[f] else got
@@ -321,10 +309,10 @@ class _Scan:
 
     def _loop(self, hi, walk=False):
         """The loop's scalar step over arrivals j..hi - 1, counted as mode D
-        if ``walk``.  Returns the mask of the accepted ones."""
+        if ``walk``."""
         j0, w0 = self.j, self.w
-        dep, last_c, lost, _ = kernels.des_fifo(
-            self.a[j0:hi], self.s[j0:hi], self.mu, self.cap or 0.0, self.c)
+        dep, last_c, _, _ = kernels.des_fifo(
+            self.a[j0:hi], self.size, self.mu, self.cap or 0.0, self.c)
         keep = ~np.isnan(dep)
         kept = dep[keep]
         self.out[w0:w0 + kept.size] = kept
@@ -332,10 +320,7 @@ class _Scan:
         self.j, self.c = hi, last_c[-1]
         self.stepped += hi - j0
         self.looped += walk * (hi - j0)
-        if lost:
-            self.bits = _add_in_order(self.bits, self.s[j0:hi][~keep])
         self._settle(j0, w0, np.concatenate(([0], np.cumsum(keep))))
-        return keep
 
     def _busy_walk(self):
         """Mode D: kernels.des_fifo's results, bit for bit, for the busy run
@@ -353,8 +338,7 @@ class _Scan:
         accepted iff k_i < m_i; hence k_(i+1) = min(k_i + 1, m_i), which
         unrolls to k_i = i + min(0, min over l < i of (m_l - l - 1)).
         """
-        a, mu, cap = self.a, self.mu, self.cap
-        size = float(self.s[0])
+        a, mu, cap, size = self.a, self.mu, self.cap, self.size
         off = (cap - size) / mu
         block = _BLOCK_MIN
         while self.j < a.size:
@@ -406,23 +390,11 @@ class _Scan:
             self.j += e
             self.c = comp[got]
             self.looped += e
-            if e > got:
-                self.bits = _add_in_order(self.bits, np.full(e - got, size))
             self._settle(j0, w0, k)
             if e < b:
                 return True
             block = min(2 * block, _BLOCK_MAX)
         return False
-
-
-def _add_in_order(total, values):
-    """total + values[0] + values[1] + ..., added left to right as the
-    event loop adds its dropped sizes; not values.sum(), which adds
-    pairwise and can round otherwise."""
-    terms = np.empty(values.size + 1)
-    terms[0] = total
-    terms[1:] = values
-    return float(np.add.accumulate(terms, out=terms)[-1])
 
 
 def departures_to_outflow(result: DesResult, dt: float) -> RateSeries:
@@ -431,4 +403,4 @@ def departures_to_outflow(result: DesResult, dt: float) -> RateSeries:
     dep = result.departures
     t0 = dep.horizon[0]
     t1 = max(float(result.sample_times[-1]), dep.horizon[1])
-    return bin_rates(dep.times, dep.sizes, t0, t1, dt)
+    return bin_rates(dep.times, dep.packet_bits, t0, t1, dt)

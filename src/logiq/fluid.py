@@ -223,6 +223,8 @@ def queue_decay_bound(t, t_x, q_x, mu, x_inf, alpha):
     """Exponential envelope exp(alpha*(c - beta*t)) valid for t >= t_x when
     the inflow stays below x_inf < mu."""
     _check_bound_args(t_x, alpha)
+    if not 0 < mu < math.inf:
+        raise DomainError("mu must be finite and > 0")
     if not 0.0 <= x_inf < mu:
         raise DomainError("bound requires 0 <= x_inf < mu")
     if not 0 < q_x < math.inf:
@@ -278,8 +280,8 @@ def integrate_point_queue(inflow: RateSeries, mu: float, q0: float = 0.0
     """(grid, q): exact trajectory of the projected point-queue model on
     the inflow grid: the exact logistic bins at alpha = inf, no ODE
     stepping."""
-    if not mu > 0:      # NaN fails too
-        raise ParameterError("mu must be > 0")
+    if not 0 < mu < math.inf:      # NaN fails too
+        raise ParameterError("mu must be finite and > 0")
     if not 0 <= q0 < math.inf:
         raise ParameterError("q0 must be finite and >= 0")
     q = kernels.point_queue_exact(inflow.dt, inflow.values, float(mu),

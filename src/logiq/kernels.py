@@ -181,39 +181,37 @@ def point_queue_exact(x_dt, x_vals, mu, q0):
     return np.concatenate(([q0], _exact_bins(q0, d, x_dt, math.inf)[1]))
 
 
-def des_fifo(arrivals, sizes, mu, cap_k, c_prev=-math.inf):
-    """Single-server FIFO (Lindley) recursion with optional drop-tail buffer
-    (cap_k > 0; 0 is the infinite buffer), from the last completion time
-    ``c_prev`` (-inf: an empty server).
+def des_fifo(arrivals, size, mu, cap_k, c_prev=-math.inf):
+    """Single-server FIFO (Lindley) recursion for packets of ``size`` bits
+    with optional drop-tail buffer (cap_k > 0; 0 is the infinite buffer),
+    from the last completion time ``c_prev`` (-inf: an empty server).
 
-    des.simulate_fifo reproduces it bit for bit, for one packet size, with
-    one Lindley scan, and steps it only where that scan's binade rule fails
-    (a binade crossing, a binade where the service time ties, times below
-    the smallest normal float), carrying c_prev from one stretch to the
-    next.  A segment of mixed sizes runs it whole.
+    des.simulate_fifo reproduces it bit for bit with one Lindley scan, and
+    steps it only where that scan's binade rule fails (a binade crossing, a
+    binade where the service time ties, times below the smallest normal
+    float), carrying c_prev from one stretch to the next.
 
     Returns (depart, last_completion, n_dropped, dropped_bits); depart[j] is
     NaN for dropped packets (a departure can come at any time, negative
     ones too), last_completion[j] is the completion time of the latest
-    accepted packet among the first j+1 arrivals (server work function).
-    des reads depart and the last completion; the tests compare
-    last_completion with the forward fill of depart.
+    accepted packet among the first j+1 arrivals (server work function),
+    and dropped_bits is n_dropped * size.  des reads depart and the last
+    completion; the tests compare last_completion with the forward fill of
+    depart.
     """
     n = arrivals.shape[0]
     depart = np.empty(n)
     last_c = np.empty(n)
     n_drop = 0
-    bits_drop = 0.0
     for j in range(n):
         a = arrivals[j]
         backlog = (c_prev - a) * mu if c_prev > a else 0.0
-        if cap_k > 0.0 and backlog + sizes[j] > cap_k:
+        if cap_k > 0.0 and backlog + size > cap_k:
             depart[j] = np.nan
             n_drop += 1
-            bits_drop += sizes[j]
         else:
             start = c_prev if c_prev > a else a
-            c_prev = start + sizes[j] / mu
+            c_prev = start + size / mu
             depart[j] = c_prev
         last_c[j] = c_prev
-    return depart, last_c, n_drop, bits_drop
+    return depart, last_c, n_drop, n_drop * size

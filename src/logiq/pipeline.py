@@ -15,8 +15,7 @@ from .network import (DtState, Topology, inject_priority_flow, latency_series,
                       max_expected_latency, propagate)
 from .series import (PacketTrace, RateSeries, ParameterError, bin_range,
                      edge_counts, intensity, mean_rate, merge_traces,
-                     merged_segments, n_bins, run_sums, traffic_process,
-                     trace_to_inflow)
+                     merged_segments, n_bins, traffic_process, trace_to_inflow)
 from .traffic import (VideoUserParams, generate_users, interuse_for_rate,
                       user_chunks)
 
@@ -104,11 +103,10 @@ def stream_oracle(runs, size, horizon, cfg: DesConfig, width=None):
     one count.  The whole trace's outflow grid reaches its last departure,
     and its last bin takes every later departure: the last inflow bin
     takes that count when the two grids end together.  A bin's bits are
-    the sum of as many copies of ``size`` as the whole trace's binning
-    sums: the inflow, q samples and outflow are the whole trace's byte for
-    byte.
+    its count times ``size``, as in the whole trace's binning: the inflow,
+    q samples and outflow are the whole trace's byte for byte.
     """
-    t0 = float(horizon[0])
+    t0, size = float(horizon[0]), float(size)
     dt = cfg.sample_dt
     n = n_bins(t0, horizon[1], dt)
     carry = FifoCarry(cfg, horizon)
@@ -117,11 +115,10 @@ def stream_oracle(runs, size, horizon, cfg: DesConfig, width=None):
     segments = merged_segments(runs, t0, dt, n, width or n)
     try:
         for times, b0, b1 in segments:
-            sizes = np.broadcast_to(float(size), times.shape)
-            bits_in[b0:b1] = bin_range(times, sizes, t0, dt, b0, b1)
+            bits_in[b0:b1] = bin_range(times, size, t0, dt, b0, b1)
             t_start = time.perf_counter()
             part = simulate_fifo(
-                PacketTrace.unchecked(times, sizes, horizon), cfg, carry)
+                PacketTrace.unchecked(times, size, horizon), cfg, carry)
             runtime += time.perf_counter() - t_start
             dep = part.departures.times
             if dep.size:
@@ -139,18 +136,16 @@ def stream_oracle(runs, size, horizon, cfg: DesConfig, width=None):
     end = max(float(carry.sample_times[-1]), horizon[1], carry.scan.c)
     if n_bins(t0, end, dt) == n:
         departed[n - 1] += departed[n]
-    bounds = np.concatenate(([0], np.cumsum(departed[:n])))
-    bits_out = run_sums(np.broadcast_to(float(size), bounds[-1]), bounds)
-    return (RateSeries(t0, dt, bits_in / dt), des_result, bits_out / dt,
-            runtime)
+    return (RateSeries(t0, dt, bits_in / dt), des_result,
+            departed[:n] * size / dt, runtime)
 
 
 def whole_trace_oracle(traces, cfg: DesConfig):
-    """The oracle path on whole traces of any sizes sharing one horizon:
+    """The oracle path on whole traces of one size sharing one horizon:
     merge_traces, trace_to_inflow, simulate_fifo and departures_to_outflow,
     with arrays as long as the trace alive at once.  Returns (inflow,
-    DesResult, the departures' rates on the inflow's bins); for one-size
-    traffic stream_oracle gives them byte for byte, and its tests compare
+    DesResult, the departures' rates on the inflow's bins); for a whole-bit
+    size stream_oracle gives them byte for byte, and its tests compare
     against this path."""
     merged = merge_traces(traces)
     inflow = trace_to_inflow(merged, cfg.sample_dt)

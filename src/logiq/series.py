@@ -3,7 +3,8 @@
 A :class:`RateSeries` stores bits/second on a uniform grid of step ``dt``;
 ``values[i]`` is the aggregate rate over the half-open bin
 ``(t0 + i*dt, t0 + (i+1)*dt]`` and is anchored at the bin's right edge.
-A :class:`PacketTrace` is a time-sorted sequence of (arrival, size) events.
+A :class:`PacketTrace` is a time-sorted sequence of arrivals of packets of
+one size.
 """
 
 import math
@@ -32,32 +33,27 @@ _SORT_CHECK = 1 << 16
 
 @dataclass(frozen=True)
 class PacketTrace:
-    """Sorted packet arrivals (seconds) with sizes (bits) over a horizon.
-
-    ``sizes`` may be a read-only stride-0 view (``np.broadcast_to``) when
-    every packet has one size, as in generated traffic; it is kept as given.
-    """
+    """Sorted packet arrivals (seconds) over a horizon, every packet of one
+    size, ``packet_bits`` bits (a positive, finite float)."""
 
     times: np.ndarray
-    sizes: np.ndarray
+    packet_bits: float
     horizon: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
-        sizes = np.asarray(self.sizes, dtype=np.float64)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "sizes", sizes)
-        if times.shape != sizes.shape or times.ndim != 1:
-            raise ParameterError("times and sizes must be 1-d arrays of equal length")
+        object.__setattr__(self, "packet_bits", float(self.packet_bits))
+        if times.ndim != 1:
+            raise ParameterError("times must be a 1-d array")
         # negated checks, so that NaN fails them; sortedness is checked a
         # chunk at a time, without an n-byte mask
         for lo in range(0, times.size - 1, _SORT_CHECK):
             chunk = times[lo:lo + _SORT_CHECK + 1]
             if not np.all(chunk[1:] >= chunk[:-1]):
                 raise ParameterError("packet times must be sorted nondecreasing")
-        # a stride-0 view holds one value: test it, not n copies of it
-        if not np.all((sizes[:1] if sizes.strides == (0,) else sizes) > 0):
-            raise ParameterError("packet sizes must be positive")
+        if not 0 < self.packet_bits < math.inf:
+            raise ParameterError("packet_bits must be finite and > 0")
         t0, t1 = self.horizon
         if not t0 <= t1:
             raise ParameterError("empty horizon")
@@ -65,14 +61,14 @@ class PacketTrace:
             raise ParameterError("packet times outside horizon")
 
     @classmethod
-    def unchecked(cls, times, sizes, horizon):
-        """The trace of float64 ``times`` and ``sizes`` that their maker
-        has made valid, sorted, positive and inside ``horizon``, as the
+    def unchecked(cls, times, packet_bits, horizon):
+        """The trace of float64 ``times`` and float ``packet_bits`` that
+        their maker has made valid, sorted and inside ``horizon``, as the
         oracle's departures and a merged segment are, without
         __post_init__'s passes over the packets."""
         trace = object.__new__(cls)
         object.__setattr__(trace, "times", times)
-        object.__setattr__(trace, "sizes", sizes)
+        object.__setattr__(trace, "packet_bits", packet_bits)
         object.__setattr__(trace, "horizon", horizon)
         return trace
 
@@ -81,24 +77,14 @@ class PacketTrace:
 
     @property
     def total_bits(self) -> float:
-        return float(self.sizes.sum())
+        return len(self) * self.packet_bits
 
     def to_csv(self, path):
+        size = f"{self.packet_bits:g}"
         with open(path, "w") as fh:
             fh.write("t_arrival_s,size_bits\n")
-            for t, s in zip(self.times, self.sizes):
-                fh.write(f"{t:.9f},{s:g}\n")
-
-    @classmethod
-    def from_csv(cls, path, horizon=None):
-        data = _loadtxt_quiet(path)
-        if data.size == 0:
-            data = data.reshape(0, 2)
-        times, sizes = data[:, 0], data[:, 1]
-        if horizon is None:
-            horizon = (float(times[0]) if times.size else 0.0,
-                       float(times[-1]) if times.size else 0.0)
-        return cls(times, sizes, horizon)
+            for t in self.times:
+                fh.write(f"{t:.9f},{size}\n")
 
 
 @dataclass(frozen=True)
@@ -173,33 +159,25 @@ class RateSeries:
 
 
 def merge_traces(traces, horizon=None) -> PacketTrace:
-    """Stable sorted merge of packet traces sharing one horizon: packets at
-    equal times keep the order of ``traces``.
+    """Stable sorted merge of packet traces of one packet size sharing one
+    horizon: packets at equal times keep the order of ``traces``.
 
-    ``horizon`` defaults to the first trace's; with no traces it is the
-    horizon of the empty result, (0, 0) if not given.  When every packet has
-    one size, sorting the times alone gives the stable merge (_merge_sorted),
-    and the merged sizes are one read-only stride-0 view.
+    ``horizon`` defaults to the first trace's.  Traces of different sizes,
+    and an empty list, which has no size, raise ParameterError.
     """
     traces = list(traces)
+    if not traces:
+        raise ParameterError("no traces to merge")
     if horizon is None:
-        horizon = traces[0].horizon if traces else (0.0, 0.0)
+        horizon = traces[0].horizon
+    bits = traces[0].packet_bits
     for tr in traces:
         if tuple(tr.horizon) != tuple(horizon):
             raise ParameterError("cannot merge traces with different horizons")
-    if not traces:
-        return PacketTrace(np.empty(0), np.empty(0), horizon)
-    # a stride-0 view holds one value: read it once, as PacketTrace does
-    sized = [tr.sizes[:1] if tr.sizes.strides == (0,) else tr.sizes
-             for tr in traces if len(tr)]
-    if sized and all(s.min() == s.max() == sized[0][0] for s in sized):
-        times = _merge_sorted([tr.times for tr in traces], horizon)
-        return PacketTrace(times, np.broadcast_to(sized[0][0], times.shape),
-                           horizon)
-    times = np.concatenate([tr.times for tr in traces])
-    sizes = np.concatenate([tr.sizes for tr in traces])
-    order = np.argsort(times, kind="stable")
-    return PacketTrace(times[order], sizes[order], horizon)
+        if tr.packet_bits != bits:
+            raise ParameterError("cannot merge traces of different packet sizes")
+    return PacketTrace(_merge_sorted([tr.times for tr in traces], horizon),
+                       bits, horizon)
 
 
 # _merge_sorted's target bucket length in packets: a bucket's sort stays in
@@ -247,39 +225,40 @@ def trace_to_inflow(trace, dt: float, horizon=None) -> RateSeries:
 
     Bin i collects bits arriving in (t0 + i*dt, t0 + (i+1)*dt]; an arrival
     exactly at t0 goes to bin 0 so total mass is conserved.  An iterable of
-    traces sharing ``horizon`` (defaulted as merge_traces does) is binned
-    trace by trace as it is consumed, summing bits per bin in trace order:
-    for integer-valued sizes that is the binned merge_traces(trace), bit for
-    bit.  Each trace is let go once binned, so a generator of traces never
-    has two alive here.
+    traces sharing ``horizon`` (defaulted to the first trace's, (0, 0)
+    with none) is binned trace by trace as it is consumed, summing bits
+    per bin in trace order: for whole-bit sizes that is the binned
+    merge_traces(trace), bit for bit.  Each trace is let go once binned, so
+    a generator of traces never has two alive here.
     """
     traces = iter([trace] if isinstance(trace, PacketTrace) else trace)
     tr = next(traces, None)
     if horizon is None:
         horizon = tr.horizon if tr is not None else (0.0, 0.0)
     t0, t1 = horizon
-    bits = _bin_bits((), (), t0, t1, dt)     # the empty grid; checks dt
+    bits = _bin_bits((), None, t0, t1, dt)     # the empty grid; checks dt
     while tr is not None:
         if tuple(tr.horizon) != tuple(horizon):
             raise ParameterError("cannot bin traces with different horizons")
-        bits += _bin_bits(tr.times, tr.sizes, t0, t1, dt)
+        bits += _bin_bits(tr.times, tr.packet_bits, t0, t1, dt)
         del tr
         tr = next(traces, None)
     return RateSeries(t0, dt, bits / dt)
 
 
-def bin_rates(times, sizes, t0, t1, dt) -> RateSeries:
-    """The rate series of the bits ``sizes`` arriving at the nondecreasing
-    ``times`` in [t0, t1], binned as trace_to_inflow describes."""
-    return RateSeries(t0, dt, _bin_bits(times, sizes, t0, t1, dt) / dt)
+def bin_rates(times, packet_bits, t0, t1, dt) -> RateSeries:
+    """The rate series of packets of ``packet_bits`` bits arriving at the
+    nondecreasing ``times`` in [t0, t1], binned as trace_to_inflow
+    describes."""
+    return RateSeries(t0, dt, _bin_bits(times, packet_bits, t0, t1, dt) / dt)
 
 
-def _bin_bits(times, sizes, t0, t1, dt) -> np.ndarray:
+def _bin_bits(times, packet_bits, t0, t1, dt) -> np.ndarray:
     """The bits per bin of bin_rates.  A packet at t goes to bin
     clip(ceil((t - t0) / dt) - 1), evaluated in floating point."""
     if not 0 < dt < math.inf:       # NaN fails too
         raise ParameterError("dt must be finite and > 0")
-    return bin_range(times, sizes, t0, dt, 0, n_bins(t0, t1, dt))
+    return bin_range(times, packet_bits, t0, dt, 0, n_bins(t0, t1, dt))
 
 
 def n_bins(t0, t1, dt) -> int:
@@ -287,27 +266,16 @@ def n_bins(t0, t1, dt) -> int:
     return max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
 
 
-def bin_range(times, sizes, t0, dt, b0, b1) -> np.ndarray:
+def bin_range(times, packet_bits, t0, dt, b0, b1) -> np.ndarray:
     """The bits per bin of bins b0..b1-1 of the grid t0 + k dt, for
     nondecreasing ``times`` that _bin_bits puts in those bins, the last bin
-    taking every packet past its left edge.  Each bin holds a run of
-    consecutive packets (edge_counts), and sums over a bin are exact for
-    integer-valued sizes."""
+    taking every packet past its left edge: each bin's count of packets
+    (edge_counts) times ``packet_bits``, exact for a whole-bit size."""
     n = len(times)
     if n == 0:
         return np.zeros(b1 - b0)
-    return run_sums(sizes, np.concatenate((
-        [0], edge_counts(times, t0, dt, np.arange(b0 + 1, b1)), [n])))
-
-
-def run_sums(values, bounds) -> np.ndarray:
-    """The sums of values[bounds[i]:bounds[i + 1]] for nondecreasing
-    ``bounds`` that end at values.size, each added as np.add.reduceat adds
-    it."""
-    sums = np.zeros(bounds.size - 1)
-    filled = bounds[:-1] < bounds[1:]
-    sums[filled] = np.add.reduceat(values, bounds[:-1][filled])
-    return sums
+    return np.diff(edge_counts(times, t0, dt, np.arange(b0 + 1, b1)),
+                   prepend=0, append=n) * packet_bits
 
 
 def edge_counts(times, t0, dt, k) -> np.ndarray:

@@ -39,8 +39,8 @@ class VideoUserParams:
                      "interpacket_mean_s", "interuse_mean_s"):
             if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be strictly positive")
-        if not self.packet_size_bits > 0:
-            raise ParameterError("packet_size_bits must be strictly positive")
+        if not 0 < self.packet_size_bits < math.inf:
+            raise ParameterError("packet_size_bits must be finite and > 0")
         if not self.burst_size_dispersion >= 0:
             raise ParameterError("burst_size_dispersion must be nonnegative")
         table = tuple((float(d), float(p)) for d, p in self.session_lengths)
@@ -97,8 +97,7 @@ def generate_video_user(params: VideoUserParams, horizon, seed,
     # burst's end, a session after the previous session_end, and every kept
     # time is below its session_end <= t1.  PacketTrace checks the order.
     times = np.concatenate(chunks) if chunks else np.empty(0)
-    sizes = np.broadcast_to(float(params.packet_size_bits), times.shape)
-    return PacketTrace(times, sizes, (t0, t1))
+    return PacketTrace(times, params.packet_size_bits, (t0, t1))
 
 
 def video_user_chunks(params: VideoUserParams, horizon, seed,
@@ -194,5 +193,10 @@ def user_chunks(params: VideoUserParams, horizon, seed, n_users: int,
 
 def generate_aggregate(params: VideoUserParams, horizon, seed, n_users: int,
                        warmup_s: float = 0.0) -> PacketTrace:
-    return merge_traces(generate_users(params, horizon, seed, n_users, warmup_s),
-                        horizon=(float(horizon[0]), float(horizon[1])))
+    """merge_traces of generate_users' traces; with no users, the empty
+    trace on ``horizon``."""
+    traces = generate_users(params, horizon, seed, n_users, warmup_s)
+    horizon = (float(horizon[0]), float(horizon[1]))
+    if not traces:
+        return PacketTrace(np.empty(0), params.packet_size_bits, horizon)
+    return merge_traces(traces, horizon=horizon)

@@ -76,6 +76,16 @@ class TestCommands:
         assert len(rows) == 10
         assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
+    def test_generate_zero_users_writes_the_header(self, tmp_path):
+        # no trace to merge: trace.csv holds the header alone
+        payload = {"traffic": {"users": 0, "horizon": "600 s", "dt": "60 s"}}
+        code, out = run(tmp_path, "generate", payload)
+        assert code == 0
+        assert (out / "trace.csv").read_text() == "t_arrival_s,size_bits\n"
+        rows = (out / "inflow.csv").read_text().splitlines()[1:]
+        assert len(rows) == 10
+        assert all(float(r.split(",")[1]) == 0.0 for r in rows)
+
     def test_validate(self, tmp_path):
         code, out = run(tmp_path, "validate", BASE)
         assert code == 0

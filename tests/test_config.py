@@ -287,3 +287,76 @@ def test_whole_float_count_accepted():
     assert all(type(v) is int for v in (cfg["traffic"]["users"],
                                         cfg["traffic"]["seed"],
                                         cfg["workers"]))
+
+
+# int() truncated a fractional packet size (11712.7 ran 11 712-bit
+# packets), and 0.5 became 0, refused under the name packet_size_bits
+@pytest.mark.parametrize("raw, path", [
+    ({"traffic": {"params": {"packet_size": 11712.7}}},
+     "config.traffic.params.packet_size"),
+    ({"traffic": {"params": {"packet_size": 0.5}}},
+     "config.traffic.params.packet_size"),
+    ({"traffic": {"params": {"packet_size": "1464.1 B"}}},
+     "config.traffic.params.packet_size"),
+    ({"traffic": {"params": {"packet_size": 0}}},
+     "config.traffic.params.packet_size"),
+    ({"traffic": {"params": {"packet_size": True}}},
+     "config.traffic.params.packet_size"),
+    ({"network": {**NETWORK, "flows": {**NETWORK["flows"],
+                                       "params": {"packet_size": 11712.7}}}},
+     "config.network.flows.params.packet_size"),
+], ids=["fraction", "half_bit", "fraction_of_bytes", "zero", "bool",
+        "flows.params.fraction"])
+def test_packet_size_not_whole_rejected_with_path(raw, path):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path}: expected a whole number of bits > 0")):
+        parse_config(raw)
+
+
+def test_whole_packet_size_accepted():
+    cfg = parse_config({"traffic": {"params": {"packet_size": 11712.0}},
+                        "network": {**NETWORK, "flows": {
+                            **NETWORK["flows"],
+                            "params": {"packet_size": "1 kB"}}}})
+    assert cfg["traffic"]["params"].packet_size_bits == 11712
+    assert cfg["network"]["flows"]["params"].packet_size_bits == 8000
+
+
+# a string was read one character at a time: "12" ran two origins at 1 and
+# 2 b/s, and ["10", "01"] became the identity routing matrix
+@pytest.mark.parametrize("raw, path", [
+    ({**NETWORK, "access_mu": "12"}, "config.network.access_mu"),
+    ({**NETWORK, "access_mu": {"a": "25 Gb/s"}}, "config.network.access_mu"),
+    ({**NETWORK, "egress_xi": "20"}, "config.network.egress_xi"),
+    ({**NETWORK, "routing": "10"}, "config.network.routing"),
+    ({**NETWORK, "routing": ["10", "01"]}, "config.network.routing[0]"),
+    ({**NETWORK, "routing": [[0.5, 0.5], "01"]}, "config.network.routing[1]"),
+    ({**NETWORK, "priority_rates": "5"}, "config.network.priority_rates"),
+    ({**NETWORK, "priority_rates": None}, "config.network.priority_rates"),
+], ids=["access_mu", "access_mu_object", "egress_xi", "routing",
+        "routing_rows", "routing_row_1", "priority_rates",
+        "priority_rates_null"])
+def test_network_list_not_array_rejected_with_path(raw, path):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path}: expected a JSON array")):
+        parse_config({"network": raw})
+
+
+def test_network_list_item_error_names_the_field():
+    with pytest.raises(ConfigError, match=re.escape(
+            "config.network.egress_xi: ")):
+        parse_config({"network": {**NETWORK, "egress_xi": ["20 GB"]}})
+
+
+@pytest.mark.parametrize("raw", [
+    {"traffic": {"params": {"packet_size": 11712.7}},
+     "queue": {"mu": "11.33 Mb/s"}},
+    {"network": {**NETWORK, "access_mu": "12"}},
+], ids=["packet_size", "access_mu"])
+def test_not_whole_or_not_array_exits_2(tmp_path, capsys, raw):
+    from logiq.cli import main
+    command = "dt" if "network" in raw else "validate"
+    code = main([command, "--config", str(write_cfg(tmp_path, raw)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: config.")

@@ -476,9 +476,11 @@ class TestBounds:
         lambda: queue_decay_bound(1.0, 0.0, 1.0, 2.0, 1.0, -1.0),
         lambda: queue_decay_bound(1.0, 0.0, np.nan, 2.0, 1.0, 1.0),
         lambda: queue_decay_bound(1.0, np.nan, 1.0, 2.0, 1.0, 1.0),
+        lambda: queue_decay_bound(1.0, 0.0, 1.0, np.inf, 1.0, 1.0),
     ], ids=["empty_alpha_nan", "empty_alpha_0", "empty_alpha_neg",
             "empty_t_x_nan", "decay_alpha_nan", "decay_alpha_0",
-            "decay_alpha_neg", "decay_q_x_nan", "decay_t_x_nan"])
+            "decay_alpha_neg", "decay_q_x_nan", "decay_t_x_nan",
+            "decay_mu_inf"])
     def test_bounds_reject_bad_alpha_and_nan(self, call):
         with pytest.raises(DomainError):
             call()
@@ -815,11 +817,12 @@ class TestSpecValidation:
         (lambda x: compute_alpha(x, np.nan), ParameterError),
         (lambda x: exit_time(1.0, 2.0, np.nan), DomainError),
         (lambda x: integrate_point_queue(x, np.nan), ParameterError),
+        (lambda x: integrate_point_queue(x, np.inf), ParameterError),
         (lambda x: outflow_rate(0.5, 0.0, np.nan, 1.0), DomainError),
         (lambda x: outflow_rate(0.5, 0.0, 1.0, np.nan), DomainError),
         (lambda x: outflow_rate(0.5, np.nan, 1.0, 1.0), DomainError),
         (lambda x: priority_rates(0.5, 0.2, np.nan, 1.0, 1.0), DomainError),
-    ], ids=["compute_alpha", "exit_time", "point_queue", "outflow_mu", "outflow_alpha", "outflow_q", "priority_q1"])
+    ], ids=["compute_alpha", "exit_time", "point_queue", "point_queue_mu_inf", "outflow_mu", "outflow_alpha", "outflow_q", "priority_q1"])
     def test_functions_reject_nan(self, call, error):
         with pytest.raises(error):
             call(const_inflow(0.5, 5.0))

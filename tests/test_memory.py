@@ -1,4 +1,4 @@
-"""Memory the one-size packet path holds and peaks at, counted by
+"""Memory the packet path holds and peaks at, counted by
 tracemalloc, which numpy reports its buffers to.  Bounds are in units of 8n
 bytes, one float64 per packet of the trace; the counts are deterministic.
 Each stage keeps one full-length array: the bounds leave room for
@@ -85,8 +85,8 @@ def test_infinite_buffer_oracle_peak(traced):
 
 def test_drop_tail_oracle_peak(traced):
     # 175 581 drops; the result holds the departure times in the one array
-    # the scan wrote compacted, and a stride-0 view of the one size.
-    # Measured: a peak of 1.15 and 1.00 held, per 8n bytes
+    # the scan wrote compacted.  Measured: a peak of 1.15 and 1.00 held, per
+    # 8n bytes
     merged = merge_traces(generate(), horizon=HORIZON)
     n = len(merged)
     base = tracemalloc.get_traced_memory()[0]
@@ -94,7 +94,6 @@ def test_drop_tail_oracle_peak(traced):
                                    DesConfig(mu=2.88e6, capacity_k=2e7))
     held = tracemalloc.get_traced_memory()[0] - base
     assert n > 500_000 and res.drop_count > 100_000
-    assert res.departures.sizes.strides == (0,)
     assert peak <= 1.25 * 8 * n
     assert held <= 1.1 * 8 * n
 

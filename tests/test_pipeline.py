@@ -201,9 +201,8 @@ class TestStreamOracle:
         with drawing(kind):
             streamed = pipeline.stream_oracle(
                 [iter(run) for run in chunks], SIZE, horizon, cfg, width)
-        traces = [PacketTrace(np.concatenate(run),
-                              np.full(sum(c.size for c in run), SIZE),
-                              horizon) for run in chunks]
+        traces = [PacketTrace(np.concatenate(run), SIZE, horizon)
+                  for run in chunks]
         assert_same(streamed, pipeline.whole_trace_oracle(traces, cfg))
         bins = n_bins(*horizon, dt)
         assert bins == (12 if end == 12.0 else 3)
@@ -222,7 +221,7 @@ class TestStreamOracle:
         streamed = pipeline.stream_oracle([iter([times])], SIZE, horizon,
                                           cfg, width)
         whole = pipeline.whole_trace_oracle(
-            [PacketTrace(times, np.full(2, SIZE), horizon)], cfg)
+            [PacketTrace(times, SIZE, horizon)], cfg)
         assert_same(streamed, whole)
         last = whole[1].departures.times[-1]
         assert last > 12.0 and streamed[2][-1] == (

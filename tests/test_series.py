@@ -18,7 +18,7 @@ def make_trace(times, size=1000.0, horizon=None):
     times = np.asarray(times, dtype=float)
     if horizon is None:
         horizon = (0.0, float(times[-1]) if times.size else 0.0)
-    return PacketTrace(times, np.full(times.shape, size), horizon)
+    return PacketTrace(times, size, horizon)
 
 
 class TestPacketTrace:
@@ -40,40 +40,33 @@ class TestPacketTrace:
                     make_trace(broken, horizon=(-1.0, 12.0))
 
     def test_rejects_nonpositive_sizes(self):
-        with pytest.raises(ParameterError):
-            PacketTrace(np.array([1.0]), np.array([0.0]), (0.0, 2.0))
-
-    @pytest.mark.parametrize("size", [0.0, -1.0, np.nan])
-    def test_rejects_bad_stride0_size(self, size):
-        # a stride-0 view is checked through its one value
-        with pytest.raises(ParameterError, match="sizes must be positive"):
-            PacketTrace(np.array([0.5, 0.7]), np.broadcast_to(size, (2,)),
-                        (0.0, 1.0))
+        # an empty trace states its size too
+        for times in ([1.0], []):
+            for size in (0.0, -1.0):
+                with pytest.raises(ParameterError, match="packet_bits"):
+                    PacketTrace(np.array(times), size, (0.0, 2.0))
 
     def test_rejects_times_outside_horizon(self):
         with pytest.raises(ParameterError):
             make_trace([1.0, 5.0], horizon=(0.0, 4.0))
 
-    @pytest.mark.parametrize("times, sizes", [
-        ([0.5, np.nan], [100.0, 100.0]),
-        ([np.nan, 0.5], [100.0, 100.0]),
-        ([np.nan], [100.0]),
-        ([0.5, 0.7], [100.0, np.nan]),
-        ([0.5, np.nan], [100.0, np.nan]),
-    ], ids=["time_last", "time_first", "single_time", "size", "both"])
-    def test_rejects_nan(self, times, sizes):
+    # an infinite size made the oracle's backlog samples [0, inf, inf]
+    @pytest.mark.parametrize("times, size", [
+        ([0.5, np.nan], 100.0),
+        ([np.nan, 0.5], 100.0),
+        ([np.nan], 100.0),
+        ([0.5, 0.7], np.nan),
+        ([0.5, np.nan], np.nan),
+        ([0.5, 0.7], np.inf),
+    ], ids=["time_last", "time_first", "single_time", "size", "both",
+            "size_inf"])
+    def test_rejects_nan(self, times, size):
         with pytest.raises(ParameterError):
-            PacketTrace(np.array(times), np.array(sizes), (0.0, 1.0))
+            PacketTrace(np.array(times), size, (0.0, 1.0))
 
     def test_rejects_nan_horizon(self):
         with pytest.raises(ParameterError):
-            PacketTrace(np.empty(0), np.empty(0), (0.0, np.nan))
-
-    def test_csv_with_nan_row_rejected(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text("t_arrival_s,size_bits\n0.5,100\nnan,100\n")
-        with pytest.raises(ParameterError):
-            PacketTrace.from_csv(path, horizon=(0.0, 1.0))
+            PacketTrace(np.empty(0), 100.0, (0.0, np.nan))
 
     def test_total_bits(self):
         tr = make_trace([0.5, 1.0, 1.5], size=100.0)
@@ -83,16 +76,17 @@ class TestPacketTrace:
         tr = make_trace([0.123456789, 1.0, 2.5], size=11712.0)
         path = tmp_path / "trace.csv"
         tr.to_csv(path)
-        back = PacketTrace.from_csv(path, horizon=tr.horizon)
-        np.testing.assert_allclose(back.times, tr.times, atol=1e-9)
-        np.testing.assert_array_equal(back.sizes, tr.sizes)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t_arrival_s,size_bits"
+        assert [line.split(",")[1] for line in lines[1:]] == ["11712"] * 3
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_allclose(back[:, 0], tr.times, atol=1e-9)
 
     def test_empty_csv_round_trip(self, tmp_path):
-        tr = PacketTrace(np.empty(0), np.empty(0), (0.0, 10.0))
+        tr = PacketTrace(np.empty(0), 11712.0, (0.0, 10.0))
         path = tmp_path / "empty.csv"
         tr.to_csv(path)
-        back = PacketTrace.from_csv(path, horizon=(0.0, 10.0))
-        assert len(back) == 0
+        assert path.read_text() == "t_arrival_s,size_bits\n"
 
 
 class TestRateSeries:
@@ -165,7 +159,7 @@ class TestBinning:
         assert inflow.values[0] == pytest.approx(1.0)
 
     def test_empty_trace_zero_series(self):
-        tr = PacketTrace(np.empty(0), np.empty(0), (0.0, 300.0))
+        tr = PacketTrace(np.empty(0), 11712.0, (0.0, 300.0))
         inflow = trace_to_inflow(tr, 60.0)
         assert len(inflow) == 5
         assert np.all(inflow.values == 0.0)
@@ -176,7 +170,7 @@ class TestBinning:
     @settings(max_examples=60, deadline=None)
     def test_mass_conservation(self, raw_times, dt):
         times = np.sort(np.asarray(raw_times))
-        tr = PacketTrace(times, np.full(times.shape, 1464 * 8.0), (0.0, 600.0))
+        tr = PacketTrace(times, 1464 * 8.0, (0.0, 600.0))
         inflow = trace_to_inflow(tr, dt)
         binned_bits = inflow.values.sum() * dt
         assert binned_bits == pytest.approx(tr.total_bits, rel=1e-12, abs=1e-9)
@@ -186,15 +180,16 @@ class TestBinning:
            n_bins=st.integers(1, 40),
            picks=st.lists(st.tuples(st.sampled_from(
                ["edge", "ulp_below", "ulp_above", "t0", "past_t1", "inside"]),
-               st.floats(0.0, 1.0), st.integers(1, 1000)), max_size=120))
+               st.floats(0.0, 1.0)), max_size=120),
+           size=st.integers(1, 1000))
     @settings(max_examples=200, deadline=None)
-    def test_matches_per_packet_rule(self, t0, dt, n_bins, picks):
+    def test_matches_per_packet_rule(self, t0, dt, n_bins, picks, size):
         # sorted times binned by clip(ceil((t - t0) / dt) - 1) per packet;
-        # integer sizes make every bin sum exact, so a packet in the wrong
-        # bin shows
+        # an integer size makes every bin's bits exact, so a packet in the
+        # wrong bin shows
         t1 = t0 + n_bins * dt
         times = []
-        for kind, u, _ in picks:
+        for kind, u in picks:
             edge = t0 + dt * int(u * n_bins)
             times.append({"edge": edge,
                           "ulp_below": np.nextafter(edge, -np.inf),
@@ -202,14 +197,12 @@ class TestBinning:
                           "t0": t0,
                           "past_t1": t1 + u * dt,
                           "inside": t0 + u * (t1 - t0)}[kind])
-        order = np.argsort(times, kind="stable")
-        times = np.asarray(times, dtype=float)[order]
-        sizes = np.asarray([size for *_, size in picks], dtype=float)[order]
-        out = bin_rates(times, sizes, t0, t1, dt)
+        times = np.sort(np.asarray(times, dtype=float))
+        out = bin_rates(times, float(size), t0, t1, dt)
         n = max(1, int(np.ceil((t1 - t0) / dt - 1e-12)))
         idx = np.clip(np.ceil((times - t0) / dt).astype(np.int64) - 1, 0,
                       n - 1)
-        expected = np.bincount(idx, weights=sizes, minlength=n) / dt
+        expected = np.bincount(idx, minlength=n) * float(size) / dt
         np.testing.assert_array_equal(out.values, expected)
         assert out.t0 == t0 and out.dt == dt
 
@@ -235,33 +228,27 @@ class TestBinPerTrace:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), t0=st.sampled_from([0.0, 3.7, -100.0]),
            dt=st.sampled_from([0.1, 1.0, 7.0]), n_bins=st.integers(1, 20),
-           n_traces=st.integers(0, 5))
+           n_traces=st.integers(1, 5))
     def test_integer_sizes_match_merged(self, data, t0, dt, n_bins, n_traces):
         # packets on bin edges, an ulp either side of them and at t0, with
-        # integer sizes shared by a trace or drawn per packet
+        # an integer size shared by the traces
         t1 = t0 + n_bins * dt
         edges = [t0 + dt * k for k in range(n_bins + 1)]
         near = edges + [np.nextafter(e, np.inf) for e in edges[:-1]] + [
             np.nextafter(e, -np.inf) for e in edges[1:]]
         time_st = st.one_of(st.sampled_from(near), st.floats(t0, t1))
-        traces = []
-        for _ in range(n_traces):
-            times = sorted(data.draw(st.lists(time_st, max_size=30)))
-            if data.draw(st.booleans()):
-                sizes = [float(data.draw(st.integers(1, 12000)))] * len(times)
-            else:
-                sizes = [float(v) for v in data.draw(st.lists(
-                    st.integers(1, 12000), min_size=len(times),
-                    max_size=len(times)))]
-            traces.append(PacketTrace(np.array(times, dtype=float),
-                                      np.array(sizes), (t0, t1)))
+        size = float(data.draw(st.integers(1, 12000)))
+        traces = [PacketTrace(np.array(sorted(data.draw(st.lists(
+                      time_st, max_size=30))), dtype=float), size, (t0, t1))
+                  for _ in range(n_traces)]
         self.assert_matches_merged(traces, dt, (t0, t1))
 
     def test_non_integer_sizes_close_to_merged(self):
         rng = np.random.default_rng(8)
         horizon = (0.0, 100.0)
+        size = rng.uniform(1.0, 1e4)
         traces = [PacketTrace(np.sort(rng.uniform(0.0, 100.0, 5000)),
-                              rng.uniform(1.0, 1e4, 5000), horizon)
+                              size, horizon)
                   for _ in range(4)]
         out = trace_to_inflow(traces, 1.0)
         ref = trace_to_inflow(merge_traces(traces), 1.0)
@@ -292,7 +279,7 @@ class TestBinPerTrace:
         def one_at_a_time():
             for tr in traces:
                 assert all(r() is None for r in refs)
-                copy = PacketTrace(tr.times.copy(), tr.sizes.copy(), horizon)
+                copy = PacketTrace(tr.times.copy(), tr.packet_bits, horizon)
                 refs.append(weakref.ref(copy))
                 yield copy
                 del copy
@@ -308,12 +295,20 @@ class TestBinPerTrace:
 
 class TestMerge:
     def test_merge_sorted_and_stable(self):
-        a = make_trace([1.0, 3.0], size=10.0, horizon=(0.0, 5.0))
-        b = make_trace([2.0, 3.0], size=20.0, horizon=(0.0, 5.0))
+        a = make_trace([0.0, 1.0, 3.0], size=10.0, horizon=(-1.0, 5.0))
+        b = make_trace([-0.0, 2.0, 3.0], size=10.0, horizon=(-1.0, 5.0))
         merged = merge_traces([a, b])
-        np.testing.assert_allclose(merged.times, [1.0, 2.0, 3.0, 3.0])
-        # ties keep input order (a's packet first)
-        np.testing.assert_allclose(merged.sizes, [10.0, 20.0, 10.0, 20.0])
+        np.testing.assert_array_equal(merged.times,
+                                      [0.0, 0.0, 1.0, 2.0, 3.0, 3.0])
+        # ties keep input order: a's 0.0 before b's -0.0
+        assert np.signbit(merged.times[:2]).tolist() == [False, True]
+        assert merged.packet_bits == 10.0
+
+    def test_merge_rejects_mixed_sizes(self):
+        a = make_trace([1.0], size=10.0, horizon=(0.0, 5.0))
+        b = make_trace([2.0], size=20.0, horizon=(0.0, 5.0))
+        with pytest.raises(ParameterError, match="packet sizes"):
+            merge_traces([a, b])
 
     def test_merge_rejects_mixed_horizons(self):
         a = make_trace([1.0], horizon=(0.0, 5.0))
@@ -324,56 +319,44 @@ class TestMerge:
             merge_traces([a], horizon=(0.0, 6.0))
 
     def test_merge_empty_list(self):
-        assert len(merge_traces([])) == 0
-        merged = merge_traces([], horizon=(0.0, 600.0))
-        assert len(merged) == 0 and merged.horizon == (0.0, 600.0)
-        assert len(trace_to_inflow(merged, 60.0)) == 10
+        # an empty list has no packet size
+        for horizon in (None, (0.0, 600.0)):
+            with pytest.raises(ParameterError, match="no traces"):
+                merge_traces([], horizon=horizon)
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), n_traces=st.integers(1, 5),
-           mode=st.sampled_from(["common", "per_trace", "per_packet"]))
-    def test_matches_stable_argsort_merge(self, data, n_traces, mode):
+    @given(data=st.data(), n_traces=st.integers(1, 5))
+    def test_matches_stable_argsort_merge(self, data, n_traces):
         # a few exact values (signed zeros among them) force ties within and
         # across traces; empty traces come with min_size=0
         time_st = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 2.5, 10.0]),
                             st.floats(0.0, 10.0))
-        size_st = st.one_of(st.sampled_from([1.0, 2.0, 11712.0]),
-                            st.floats(1.0, 1e4))
-        common = data.draw(size_st)
-        traces = []
-        for _ in range(n_traces):
-            times = sorted(data.draw(st.lists(time_st, max_size=30)))
-            if mode == "per_packet":
-                sizes = data.draw(st.lists(size_st, min_size=len(times),
-                                           max_size=len(times)))
-            else:
-                size = common if mode == "common" else data.draw(size_st)
-                sizes = [size] * len(times)
-            traces.append(PacketTrace(np.array(times, dtype=float),
-                                      np.array(sizes, dtype=float),
-                                      (0.0, 10.0)))
+        size = data.draw(st.one_of(st.sampled_from([1.0, 2.0, 11712.0]),
+                                   st.floats(1.0, 1e4)))
+        traces = [PacketTrace(np.array(sorted(data.draw(st.lists(
+                      time_st, max_size=30))), dtype=float), size,
+                              (0.0, 10.0))
+                  for _ in range(n_traces)]
         merged = merge_traces(traces)
 
         times = np.concatenate([tr.times for tr in traces])
-        sizes = np.concatenate([tr.sizes for tr in traces])
         order = np.argsort(times, kind="stable")
         assert merged.times.tobytes() == times[order].tobytes()
-        assert merged.sizes.tobytes() == sizes[order].tobytes()
+        assert merged.packet_bits == size
         assert merged.horizon == (0.0, 10.0)
 
 
 class TestBucketedMerge:
-    """The one-size merge sorts in buckets cut at time edges; the stable
-    argsort of the concatenation is the reference."""
+    """The merge sorts in buckets cut at time edges; the stable argsort of
+    the concatenation is the reference."""
 
     @staticmethod
     def assert_stable_merge(traces, horizon):
         merged = merge_traces(traces, horizon=horizon)
         times = np.concatenate([tr.times for tr in traces])
-        sizes = np.concatenate([tr.sizes for tr in traces])
         order = np.argsort(times, kind="stable")
         assert merged.times.tobytes() == times[order].tobytes()
-        assert merged.sizes.tobytes() == sizes[order].tobytes()
+        assert merged.packet_bits == traces[0].packet_bits
         assert merged.horizon == horizon
 
     @settings(max_examples=300, deadline=None)
@@ -413,8 +396,7 @@ class TestBucketedMerge:
         ref = np.sort(np.concatenate([tr.times for tr in traces]),
                       kind="stable")
         assert merged.times.tobytes() == ref.tobytes()
-        assert merged.sizes.strides == (0,)
-        assert np.all(merged.sizes == VideoUserParams().packet_size_bits)
+        assert merged.packet_bits == VideoUserParams().packet_size_bits
 
 
 class TestMergedSegments:
@@ -470,14 +452,14 @@ def test_mean_rate_and_intensity():
 
 def test_bin_rates_rejects_nan_dt():
     with pytest.raises(ParameterError):
-        bin_rates(np.array([1.0]), np.array([8.0]), 0.0, 10.0, np.nan)
+        bin_rates(np.array([1.0]), 8.0, 0.0, 10.0, np.nan)
 
 
 @pytest.mark.parametrize("call", [
     lambda: RateSeries(0.0, np.inf, [1.0]),
-    lambda: bin_rates(np.array([1.0]), np.array([8.0]), 0.0, 10.0, np.inf),
-    lambda: trace_to_inflow(PacketTrace(np.array([1.0]), np.array([8.0]),
-                                        (0.0, 10.0)), np.inf),
+    lambda: bin_rates(np.array([1.0]), 8.0, 0.0, 10.0, np.inf),
+    lambda: trace_to_inflow(PacketTrace(np.array([1.0]), 8.0, (0.0, 10.0)),
+                            np.inf),
 ], ids=["rate_series", "bin_rates", "trace_to_inflow"])
 def test_rejects_infinite_dt(call):
     # one bin of width inf would hold every bit at rate 0

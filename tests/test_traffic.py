@@ -44,8 +44,7 @@ def reference_video_user(params, horizon, seed, warmup_s=0.0):
         times = times[times <= t1]
     else:
         times = np.empty(0)
-    sizes = np.full(times.shape, float(params.packet_size_bits))
-    return PacketTrace(times, sizes, (t0, t1))
+    return PacketTrace(times, params.packet_size_bits, (t0, t1))
 
 
 class TestParams:
@@ -81,6 +80,7 @@ class TestParams:
         dict(interpacket_mean_s=np.nan), dict(interuse_mean_s=np.nan),
         dict(session_lengths=((300.0, np.nan), (600.0, 1.0))),
         dict(session_lengths=((np.nan, 0.5), (600.0, 0.5))),
+        dict(packet_size_bits=np.inf),
     ])
     def test_rejects_nan(self, kwargs):
         with pytest.raises(ParameterError):
@@ -108,7 +108,7 @@ class TestGeneration:
         a = generate_video_user(p, (0.0, 7200.0), 123)
         b = generate_video_user(p, (0.0, 7200.0), 123)
         np.testing.assert_array_equal(a.times, b.times)
-        np.testing.assert_array_equal(a.sizes, b.sizes)
+        assert a.packet_bits == b.packet_bits
 
     def test_seeds_differ(self):
         p = VideoUserParams()
@@ -129,7 +129,7 @@ class TestGeneration:
         assert np.all(np.diff(tr.times) >= 0)
         if len(tr):
             assert tr.times[0] >= 0.0 and tr.times[-1] <= 4 * 3600.0
-        assert np.all(tr.sizes == 1464 * 8)
+        assert tr.packet_bits == 1464 * 8
 
     def test_aggregate_of_no_users_keeps_horizon(self):
         tr = generate_aggregate(VideoUserParams(), (0.0, 100.0), 1, 0)
@@ -213,7 +213,7 @@ class TestMatchesReferenceLoop:
         for seed, tr in zip(seeds, traces):
             ref = reference_video_user(params, horizon, seed, warmup_s)
             assert tr.times.tobytes() == ref.times.tobytes()
-            assert tr.sizes.tobytes() == ref.sizes.tobytes()
+            assert tr.packet_bits == ref.packet_bits
             assert tr.horizon == ref.horizon
         assert sum(len(tr) for tr in traces) > 0
         if case == "straddles_t0":
@@ -307,4 +307,4 @@ def test_user_traces_one_at_a_time_match_generate_users():
     assert len(got) == 5 and sum(len(tr) for tr in got) > 0
     for a, b in zip(got, ref):
         assert a.times.tobytes() == b.times.tobytes()
-        assert a.sizes.tobytes() == b.sizes.tobytes()
+        assert a.packet_bits == b.packet_bits
