@@ -5,10 +5,10 @@ suffixed literals ("11.33 Mb/s", "25 GB", "45 min"); bare numbers mean bits,
 bits/second and seconds.  Null is refused, except where a field's None
 has a meaning: queue.mu, alpha and capacity, network.core's mu and
 capacity, and network.flows.target_rate.  Counts (users, seeds,
-users_per_flow, workers) and a traffic packet_size in bits are whole
-numbers: a fraction or a boolean is refused, not truncated.  The network's
-list fields (access_mu, egress_xi, routing and its rows, priority_rates)
-are JSON arrays.
+users_per_flow, workers) and every packet_size in bits are whole numbers:
+a fraction or a boolean is refused, not truncated.  The list fields
+(sweep.rho_targets, and the network's access_mu, egress_xi, routing and
+its rows, priority_rates) are JSON arrays.
 """
 
 import json
@@ -177,11 +177,8 @@ def _parse_queue(obj):
 def _parse_sweep(obj):
     path = "config.sweep"
     _check_keys(obj, {"rho_targets"}, path)
-    targets = obj.get("rho_targets", [0.45, 0.55, 0.65, 0.75, 0.85])
-    try:
-        targets = [float(v) for v in targets]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.rho_targets: {exc}") from None
+    targets = _array(obj.get("rho_targets", [0.45, 0.55, 0.65, 0.75, 0.85]),
+                     path + ".rho_targets", float)
     if any(not 0.0 < v < 1.0 for v in targets):
         raise ConfigError(f"{path}.rho_targets: intensities must be in (0, 1)")
     return {"rho_targets": targets}
@@ -214,7 +211,8 @@ def _parse_network(obj):
                        nullable=True),
         "egress_xi": egress_xi,
         "routing": routing,
-        "packet_size": _get(obj, "packet_size", 1464 * 8, path, parse_size),
+        "packet_size": _get(obj, "packet_size", 1464 * 8, path,
+                            _packet_bits),
         "priority_rates": priority,
         "flows": {
             "users_per_flow": _count(flows, "users_per_flow", 10,

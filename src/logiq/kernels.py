@@ -7,8 +7,8 @@ bin j (j >= 1) runs from the inflow sample j-2 to the sample j-1 (bin 1
 holds sample 0): the inflow is linear across it, and the server's rate mu
 is one constant.  A finite buffer of K bits projects the backlog onto
 [0, K], and the inflow that would lift it past K is lost.  Every bin is
-solved exactly: a run of bins that stays at or below K by one scan, and a
-bin that reaches K by its pieces, one at a time.
+solved exactly, by two prefix scans: one of affine maps up to the first
+bin that would pass K, and one of min-affine maps from that bin on.
 
 The kernels are plain Python and numpy.  Inputs are plain float64 arrays;
 wrappers in fluid.py / des.py own validation and the public dataclasses.
@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-# the most bins one prefix scan covers (see _exact_bins)
+# each block of a prefix scan covers 2 _SCAN bin pieces (see _exact_bins)
 _SCAN = 128
 
 
@@ -35,28 +35,39 @@ def _rhs(q, x, mu, alpha, cap_k):
     return x - y, y, 0.0
 
 
+def _pieces(d, w):
+    """The areas A, the integrals of X - mu, of the two pieces of each bin
+    of width w, where X - mu runs linearly from d[i] to d[i + 1] in bin i:
+    a sign change splits the bin where X crosses mu, else the second piece
+    is empty.  Bin i's pieces are 2 i and 2 i + 1."""
+    da, db = d[:-1], d[1:]
+    split = ((da < 0.0) & (db > 0.0)) | ((da > 0.0) & (db < 0.0))
+    area = np.empty(2 * da.size)
+    s = np.divide(w * da, da - db, out=np.full_like(da, w), where=split)
+    area[0::2] = 0.5 * s * np.where(split, da, da + db)
+    area[1::2] = np.where(split, 0.5 * (w - s) * db, 0.0)
+    return area
+
+
+def _log_u(z):
+    """log(e^z - 1) for z >= 0, which is -inf at 0."""
+    return z + np.log(-np.expm1(-z))
+
+
 def _exact_bins(q, d, w, alpha):
-    """(mid, end) backlogs of bins of width w from backlog q, where X - mu
-    runs linearly from d[i] to d[i + 1] in bin i, with no ceiling.  A sign
-    change splits a bin into two pieces (else the second is empty).  Where
-    X >= mu, q grows by the piece's area A, the integral of X - mu; where
-    X < mu, u = e^(alpha q) - 1 obeys u' = alpha (X - mu) u.  So a piece
-    maps u to a u + b, a = e^(alpha A), b = max(a - 1, 0), and q enters as
-    a growth piece from empty.  In log space this is a prefix scan (Heinsen
-    2023, arXiv:2311.06281): with P = cumsum(alpha A), log u = P +
+    """(mid, end) backlogs of the bins of _pieces(d, w) from backlog q, with
+    no ceiling.  Where X >= mu, q grows by the piece's area A; where X < mu,
+    u = e^(alpha q) - 1 obeys u' = alpha (X - mu) u.  So a piece maps u to
+    a u + b, a = e^(alpha A), b = max(a - 1, 0), and q enters as a growth
+    piece from empty.  In log space this is a prefix scan (Heinsen 2023,
+    arXiv:2311.06281): with P = cumsum(alpha A), log u = P +
     logaddexp.accumulate(log b - P) and alpha q = softplus(log u).  At
     alpha = inf it is the point queue's Lindley recursion q = max(q + A, 0),
     unrolled: with P = cumsum(A), q = P - min(0, min P).  Each scan covers
     _SCAN bins and carries q to the next, which bounds the rounding in P.
     """
-    da, db = d[:-1], d[1:]
-    split = ((da < 0.0) & (db > 0.0)) | ((da > 0.0) & (db < 0.0))
-    qs = np.empty(2 * da.size + 1)        # the areas, then the backlogs
-    qs[0] = q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(split, w * da / (da - db), w)
-        qs[1::2] = 0.5 * s * np.where(split, da, da + db)
-        qs[2::2] = np.where(split, 0.5 * (w - s) * db, 0.0)
+    qs = np.concatenate(([q], _pieces(d, w)))   # the areas, then backlogs
+    with np.errstate(divide="ignore"):
         for i in range(0, qs.size - 1, 2 * _SCAN):
             a = qs[i:i + 2 * _SCAN + 1]     # a view; a[0] is the backlog
             if alpha == math.inf:
@@ -64,35 +75,56 @@ def _exact_bins(q, d, w, alpha):
                 a[1:] = (p - np.minimum(np.minimum.accumulate(p), 0.0))[1:]
             else:
                 p = np.cumsum(alpha * a)
-                grow = alpha * np.maximum(a, 0.0)
-                # log b = log(e^grow - 1), which is -inf for a draining piece
                 log_u = p + np.logaddexp.accumulate(
-                    grow + np.log(-np.expm1(-grow)) - p)
+                    _log_u(alpha * np.maximum(a, 0.0)) - p)
                 a[1:] = np.logaddexp(0.0, log_u[1:]) / alpha
     return qs[1::2], qs[2::2]
 
 
-def _ceiling_bin(q, da, db, w, alpha, cap_k):
-    """(end backlog, lost bits) of a bin as _exact_bins reads it, under the
-    ceiling cap_k: a growth piece maps q to min(cap_k, q + A) and loses the
-    rest, which is exact because its outflow is mu at any backlog; a drain
-    piece never rises, so it keeps the map u -> e^(alpha A) u."""
-    if (da < 0.0 < db) or (db < 0.0 < da):     # X crosses mu
-        s = w * da / (da - db)
-        areas = (0.5 * s * da, 0.5 * (w - s) * db)
-    else:
-        areas = (0.5 * w * (da + db),)
-    lost = 0.0
-    for a in areas:
-        if a >= 0.0:
-            lost += max(q + a - cap_k, 0.0)
-            q = min(q + a, cap_k)
-        elif alpha * q > 0.0:
-            # alpha q = softplus(log(e^(alpha q) - 1) + alpha A)
-            z = alpha * q
-            q = float(np.logaddexp(
-                0.0, z + math.log(-math.expm1(-z)) + alpha * a)) / alpha
-    return q, lost
+def _ceiling_bins(q, d, w, alpha, cap_k):
+    """(end backlogs, lost bits so far) of the bins of _pieces(d, w) from
+    backlog q <= cap_k under the ceiling cap_k.  In u = e^(alpha q) - 1 a
+    piece maps u to min(c, a u + b), c = e^(alpha cap_k) - 1: a growth
+    piece lifts q by its area A up to cap_k (its outflow is mu at any
+    backlog), so b = a - 1; a drain piece has b = 0 and never reaches c.
+    g after f is (a_g a_f, a_g b_f + b_g, min(c_g, a_g c_f + b_g)), whose
+    terms are sums and products of nonnegative numbers.  So blocks of
+    2 _SCAN pieces compose by doubling (Hillis & Steele 1986), in logs, and
+    each block carries q to the next, which bounds the rounding.  A piece
+    loses max(q_prev + A - cap_k, 0), which is 0 for a drain piece.
+    """
+    area = _pieces(d, w)
+    # an empty piece is the identity: scan the others, and read each bin's
+    # backlog after its last of them
+    ends = np.cumsum(area != 0.0)[1::2]
+    area = area[area != 0.0]
+    # log a, log b and log c of each piece, padded with identities (a = 1)
+    la = np.zeros((-(-area.size // (2 * _SCAN)), 2 * _SCAN))
+    la.flat[:area.size] = alpha * area
+    log_c = float(_log_u(alpha * cap_k))
+    with np.errstate(divide="ignore"):
+        lb = _log_u(np.maximum(la, 0.0))
+        lc = np.full_like(la, log_c)
+        k = 1
+        while k < la.shape[1]:
+            # each piece after the composed k pieces before it
+            g, f = np.s_[:, k:], np.s_[:, :-k]
+            la[g], lb[g], lc[g] = (
+                la[g] + la[f], np.logaddexp(la[g] + lb[f], lb[g]),
+                np.minimum(lc[g], np.logaddexp(la[g] + lc[f], lb[g])))
+            k *= 2
+        qs = np.empty_like(la)
+        carry = q
+        for i in range(la.shape[0]):
+            log_u = np.minimum(lc[i], np.logaddexp(
+                la[i] + _log_u(alpha * carry), lb[i]))
+            # at the ceiling exactly, and below it after the softplus
+            qs[i] = np.where(log_u < log_c, np.minimum(
+                np.logaddexp(0.0, log_u) / alpha, cap_k), cap_k)
+            carry = qs[i, -1]
+    qs = np.concatenate(([q], qs.ravel()[:area.size]))
+    lost = np.maximum(qs[:-1] + area - cap_k, 0.0).cumsum()
+    return qs[ends], np.concatenate(([0.0], lost))[ends]
 
 
 def integrate_logistic(t0, x_dt, x_vals, mu, alpha, cap_k, q0):
@@ -101,77 +133,41 @@ def integrate_logistic(t0, x_dt, x_vals, mu, alpha, cap_k, q0):
     (inf: no buffer limit), starting at backlog q0 <= cap_k, at t0 and at
     the end of each inflow bin: the rows of the returned array.
 
-    The bins are solved exactly, a run at a time by one scan
-    (_exact_bins), up to the first bin whose backlog would pass cap_k;
-    that bin, and each after it up to the first that loses nothing, takes
-    its pieces under the ceiling (_ceiling_bin), and the scan resumes after
-    them.  t0 places the bin ends on the output grid t0 + j x_dt, where the
-    scanned bins keep the FIFO order of exit times t + q / mu.
+    One scan solves the bins without a ceiling (_exact_bins).  If a bin's
+    backlog would pass cap_k, the bins from the first such on are solved
+    again under the ceiling (_ceiling_bins), from the backlog the scan
+    gave before it.  t0 places the bin ends on the output grid t0 + j
+    x_dt, where the backlog keeps the FIFO order of exit times t + q / mu.
     """
-    n = x_vals.shape[0]
-    out = np.empty((4, n + 1))
-    w = x_dt
-
     # bin j runs from sample j - 1 to sample j of this padded copy
     xe = np.concatenate((x_vals[:1], x_vals))
     d = xe - mu
-    width = n + 1
-
-    q = q0
-    served = lost = 0.0
-    # the sample at the end of bin 0, which is the point t0
-    out[:, 0] = q, _rhs(q, float(xe[0]), mu, alpha, cap_k)[1], served, lost
-    j = 1
-    while j <= n:
-        # the exact bins j..k-1, as far as they stay at or below cap_k
-        k = min(j + width, n + 1)
-        q_mid, q_end = _exact_bins(q, d[j - 1:k], w, alpha)
-        # FIFO: the outflow never exceeds mu, so exit times t + q / mu
-        # never fall, but where X = 0 and alpha q is large the scan can
-        # round one below an earlier one: raise q just enough
-        while True:
-            t = t0 + x_dt * np.arange(j - 1, k)
-            exits = t + np.concatenate(([q], q_end)) / mu
-            floor = np.maximum.accumulate(exits)[:-1]
-            late = exits[1:] < floor
-            if not late.any():
-                break
-            q_end[late] = np.maximum(q_end[late] * (1.0 + 2.0 ** -52),
-                                     (floor - t[1:])[late] * mu)
-        # a bin starts at or below cap_k, so q_mid or q_end is its peak
-        over = np.maximum(q_mid, q_end) > cap_k
-        m = int(np.argmax(over)) if over.any() else k - j
-        if m:
-            cols = slice(j, j + m)
-            x_end, q_end = xe[cols], q_end[:m]
-            # the outflow is what the inflow brought in and q kept
-            inflow = np.cumsum(0.5 * w * (xe[j - 1:j + m - 1] + x_end))
-            out[0, cols] = q_end
-            out[1, cols] = mu + np.exp(-alpha * q_end) * (
-                np.minimum(x_end, mu) - mu)
-            out[2, cols] = served + inflow - (q_end - q)
-            out[3, cols] = lost
-            # Python floats step faster than numpy scalars
-            q, served = float(q_end[-1]), float(out[2, j + m - 1])
-            j += m
-        if j < k:
-            # bin j passes cap_k, and so may the bins after it: take their
-            # pieces, up to the first bin that loses nothing
-            spill = 1.0
-            while spill > 0.0 and j <= n:
-                # Python floats step faster than numpy scalars
-                xa, xb = float(xe[j - 1]), float(xe[j])
-                q_new, spill = _ceiling_bin(q, xa - mu, xb - mu, w, alpha,
-                                            cap_k)
-                served += 0.5 * w * (xa + xb) - (q_new - q) - spill
-                q, lost = q_new, lost + spill
-                out[:, j] = q, _rhs(q, xb, mu, alpha, cap_k)[1], served, lost
-                j += 1
-            # then scan short runs, each twice as long as the last
-            width = 8
-        else:
-            width *= 2
-    return out
+    q_mid, q_end = _exact_bins(q0, d, x_dt, alpha)
+    q, lost = np.concatenate(([q0], q_end)), np.zeros(q_end.size + 1)
+    # a bin starts at or below cap_k, so q_mid or q_end is its peak
+    over = np.maximum(q_mid, q_end) > cap_k
+    if over.any():
+        m = int(np.argmax(over))
+        q[m + 1:], lost[m + 1:] = _ceiling_bins(q[m], d[m:], x_dt, alpha,
+                                                cap_k)
+    # FIFO: the outflow never exceeds mu, so exit times t + q / mu never
+    # fall, but where X = 0 and alpha q is large the scans can round one
+    # below an earlier one: raise q just enough, up to cap_k at most
+    t = t0 + x_dt * np.arange(q.size)
+    while True:
+        exits = t + q / mu
+        floor = np.maximum.accumulate(exits)[:-1]
+        late = exits[1:] < floor
+        if not late.any():
+            break
+        q[1:][late] = np.minimum(np.maximum(
+            q[1:][late] * (1.0 + 2.0 ** -52), (floor - t[1:])[late] * mu),
+            cap_k)
+    # the outflow law, and served bits by mass balance
+    inflow = np.cumsum(np.concatenate(([0.0],
+                                       0.5 * x_dt * (xe[:-1] + xe[1:]))))
+    return np.array([q, mu + np.exp(-alpha * q) * (np.minimum(xe, mu) - mu),
+                     inflow - (q - q0) - lost, lost])
 
 
 def point_queue_exact(x_dt, x_vals, mu, q0):

@@ -19,6 +19,7 @@ import numpy as np
 # the shared slot's capacity in packet times: a larger segment is shipped
 # through it in pieces
 _SLOT = 1 << 20
+_END = -1 << 63     # the length of the end message, which no payload has
 
 
 def drawn_in_child(drawn, take):
@@ -34,9 +35,10 @@ def drawn_in_child(drawn, take):
     write it again.  So the child writes the next segment, drawn into its
     own memory meanwhile, while the caller uses take's result.  A segment
     larger than the slot comes in slot-sized pieces, each acknowledged as
-    soon as it is copied out, and take sees the runs joined here.  An
-    exception in the child is raised here, pickled over; a child that
-    finds a pipe closed exits.
+    soon as it is copied out, and take sees the runs joined here.  The
+    stream returns at the end the child sends after its last segment.  An
+    exception in the child is raised here, pickled over, and one that exits
+    before the end raises RuntimeError; one that finds a pipe closed exits.
 
     The child is forked here, so it draws while the caller goes on.
     Closing the returned generator kills and reaps the child, also before
@@ -81,8 +83,8 @@ def _stream(drawn, take):
     os.close(ack_r)
     try:
         yield
-        while True:
-            sizes = np.frombuffer(_receive(data_r), dtype=np.int64)
+        while (header := _receive(data_r)) is not None:
+            sizes = np.frombuffer(header, dtype=np.int64)
             total = int(sizes.sum())
             if total <= cells.size:
                 data = cells[:total]
@@ -110,8 +112,8 @@ def _serve(drawn, cells, out_fd, ack_fd):
     written straight into the slot, run after run, once the slot is
     acknowledged; a slot that fills before the segment ends is sent as a
     piece, and written again once that is acknowledged.  Returns its exit
-    status: 0 when every segment was sent or the parent closed the
-    acknowledgements, 1 after sending an exception."""
+    status: 0 when every segment and the end were sent or the parent
+    closed the acknowledgements, 1 after sending an exception."""
     owed = False    # the slot holds a segment not yet acknowledged
     try:
         for runs in drawn:
@@ -126,21 +128,22 @@ def _serve(drawn, cells, out_fd, ack_fd):
                         step = cells.size - at
                         cells[at:] = part[:step]
                         part = part[step:]
-                        _send(out_fd, header)
+                        _send(out_fd, header, len(header))
                         header, at = b"", 0
                         if not os.read(ack_fd, 1):
                             return 0
                     cells[at:at + part.size] = part
                     at += part.size
-            _send(out_fd, header)
+            _send(out_fd, header, len(header))
             owed = True
     except Exception as exc:
         try:
             payload = pickle.dumps(exc)
         except Exception:
             payload = pickle.dumps(RuntimeError(repr(exc)))
-        _send(out_fd, payload, error=True)
+        _send(out_fd, payload, -len(payload))
         return 1
+    _send(out_fd, b"", _END)
     return 0
 
 
@@ -153,19 +156,20 @@ def _ack(fd):
         pass
 
 
-def _send(fd, payload, error=False):
-    """One message: its length as 8 signed bytes, negative for a pickled
-    exception, then the payload."""
-    length = -len(payload) if error else len(payload)
+def _send(fd, payload, length):
+    """One message: ``length`` as 8 signed bytes, then the payload.  It is
+    len(payload), negated for a pickled exception, or _END."""
     view = memoryview(length.to_bytes(8, "little", signed=True) + payload)
     while view:
         view = view[os.write(fd, view):]
 
 
 def _receive(fd):
-    """The payload of the next message on ``fd``; a pickled exception is
-    raised."""
+    """The payload of the next message on ``fd``, None at the end; a
+    pickled exception is raised."""
     length = int.from_bytes(_read(fd, 8), "little", signed=True)
+    if length == _END:
+        return None
     payload = _read(fd, abs(length))
     if length < 0:
         raise pickle.loads(payload)

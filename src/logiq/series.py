@@ -29,6 +29,18 @@ class ParameterError(ValueError):
 
 # packets per chunk of PacketTrace's sortedness check
 _SORT_CHECK = 1 << 16
+# lines per write of a CSV file
+_CSV_LINES = 1 << 16
+
+
+def _write_csv(path, header, line, rows):
+    """Write ``header``, then ``line % row`` for each row of the 2-D float
+    array ``rows``, formatting _CSV_LINES rows of Python floats at once."""
+    with open(path, "w") as fh:
+        fh.write(header)
+        for i in range(0, len(rows), _CSV_LINES):
+            part = rows[i:i + _CSV_LINES]
+            fh.write((line * len(part)) % tuple(part.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -80,11 +92,8 @@ class PacketTrace:
         return len(self) * self.packet_bits
 
     def to_csv(self, path):
-        size = f"{self.packet_bits:g}"
-        with open(path, "w") as fh:
-            fh.write("t_arrival_s,size_bits\n")
-            for t in self.times:
-                fh.write(f"{t:.9f},{size}\n")
+        _write_csv(path, "t_arrival_s,size_bits\n",
+                   f"%.9f,{self.packet_bits:g}\n", self.times[:, None])
 
 
 @dataclass(frozen=True)
@@ -143,10 +152,8 @@ class RateSeries:
                 and abs(self.dt - other.dt) < 1e-12 * max(1.0, self.dt))
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t_s,rate_bps\n")
-            for t, v in zip(self.sample_times, self.values):
-                fh.write(f"{t:.9f},{float(v)!r}\n")
+        _write_csv(path, "t_s,rate_bps\n", "%.9f,%r\n",
+                   np.column_stack((self.sample_times, self.values)))
 
     @classmethod
     def from_csv(cls, path):
@@ -336,12 +343,7 @@ def merged_segments(runs, t0, dt, n, width):
         return
     # imported here: only a stream needs it, and setup need not compile it
     from .producer import drawn_in_child
-    segments = drawn_in_child(_drawn(runs, t0, dt, cuts, list), merge)
-    try:
-        for _ in starts:    # the stream has no end of its own to stop at
-            yield next(segments)
-    finally:
-        segments.close()
+    yield from drawn_in_child(_drawn(runs, t0, dt, cuts, list), merge)
 
 
 def traffic_process():

@@ -364,13 +364,16 @@ class TestExitCodes:
         rows = (out / "sweep.csv").read_text().splitlines()[1:]
         assert [float(r.split(",")[0]) for r in rows] == [0.7]
 
-    def test_nan_packet_size_is_1(self, tmp_path, capsys):
-        # json writes and reads the NaN literal
+    def test_nan_packet_size_is_2(self, tmp_path, capsys):
+        # json writes and reads the NaN literal; the config refuses it, as
+        # it does a traffic packet_size
         payload = dict(BASE)
         payload["network"] = dict(NETWORK["network"], packet_size=float("nan"))
         code, _ = run(tmp_path, "dt", payload)
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: packet size")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: config.network.packet_size: expected a whole "
+            "number of bits > 0, got NaN")
 
     def test_packet_beyond_the_window_is_1(self, tmp_path, capsys):
         # 10 TB takes 3 200 s to cross a 25 Gb/s access link, longer than

@@ -94,6 +94,14 @@ class TestSweepSection:
         with pytest.raises(ConfigError, match="rho_targets"):
             parse_config({"sweep": {"rho_targets": [0.5, 1.5]}})
 
+    # a string was read one character at a time: "" ran an empty sweep
+    @pytest.mark.parametrize("targets", ["", "0.5", {"a": 0.5}, None],
+                             ids=["empty", "string", "object", "null"])
+    def test_targets_not_array_rejected(self, targets):
+        with pytest.raises(ConfigError, match=re.escape(
+                "config.sweep.rho_targets: expected a JSON array")):
+            parse_config({"sweep": {"rho_targets": targets}})
+
 
 class TestNetworkSection:
     def payload(self):
@@ -305,8 +313,17 @@ def test_whole_float_count_accepted():
     ({"network": {**NETWORK, "flows": {**NETWORK["flows"],
                                        "params": {"packet_size": 11712.7}}}},
      "config.network.flows.params.packet_size"),
+    # the twin's own size went through parse_size alone: "0.5" ran half-bit
+    # packets, and NaN passed the config to fail later with exit 1
+    ({"network": {**NETWORK, "packet_size": "0.5"}},
+     "config.network.packet_size"),
+    ({"network": {**NETWORK, "packet_size": float("nan")}},
+     "config.network.packet_size"),
+    ({"network": {**NETWORK, "packet_size": 0}},
+     "config.network.packet_size"),
 ], ids=["fraction", "half_bit", "fraction_of_bytes", "zero", "bool",
-        "flows.params.fraction"])
+        "flows.params.fraction", "network.half_bit", "network.nan",
+        "network.zero"])
 def test_packet_size_not_whole_rejected_with_path(raw, path):
     with pytest.raises(ConfigError, match=re.escape(
             f"{path}: expected a whole number of bits > 0")):
@@ -320,6 +337,7 @@ def test_whole_packet_size_accepted():
                             "params": {"packet_size": "1 kB"}}}})
     assert cfg["traffic"]["params"].packet_size_bits == 11712
     assert cfg["network"]["flows"]["params"].packet_size_bits == 8000
+    assert cfg["network"]["packet_size"] == 11712
 
 
 # a string was read one character at a time: "12" ran two origins at 1 and

@@ -169,6 +169,38 @@ class TestSlotAcknowledgement:
         assert_no_child()
 
 
+class TestStreamEnd:
+    """The child sends an end after its last segment, where the stream
+    returns; a child that exits before it raises."""
+
+    @staticmethod
+    def copied(runs):
+        return runs[0].copy()
+
+    @pytest.mark.parametrize("kind", ["child", "pieces"])
+    def test_stream_returns_after_the_last_segment(self, kind):
+        # through a slot of 16 ("pieces") the segment of 40 comes in three
+        segments = [np.arange(float(n)) for n in (3, 40, 0, 17)]
+        with drawing(kind):
+            stream = producer.drawn_in_child(([[s]] for s in segments),
+                                             self.copied)
+            taken = list(stream)
+        assert [a.tolist() for a in taken] == [s.tolist() for s in segments]
+        with pytest.raises(StopIteration):
+            next(stream)
+        assert_no_child()
+
+    def test_child_that_exits_before_the_end_raises(self):
+        def drawn():
+            yield [[np.arange(3.0)]]
+            os._exit(0)     # in the child, which sends no end
+        stream = producer.drawn_in_child(drawn(), self.copied)
+        assert next(stream).tolist() == [0.0, 1.0, 2.0]
+        with pytest.raises(RuntimeError, match="ended before its last"):
+            next(stream)
+        assert_no_child()
+
+
 def edge_runs(edges, gaps, dt):
     """Per-source chunk lists: one source puts a packet exactly on each bin
     edge picked (a sample time), the others bursts of ``gaps``."""

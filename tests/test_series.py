@@ -82,6 +82,18 @@ class TestPacketTrace:
         back = np.loadtxt(path, delimiter=",", skiprows=1)
         np.testing.assert_allclose(back[:, 0], tr.times, atol=1e-9)
 
+    def test_csv_is_the_per_line_format(self, tmp_path):
+        # written in chunks of 3 lines, byte for byte as one f-string per
+        # packet wrote it
+        times = [0.0, 1e-10, 2.5e-9, 0.123456789012, 1.0, 1234.5678901234,
+                 21599.999999999996]
+        tr = make_trace(times, size=11712.0)
+        path = tmp_path / "trace.csv"
+        with mock.patch.object(series, "_CSV_LINES", 3):
+            tr.to_csv(path)
+        assert path.read_text() == "t_arrival_s,size_bits\n" + "".join(
+            f"{t:.9f},11712\n" for t in tr.times)
+
     def test_empty_csv_round_trip(self, tmp_path):
         tr = PacketTrace(np.empty(0), 11712.0, (0.0, 10.0))
         path = tmp_path / "empty.csv"
@@ -136,6 +148,18 @@ class TestRateSeries:
         back = RateSeries.from_csv(path)
         assert back.same_grid(rs)
         np.testing.assert_array_equal(back.values, rs.values)
+
+    def test_csv_is_the_per_line_format(self, tmp_path):
+        # written in chunks of 2 lines, byte for byte as one f-string per
+        # sample wrote it
+        rs = RateSeries(3.0, 0.1, np.array([0.0, 1.5e7, 11712.0 / 60.0,
+                                            1e-300, 2.0 / 3.0]))
+        path = tmp_path / "rates.csv"
+        with mock.patch.object(series, "_CSV_LINES", 2):
+            rs.to_csv(path)
+        assert path.read_text() == "t_s,rate_bps\n" + "".join(
+            f"{t:.9f},{float(v)!r}\n"
+            for t, v in zip(rs.sample_times, rs.values))
 
 
 class TestBinning:
