@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline, plot
-from .config import ConfigError, load_config
+from .config import COUNT, WORKERS, ConfigError, load_config
 from .fluid import DomainError, QueueSpec, compute_alpha, integrate_queue
 from .metrics import DegenerateInputError
 from .network import HorizonError, Topology
@@ -312,15 +312,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed: must be >= 0")
-            cfg["traffic"]["seed"] = args.seed
+            cfg["traffic"]["seed"] = COUNT.read(args.seed, "--seed")
             if cfg["network"] is not None:
                 cfg["network"]["flows"]["seed"] = args.seed
         if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError("--workers: must be >= 1")
-            cfg["workers"] = args.workers
+            cfg["workers"] = WORKERS.read(args.workers, "--workers")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out)

@@ -1,14 +1,28 @@
-"""Scenario config: a JSON document validated section by section.
+"""Scenario config: a JSON document read through one table of fields.
 
-Unknown keys are rejected with the offending field path.  Quantities accept
-suffixed literals ("11.33 Mb/s", "25 GB", "45 min"); bare numbers mean bits,
-bits/second and seconds.  Null is refused, except where a field's None
-has a meaning: queue.mu, alpha and capacity, network.core's mu and
-capacity, and network.flows.target_rate.  Counts (users, seeds,
-users_per_flow, workers) and every packet_size in bits are whole numbers:
-a fraction or a boolean is refused, not truncated.  The list fields
-(sweep.rho_targets, and the network's access_mu, egress_xi, routing and
-its rows, priority_rates) are JSON arrays.
+Each field is one row of the table (_CONFIG): its key, its kind and its
+default, which is read as a given value would be.  Every refusal is a
+ConfigError whose message starts with the field's path.  The rules:
+
+- Unknown keys are refused.  The network's access_mu, egress_xi and
+  routing are required; an absent traffic param keeps VideoUserParams'
+  default.
+- Quantities accept suffixed literals ("11.33 Mb/s", "25 GB", "45 min");
+  bare numbers mean bits, bits/second and seconds.  Counts and plain
+  numbers (alpha, the routing entries, the burst sizes, the session
+  probabilities, the sweep's intensities) are JSON numbers, not strings.
+- Every number is finite and never a boolean.  Rates, sizes, durations
+  and plain numbers are > 0; q0, warmup, priority_rates, the routing
+  entries, burst_size_dispersion and the session table are >= 0; the
+  sweep's intensities are in (0, 1).  Counts (users, seeds,
+  users_per_flow) are whole and >= 0, workers whole and >= 1, and every
+  packet_size whole bits > 0: a fraction is refused, not truncated.
+- Null is refused, except where a field's None has a meaning: queue.mu,
+  alpha (whose "auto" is None too) and capacity, network.core's mu and
+  capacity, and network.flows.target_rate.
+- The list fields (sweep.rho_targets, the network's access_mu, egress_xi,
+  routing and its rows, priority_rates, and the session table and its
+  [duration, probability] pairs) are JSON arrays.
 """
 
 import json
@@ -17,83 +31,186 @@ from .series import ParameterError
 from .traffic import VideoUserParams
 from .units import UnitError, parse_duration, parse_rate, parse_size
 
+_INF = float("inf")
+_REQUIRED, _OMIT = object(), object()   # defaults: must be given; left out
+_BOUNDS = {"> 0": lambda x: x > 0, ">= 0": lambda x: x >= 0,
+           ">= 1": lambda x: x >= 1, "in (0, 1)": lambda x: 0 < x < 1}
+
 
 class ConfigError(ValueError):
     """Schema violation; the message carries the field path."""
 
 
-def _check_keys(obj, allowed, path):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key")
+class _Number:
+    """A finite JSON number, or with ``parse`` a quantity literal too, that
+    is whole if ``whole`` and within ``bound``, a key of _BOUNDS.  ``null``
+    is the refusal of null.  A value out of bounds is refused as not the
+    ``noun`` where the noun states the bound (``noun_bounds``)."""
+
+    def __init__(self, noun, parse=None, whole=False, bound="> 0",
+                 null="must not be null", noun_bounds=False):
+        self.noun, self.parse, self.whole = noun, parse, whole
+        self.bound, self.null, self.noun_bounds = bound, null, noun_bounds
+
+    def read(self, value, path):
+        if value is None:
+            raise ConfigError(f"{path}: {self.null}")
+        if isinstance(value, bool) or not (
+                isinstance(value, (int, float))
+                or isinstance(value, str) and self.parse):
+            raise self._expected(value, path)
+        if self.whole and isinstance(value, int):
+            x = value           # exact, at any size
+        else:
+            try:
+                x = (self.parse or float)(value)
+            except (UnitError, OverflowError) as exc:
+                raise ConfigError(f"{path}: {exc}") from None
+            if not (-_INF < x < _INF and (x.is_integer() or not self.whole)):
+                raise self._expected(value, path)
+        if not _BOUNDS[self.bound](x):
+            if self.noun_bounds:
+                raise self._expected(value, path)
+            raise ConfigError(f"{path}: must be {self.bound}")
+        return int(x) if self.whole else x
+
+    def _expected(self, value, path):
+        return ConfigError(f"{path}: expected {self.noun}, got "
+                           f"{json.dumps(value)}")
 
 
-def _get(obj, key, default, path, convert=None, nullable=False):
-    """obj[key] (``default`` when absent) through ``convert``.  Null is
-    refused unless ``nullable``, where it means the field's None."""
-    value = obj.get(key, default)
-    if value is None:
-        if not nullable:
-            raise ConfigError(f"{path}.{key}: must not be null")
-        return None
-    if convert is None:
-        return value
-    try:
-        return convert(value)
-    except (UnitError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}.{key}: {exc}") from None
+class _Or:
+    """``kind``, or one of ``words``, each of which means None."""
+
+    def __init__(self, kind, *words):
+        self.kind, self.words = kind, words
+
+    def read(self, value, path):
+        return None if value in self.words else self.kind.read(value, path)
 
 
-def _whole(value):
-    """int(value) for a whole number; a boolean or a fraction is refused,
-    not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
-        raise ValueError(f"expected a whole number, got {json.dumps(value)}")
-    return int(value)
+class _Array:
+    """A JSON array of ``item``s, or, for a tuple of kinds, of one item of
+    each.  An item that is an array is read at path[i], any other at the
+    array's path."""
+
+    def __init__(self, item):
+        self.item = item
+
+    def read(self, value, path):
+        fixed = isinstance(self.item, tuple)
+        if not isinstance(value, list) or fixed and len(value) != len(
+                self.item):
+            size = f" of {len(self.item)}" if fixed else ""
+            raise ConfigError(f"{path}: expected a JSON array{size}, got "
+                              f"{json.dumps(value)}")
+        kinds = self.item if fixed else (self.item,) * len(value)
+        return [k.read(v, f"{path}[{i}]" if isinstance(k, _Array) else path)
+                for i, (k, v) in enumerate(zip(kinds, value))]
 
 
-def _packet_bits(value):
-    """A packet size in whole bits > 0, so that a bin's bits, its packet
-    count times the size, are exact: a fraction is refused, not
-    truncated."""
-    bits = parse_size(value)
-    if isinstance(value, bool) or not (bits > 0 and bits.is_integer()):
-        raise ValueError("expected a whole number of bits > 0, got "
-                         f"{json.dumps(value)}")
-    return int(bits)
+class _Table:
+    """A JSON object of the fields ``rows``, each (key, kind, default) or
+    (key, kind, default, name), made into ``make(**{name: value})``.  A
+    None default is the value itself; a row named None adds the fields of
+    its table to this one."""
+
+    def __init__(self, rows, make=dict):
+        self.rows = [(*row, row[0])[:4] for row in rows]
+        self.keys, self.make = {row[0] for row in rows}, make
+
+    def read(self, value, path):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: expected an object")
+        for key in value:
+            if key not in self.keys:
+                raise ConfigError(f"{path}.{key}: unknown key")
+        fields = {}
+        for key, kind, default, name in self.rows:
+            if key in value:
+                got = kind.read(value[key], f"{path}.{key}")
+            elif default is _REQUIRED:
+                raise ConfigError(f"{path}: missing required key '{key}'")
+            elif default is None or default is _OMIT:
+                got = default
+            else:
+                got = kind.read(default, f"{path}.{key}")
+            if name is None:
+                fields.update(got)
+            elif got is not _OMIT:
+                fields[name] = got
+        try:
+            return self.make(**fields)
+        except ParameterError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
-def _array(value, field, convert=None):
-    """The items of the JSON array ``value`` through ``convert``; anything
-    else, a string among them, is refused, not read item by item."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{field}: expected a JSON array, got "
-                          f"{json.dumps(value)}")
-    if convert is None:
-        return value
-    try:
-        return [convert(v) for v in value]
-    except (UnitError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{field}: {exc}") from None
+RATE, SIZE = _Number("a rate", parse_rate), _Number("a size", parse_size)
+DURATION, REAL = _Number("a duration", parse_duration), _Number("a number")
+RATE0 = _Number("a rate", parse_rate, bound=">= 0")
+SIZE0 = _Number("a size", parse_size, bound=">= 0")
+DURATION0 = _Number("a duration", parse_duration, bound=">= 0")
+REAL0 = _Number("a number", bound=">= 0")
+# a null count reads as below its bound
+COUNT = _Number("a whole number", whole=True, bound=">= 0",
+                null="must be >= 0")
+WORKERS = _Number("a whole number", whole=True, bound=">= 1")
+# whole bits, so that a bin's bits, its packet count times the size, are
+# exact
+BITS = _Number("a whole number of bits > 0", parse_size, whole=True,
+               noun_bounds=True)
 
+_PARAMS = _Table((
+    ("packet_size", BITS, _OMIT, "packet_size_bits"),
+    ("burst_size_mean", REAL, _OMIT),
+    ("burst_size_dispersion", REAL0, _OMIT),
+    ("interburst", DURATION, _OMIT, "interburst_mean_s"),
+    ("interpacket", DURATION, _OMIT, "interpacket_mean_s"),
+    ("interuse", DURATION, _OMIT, "interuse_mean_s"),
+    ("sessions", _Array(_Array((DURATION0, REAL0))), _OMIT,
+     "session_lengths"),
+), VideoUserParams)
 
-def _count(obj, key, default, path):
-    """A whole number field that must not be negative (nor null)."""
-    value = _get(obj, key, default, path, _whole, nullable=True)
-    if value is None or value < 0:
-        raise ConfigError(f"{path}.{key}: must be >= 0")
-    return value
-
-
-def _auto(convert):
-    def inner(value):
-        if value == "auto":
-            return None
-        return convert(value)
-    return inner
+_CONFIG = _Table((
+    ("traffic", _Table((
+        ("users", COUNT, 10),
+        ("horizon", DURATION, "48 h"),
+        ("dt", DURATION, "60 s"),
+        ("seed", COUNT, 0),
+        ("params", _PARAMS, {}),
+    )), {}),
+    ("queue", _Table((
+        ("mu", _Or(RATE, None), None),
+        ("alpha", _Or(REAL, None, "auto"), "auto"),
+        ("q0", SIZE0, 0.0),
+        ("capacity", _Or(SIZE, None), None),
+    )), {}),
+    ("sweep", _Table((
+        ("rho_targets", _Array(_Number("a number", bound="in (0, 1)")),
+         [0.45, 0.55, 0.65, 0.75, 0.85]),
+    )), {}),
+    ("network", _Table((
+        ("access_mu", _Array(RATE), _REQUIRED),
+        ("core", _Table((
+            ("mu", _Or(RATE, None), None, "core_mu"),
+            ("capacity", _Or(SIZE, None), None, "core_k"),
+        )), {}, None),
+        ("egress_xi", _Array(RATE), _REQUIRED),
+        ("routing", _Array(_Array(REAL0)), _REQUIRED),
+        ("packet_size", BITS, 1464 * 8),
+        ("priority_rates", _Array(RATE0), []),
+        ("flows", _Table((
+            ("users_per_flow", COUNT, 10),
+            ("target_rate", _Or(RATE, None), None),
+            ("horizon", DURATION, "1 d"),
+            ("dt", DURATION, "60 s"),
+            ("seed", COUNT, 0),
+            ("warmup", DURATION0, 0.0),
+            ("params", _PARAMS, {}),
+        )), {}),
+    )), None),
+    ("workers", WORKERS, 1),
+))
 
 
 def load_config(path):
@@ -106,124 +223,4 @@ def load_config(path):
 
 
 def parse_config(raw):
-    _check_keys(raw, {"traffic", "queue", "sweep", "network", "workers"},
-                "config")
-    cfg = {
-        "traffic": _parse_traffic(raw.get("traffic", {})),
-        "queue": _parse_queue(raw.get("queue", {})),
-        "sweep": _parse_sweep(raw.get("sweep", {})),
-        "network": _parse_network(raw.get("network")) if "network" in raw else None,
-        "workers": _get(raw, "workers", 1, "config", _whole),
-    }
-    if cfg["workers"] < 1:
-        raise ConfigError("config.workers: must be >= 1")
-    return cfg
-
-
-def _parse_user_params(obj, path):
-    _check_keys(obj, {"packet_size", "burst_size_mean", "burst_size_dispersion",
-                      "interburst", "interpacket", "interuse", "sessions"},
-                path)
-    kwargs = {}
-    if "packet_size" in obj:
-        kwargs["packet_size_bits"] = _get(obj, "packet_size", None, path,
-                                          _packet_bits)
-    for key, name in (("burst_size_mean", "burst_size_mean"),
-                      ("burst_size_dispersion", "burst_size_dispersion")):
-        if key in obj:
-            kwargs[name] = _get(obj, key, None, path, float)
-    for key, name in (("interburst", "interburst_mean_s"),
-                      ("interpacket", "interpacket_mean_s"),
-                      ("interuse", "interuse_mean_s")):
-        if key in obj:
-            kwargs[name] = _get(obj, key, None, path, parse_duration)
-    if "sessions" in obj:
-        try:
-            kwargs["session_lengths"] = tuple(
-                (parse_duration(d), float(p)) for d, p in obj["sessions"])
-        except (UnitError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}.sessions: {exc}") from None
-    try:
-        return VideoUserParams(**kwargs)
-    except ParameterError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_traffic(obj):
-    path = "config.traffic"
-    _check_keys(obj, {"users", "horizon", "dt", "seed", "params"}, path)
-    return {
-        "users": _count(obj, "users", 10, path),
-        "horizon": _get(obj, "horizon", "48 h", path, parse_duration),
-        "dt": _get(obj, "dt", "60 s", path, parse_duration),
-        "seed": _count(obj, "seed", 0, path),
-        "params": _parse_user_params(obj.get("params", {}), path + ".params"),
-    }
-
-
-def _parse_queue(obj):
-    path = "config.queue"
-    _check_keys(obj, {"mu", "alpha", "q0", "capacity"}, path)
-    return {
-        "mu": _get(obj, "mu", None, path, parse_rate, nullable=True),
-        "alpha": _get(obj, "alpha", "auto", path, _auto(float),
-                      nullable=True),
-        "q0": _get(obj, "q0", 0.0, path, parse_size),
-        "capacity": _get(obj, "capacity", None, path, parse_size,
-                         nullable=True),
-    }
-
-
-def _parse_sweep(obj):
-    path = "config.sweep"
-    _check_keys(obj, {"rho_targets"}, path)
-    targets = _array(obj.get("rho_targets", [0.45, 0.55, 0.65, 0.75, 0.85]),
-                     path + ".rho_targets", float)
-    if any(not 0.0 < v < 1.0 for v in targets):
-        raise ConfigError(f"{path}.rho_targets: intensities must be in (0, 1)")
-    return {"rho_targets": targets}
-
-
-def _parse_network(obj):
-    path = "config.network"
-    _check_keys(obj, {"access_mu", "core", "egress_xi", "routing",
-                      "packet_size", "flows", "priority_rates"}, path)
-    core = obj.get("core", {})
-    _check_keys(core, {"mu", "capacity"}, path + ".core")
-    flows = obj.get("flows", {})
-    _check_keys(flows, {"users_per_flow", "target_rate", "horizon", "dt",
-                        "seed", "warmup", "params"},
-                path + ".flows")
-    for key in ("access_mu", "egress_xi", "routing"):
-        if key not in obj:
-            raise ConfigError(f"{path}: missing required key '{key}'")
-    access_mu = _array(obj["access_mu"], path + ".access_mu", parse_rate)
-    egress_xi = _array(obj["egress_xi"], path + ".egress_xi", parse_rate)
-    routing = [_array(row, f"{path}.routing[{i}]", float) for i, row in
-               enumerate(_array(obj["routing"], path + ".routing"))]
-    priority = _array(obj.get("priority_rates", []),
-                      path + ".priority_rates", parse_rate)
-    return {
-        "access_mu": access_mu,
-        "core_mu": _get(core, "mu", None, path + ".core", parse_rate,
-                        nullable=True),
-        "core_k": _get(core, "capacity", None, path + ".core", parse_size,
-                       nullable=True),
-        "egress_xi": egress_xi,
-        "routing": routing,
-        "packet_size": _get(obj, "packet_size", 1464 * 8, path,
-                            _packet_bits),
-        "priority_rates": priority,
-        "flows": {
-            "users_per_flow": _count(flows, "users_per_flow", 10,
-                                     path + ".flows"),
-            "target_rate": _get(flows, "target_rate", None, path + ".flows",
-                                parse_rate, nullable=True),
-            "horizon": _get(flows, "horizon", "1 d", path + ".flows", parse_duration),
-            "dt": _get(flows, "dt", "60 s", path + ".flows", parse_duration),
-            "seed": _count(flows, "seed", 0, path + ".flows"),
-            "warmup": _get(flows, "warmup", 0.0, path + ".flows", parse_duration),
-            "params": _parse_user_params(flows.get("params", {}),
-                                         path + ".flows.params"),
-        },
-    }
+    return _CONFIG.read(raw, "config")

@@ -135,13 +135,6 @@ class QueueTrajectory:
                 fh.write(f"{t:.9f},{float(qi)!r},{float(yi)!r}\n")
 
 
-def _elementwise(law, *args):
-    """The scalar kernel ``law`` over the broadcast arrays ``args``: a float
-    for scalar arguments, an array otherwise."""
-    result = np.vectorize(law, otypes=[float])(*args)
-    return float(result) if result.ndim == 0 else result
-
-
 def _rhs_at(t, q, inflow: RateSeries, spec: QueueSpec):
     """The kernel's (dq/dt, outflow, lost-rate) row for ``spec`` fed by
     ``inflow``, with X linear between the inflow's sample times and
@@ -155,12 +148,11 @@ def outflow_rate(x, q, mu, alpha):
     # negated checks, so that NaN fails them
     if not (np.all(np.asarray(x) >= 0) and np.all(np.asarray(q) >= 0)):
         raise DomainError("inflow and backlog must be nonnegative")
-    if not (mu > 0 and alpha > 0):      # NaN fails too
-        raise DomainError("mu and alpha must be > 0")
-    spec = QueueSpec(mu=float(mu), alpha=float(alpha))
-    return _elementwise(
-        lambda xi, qi: _rhs_at(0.0, qi, RateSeries(0.0, 1.0, [xi]), spec)[1],
-        x, q)
+    if not (0 < mu < math.inf and 0 < alpha < math.inf):   # NaN fails too
+        raise DomainError("mu and alpha must be finite and > 0")
+    y = kernels._outflow(np.asarray(q, dtype=float),
+                         np.asarray(x, dtype=float), float(mu), float(alpha))
+    return float(y) if y.ndim == 0 else y
 
 
 def logistic_rhs(t, q, inflow: RateSeries, spec: QueueSpec):
@@ -251,8 +243,8 @@ def _solve(inflow: RateSeries, server, q0):
     _server_args) from the backlog q0."""
     if len(inflow) == 0:
         raise ParameterError("empty inflow")
-    out = kernels.integrate_logistic(inflow.t0, inflow.dt, inflow.values,
-                                     *server, float(q0))
+    out = kernels.integrate_logistic(inflow.dt, inflow.values, *server,
+                                     float(q0))
     # every bin is closed form; max_negative_q is written as -0.0, as the
     # solver_stats files have always carried it
     return QueueTrajectory(_grid(inflow), *out,

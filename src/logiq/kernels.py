@@ -22,14 +22,19 @@ import numpy as np
 _SCAN = 128
 
 
+def _outflow(q, x, mu, alpha):
+    """The outflow law mu + exp(-alpha q) (min(x, mu) - mu) of the server
+    of rate mu at backlog q and inflow x, elementwise over arrays."""
+    return mu + np.exp(-alpha * q) * (np.minimum(x, mu) - mu)
+
+
 def _rhs(q, x, mu, alpha, cap_k):
     """Returns (dq/dt, outflow, lost-rate) of the queue with inflow x on a
     server of rate mu, its backlog projected onto [0, cap_k]: at cap_k the
     backlog does not rise, and the inflow it would rise by is lost.  The
     backlog is evaluated at max(q, 0)."""
     qc = q if q > 0.0 else 0.0
-    mn = x if x < mu else mu
-    y = mu + math.exp(-alpha * qc) * (mn - mu)
+    y = float(_outflow(qc, x, mu, alpha))
     if qc >= cap_k and x > y:
         return 0.0, y, x - y
     return x - y, y, 0.0
@@ -127,17 +132,18 @@ def _ceiling_bins(q, d, w, alpha, cap_k):
     return qs[ends], np.concatenate(([0.0], lost))[ends]
 
 
-def integrate_logistic(t0, x_dt, x_vals, mu, alpha, cap_k, q0):
+def integrate_logistic(x_dt, x_vals, mu, alpha, cap_k, q0):
     """The state (q, outflow, served bits, lost bits) of the queue fed by
     x_vals on a server of constant rate mu, with a buffer of cap_k bits
-    (inf: no buffer limit), starting at backlog q0 <= cap_k, at t0 and at
-    the end of each inflow bin: the rows of the returned array.
+    (inf: no buffer limit), starting at backlog q0 <= cap_k, at the start
+    and at the end of each inflow bin: the rows of the returned array.
 
     One scan solves the bins without a ceiling (_exact_bins).  If a bin's
     backlog would pass cap_k, the bins from the first such on are solved
     again under the ceiling (_ceiling_bins), from the backlog the scan
-    gave before it.  t0 places the bin ends on the output grid t0 + j
-    x_dt, where the backlog keeps the FIFO order of exit times t + q / mu.
+    gave before it.  The backlog keeps the FIFO order of the exit times
+    t + q / mu at the bin ends t = j x_dt from the start: the order does
+    not change when every time is shifted by the grid's start.
     """
     # bin j runs from sample j - 1 to sample j of this padded copy
     xe = np.concatenate((x_vals[:1], x_vals))
@@ -152,8 +158,9 @@ def integrate_logistic(t0, x_dt, x_vals, mu, alpha, cap_k, q0):
                                                 cap_k)
     # FIFO: the outflow never exceeds mu, so exit times t + q / mu never
     # fall, but where X = 0 and alpha q is large the scans can round one
-    # below an earlier one: raise q just enough, up to cap_k at most
-    t = t0 + x_dt * np.arange(q.size)
+    # below an earlier one: raise q just enough, up to cap_k at most.  The
+    # times are relative, so no grid start coarsens them
+    t = x_dt * np.arange(q.size)
     while True:
         exits = t + q / mu
         floor = np.maximum.accumulate(exits)[:-1]
@@ -166,8 +173,8 @@ def integrate_logistic(t0, x_dt, x_vals, mu, alpha, cap_k, q0):
     # the outflow law, and served bits by mass balance
     inflow = np.cumsum(np.concatenate(([0.0],
                                        0.5 * x_dt * (xe[:-1] + xe[1:]))))
-    return np.array([q, mu + np.exp(-alpha * q) * (np.minimum(xe, mu) - mu),
-                     inflow - (q - q0) - lost, lost])
+    return np.array([q, _outflow(q, xe, mu, alpha), inflow - (q - q0) - lost,
+                     lost])
 
 
 def point_queue_exact(x_dt, x_vals, mu, q0):

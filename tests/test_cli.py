@@ -326,14 +326,15 @@ class TestExitCodes:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_backlog_that_is_not_a_number_is_1(self, tmp_path, capsys):
-        # a NaN q0 (JSON's NaN literal) passes the config's parsing and is
-        # refused by QueueSpec.  A null one, which used to take this path
-        # too, is a config error (test_config.py)
+    def test_backlog_that_is_not_a_number_is_2(self, tmp_path, capsys):
+        # a NaN q0 (JSON's NaN literal) used to pass the config's parsing
+        # and be refused by QueueSpec with exit 1; every number the config
+        # reads is finite, so it is a config error that names the field
         payload = {**BASE, "queue": {"mu": "3.4 Mb/s", "q0": float("nan")}}
         code, _ = run(tmp_path, "simulate", payload)
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: q0 must be")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: config.queue.q0: ")
 
     def test_queue_never_built_is_1(self, tmp_path, capsys):
         # the oracle's backlog is 0 at every sample, so the relative

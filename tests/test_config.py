@@ -1,17 +1,28 @@
-"""Scenario JSON schema: unit literals, defaults, unknown-key rejection."""
+"""Scenario JSON schema: unit literals, defaults, unknown-key rejection,
+and one property over the table of fields: every bad value of every field
+is a config error that names it."""
 
+import copy
 import json
+import math
 import re
+import string
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from logiq import config
 from logiq.config import ConfigError, load_config, parse_config
 
 
-SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios")
-                   .glob("*.json"))
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
+# perfbench's configs too: a rule that refused one would first show as a
+# failed benchmark run
+SHIPPED = SCENARIOS + sorted((ROOT / "perfbench").glob("*.json"))
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -165,7 +176,7 @@ def test_removed_key_rejected_with_path(raw, path):
         parse_config(raw)
 
 
-@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
 def test_bundled_scenario_loads(path):
     load_config(path)  # raises ConfigError on a removed or unknown key
 
@@ -378,3 +389,109 @@ def test_not_whole_or_not_array_exits_2(tmp_path, capsys, raw):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err.startswith("config error: config.")
+
+
+# the least config that reads every section: the network's required keys
+LEAST = {"network": {"access_mu": [1.0], "egress_xi": [1.0],
+                     "routing": [[1.0]]}}
+
+
+def leaves(table, keys=("config",)):
+    """(path keys, kind) of each field of ``table`` that is no table."""
+    for key, kind, *_ in table.rows:
+        inner = kind.kind if isinstance(kind, config._Or) else kind
+        if isinstance(inner, config._Table):
+            yield from leaves(inner, keys + (key,))
+        else:
+            yield keys + (key,), kind
+
+
+def bad_values(kind):
+    """Strategies, one for each class of value that ``kind`` refuses: null
+    where null means nothing, a string where a number or an array belongs,
+    a fraction where a whole number belongs, a number out of the kind's
+    bounds (negative among them), NaN, inf and a boolean; and each of
+    those as an array's item."""
+    words = kind.words if isinstance(kind, config._Or) else ()
+    kind = kind.kind if isinstance(kind, config._Or) else kind
+    classes = [] if None in words else [st.none()]
+    if isinstance(kind, config._Array):
+        classes.append(st.text())
+        if not isinstance(kind.item, tuple):
+            return classes + [s.map(lambda v: [v])
+                              for s in bad_values(kind.item)]
+        classes.append(st.lists(st.just(1.0)).filter(
+            lambda v: len(v) != len(kind.item)))
+        for i, item in enumerate(kind.item):
+            classes += [s.map(lambda v, i=i: [1.0] * i + [v] + [1.0] * (
+                len(kind.item) - i - 1)) for s in bad_values(item)]
+        return classes
+    # a quantity's parser reads digits: a string of letters is no quantity
+    strings = (st.text() if kind.parse is None
+               else st.text(string.ascii_letters))
+    classes.append(strings.filter(lambda s: s not in words))
+    if kind.whole:
+        classes.append(st.builds(lambda n, f: n + f,
+                                 st.integers(1, 2 ** 40),
+                                 st.floats(0.001, 0.999)))
+    classes.append(st.integers(max_value=-1) | st.floats(
+        max_value=0.0, exclude_max=True, allow_infinity=False))
+    in_bound = config._BOUNDS[kind.bound]
+    classes.append(st.sampled_from([v for v in (0, 1, 2.5)
+                                    if not in_bound(v)] or [-1]))
+    return classes + [st.just(math.nan), st.sampled_from([math.inf,
+                                                          -math.inf]),
+                      st.booleans()]
+
+
+LEAVES = list(leaves(config._CONFIG))
+
+
+def test_table_has_every_section():
+    parse_config(LEAST)
+    assert {keys[1] for keys, _ in LEAVES} == {"traffic", "queue", "sweep",
+                                               "network", "workers"}
+
+
+@pytest.mark.parametrize("keys, kind", LEAVES,
+                         ids=[".".join(k[1:]) for k, _ in LEAVES])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_every_bad_value_names_its_field(keys, kind, data):
+    for strategy in bad_values(kind):
+        raw = copy.deepcopy(LEAST)
+        leaf = raw
+        for key in keys[1:-1]:
+            leaf = leaf.setdefault(key, {})
+        leaf[keys[-1]] = value = data.draw(strategy)
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert str(info.value).startswith(".".join(keys)), value
+
+
+# each was accepted, and then ran (a boolean read as 1), or failed later
+# with exit 1, or never
+@pytest.mark.parametrize("raw, path", [
+    ({"queue": {"mu": True}}, "config.queue.mu"),
+    ({"traffic": {"horizon": True}}, "config.traffic.horizon"),
+    ({"traffic": {"params": {"burst_size_mean": True}}},
+     "config.traffic.params.burst_size_mean"),
+    ({"network": {**NETWORK, "routing": [[True] + [0.0] * 4] * 4}},
+     "config.network.routing[0]"),
+    ({"queue": {"mu": float("nan")}}, "config.queue.mu"),
+    ({"network": {**NETWORK, "egress_xi": ["-20 Gb/s"] * 5}},
+     "config.network.egress_xi"),
+    ({"traffic": {"dt": 0}}, "config.traffic.dt"),
+    ({"network": {**NETWORK, "flows": {**NETWORK["flows"],
+                                       "warmup": "-1 h"}}},
+     "config.network.flows.warmup"),
+], ids=["mu_bool", "horizon_bool", "burst_size_mean_bool", "routing_bool",
+        "mu_nan", "egress_xi_negative", "dt_zero", "warmup_negative"])
+def test_out_of_domain_exits_2(tmp_path, capsys, raw, path):
+    from logiq.cli import main
+    command = "dt" if "network" in raw else "validate"
+    raw = {"queue": {"mu": "11.33 Mb/s"}, **raw}
+    code = main([command, "--config", str(write_cfg(tmp_path, raw)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")

@@ -1,7 +1,7 @@
 """``kernels.integrate_logistic`` called directly: against a scalar walk of
 the bin pieces under the buffer's ceiling, on an input that fills the
-buffer and drains it to empty, for causality across bins, and where the
-FIFO raise meets a full buffer.  Also the backlog the scans carry from one
+buffer and drains it to empty, for causality across bins, and at a grid
+start that cannot resolve the bins.  Also the backlog the scans carry from one
 block to the next, and a buffer that never fills, which is the infinite
 buffer bit for bit.  The other kernels are tested through fluid.py and
 des.py."""
@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logiq import kernels
+from logiq import QueueSpec, RateSeries, integrate_queue, kernels
 
 
 def ceiling_bin(q, da, db, w, alpha, cap_k):
@@ -59,7 +59,7 @@ def logistic_args(rng, n=60):
     0: its exponential drain underflows to 0 at this alpha."""
     x_vals = rng.uniform(0.0, 2e6, n)
     x_vals[n // 3:] = rng.uniform(0.0, 0.5e6, n - n // 3)
-    return dict(t0=0.0, x_dt=1.0, x_vals=x_vals, mu=1e6, alpha=1e-4,
+    return dict(x_dt=1.0, x_vals=x_vals, mu=1e6, alpha=1e-4,
                 cap_k=2e6, q0=0.0)
 
 
@@ -97,7 +97,7 @@ def test_matches_the_walk(fractions, dt, alpha_dt, k_bins, q0_share, scan):
     args = dict(x_dt=dt, x_vals=x_vals, mu=mu, alpha=alpha_dt / (mu * dt),
                 cap_k=k_bins * mu * dt, q0=q0_share * k_bins * mu * dt)
     with mock.patch.object(kernels, "_SCAN", scan):
-        out = kernels.integrate_logistic(t0=0.0, **args)
+        out = kernels.integrate_logistic(**args)
     q, lost = walk(**args)
     cap_k = args["cap_k"]
     mass = np.sum(0.5 * dt * (np.concatenate((x_vals[:1], x_vals[:-1]))
@@ -120,7 +120,7 @@ def test_later_samples_leave_earlier_bins_unchanged(finite, n, data, seed):
     x_vals = rng.uniform(0.0, 2.0 * mu, n)
     x_later = x_vals.copy()
     x_later[j:] = rng.uniform(0.0, 2.0 * mu, n - j)
-    args = dict(t0=0.0, x_dt=1.0, mu=mu, alpha=1.0 / mu,
+    args = dict(x_dt=1.0, mu=mu, alpha=1.0 / mu,
                 cap_k=2.0 * mu if finite else math.inf, q0=0.0)
     out = kernels.integrate_logistic(x_vals=x_vals, **args)
     out_later = kernels.integrate_logistic(x_vals=x_later, **args)
@@ -133,7 +133,7 @@ def test_scans_carry_the_backlog():
     # buffer that fills
     rng = np.random.default_rng(5)
     x = rng.uniform(0.0, 2.0, 300) * rng.integers(0, 2, 300)
-    args = dict(t0=0.0, x_dt=1.0, x_vals=x, mu=1.0, alpha=3.0,
+    args = dict(x_dt=1.0, x_vals=x, mu=1.0, alpha=3.0,
                 cap_k=math.inf, q0=4.0)
     out = kernels.integrate_logistic(**args)
     full = kernels.integrate_logistic(**dict(args, cap_k=4.5))
@@ -159,27 +159,27 @@ def test_buffer_that_never_fills_is_the_infinite_buffer():
         np.testing.assert_array_equal(out, unbounded)
 
 
-def test_fifo_raise_stops_at_a_full_buffer():
-    # t0 = 2^40 rounds the grid to steps of 2^-12 s, coarser than the bins:
-    # the buffer fills to K, and one bin's drain ends at an exit time that
-    # rounds below the full buffer's at the same grid time.  Raising it to
-    # that exit time would put it a step of mu 2^-12 above K; it stops at K
-    t0, dt, mu, cap_k = 2.0 ** 40, 1e-4, 1.0, 1.5e-4
+def test_solve_at_a_large_t0_is_the_solve_at_0():
+    # at t0 = 2^40 the grid t0 + j dt rounds to steps of 2^-12 s, coarser
+    # than these bins.  The FIFO raise compares exit times from the grid's
+    # start, so no start coarsens them: a drained backlog is not raised
+    # back to K, and the served bits never fall
+    dt, mu, cap_k = 1e-4, 1.0, 1.5e-4
+    spec = QueueSpec(mu=mu, alpha=1e6, capacity_k=cap_k)
     x_vals = np.array([2.0, 2.0, 2.0, 0.0, 0.0, 0.0])
-    out = kernels.integrate_logistic(t0, dt, x_vals, mu, 1e6, cap_k, 0.0)
-    q = out[0]
-    assert q.max() == cap_k and np.all(q <= cap_k)
-    # the bin after the drain's first was raised back to K
-    assert q[4] < cap_k and q[5] == cap_k
-    exits = (t0 + dt * np.arange(q.size)) + q / mu
-    assert np.all(np.diff(exits) >= 0.0)
+    at_0 = integrate_queue(RateSeries(0.0, dt, x_vals), spec)
+    late = integrate_queue(RateSeries(2.0 ** 40, dt, x_vals), spec)
+    for row in ("q", "y", "served", "lost"):
+        np.testing.assert_array_equal(getattr(late, row), getattr(at_0, row))
+    assert late.q.max() == cap_k and late.q[-1] < cap_k
+    assert np.all(np.diff(late.served) >= 0.0)
 
 
 def test_full_buffer_holds_k_exactly():
     # at alpha = 1e-6 the round trip of K = 1e5 through log u and the
     # softplus lands below K; a full buffer holds K itself
     x_vals = np.full(20, 1.2e6)
-    out = kernels.integrate_logistic(0.0, 1.0, x_vals, 1e6, 1e-6, 1e5, 0.0)
+    out = kernels.integrate_logistic(1.0, x_vals, 1e6, 1e-6, 1e5, 0.0)
     assert out[0].max() == 1e5 and np.all(out[0, 1:] == 1e5)
 
 
@@ -188,6 +188,6 @@ def test_drain_of_an_ulp_in_log_u_stays_at_most_k():
     # bin: log u falls by 1e-16, about two ulps, and its softplus rounds
     # back above K, where the clamp holds it
     x_vals = np.array([1e6 + 2.0 * 5.3e6] + [1e6 - 1e-9] * 3)
-    out = kernels.integrate_logistic(0.0, 1.0, x_vals, 1e6, 1e-7, 5.3e6,
+    out = kernels.integrate_logistic(1.0, x_vals, 1e6, 1e-7, 5.3e6,
                                      0.0)
     assert np.all(out[0] <= 5.3e6) and out[0, 1] == 5.3e6
