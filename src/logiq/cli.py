@@ -13,8 +13,8 @@ from .config import COUNT, WORKERS, ConfigError, load_config
 from .fluid import DomainError, QueueSpec, compute_alpha, integrate_queue
 from .metrics import DegenerateInputError
 from .network import HorizonError, Topology
-from .series import (PacketTrace, ParameterError, RateSeries, intensity,
-                     mean_rate, merge_traces, trace_to_inflow)
+from .series import (PacketTrace, ParameterError, RateSeries, _write_csv,
+                     intensity, mean_rate, merge_traces, trace_to_inflow)
 from .traffic import generate_users
 from .units import fmt_rate
 
@@ -259,10 +259,8 @@ def cmd_dt(cfg, out: Path) -> int:
         inflow.to_csv(out / f"flow_{i}.csv")
     run.state.core.to_csv(out / "core_trajectory.csv")
     _write_solver_stats(out, run)
-    with open(out / "l_od.csv", "w") as fh:
-        fh.write("t_s,L_od_s\n")
-        for t, l in zip(run.latency_times, run.latency_od):
-            fh.write(f"{t:.9f},{float(l)!r}\n")
+    _write_csv(out / "l_od.csv", "t_s,L_od_s\n", "%.9f,%r\n",
+               run.latency_times, run.latency_od)
     plot.line_plot(out / "l_od.svg",
                    [("L_od", run.latency_times, run.latency_od)],
                    title="expected latency", xlabel="t (s)", ylabel="L_od (s)")

@@ -11,13 +11,18 @@ arithmetic and unrolls to c_j = T_j + max(c_prev, max over k <= j of
 (a_k - T_(k-1))), T_k = k tau_e: a block in one binade costs one running
 maximum (_lindley).  m never decreases, so each binade is entered once.
 
-Mode L runs such blocks and, with a finite buffer, the loop's own drop test
-on them, accepting every packet before the first drop.  From a drop, mode D
-walks the busy run in numpy blocks up to the first idle arrival
-(_busy_walk).  The loop's scalar step takes only the packets where the rule
-fails: at a binade crossing, in a binade where the size ties, and where m
-is below the smallest normal float (zero and negative times).  Dropped bits
-are drops x size, as the loop counts them.
+Mode L runs such blocks and, with a finite buffer, the loop's drop test on
+them, accepting every packet before the first drop.  The test drops an
+arrival iff fl(c_prev - a) > lim, the largest float d with d mu + s <= K as
+the loop rounds it; in a sub-block of arrivals, c_prev - a is at most a
+later departure less the first arrival, so only the sub-blocks where that
+bound exceeds lim are tested packet by packet (_first_drop).  From a drop,
+mode D walks the busy run up to the first idle arrival in numpy blocks of
+one running minimum each (_busy_walk).  The loop's scalar step takes only
+the packets where the rule fails: at a binade crossing, in a binade where
+the size ties, where m is below the smallest normal float (zero and
+negative times), and in mode D where tau_e is under 64 ulps of the times
+or of lim.  Dropped bits are drops x size, as the loop counts them.
 
 Accepted departures, the one array as long as the trace, are written
 compacted as they are made; the backlog samples read the last completion
@@ -36,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .series import (PacketTrace, RateSeries, ParameterError, bin_rates,
-                     n_bins)
+from .series import (PacketTrace, RateSeries, ParameterError, _write_csv,
+                     bin_rates, n_bins)
 
 
 @dataclass(frozen=True)
@@ -71,10 +76,8 @@ class DesResult:
     segments: int   # time segments the arrivals were fed in
 
     def q_to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t_s,q_bits\n")
-            for t, q in zip(self.sample_times, self.q_sampled):
-                fh.write(f"{t:.9f},{float(q)!r}\n")
+        _write_csv(path, "t_s,q_bits\n", "%.9f,%r\n", self.sample_times,
+                   self.q_sampled)
 
 
 def simulate_fifo(trace: PacketTrace, cfg: DesConfig,
@@ -158,13 +161,31 @@ class FifoCarry:
 
 
 # block lengths in packets: mode L's blocks grow from _BLOCK_MIN to _CHUNK,
-# a busy walk's to _BLOCK_MAX, doubling while nothing cuts them short; the
-# scratch arrays hold one block, not the whole trace
+# doubling while nothing cuts them short, and a busy walk's are _BLOCK_MAX;
+# the scratch arrays hold one block, not the whole trace.  The drop test
+# bounds the backlogs, and the walk checks its idle candidates, _SUB
+# arrivals at a time
 _CHUNK = 1 << 16
 _BLOCK_MIN = 64
-_BLOCK_MAX = 4096
+_BLOCK_MAX = 1 << 14
+_SUB = 128
 # the binade rule needs the ulp of m to be a float
 _TINY = float(np.finfo(np.float64).tiny)
+
+
+def _limit(mu, size, cap):
+    """lim: the largest float d with d * mu + size <= cap as the loop rounds
+    it, by bisection on the bits of d >= 0 (0 passes, as size <= cap).  The
+    loop's test is nondecreasing in d = fl(c_prev - a), so it drops an
+    arrival iff that is above lim."""
+    lo, hi = 0, 0x7FF0000000000000          # the bits of 0.0 and of inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if float(np.int64(mid).view(np.float64)) * mu + size <= cap:
+            lo = mid
+        else:
+            hi = mid
+    return float(np.int64(lo).view(np.float64))
 
 
 class _Scan:
@@ -172,25 +193,28 @@ class _Scan:
     segments, in the modes of the module docstring.  The state is the
     loop's: the last completion c and the dropped bits so far (each
     segment's drops x its size), with whether a segment ended inside a
-    busy walk (walking), so the counts of mode D are the whole trace's.  In
-    a segment, j is the next arrival and the accepted departures are
-    out[:w]; kept[i] counts the accepted packets among the first seen[i]
-    arrivals.  The departures' buffer and the scratch serve every
-    segment."""
+    busy walk (walking), so the counts of mode D are the whole trace's, and
+    mode L's block length.  In a segment, j is the next arrival and the
+    accepted departures are out[:w]; kept[i] counts the accepted packets
+    among the first seen[i] arrivals.  The departures' buffer and the
+    walk's scratch d serve every segment."""
 
     def __init__(self, mu, cap_k):
         self.mu, self.cap = mu, cap_k
         self.c, self.bits = -math.inf, 0.0
         self.walking = False
+        self.block = _BLOCK_MIN
         self.looped = self.stepped = self.drops = 0
         self.packets = self.segments = 0
         self.out = np.empty(0)
-        self.d = np.empty(0)    # the drop test's scratch
-        self.tau = self.ex = self.ramp = None
+        self.d = np.empty((2, 0 if cap_k is None else _BLOCK_MAX + 1))
+        self.tau = self.ex = self.ramp = self.size = None
 
     def load(self, arrivals, size, seen):
         """Swap in the next segment: its arrivals, packet size and seen."""
         n = arrivals.size
+        if self.cap is not None and size != self.size and size <= self.cap:
+            self.lim = _limit(self.mu, size, self.cap)
         self.a, self.size, self.seen = arrivals, size, seen
         self.kept, self.si = np.zeros_like(seen), 0
         self.j = self.w = 0
@@ -202,8 +226,6 @@ class _Scan:
         if tau != self.tau or (self.ramp is not None
                                and self.ramp.size <= block):
             self.tau, self.ex, self.ramp = tau, None, None
-        if self.cap is not None and self.d.size < block:
-            self.d = np.empty(block)
 
     def run(self):
         """The segment's accepted departures, a view of the buffer that the
@@ -213,9 +235,8 @@ class _Scan:
             # backlog + size > K for every arrival: all are dropped, so
             # the segment is done
             self.j = n
-        block = _BLOCK_MIN
         if self.walking:
-            self.walking = not self._busy_walk()
+            self._walk()
         while self.j < n:
             j = self.j
             m = max(self.c, a[j])
@@ -224,6 +245,7 @@ class _Scan:
                 continue
             ex = math.frexp(m)[1]
             top = math.ldexp(1.0, ex)           # m lies in [top / 2, top)
+            block = min(self.block, _CHUNK)
             hi = j + int(np.searchsorted(a[j:j + block], top))
             if self._ramp(ex, top) is None:
                 self._loop(hi)                  # a tie for every packet
@@ -236,16 +258,21 @@ class _Scan:
                 self.c = self.out[self.w - 1]
                 self._settle()
             if take < got:                      # mode D from the drop
-                self.walking = not self._busy_walk()
-                block = _BLOCK_MIN
+                self._walk()
             elif got < hi - j:                  # the rule fails here
                 self._loop(self.j + 1)
-                block = _BLOCK_MIN
+                self.block = _BLOCK_MIN
             else:
-                block = min(2 * block, _CHUNK)
+                self.block = min(2 * block, _CHUNK)
         self.drops += n - self.w
         self.bits += (n - self.w) * self.size
         return self.out[:self.w]
+
+    def _walk(self):
+        """Mode D, then mode L from the idle arrival it stops at, in blocks
+        from K / size packets: the buffer cannot fill sooner."""
+        self.walking = not self._busy_walk()
+        self.block = max(_BLOCK_MIN, int(self.cap // self.size))
 
     def _ramp(self, ex, top):
         """T_k = k tau_e for the binade below ``top`` (2^ex), or
@@ -277,34 +304,32 @@ class _Scan:
 
     def _first_drop(self, got):
         """The loop's drop test on the ``got`` packets _lindley wrote: the
-        index of the first drop, or got.  The test is nondecreasing in
-        c - a, and at an idle server it passes, since the size is at most
-        K (run drops every packet of a larger size)."""
-        if not got:
+        first arrival with fl(c_prev - a) > lim, or got.  An arrival of a
+        sub-block of _SUB sees c_prev - a at most the next sub-block's first
+        departure (or the last) less the sub-block's first arrival: only
+        the sub-blocks where that exceeds lim are tested one by one."""
+        a, dep = self.a[self.j:self.j + got], self.out[self.w:self.w + got]
+        bound = np.append(dep[_SUB::_SUB], dep[-1:]) - a[::_SUB]
+        s = (np.flatnonzero(bound > self.lim) * _SUB).tolist()
+        if s and not s[0] and self.c - a[0] > self.lim:
             return 0
-        ab = self.a[self.j:self.j + got]
-        d = self.d[:got]
-        d[0] = self.c - ab[0]
-        np.subtract(self.out[self.w:self.w + got - 1], ab[1:], out=d[1:])
-        # try the largest first
-        if not d.max() * self.mu + self.size > self.cap:
-            return got
-        d *= self.mu
-        d += self.size
-        hit = d > self.cap
-        f = int(hit.argmax())
-        return f if hit[f] else got
+        for lo in s:
+            lo, hi = max(lo, 1), min(lo + _SUB, got)
+            hit = dep[lo - 1:hi - 1] - a[lo:hi] > self.lim
+            if hit.any():
+                return lo + int(hit.argmax())
+        return got
 
     def _settle(self, j0=0, w0=0, counts=None):
         """kept for the sample points up to j: w - (j - seen) if every
-        packet since the last call was accepted, else from counts, the
+        packet since the last call was accepted, else w0 + counts(i), the
         accepted packets among the first i arrivals from j0 on."""
         seen, si = self.seen, self.si
         if si < seen.size and seen[si] <= self.j:
             hi = si + int(np.searchsorted(seen[si:], self.j, side="right"))
             idx = seen[si:hi]
             self.kept[si:hi] = (self.w - self.j + idx if counts is None
-                                else w0 + counts[idx - j0])
+                                else w0 + counts(idx - j0))
             self.si = hi
 
     def _loop(self, hi, walk=False):
@@ -320,80 +345,92 @@ class _Scan:
         self.j, self.c = hi, last_c[-1]
         self.stepped += hi - j0
         self.looped += walk * (hi - j0)
-        self._settle(j0, w0, np.concatenate(([0], np.cumsum(keep))))
+        self._settle(j0, w0, np.concatenate(([0], np.cumsum(keep))).take)
 
     def _busy_walk(self):
         """Mode D: kernels.des_fifo's results, bit for bit, for the busy run
-        from j, walked in numpy blocks up to the first arrival that finds
-        the server idle.  Returns whether it got there before the end of the
-        segment.
+        from j up to the first arrival that finds the server idle, in numpy
+        blocks.  Returns whether it got there before the segment's end.
 
-        While the server stays busy, the loop's completion time after k more
-        accepted packets is comp[k] = c + k tau_e, by the binade rule, as
-        long as that stays below top; where the rule fails, the loop takes
-        one step.  The loop's drop test (comp - a) * mu + size > cap_k is
-        monotone in comp and in a, so arrival i would be accepted at each of
-        the first m_i entries of comp and at none after them, and m is
-        nondecreasing.  Arrival i finds k_i accepted before it and is
-        accepted iff k_i < m_i; hence k_(i+1) = min(k_i + 1, m_i), which
-        unrolls to k_i = i + min(0, min over l < i of (m_l - l - 1)).
+        While the server stays busy, the completion after k more accepted
+        packets is comp[k] = c + k tau_e, exactly, by the binade rule (where
+        the rule fails, the loop takes one step).  Arrival i, finding k_i
+        accepted before it, is accepted iff fl(comp[k_i] - a_i) <= lim,
+        that is iff k_i < m_i, the number of entries of comp it passes at.
+        So k_(i+1) = min(k_i + 1, m_i), which unrolls to k_i = i + min(0,
+        min over l < i of (m_l - l - 1)), and m_l - l - 1 is floor((y_l +
+        lim - c) / tau_e), y_l = a_l - l tau_e, but for rounding.  The floor
+        is nondecreasing in y, so k_i = i + min(0, floor((p_i + lim - c) /
+        tau_e)) with p_i the running minimum of y before i: one prefix
+        minimum, read only where k is needed, and the loop's own count
+        where rounding could move the floor.  The arrivals before c find
+        the server busy; of the later ones, only those where y has risen
+        above p by lim - tau_e, less rounding, can find it idle.  Arrivals
+        that fail even at c - tau_e, which a crossing's rounding can leave,
+        are dropped first, so that m_l >= 0 for the rest.
         """
-        a, mu, cap, size = self.a, self.mu, self.cap, self.size
-        off = (cap - size) / mu
-        block = _BLOCK_MIN
+        a, lim = self.a, self.lim
         while self.j < a.size:
             j0, w0, c = self.j, self.w, self.c
             ex = math.frexp(c)[1]
             top = math.ldexp(1.0, ex)
-            b = tau_e = 0
+            tau = nb = 0
             if c >= _TINY and self._ramp(ex, top) is not None:
-                tau_e = self.ramp[1]
-                # the entries comp[0..b] below top
-                b = int(np.searchsorted(self.ramp[:block + 1], top - c)) - 1
-            ab = a[j0:j0 + b]
-            b = ab.size
-            if not b or not tau_e:
+                tau = self.ramp[1]
+                # the entries comp[0..nb] below top
+                nb = int(np.searchsorted(self.ramp[:_BLOCK_MAX + 1],
+                                         top - c)) - 1
+            # eps bounds the rounding of y, of p and of the floor's argument
+            eps = 4 * math.ulp(max(top, lim, -a[j0]))
+            if nb < 1 or tau < 16 * eps:
                 self._loop(j0 + 1, walk=True)
                 continue
-            # ext[k + 1] = comp[k]; the ends pass and fail the drop test
-            ext = np.empty(b + 3)
-            ext[0], ext[-1] = -np.inf, np.inf
-            comp = ext[1:-1]
-            np.add(self.ramp[:b + 1], c, out=comp)
-            # m from the entries up to a + off, counted by division, then
-            # settled on the loop's own test, which that count's rounding
-            # can miss by an entry: pass at comp[m - 1], fail at comp[m]
-            est = ab + off
-            est -= c
-            est /= tau_e
-            np.floor(est, out=est)
-            m = np.clip(est, -1.0, b, out=est).astype(np.intp) + 1
-            i = np.arange(b)
-            while i.size:
-                mi, ai = m[i], ab[i]
-                step = ((ext[mi + 1] - ai) * mu + size <= cap).astype(np.intp)
-                step -= (ext[mi] - ai) * mu + size > cap
-                m[i] = mi + step
-                i = i[step != 0]
-            k = np.arange(b + 1)
-            gap = m - k[1:]
-            np.minimum.accumulate(gap, out=gap)
-            np.minimum(gap, 0, out=gap)
-            k[1:] += gap
-            busy = comp[k[:-1]] > ab
-            e = int(busy.argmin())
-            if busy[e]:
-                e = b
-            got = int(k[e])
-            self.out[w0:w0 + got] = comp[1:got + 1]
+            ab = a[j0:j0 + nb]
+            late = c - lim - tau / 2
+            if ab[0] < late:
+                self.j += int(np.searchsorted(ab, late))
+                self.looped += self.j - j0
+                self._settle(j0, w0, lambda i: 0)
+                continue
+            b = ab.size
+            busy = int(np.searchsorted(ab, c))
+            y, p = self.d[0, :b + 1], self.d[1, :b + 1]
+            # the floor is 0 from y[0] on, and only just
+            y[0] = c - lim + tau - 8 * eps
+            np.subtract(ab, self.ramp[:b], out=y[1:])
+            np.fmin.accumulate(y, out=p)
+
+            def counts(i):
+                """k_i for the offsets i."""
+                z = (p[i] - (c - lim)) / tau
+                q = np.floor(z)
+                # where rounding could move the floor, the loop's own count
+                near = abs(z - q - 0.5) > 0.5 - 2 * eps / tau
+                for at in np.flatnonzero(near):
+                    dep = kernels.des_fifo(ab[:i[at]], self.size, self.mu,
+                                           self.cap, c)[0]
+                    q[at] = np.count_nonzero(~np.isnan(dep)) - i[at]
+                return i + np.minimum(q, 0)
+
+            # the arrivals that may find the server idle, _SUB at a time up
+            # to the first that does (e), else the block's end
+            d = np.subtract(y[busy + 1:], p[busy + 1:], out=y[busy + 1:])
+            t, e = busy + np.flatnonzero(d >= lim - tau - 4 * eps), b
+            for lo in range(0, t.size, _SUB):
+                ti = t[lo:lo + _SUB]
+                idle = counts(ti) * tau + c <= ab[ti]
+                if idle.any():
+                    e = int(ti[idle.argmax()])
+                    break
+            got = int(counts(np.array([e]))[0])
+            np.add(self.ramp[1:got + 1], c, out=self.out[w0:w0 + got])
             self.w += got
             self.j += e
-            self.c = comp[got]
+            self.c = c + self.ramp[got]
             self.looped += e
-            self._settle(j0, w0, k)
+            self._settle(j0, w0, counts)
             if e < b:
                 return True
-            block = min(2 * block, _BLOCK_MAX)
         return False
 
 

@@ -31,15 +31,18 @@ class ParameterError(ValueError):
 _SORT_CHECK = 1 << 16
 # lines per write of a CSV file
 _CSV_LINES = 1 << 16
+# edge_counts' tolerance is a few of these relative to the times
+_EPS = float(np.finfo(np.float64).eps)
 
 
-def _write_csv(path, header, line, rows):
-    """Write ``header``, then ``line % row`` for each row of the 2-D float
-    array ``rows``, formatting _CSV_LINES rows of Python floats at once."""
+def _write_csv(path, header, line, *columns):
+    """Write ``header``, then ``line % row`` for each row of the float
+    arrays ``columns`` side by side, formatting _CSV_LINES rows of Python
+    floats at once (so %r writes a float's repr)."""
     with open(path, "w") as fh:
         fh.write(header)
-        for i in range(0, len(rows), _CSV_LINES):
-            part = rows[i:i + _CSV_LINES]
+        for i in range(0, len(columns[0]), _CSV_LINES):
+            part = np.column_stack([c[i:i + _CSV_LINES] for c in columns])
             fh.write((line * len(part)) % tuple(part.ravel().tolist()))
 
 
@@ -93,7 +96,7 @@ class PacketTrace:
 
     def to_csv(self, path):
         _write_csv(path, "t_arrival_s,size_bits\n",
-                   f"%.9f,{self.packet_bits:g}\n", self.times[:, None])
+                   f"%.9f,{self.packet_bits:g}\n", self.times)
 
 
 @dataclass(frozen=True)
@@ -152,8 +155,8 @@ class RateSeries:
                 and abs(self.dt - other.dt) < 1e-12 * max(1.0, self.dt))
 
     def to_csv(self, path):
-        _write_csv(path, "t_s,rate_bps\n", "%.9f,%r\n",
-                   np.column_stack((self.sample_times, self.values)))
+        _write_csv(path, "t_s,rate_bps\n", "%.9f,%r\n", self.sample_times,
+                   self.values)
 
     @classmethod
     def from_csv(cls, path):
@@ -290,11 +293,14 @@ def edge_counts(times, t0, dt, k) -> np.ndarray:
     lie in a bin below edge t0 + k dt, that is with (t - t0) / dt <= k in
     floating point.  The rule is nondecreasing in t, so the packets more
     than ``tol`` (a few ulps) from the edge fall on its side by
-    searchsorted, and the rule itself settles the few within tol."""
+    searchsorted, and the rule itself settles the few within tol, where
+    there are any."""
     edges = t0 + dt * k
-    tol = 4.0 * np.finfo(np.float64).eps * (abs(t0) + np.abs(edges) + dt * k)
+    tol = 4.0 * _EPS * (abs(t0) + np.abs(edges) + dt * k)
     lo = np.searchsorted(times, edges - tol, side="right")
     hi = np.searchsorted(times, edges + tol, side="right")
+    if (hi == lo).all():
+        return lo
     near = run_indices(lo, hi)
     owner = np.repeat(np.arange(k.size), hi - lo)
     below = (times[near] - t0) / dt <= k[owner]

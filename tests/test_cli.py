@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from logiq import pipeline
+from logiq import pipeline, series
 from logiq.cli import main
 from logiq.des import simulate_fifo
 from logiq.metrics import DegenerateInputError
@@ -244,9 +244,15 @@ class TestCommands:
     def test_dt(self, tmp_path):
         payload = dict(BASE)
         payload.update(NETWORK)
-        code, out = run(tmp_path, "dt", payload)
+        with mock.patch("logiq.cli._write_csv",
+                        wraps=series._write_csv) as write:
+            code, out = run(tmp_path, "dt", payload)
         assert code == 0
-        assert (out / "l_od.csv").exists()
+        # l_od.csv is byte for byte what one f-string per sample wrote
+        (path, _, _, times, l_od), _ = write.call_args
+        assert path == out / "l_od.csv"
+        assert path.read_text() == "t_s,L_od_s\n" + "".join(
+            f"{t:.9f},{float(v)!r}\n" for t, v in zip(times, l_od))
         assert (out / "l_max_vs_priority.csv").exists()
         assert (out / "l_od.svg").exists()
         summary = (out / "summary.txt").read_text()

@@ -6,10 +6,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from logiq import des, kernels
+from logiq import des, kernels, series
 from logiq.config import load_config
 from logiq.des import DesConfig, departures_to_outflow, simulate_fifo
 from logiq.series import PacketTrace, ParameterError, merge_traces
@@ -437,6 +437,90 @@ class TestDropTailOracle:
         assert res.stepped <= 10
 
 
+class TestWalkAndDropTest:
+    """The busy walk reads k from one running minimum and takes the loop's
+    count only where rounding could move its floor; the drop test tests
+    only the sub-blocks whose bound exceeds the limit.  The loop is the
+    reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           size=st.sampled_from([1000.0, 1000.3, 11712.0]),
+           mu=st.sampled_from([1e6, 3.3e6, 1e7]),
+           c=st.sampled_from([0.7, 1.25, 3.3, 1000.25]),
+           n=st.integers(20, 3000), load=st.floats(0.6, 4.0),
+           burst=st.floats(0.0, 0.9), lag=st.floats(0.1, 0.9),
+           side=st.sampled_from(["low", "high"]), pick=st.floats(0.0, 1.0),
+           block=st.integers(1, 48))
+    # a floor that rounding moves, and an idle arrival after drops
+    @example(seed=10, size=1000.0, mu=1e6, c=0.7, n=20, load=1.0, burst=0.0,
+             lag=0.25, side="high", pick=1.0, block=1)
+    @example(seed=0, size=1000.0, mu=1e6, c=0.7, n=196, load=0.6015625,
+             burst=0.0, lag=0.25, side="high", pick=0.0, block=1)
+    def test_walk_at_rounded_thresholds(self, seed, size, mu, c, n, load,
+                                        burst, lag, side, pick, block):
+        # a long busy run from the last completion c, the first arrival a
+        # fraction lag of c before it, so queueing delays are near the times
+        # themselves and the threshold's rounding shows; every completion
+        # stays in c's binade.  K is drawn at the thresholds of
+        # test_one_size_blocks_settle_rounded_threshold: the backlog + size
+        # an arrival sees where a + (K - s) / mu rounds below its
+        # completion (low), or one ulp below one where it rounds above
+        # (high).  Blocks of a few packets put block edges everywhere
+        tau = size / mu
+        top = 2.0 ** (np.floor(np.log2(c)) + 1)
+        n = min(n, int((top - c) / tau) - 2)
+        # the walk's numpy blocks, not the loop's step in a binade that ties
+        ex = int(np.frexp(c)[1])
+        assume(n >= 20 and np.ldexp(tau, 53 - ex) % 1.0 != 0.5)
+        rng = np.random.default_rng(seed)
+        gaps = rng.exponential(tau / load, n)
+        gaps[rng.random(n) < burst] = 0.0
+        times = c * (1.0 - lag) + np.cumsum(gaps)
+        _, last_c, _, _ = kernels.des_fifo(times, size, mu, 0.0, c)
+        comp = np.append(c, last_c[:-1])
+        seen = (comp - times) * mu + size
+        below = np.nextafter(seen, 0.0)
+        if side == "low":
+            at = np.flatnonzero(times + (seen - size) / mu < comp)
+        else:
+            at = np.flatnonzero(times + (below - size) / mu >= comp)
+        assume(at.size)
+        x = at[min(int(pick * at.size), at.size - 1)]
+        cap = seen[x] if side == "low" else below[x]
+        # a size above K drops every packet, and never reaches the walk
+        assume(cap >= size)
+        with mock.patch.multiple(des, _BLOCK_MIN=1, _BLOCK_MAX=block,
+                                 _SUB=4):
+            scan = busy_walk(times, size, mu, cap, c)
+        assert scan.stepped == 0
+
+    @pytest.mark.parametrize("sub", [4, 128])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_first_drop_at_a_sub_block_end(self, sub, where):
+        # from an empty queue, packets arrive at a quarter of the service
+        # time, so the backlog each one sees grows; K at the backlog + size
+        # of the one before the m-th sub-block's first or last packet drops
+        # that one first.  The rest arrive after the queue has emptied, at
+        # half the service rate, so the sub-blocks after it see it empty
+        size, mu, n = 1000.0, 1e7, 8 * sub
+        tau = size / mu
+        for m in (0, 1, 3, 6):
+            f = m * sub + (sub - 1 if where == "last" else 0)
+            if f == 0:
+                continue
+            times = 1.0 + np.arange(n) * (0.25 * tau)
+            times[f + 1:] = times[f] + np.arange(1, n - f) * (2 * tau) + (
+                n * tau)
+            _, last_c, _, _ = kernels.des_fifo(times, size, mu, 0.0)
+            cap = (last_c[f - 2] - times[f - 1]) * mu + size if f > 1 else (
+                size)
+            with mock.patch.multiple(des, _BLOCK_MIN=n, _SUB=sub):
+                res, (depart, _, _, _) = loop_results(times, size, mu, cap)
+            assert np.flatnonzero(np.isnan(depart)).tolist() == [f]
+            assert res.looped == 1 and res.stepped == 0
+
+
 class TestChunkedDropTail:
     """The scan's blocks, the busy walk's blocks and the loop's stretches
     carry the state from one to the next; with blocks of a few packets,
@@ -696,6 +780,18 @@ class TestInvariants:
 
 
 class TestOutflowBinning:
+    def test_q_csv_is_the_per_line_format(self, tmp_path):
+        # written in chunks of 2 lines, byte for byte as one f-string per
+        # sample wrote it
+        res = simulate_fifo(make_trace([0.5, 0.6, 3.0], 300.0, (0.0, 4.0)),
+                            DesConfig(mu=100.0, sample_dt=0.8))
+        path = tmp_path / "q.csv"
+        with mock.patch.object(series, "_CSV_LINES", 2):
+            res.q_to_csv(path)
+        assert path.read_text() == "t_s,q_bits\n" + "".join(
+            f"{t:.9f},{float(q)!r}\n"
+            for t, q in zip(res.sample_times, res.q_sampled))
+
     def test_departure_mass_binned(self):
         trace = make_trace([0.5, 1.0], 100.0, (0.0, 4.0))
         res = simulate_fifo(trace, DesConfig(mu=100.0, sample_dt=1.0))

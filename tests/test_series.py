@@ -231,6 +231,33 @@ class TestBinning:
         assert out.t0 == t0 and out.dt == dt
 
 
+class TestEdgeCounts:
+    """edge_counts puts a time within a few ulps of an edge by the bin
+    rule itself, and every other time by searchsorted alone."""
+
+    @staticmethod
+    def rule(times, t0, dt, k):
+        return np.array([np.count_nonzero((times - t0) / dt <= e) for e in k])
+
+    def test_times_on_and_near_an_edge(self):
+        # a time on an edge, an ulp either side of one, and one far from
+        # every edge: the tie pass runs for the first three
+        t0, dt, k = 3.7, 0.1, np.arange(1, 9)
+        on = t0 + dt * 3
+        times = np.sort([t0 + 0.05, np.nextafter(t0 + dt, 0.0), on,
+                         np.nextafter(on, np.inf), t0 + dt * 6.5])
+        assert series.edge_counts(times, t0, dt, k).tolist() == (
+            self.rule(times, t0, dt, k).tolist())
+
+    def test_times_far_from_every_edge(self):
+        # nothing within tol of an edge: the counts are searchsorted's
+        t0, dt, k = -100.0, 7.0, np.arange(0, 12)
+        times = t0 + dt * (np.arange(40) * 0.3 + 0.05)
+        out = series.edge_counts(times, t0, dt, k)
+        assert out.tolist() == self.rule(times, t0, dt, k).tolist()
+        assert out.dtype == np.intp
+
+
 class TestBinPerTrace:
     """Binning a list of traces sums each trace's bits per bin; the merged
     trace binned in one piece is the reference."""
