@@ -365,9 +365,9 @@ class _Scan:
         minimum, read only where k is needed, and the loop's own count
         where rounding could move the floor.  The arrivals before c find
         the server busy; of the later ones, only those where y has risen
-        above p by lim - tau_e, less rounding, can find it idle.  Arrivals
-        that fail even at c - tau_e, which a crossing's rounding can leave,
-        are dropped first, so that m_l >= 0 for the rest.
+        above p by lim - tau_e, less rounding, can find it idle.  Leading
+        arrivals more than lim + tau_e / 2 before c are dropped first, so
+        that m_l >= 0 for the rest.
         """
         a, lim = self.a, self.lim
         while self.j < a.size:
