@@ -74,8 +74,6 @@ def cmd_simulate(cfg, out: Path) -> int:
     traj = integrate_queue(inflow, spec)
     traj.to_csv(out / "trajectory.csv")
     traj.outflow_series().to_csv(out / "outflow.csv")
-    with open(out / "solver_stats.txt", "w") as fh:
-        fh.write(traj.stats.to_text())
     _write_summary(out / "summary.txt", [
         ("lambda_bps", repr(mean_rate(inflow))),
         ("rho", repr(intensity(inflow, q["mu"]))),
@@ -213,32 +211,6 @@ def _build_topology(net):
                     packet_size_bits=net["packet_size"])
 
 
-def _stats_rows(state):
-    """One line of solver counts per queue a propagation solved; a priority
-    re-solve shares the base's access queues, so it leaves them out."""
-    queues = ([(f"access{i}", t) for i, t in enumerate(state.access)]
-              if state.priority is None
-              else [("core_priority", state.priority)])
-    queues += [("core", state.core)] + [(f"egress{j}", t)
-                                        for j, t in enumerate(state.egress)]
-    return [f"{name},{t.stats.steps},{t.stats.rejected},"
-            f"{t.stats.closed_form},{t.stats.max_negative_q!r}\n"
-            for name, t in queues]
-
-
-def _write_solver_stats(out, run):
-    header = "queue,steps,rejected,closed_form,max_negative_q\n"
-    with open(out / "solver_stats.csv", "w") as fh:
-        fh.write(header)
-        fh.writelines(_stats_rows(run.state))
-    if run.priority_rates:
-        with open(out / "solver_stats_priority.csv", "w") as fh:
-            fh.write("priority_bps," + header)
-            fh.writelines(f"{rate!r},{row}" for rate, state in zip(
-                run.priority_rates, run.priority_states)
-                for row in _stats_rows(state))
-
-
 def cmd_dt(cfg, out: Path) -> int:
     net = cfg["network"]
     if net is None:
@@ -258,7 +230,6 @@ def cmd_dt(cfg, out: Path) -> int:
     for i, inflow in enumerate(run.inflows):
         inflow.to_csv(out / f"flow_{i}.csv")
     run.state.core.to_csv(out / "core_trajectory.csv")
-    _write_solver_stats(out, run)
     _write_csv(out / "l_od.csv", "t_s,L_od_s\n", "%.9f,%r\n",
                run.latency_times, run.latency_od)
     plot.line_plot(out / "l_od.svg",

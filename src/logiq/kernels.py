@@ -28,18 +28,6 @@ def _outflow(q, x, mu, alpha):
     return mu + np.exp(-alpha * q) * (np.minimum(x, mu) - mu)
 
 
-def _rhs(q, x, mu, alpha, cap_k):
-    """Returns (dq/dt, outflow, lost-rate) of the queue with inflow x on a
-    server of rate mu, its backlog projected onto [0, cap_k]: at cap_k the
-    backlog does not rise, and the inflow it would rise by is lost.  The
-    backlog is evaluated at max(q, 0)."""
-    qc = q if q > 0.0 else 0.0
-    y = float(_outflow(qc, x, mu, alpha))
-    if qc >= cap_k and x > y:
-        return 0.0, y, x - y
-    return x - y, y, 0.0
-
-
 def _pieces(d, w):
     """The areas A, the integrals of X - mu, of the two pieces of each bin
     of width w, where X - mu runs linearly from d[i] to d[i + 1] in bin i:

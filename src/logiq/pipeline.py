@@ -180,7 +180,6 @@ class DtRun:
     l_max: float
     priority_rates: tuple
     priority_l_max: tuple
-    priority_states: tuple    # DtState per priority rate
     # where generate_flow_inflows draws the odd-numbered flows: "child",
     # "inline"
     traffic_process: str
@@ -245,14 +244,13 @@ def dt_scenario(topology: Topology, inflows, priority_rates=()) -> DtRun:
     times, l_od = latency_series(state, topology)
     l_max = float(l_od.max())
 
-    prio_states, prio_lmax = [], []
+    prio_lmax = []
     n = len(inflows[0])
     for rate in priority_rates:
         prio = RateSeries(inflows[0].t0, dt, np.full(n, float(rate)))
         p_state = inject_priority_flow(topology, inflows, prio, base=state)
-        prio_states.append(p_state)
         prio_lmax.append(max_expected_latency(p_state, topology))
 
     return DtRun(topology, tuple(inflows), state, times, l_od, l_max,
                  tuple(float(r) for r in priority_rates), tuple(prio_lmax),
-                 tuple(prio_states), traffic_process())
+                 traffic_process())

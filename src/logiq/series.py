@@ -9,18 +9,11 @@ one size.
 
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
-def _loadtxt_quiet(path):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
 class ParameterError(ValueError):
@@ -157,15 +150,6 @@ class RateSeries:
     def to_csv(self, path):
         _write_csv(path, "t_s,rate_bps\n", "%.9f,%r\n", self.sample_times,
                    self.values)
-
-    @classmethod
-    def from_csv(cls, path):
-        data = _loadtxt_quiet(path)
-        if data.size == 0:
-            raise ParameterError(f"empty rate series in {path}")
-        times = data[:, 0]
-        dt = times[1] - times[0] if times.size > 1 else times[0]
-        return cls(t0=float(times[0] - dt), dt=float(dt), values=data[:, 1])
 
 
 def merge_traces(traces, horizon=None) -> PacketTrace:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import PacketTrace, ParameterError, merge_traces
+from .series import PacketTrace, ParameterError
 
 #: measured parameters for an HD video user (packet size in bits)
 DEFAULT_PACKET_SIZE_BITS = 1464 * 8
@@ -189,14 +189,3 @@ def user_chunks(params: VideoUserParams, horizon, seed, n_users: int,
     per-user streams, to be drawn a time segment at a time."""
     return [video_user_chunks(params, horizon, child, warmup_s)
             for child in _user_seeds(horizon, seed, n_users)]
-
-
-def generate_aggregate(params: VideoUserParams, horizon, seed, n_users: int,
-                       warmup_s: float = 0.0) -> PacketTrace:
-    """merge_traces of generate_users' traces; with no users, the empty
-    trace on ``horizon``."""
-    traces = generate_users(params, horizon, seed, n_users, warmup_s)
-    horizon = (float(horizon[0]), float(horizon[1]))
-    if not traces:
-        return PacketTrace(np.empty(0), params.packet_size_bits, horizon)
-    return merge_traces(traces, horizon=horizon)

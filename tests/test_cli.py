@@ -60,12 +60,8 @@ class TestCommands:
         assert (out / "trajectory.csv").exists()
         assert (out / "outflow.csv").exists()
         assert "q_max_bits=" in (out / "summary.txt").read_text()
-        stats = dict(line.split("=", 1) for line in
-                     (out / "solver_stats.txt").read_text().splitlines())
-        assert set(stats) == {"steps", "rejected", "closed_form",
-                              "max_negative_q"}
-        for value in stats.values():
-            float(value)  # plain numbers, not numpy reprs
+        assert sorted(p.name for p in out.iterdir()) == [
+            "inflow.csv", "outflow.csv", "summary.txt", "trajectory.csv"]
 
     def test_simulate_zero_users_keeps_horizon(self, tmp_path):
         payload = {"traffic": {"users": 0, "horizon": "600 s", "dt": "60 s"},
@@ -245,39 +241,28 @@ class TestCommands:
         payload = dict(BASE)
         payload.update(NETWORK)
         with mock.patch("logiq.cli._write_csv",
-                        wraps=series._write_csv) as write:
+                        wraps=series._write_csv) as write, \
+                mock.patch("logiq.fluid._write_csv",
+                           wraps=series._write_csv) as write_traj:
             code, out = run(tmp_path, "dt", payload)
         assert code == 0
-        # l_od.csv is byte for byte what one f-string per sample wrote
+        # l_od.csv and core_trajectory.csv are byte for byte what one
+        # f-string per sample wrote
         (path, _, _, times, l_od), _ = write.call_args
         assert path == out / "l_od.csv"
         assert path.read_text() == "t_s,L_od_s\n" + "".join(
             f"{t:.9f},{float(v)!r}\n" for t, v in zip(times, l_od))
+        (path, _, _, grid, q, y), _ = write_traj.call_args
+        assert path == out / "core_trajectory.csv"
+        assert path.read_text() == "t_s,q_bits,y_bps\n" + "".join(
+            f"{t:.9f},{float(qi)!r},{float(yi)!r}\n"
+            for t, qi, yi in zip(grid, q, y))
         assert (out / "l_max_vs_priority.csv").exists()
         assert (out / "l_od.svg").exists()
         summary = (out / "summary.txt").read_text()
         assert "l_max_s=" in summary
         assert summary.endswith("traffic_process=child\n")
-        lines = (out / "solver_stats.csv").read_text().splitlines()
-        assert lines[0] == "queue,steps,rejected,closed_form,max_negative_q"
-        rows = [line.split(",") for line in lines[1:]]
-        assert [r[0] for r in rows] == ["access0", "access1", "core",
-                                        "egress0", "egress1"]
-        for row in rows:
-            assert all(int(v) >= 0 for v in row[1:4])
-            float(row[4])
-        # the priority re-solves reuse the base's access queues, so only the
-        # pair and the egress queues get rows, once per rate
-        lines = (out / "solver_stats_priority.csv").read_text().splitlines()
-        assert lines[0] == ("priority_bps,queue,steps,rejected,closed_form,"
-                            "max_negative_q")
-        rows = [line.split(",") for line in lines[1:]]
-        queues = ["core_priority", "core", "egress0", "egress1"]
-        assert [(float(r[0]), r[1]) for r in rows] == (
-            [(0.0, q) for q in queues] + [(5e9, q) for q in queues])
-        for row in rows:
-            assert all(int(v) >= 0 for v in row[2:5])
-            float(row[5])
+        assert not list(out.glob("solver_stats*"))
 
     def test_dt_inline_traffic(self, tmp_path, monkeypatch):
         # without os.fork every flow is drawn in the process itself, with

@@ -10,9 +10,8 @@ from logiq.fluid import (DomainError, QueueSpec, compute_alpha,
                          emptying_time_bound, exit_time,
                          integrate_finite_queue, integrate_point_queue,
                          integrate_priority_pair, integrate_queue,
-                         logistic_rhs, outflow_rate, point_queue_rhs,
-                         priority_rates, queue_decay_bound, split_outflow,
-                         _rhs_at)
+                         outflow_rate, priority_rates, queue_decay_bound,
+                         split_outflow)
 from logiq.series import ParameterError, RateSeries
 
 
@@ -23,6 +22,20 @@ def const_inflow(rate, horizon, dt=1.0, t0=0.0):
 
 def random_inflow(rng, n=120, dt=1.0, peak=2e6):
     return RateSeries(0.0, dt, rng.uniform(0.0, peak, n))
+
+
+def rhs(t, q, inflow, spec):
+    """(dq/dt, outflow, lost-rate) of the queue ``spec`` fed by ``inflow``,
+    with X linear between the inflow's sample times and constant beyond
+    them, as the solve reads it.  The backlog is evaluated at max(q, 0) and
+    projected onto [0, K]: at K it does not rise, and the inflow it would
+    rise by is lost."""
+    x = float(np.interp(t, inflow.sample_times, inflow.values))
+    q = max(float(q), 0.0)
+    y = outflow_rate(x, q, spec.mu, spec.alpha)
+    if spec.capacity_k is not None and q >= spec.capacity_k and x > y:
+        return 0.0, y, x - y
+    return x - y, y, 0.0
 
 
 class TestOutflowLaw:
@@ -68,11 +81,13 @@ class TestAlpha:
 
 
 class TestRhs:
+    """The right-hand side that reference() solves."""
+
     def test_continuous_at_empty_queue(self):
         inflow = const_inflow(0.7, 10.0)
         spec = QueueSpec(mu=1.0, alpha=0.5)
-        r0 = logistic_rhs(5.0, 0.0, inflow, spec)
-        r1 = logistic_rhs(5.0, 1e-7, inflow, spec)
+        r0 = rhs(5.0, 0.0, inflow, spec)[0]
+        r1 = rhs(5.0, 1e-7, inflow, spec)[0]
         assert abs(r1 - r0) < 1e-6
 
     def test_finite_buffer_gate_in_rhs(self):
@@ -80,16 +95,10 @@ class TestRhs:
         # inflow beyond the server's mu is lost; an underload still drains
         inflow = const_inflow(2.0, 10.0)
         spec = QueueSpec(mu=1.0, alpha=1.0, capacity_k=5.0)
-        assert logistic_rhs(5.0, 0.0, inflow, spec) == pytest.approx(1.0)
-        assert logistic_rhs(5.0, 5.0, inflow, spec) == 0.0
-        assert logistic_rhs(5.0, 10.0, inflow, spec) == 0.0
-        assert _rhs_at(5.0, 5.0, inflow, spec) == (0.0, 1.0, 1.0)
-        assert logistic_rhs(5.0, 5.0, const_inflow(0.5, 10.0), spec) < 0.0
-
-    def test_point_queue_rhs_clamps_at_zero(self):
-        assert point_queue_rhs(0.0, 0.0, 0.4, mu=1.0) == 0.0
-        assert point_queue_rhs(0.0, 1.0, 0.4, mu=1.0) == pytest.approx(-0.6)
-        assert point_queue_rhs(0.0, 0.0, 1.4, mu=1.0) == pytest.approx(0.4)
+        assert rhs(5.0, 0.0, inflow, spec)[0] == pytest.approx(1.0)
+        assert rhs(5.0, 5.0, inflow, spec) == (0.0, 1.0, 1.0)
+        assert rhs(5.0, 10.0, inflow, spec)[0] == 0.0
+        assert rhs(5.0, 5.0, const_inflow(0.5, 10.0), spec)[0] < 0.0
 
 
 class TestIntegration:
@@ -168,15 +177,12 @@ free_flow = dict(
 
 class TestFreeFlow:
     """An empty queue whose inflow stays at or below its service rate is
-    solved in closed form: no steps, q identically 0, served = inflow.  No
-    bin is stepped, also where a finite buffer fills."""
+    solved in closed form: q identically 0, served = inflow.  Every bin is
+    solved exactly, also where a finite buffer fills."""
 
     MU = 1e6
 
     def assert_free_flow(self, traj, inflow):
-        n_bins = len(inflow)
-        assert traj.stats.steps == 0 and traj.stats.rejected == 0
-        assert traj.stats.closed_form == n_bins
         assert np.all(traj.q == 0.0) and np.all(traj.lost == 0.0)
         # the kernel reads each bin's two samples by index and sums the
         # trapezoids in order, as cumsum does
@@ -221,8 +227,6 @@ class TestFreeFlow:
                                                1.5 * mu, 1.5 * mu]))
         spec = QueueSpec(mu=mu, alpha=1.0 / mu, capacity_k=mu * dt)
         traj = integrate_queue(inflow, spec)
-        # no bin is stepped, the two that reach K included
-        assert traj.stats.closed_form == 5 and traj.stats.steps == 0
         assert traj.q[1] == 0.0 and traj.lost[3] == 0.0
         assert traj.lost[-1] > 0.0
         assert traj.q.max() == spec.capacity_k
@@ -244,8 +248,7 @@ class TestFreeFlow:
         k = 100.0 * mu
         spec = QueueSpec(mu=mu, alpha=1e-5, q0=0.99 * k, capacity_k=k)
         traj = integrate_queue(inflow, spec)
-        assert traj.stats.steps == 0 and np.all(traj.lost == 0.0)
-        assert traj.stats.closed_form == len(inflow)
+        assert np.all(traj.lost == 0.0)
         # it drains, then refills in the last bin
         assert np.all(np.diff(traj.q[:-1]) <= 0.0) and traj.q[-2] == 0.0
         assert 0.0 < traj.q[-1] < k
@@ -260,7 +263,7 @@ class TestFreeFlow:
 
 def reference(inflow, spec):
     """(q, served, lost) of the queue ``spec`` fed by ``inflow`` at the
-    inflow's grid, as scipy's DOP853 solves fluid._rhs_at's rows at rtol
+    inflow's grid, as scipy's DOP853 solves rhs()'s rows at rtol
     1e-12, one piece at a time: each bin is cut where X crosses mu, so that
     its linear samples are read whole.  A terminal event stops a solve where
     q reaches K; the solve then resumes from q = K, where the law holds q
@@ -269,7 +272,7 @@ def reference(inflow, spec):
     atol = 1e-15 * (inflow.integral() + spec.q0)
 
     def rows(t, s):
-        return _rhs_at(t, s[0], inflow, spec)
+        return rhs(t, s[0], inflow, spec)
 
     def full(t, s):
         return s[0] - spec.capacity_k
@@ -350,8 +353,6 @@ class TestExactBins:
         inflow, spec = self.case(mode, fractions, dt, alpha_dt, q0_bins,
                                  room_bins)
         traj = integrate_queue(inflow, spec)
-        assert traj.stats.steps == 0
-        assert traj.stats.closed_form == len(inflow)
         ref_q, ref_served, ref_lost = reference(inflow, spec)
         atol = self.STEPPER_GAP * (inflow.integral() + spec.q0)
         np.testing.assert_allclose(traj.q, ref_q, rtol=0.0, atol=atol)
@@ -391,7 +392,6 @@ class TestExactBins:
             inflow = RateSeries(0.0, dt, np.zeros(200))
             spec = QueueSpec(mu=mu, alpha=50.0 / (mu * dt), q0=400 * mu * dt)
             traj = integrate_queue(inflow, spec)
-            assert traj.stats.steps == 0
             exit_times = exit_time(traj.grid, traj.q, mu)
             assert np.all(np.diff(exit_times) >= 0.0)
             np.testing.assert_allclose(traj.q, spec.q0 - mu * traj.grid,
@@ -403,7 +403,6 @@ class TestExactBins:
         mu = self.MU
         inflow = const_inflow(0.0, 10.0)
         traj = integrate_queue(inflow, QueueSpec(mu=mu, alpha=1e-6, q0=1e12))
-        assert traj.stats.steps == 0
         np.testing.assert_allclose(traj.q, 1e12 - mu * traj.grid, rtol=1e-15)
 
     def test_crossing_bin_peaks_inside(self):
@@ -432,7 +431,7 @@ class TestExactBins:
         k = 0.9 * peak
         full = integrate_queue(inflow, QueueSpec(mu=mu, alpha=1.0 / mu,
                                                  capacity_k=k))
-        assert full.stats.steps == 0 and full.q[1] == traj.q[1]
+        assert full.q[1] == traj.q[1]
         assert full.lost[-1] == pytest.approx(peak - k, rel=1e-12)
         expected = np.logaddexp(0.0, np.log(np.expm1(a * k))
                                 - a * mu * dt / 4.0) / a
@@ -505,7 +504,6 @@ class TestFiniteQueue:
         spec = QueueSpec(mu=mu, alpha=1.0 / mu, capacity_k=k)
         traj = integrate_finite_queue(inflow, spec)
         assert traj.q.max() == k and traj.q[-1] == k
-        assert traj.stats.steps == 0 and traj.stats.rejected == 0
         assert traj.lost[-1] == pytest.approx(0.2 * mu * bins - k, rel=1e-13)
         assert traj.served[-1] == pytest.approx(mu * bins, rel=1e-13)
 

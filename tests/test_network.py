@@ -83,10 +83,9 @@ class TestPropagate:
         np.testing.assert_allclose(state.core_in.values, 24e9, rtol=1e-6)
         z0 = state.egress_in[0].values[-1]
         assert z0 == pytest.approx(0.5 * 10e9 + 0.25 * 14e9, rel=1e-3)
-        # every access bin is free flow, solved without a step
+        # every access bin is free flow: no backlog, nothing lost
         for traj in state.access:
-            assert traj.stats.steps == 0
-            assert traj.stats.closed_form == len(traj.grid) - 1
+            assert np.all(traj.q == 0.0) and np.all(traj.lost == 0.0)
 
     def test_split_conserves_core_outflow(self):
         rng = np.random.default_rng(6)
@@ -263,7 +262,6 @@ class TestPriorityInjection:
             for field in ("grid", "q", "y", "served", "lost"):
                 np.testing.assert_array_equal(getattr(a, field),
                                               getattr(b, field))
-            assert a.stats == b.stats
         for a, b in zip(
                 [*reused.access_out, reused.core_in, reused.core_out,
                  *reused.egress_in],

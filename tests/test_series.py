@@ -145,9 +145,9 @@ class TestRateSeries:
         rs = RateSeries(0.0, 60.0, np.array([0.0, 1.5e7, 11712.0 / 60.0]))
         path = tmp_path / "rates.csv"
         rs.to_csv(path)
-        back = RateSeries.from_csv(path)
-        assert back.same_grid(rs)
-        np.testing.assert_array_equal(back.values, rs.values)
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(back[:, 0], rs.sample_times)
+        np.testing.assert_array_equal(back[:, 1], rs.values)
 
     def test_csv_is_the_per_line_format(self, tmp_path):
         # written in chunks of 2 lines, byte for byte as one f-string per

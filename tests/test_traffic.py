@@ -7,8 +7,8 @@ import pytest
 from scipy import stats
 
 from logiq import pipeline
-from logiq.series import PacketTrace, ParameterError
-from logiq.traffic import (VideoUserParams, generate_aggregate, generate_users,
+from logiq.series import PacketTrace, ParameterError, merge_traces
+from logiq.traffic import (VideoUserParams, generate_users,
                            generate_video_user, interuse_for_rate,
                            user_chunks)
 
@@ -125,23 +125,18 @@ class TestGeneration:
 
     def test_times_inside_horizon_and_sorted(self):
         p = VideoUserParams()
-        tr = generate_aggregate(p, (0.0, 4 * 3600.0), 5, 4)
+        tr = merge_traces(generate_users(p, (0.0, 4 * 3600.0), 5, 4))
         assert np.all(np.diff(tr.times) >= 0)
         if len(tr):
             assert tr.times[0] >= 0.0 and tr.times[-1] <= 4 * 3600.0
         assert tr.packet_bits == 1464 * 8
-
-    def test_aggregate_of_no_users_keeps_horizon(self):
-        tr = generate_aggregate(VideoUserParams(), (0.0, 100.0), 1, 0)
-        assert len(tr) == 0
-        assert tr.horizon == (0.0, 100.0)
 
     @pytest.mark.parametrize("n_users", [0, 1])
     @pytest.mark.parametrize("horizon", [(5.0, 5.0), (5.0, 4.0),
                                          (0.0, float("nan"))])
     def test_aggregate_rejects_empty_horizon(self, horizon, n_users):
         with pytest.raises(ParameterError):
-            generate_aggregate(VideoUserParams(), horizon, 1, n_users)
+            generate_users(VideoUserParams(), horizon, 1, n_users)
 
     def test_idle_seed_yields_empty_trace(self):
         # a millisecond window almost surely starts inside the first gap
@@ -165,7 +160,7 @@ class TestGeneration:
     def test_session_alternation_visible(self):
         # long gaps between sessions dominate the inter-arrival tail
         p = VideoUserParams()
-        tr = generate_aggregate(p, (0.0, 48 * 3600.0), 3, 1)
+        tr = merge_traces(generate_users(p, (0.0, 48 * 3600.0), 3, 1))
         gaps = np.diff(tr.times)
         assert gaps.max() > 600.0          # at least one idle period
         assert np.median(gaps) < 0.05      # in-burst arrivals dominate
