@@ -27,8 +27,8 @@ or of lim.  Dropped bits are drops x size, as the loop counts them.
 Accepted departures, the one array as long as the trace, are written
 compacted as they are made; the backlog samples read the last completion
 only at the sample points.  A trace can also be fed in time segments
-(FifoCarry), each of its own size: the scan carries the loop's state from
-one to the next, so only a segment's arrays are alive.
+(FifoCarry(cfg, horizon, size)): the carry holds the loop's state from one
+to the next, so only a segment's arrays are alive.
 
 Backlog counts every bit that has arrived but not yet departed, including the
 remainder of the in-service packet.  With a finite buffer, an arriving packet
@@ -85,79 +85,22 @@ def simulate_fifo(trace: PacketTrace, cfg: DesConfig,
     """Run the FIFO recursion over a sorted trace and sample the backlog on
     the grid t0 + i*sample_dt covering the horizon.
 
-    With a ``carry`` (FifoCarry(cfg, horizon)), ``trace`` is the next time
-    segment of a longer trace on that horizon, no packet earlier than the
-    last segment's, and its packet size may be another.  The loop goes on
-    from the carried state, and the result is the segment's: its
-    departures, drops and dropped bits, and the samples it settled;
-    carry.result() gives the whole trace's.
+    With a ``carry`` (FifoCarry(cfg, horizon, size)), ``trace`` is the next
+    time segment of a longer trace of that packet size on that horizon, no
+    packet earlier than the last segment's.  The loop goes on from the
+    carried state, and the result is the segment's: its departures, drops
+    and dropped bits, and the samples it settled; carry.result() gives the
+    whole trace's.
     The departures view a buffer that the next segment reuses.
     """
     if carry is None:
-        carry = FifoCarry(cfg, trace.horizon)
+        carry = FifoCarry(cfg, trace.horizon, trace.packet_bits)
         return carry.result(carry.feed(trace).departures)
     if carry.cfg != cfg:
         raise ParameterError("cfg must be the carry's cfg")
+    if trace.packet_bits != carry.size:
+        raise ParameterError("packet_bits must be the carry's size")
     return carry.feed(trace)
-
-
-class FifoCarry:
-    """A trace fed to one _Scan in time segments, and the backlog samples
-    settled so far.
-
-    backlog(t) = mu * max(0, C(t) - t) with C(t) the completion time of the
-    last accepted arrival at or before t.  A segment settles the samples
-    before its last arrival, since every later arrival comes after them;
-    for one with no accepted arrival at or before it in the segment, C is
-    the carried c (-inf before the first acceptance).  result() settles the
-    rest from the last c.
-    """
-
-    def __init__(self, cfg: DesConfig, horizon):
-        self.cfg = cfg
-        self.t0, self.t1 = horizon
-        n = n_bins(self.t0, self.t1, cfg.sample_dt)
-        self.sample_times = self.t0 + cfg.sample_dt * np.arange(n + 1)
-        self.q = np.zeros(n + 1)
-        self.si = 0     # the samples before si are settled
-        self.scan = _Scan(float(cfg.mu), cfg.capacity_k)
-
-    def feed(self, trace):
-        """One segment through the scan; simulate_fifo describes the
-        result."""
-        scan, times, si = self.scan, trace.times, self.si
-        hi = si + (int(np.searchsorted(self.sample_times[si:], times[-1]))
-                   if times.size else 0)
-        samples = self.sample_times[si:hi]
-        c, drops = scan.c, scan.drops
-        looped, stepped = scan.looped, scan.stepped
-        # arrivals at or before each sample time
-        scan.load(times, trace.packet_bits,
-                  np.searchsorted(times, samples, side="right"))
-        depart = scan.run()
-        # kept counts the accepted arrivals among the first seen, and
-        # departures keep arrival order
-        c_at = (np.where(scan.kept > 0, depart[np.maximum(scan.kept - 1, 0)],
-                         c) if depart.size else c)
-        self.q[si:hi] = scan.mu * np.maximum(0.0, c_at - samples)
-        self.si = hi
-        return DesResult(
-            samples, self.q[si:hi],
-            PacketTrace.unchecked(depart, scan.size, (self.t0, max(
-                self.t1, float(depart[-1]) if depart.size else self.t1))),
-            scan.drops - drops, (scan.drops - drops) * scan.size,
-            scan.looped - looped,
-            scan.stepped - stepped, times.size, 1)
-
-    def result(self, departures=None) -> DesResult:
-        """The whole trace's result, with the given departures."""
-        scan, si = self.scan, self.si
-        self.q[si:] = scan.mu * np.maximum(0.0,
-                                           scan.c - self.sample_times[si:])
-        self.si = self.q.size
-        return DesResult(self.sample_times, self.q, departures, scan.drops,
-                         float(scan.bits), scan.looped, scan.stepped,
-                         scan.packets, scan.segments)
 
 
 # block lengths in packets: mode L's blocks grow from _BLOCK_MIN to _CHUNK,
@@ -188,46 +131,95 @@ def _limit(mu, size, cap):
     return float(np.int64(lo).view(np.float64))
 
 
-class _Scan:
-    """kernels.des_fifo's loop over a trace fed in one or more time
-    segments, in the modes of the module docstring.  The state is the
-    loop's: the last completion c and the dropped bits so far (each
-    segment's drops x its size), with whether a segment ended inside a
-    busy walk (walking), so the counts of mode D are the whole trace's, and
-    mode L's block length.  In a segment, j is the next arrival and the
-    accepted departures are out[:w]; kept[i] counts the accepted packets
-    among the first seen[i] arrivals.  The departures' buffer and the
-    walk's scratch d serve every segment."""
+class FifoCarry:
+    """kernels.des_fifo's loop over a trace of one packet size fed in one or
+    more time segments, in the modes of the module docstring, and the
+    backlog samples settled so far.
 
-    def __init__(self, mu, cap_k):
-        self.mu, self.cap = mu, cap_k
-        self.c, self.bits = -math.inf, 0.0
+    The state is the loop's: the last completion c and the drops so far,
+    with whether a segment ended inside a busy walk (walking), so the counts
+    of mode D are the whole trace's, and mode L's block length.  In a
+    segment, j is the next arrival and the accepted departures are out[:w];
+    kept[i] counts the accepted packets among the first seen[i] arrivals.
+    The departures' buffer and the walk's scratch d serve every segment.
+
+    backlog(t) = mu * max(0, C(t) - t) with C(t) the completion time of the
+    last accepted arrival at or before t.  A segment settles the samples
+    before its last arrival, since every later arrival comes after them;
+    for one with no accepted arrival at or before it in the segment, C is
+    the carried c (-inf before the first acceptance).  result() settles the
+    rest from the last c.
+    """
+
+    def __init__(self, cfg: DesConfig, horizon, size):
+        self.cfg, self.size = cfg, float(size)
+        self.t0, self.t1 = horizon
+        n = n_bins(self.t0, self.t1, cfg.sample_dt)
+        self.sample_times = self.t0 + cfg.sample_dt * np.arange(n + 1)
+        self.q = np.zeros(n + 1)
+        self.settled = 0    # the samples before it are settled
+        self.mu, self.cap = float(cfg.mu), cfg.capacity_k
+        self.tau = self.size / self.mu
+        if self.cap is not None and self.size <= self.cap:
+            self.lim = _limit(self.mu, self.size, self.cap)
+        self.c = -math.inf
         self.walking = False
         self.block = _BLOCK_MIN
         self.looped = self.stepped = self.drops = 0
         self.packets = self.segments = 0
         self.out = np.empty(0)
-        self.d = np.empty((2, 0 if cap_k is None else _BLOCK_MAX + 1))
-        self.tau = self.ex = self.ramp = self.size = None
+        self.d = np.empty((2, 0 if self.cap is None else _BLOCK_MAX + 1))
+        self.ex = self.ramp = None
 
-    def load(self, arrivals, size, seen):
-        """Swap in the next segment: its arrivals, packet size and seen."""
+    def feed(self, trace):
+        """One segment through the loop; simulate_fifo describes the
+        result."""
+        times, s0 = trace.times, self.settled
+        s1 = s0 + (int(np.searchsorted(self.sample_times[s0:], times[-1]))
+                   if times.size else 0)
+        samples = self.sample_times[s0:s1]
+        c, drops = self.c, self.drops
+        looped, stepped = self.looped, self.stepped
+        # arrivals at or before each sample time
+        self._start(times, np.searchsorted(times, samples, side="right"))
+        depart = self._run()
+        # kept counts the accepted arrivals among the first seen, and
+        # departures keep arrival order
+        c_at = (np.where(self.kept > 0, depart[np.maximum(self.kept - 1, 0)],
+                         c) if depart.size else c)
+        self.q[s0:s1] = self.mu * np.maximum(0.0, c_at - samples)
+        self.settled = s1
+        return DesResult(
+            samples, self.q[s0:s1],
+            PacketTrace.unchecked(depart, self.size, (self.t0, max(
+                self.t1, float(depart[-1]) if depart.size else self.t1))),
+            self.drops - drops, (self.drops - drops) * self.size,
+            self.looped - looped, self.stepped - stepped, times.size, 1)
+
+    def result(self, departures=None) -> DesResult:
+        """The whole trace's result, with the given departures."""
+        s0 = self.settled
+        self.q[s0:] = self.mu * np.maximum(0.0,
+                                           self.c - self.sample_times[s0:])
+        self.settled = self.q.size
+        return DesResult(self.sample_times, self.q, departures, self.drops,
+                         self.drops * self.size, self.looped, self.stepped,
+                         self.packets, self.segments)
+
+    def _start(self, arrivals, seen):
+        """Take in the next segment: its arrivals and seen."""
         n = arrivals.size
-        if self.cap is not None and size != self.size and size <= self.cap:
-            self.lim = _limit(self.mu, size, self.cap)
-        self.a, self.size, self.seen = arrivals, size, seen
+        self.a, self.seen = arrivals, seen
         self.kept, self.si = np.zeros_like(seen), 0
         self.j = self.w = 0
         self.packets += n
         self.segments += 1
         if self.out.size < n:
             self.out = np.empty(n)
-        tau, block = size / self.mu, min(n, _CHUNK)
-        if tau != self.tau or (self.ramp is not None
-                               and self.ramp.size <= block):
-            self.tau, self.ex, self.ramp = tau, None, None
+        if self.ramp is not None and self.ramp.size <= min(n, _CHUNK):
+            self.ex = self.ramp = None
 
-    def run(self):
+    def _run(self):
         """The segment's accepted departures, a view of the buffer that the
         next segment reuses."""
         a, n = self.a, self.a.size
@@ -265,7 +257,6 @@ class _Scan:
             else:
                 self.block = min(2 * block, _CHUNK)
         self.drops += n - self.w
-        self.bits += (n - self.w) * self.size
         return self.out[:self.w]
 
     def _walk(self):

@@ -109,7 +109,7 @@ def stream_oracle(runs, size, horizon, cfg: DesConfig, width=None):
     t0, size = float(horizon[0]), float(size)
     dt = cfg.sample_dt
     n = n_bins(t0, horizon[1], dt)
-    carry = FifoCarry(cfg, horizon)
+    carry = FifoCarry(cfg, horizon, size)
     bits_in, departed = np.zeros(n), np.zeros(n + 1, dtype=np.intp)
     runtime = 0.0
     segments = merged_segments(runs, t0, dt, n, width or n)
@@ -133,7 +133,7 @@ def stream_oracle(runs, size, horizon, cfg: DesConfig, width=None):
     t_start = time.perf_counter()
     des_result = carry.result()
     runtime += time.perf_counter() - t_start
-    end = max(float(carry.sample_times[-1]), horizon[1], carry.scan.c)
+    end = max(float(carry.sample_times[-1]), horizon[1], carry.c)
     if n_bins(t0, end, dt) == n:
         departed[n - 1] += departed[n]
     return (RateSeries(t0, dt, bits_in / dt), des_result,

@@ -51,13 +51,12 @@ def loop_results(times, size, mu, cap=None, sample_dt=1.0):
     return res, ref
 
 
-def fed_in_segments(segments, cfg, horizon):
-    """The result of one FifoCarry fed the (times, size) ``segments`` in
-    turn, and the accepted departures of them all, each segment's of its
-    size."""
-    carry = des.FifoCarry(cfg, horizon)
+def fed_in_segments(segments, size, cfg, horizon):
+    """The result of one FifoCarry fed the time arrays ``segments`` of
+    packets of ``size`` in turn, and the accepted departures of them all."""
+    carry = des.FifoCarry(cfg, horizon, size)
     dep_times = []
-    for times, size in segments:
+    for times in segments:
         part = simulate_fifo(PacketTrace(times, size, horizon), cfg, carry)
         assert part.departures.packet_bits == size
         # the departures view a buffer that the next segment reuses
@@ -65,21 +64,20 @@ def fed_in_segments(segments, cfg, horizon):
     return carry.result(), np.concatenate(dep_times)
 
 
-def loop_over_segments(segments, mu, cap):
-    """kernels.des_fifo over the (times, size) ``segments`` in turn, each
+def loop_over_segments(segments, size, mu, cap):
+    """kernels.des_fifo over the time arrays ``segments`` in turn, each
     from the last completion before it: (depart, last_c, n_drop,
-    bits_drop), the dropped bits each segment's drops x its size, added in
-    turn."""
-    c, departs, lasts, n_drop, bits_drop = -np.inf, [], [], 0, 0.0
-    for times, size in segments:
-        depart, last_c, drops, bits = kernels.des_fifo(times, size, mu,
-                                                       cap or 0.0, c)
+    bits_drop), the dropped bits n_drop x size, as the loop counts them."""
+    c, departs, lasts, n_drop = -np.inf, [], [], 0
+    for times in segments:
+        depart, last_c, drops, _ = kernels.des_fifo(times, size, mu,
+                                                    cap or 0.0, c)
         c = last_c[-1] if times.size else c
         departs.append(depart)
         lasts.append(last_c)
         n_drop += drops
-        bits_drop += bits
-    return np.concatenate(departs), np.concatenate(lasts), n_drop, bits_drop
+    return (np.concatenate(departs), np.concatenate(lasts), n_drop,
+            n_drop * size)
 
 
 def small_blocks(chunk):
@@ -95,16 +93,17 @@ def busy_walk(times, size, mu, cap, c):
     """The busy walk alone, over ``times`` from the last completion c: its
     departures and drops are the loop's from c over the arrivals it took,
     and it stops only at an idle arrival."""
-    scan = des._Scan(mu, cap)
-    scan.load(times, size, np.array([times.size]))
-    scan.c = c
-    scan._busy_walk()
-    j = scan.j
+    carry = des.FifoCarry(DesConfig(mu=mu, capacity_k=cap),
+                          (float(times[0]), float(times[-1])), size)
+    carry._start(times, np.array([times.size]))
+    carry.c = c
+    carry._busy_walk()
+    j = carry.j
     depart, last_c, n_drop, _ = kernels.des_fifo(times[:j], size, mu, cap, c)
-    assert scan.out[:scan.w].tobytes() == depart[~np.isnan(depart)].tobytes()
-    assert j - scan.w == n_drop
+    assert carry.out[:carry.w].tobytes() == depart[~np.isnan(depart)].tobytes()
+    assert j - carry.w == n_drop
     assert j == times.size or not (last_c[-1] if j else c) > times[j]
-    return scan
+    return carry
 
 
 def loop_sampled_backlog(times, last_c, mu, sample_times):
@@ -381,24 +380,24 @@ class TestDropTailOracle:
         assert low.size and high.size
         for cap, kept in ((seen[low[-1]], low[-1] + 1),
                           (below[high[-1]], high[-1])):
-            scan = busy_walk(times, size, mu, cap, c)
-            assert scan.j == times.size and scan.w == kept
-            assert scan.stepped == 0
+            walk = busy_walk(times, size, mu, cap, c)
+            assert walk.j == times.size and walk.w == kept
+            assert walk.stepped == 0
 
     def test_oversized_packet_at_empty_queue(self):
-        # the packet at 7 s finds the queue empty and is dropped whole.  It
-        # is a segment of its own size, above K, which the scan drops
-        # without a walk
-        segments = [(np.array([0.0, 0.5]), 300.0), (np.array([7.0]), 1200.0),
-                    (np.array([7.0]), 200.0), (np.array([9.0]), 300.0)]
+        # every packet is above K, so each finds the queue empty and is
+        # dropped whole, in every segment, without a walk or a step
+        segments = [np.array([0.0, 0.5]), np.array([7.0]), np.empty(0),
+                    np.array([7.0, 9.0])]
         res, departures = fed_in_segments(
-            segments, DesConfig(mu=100.0, capacity_k=1000.0, sample_dt=1.0),
+            segments, 1200.0,
+            DesConfig(mu=100.0, capacity_k=1000.0, sample_dt=1.0),
             (0.0, 10.0))
-        assert res.drop_count == 1 and res.drop_bits == 1200.0
-        np.testing.assert_array_equal(departures, [3.0, 6.0, 9.0, 12.0])
-        assert res.looped == 0
-        np.testing.assert_allclose(res.q_sampled[6:], [0.0, 200.0, 100.0,
-                                                       300.0, 200.0])
+        assert res.drop_count == res.packets == 5
+        assert res.drop_bits == 5 * 1200.0
+        assert departures.size == 0
+        assert res.looped == res.stepped == 0
+        assert not res.q_sampled.any()
 
     def test_drop_before_time_zero_keeps_departures(self):
         # the accepted packet leaves at -9 s; a negative time is a departure,
@@ -492,8 +491,8 @@ class TestWalkAndDropTest:
         assume(cap >= size)
         with mock.patch.multiple(des, _BLOCK_MIN=1, _BLOCK_MAX=block,
                                  _SUB=4):
-            scan = busy_walk(times, size, mu, cap, c)
-        assert scan.stepped == 0
+            walk = busy_walk(times, size, mu, cap, c)
+        assert walk.stepped == 0
 
     @pytest.mark.parametrize("sub", [4, 128])
     @pytest.mark.parametrize("where", ["first", "last"])
@@ -528,20 +527,20 @@ class TestChunkedDropTail:
     trace, segment by segment, is the reference."""
 
     @staticmethod
-    def check(segments, horizon, mu, cap, chunk):
-        """One FifoCarry fed the (times, size) ``segments`` against the
-        loop over them."""
+    def check(segments, size, horizon, mu, cap, chunk):
+        """One FifoCarry fed the time arrays ``segments`` of packets of
+        ``size`` against the loop over them."""
         with small_blocks(chunk):
             res, departures = fed_in_segments(
-                segments, DesConfig(mu=mu, capacity_k=cap, sample_dt=1.0),
-                horizon)
-        depart, last_c, n_drop, bits_drop = loop_over_segments(segments, mu,
-                                                               cap)
+                segments, size,
+                DesConfig(mu=mu, capacity_k=cap, sample_dt=1.0), horizon)
+        depart, last_c, n_drop, bits_drop = loop_over_segments(
+            segments, size, mu, cap)
         accepted = ~np.isnan(depart)
         assert res.drop_count == n_drop
         assert res.drop_bits == bits_drop
         assert departures.tobytes() == depart[accepted].tobytes()
-        times = np.concatenate([t for t, _ in segments])
+        times = np.concatenate(segments)
         assert res.q_sampled.tobytes() == loop_sampled_backlog(
             times, last_c, mu, res.sample_times).tobytes()
         return res, depart
@@ -559,98 +558,93 @@ class TestChunkedDropTail:
         times = np.repeat(np.arange(len(burst), dtype=float), burst)
         horizon = (0.0, float(len(burst)))
         mu = size * times.size / (rho * horizon[1])
-        self.check([(times, size)], horizon, mu, cap * size, chunk)
+        self.check([times], size, horizon, mu, cap * size, chunk)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     def test_samples_on_drops(self, chunk):
         # 400-bit packets into K = 1000 bits at 100 b/s.  At 6 s three
-        # arrive together and the third is dropped; the sample at 6 s sees
-        # the second's completion, 14 s.  Fed segments of other sizes, a
-        # 1200-bit packet at 5 s is dropped at an empty queue and opens the
-        # same busy period, so the sample at 5 s falls on its leading drop
-        times = np.array([0.0, 5.0, 6.0, 6.0, 6.0, 40.0])
+        # arrive together and the third is dropped; the sample at 6 s falls
+        # on that drop and sees the second's completion, 14 s.  Cut so that
+        # the drop is a segment of its own, or ends the segment that walks
+        # from it, and whole
+        times = np.array([0.0, 6.0, 6.0, 6.0, 40.0])
         horizon = (0.0, 45.0)
-        segments = [(times[:1], 300.0), (times[1:2], 1200.0),
-                    (times[2:5], 400.0), (times[5:], 100.0)]
-        res, depart = self.check(segments, horizon, 100.0, 1000.0, chunk)
-        assert np.isnan(depart).tolist() == [False, True, False, False,
-                                             True, False]
-        np.testing.assert_array_equal(res.q_sampled[[3, 5, 6]],
-                                      [0.0, 0.0, 800.0])
-        res, depart = self.check([(np.delete(times, 1), 400.0)], horizon,
-                                 100.0, 1000.0, chunk)
-        assert np.isnan(depart).tolist() == [False, False, False, True,
-                                             False]
-        assert res.q_sampled[6] == 800.0
+        for cuts in ([1, 3, 4], [4], []):
+            res, depart = self.check(np.split(times, cuts), 400.0, horizon,
+                                     100.0, 1000.0, chunk)
+            assert np.isnan(depart).tolist() == [False, False, False, True,
+                                                 False]
+            np.testing.assert_array_equal(res.q_sampled[[3, 4, 6]],
+                                          [100.0, 0.0, 800.0])
         # K below the one size: every packet is a leading drop
-        res, _ = self.check([(times, 400.0)], horizon, 100.0, 300.0, chunk)
+        res, _ = self.check([times], 400.0, horizon, 100.0, 300.0, chunk)
         assert res.drop_count == times.size and res.packets == times.size
         assert not res.q_sampled.any()
 
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     def test_mixed_sizes_after_a_one_packet_period(self, chunk):
-        # the first drop is one oversized packet at an empty queue, a
-        # segment of its own size; after a period without drops, the next
-        # drops at a busy server, in a segment of another size
+        # one packet a segment, each size in a carry of its own: after two
+        # one-packet busy periods without drops, three packets arrive
+        # together at a busy server, and the drops fall on segment edges.
+        # A size above K drops every packet at an empty queue
         times = np.array([0.0, 5.0, 10.0, 10.0, 10.0])
-        sizes = [1200.0, 100.0, 400.0, 700.0, 300.0]
-        segments = [(times[i:i + 1], size) for i, size in enumerate(sizes)]
-        res, depart = self.check(segments, (0.0, 12.0), 1000.0, 1000.0,
-                                 chunk)
-        assert np.isnan(depart).tolist() == [True, False, False, True, False]
-        assert res.segments == times.size
+        segments = np.split(times, range(1, times.size))
+        for size, dropped in ((300.0, []), (400.0, [4]), (700.0, [3, 4]),
+                              (1200.0, [0, 1, 2, 3, 4])):
+            res, depart = self.check(segments, size, (0.0, 12.0), 1000.0,
+                                     1000.0, chunk)
+            assert np.flatnonzero(np.isnan(depart)).tolist() == dropped
+            assert res.segments == times.size
 
 
 class TestSegmentedSizes:
-    """FifoCarry over segments of different packet sizes: the state
+    """FifoCarry over segments of drawn lengths, empty ones too: the state
     carried across them gives the loop's results over the segments in turn,
-    byte for byte."""
+    byte for byte, and the dropped bits are the loop's drops x size."""
 
     @settings(max_examples=100, deadline=None)
     @given(counts=st.lists(st.integers(0, 40), min_size=1, max_size=8),
            seed=st.integers(0, 2**32 - 1), rho=st.floats(0.5, 3.0),
-           cap=st.one_of(st.none(), st.floats(2.0, 6.0)),
+           size=st.sampled_from([1000.3, 40.0, 1500.0]),
+           cap=st.one_of(st.none(), st.floats(0.5, 6.0)),
            chunk=st.sampled_from([None, 1, 3]))
-    def test_alternating_segments_match_loop(self, counts, seed, rho, cap,
-                                             chunk):
+    def test_alternating_segments_match_loop(self, counts, seed, rho, size,
+                                             cap, chunk):
         rng = np.random.default_rng(seed)
-        size, mu = 1000.3, 1e4
+        mu = 1e4
         if cap is not None:
-            cap *= size
+            cap *= size                         # below 1: every packet drops
         # a burst at 1 s, which a finite buffer drops from, so that its
-        # segment ends inside the busy walk; an empty segment; then
-        # segments of drawn sizes and of the first size in turn, the first
-        # drawn one not empty.  A drawn size can exceed K and drop every
-        # packet of its segment
-        segments = [(np.full(20, 1.0), size), (np.empty(0), 2 * size)]
+        # segment ends inside the busy walk; an empty segment; then the
+        # drawn segments, the first not empty
+        segments = [np.full(20, 1.0), np.empty(0)]
         counts[0] += 1
         end = 1.0
-        for k, count in enumerate(counts):
+        for count in counts:
             times = end + np.cumsum(rng.exponential(size / (rho * mu), count))
             end = float(times[-1]) if count else end
-            segments.append((times, float(rng.uniform(100.0, 3 * size))
-                             if k % 2 == 0 else size))
+            segments.append(times)
         horizon = (0.0, end + 1.0)
         cfg = DesConfig(mu=mu, capacity_k=cap, sample_dt=0.25)
-        carry = des.FifoCarry(cfg, horizon)
+        carry = des.FifoCarry(cfg, horizon, size)
         dep_times = []
         with small_blocks(chunk):
-            for i, (times, seg_size) in enumerate(segments):
-                part = simulate_fifo(PacketTrace(times, seg_size, horizon),
-                                     cfg, carry)
-                assert part.departures.packet_bits == seg_size
+            for i, times in enumerate(segments):
+                part = simulate_fifo(PacketTrace(times, size, horizon), cfg,
+                                     carry)
+                assert part.departures.packet_bits == size
                 # the departures view a buffer that the next segment reuses
                 dep_times.append(part.departures.times.copy())
                 if i == 1:
-                    assert carry.scan.walking == (cap is not None)
+                    assert carry.walking == (cap is not None and cap >= size)
         res = carry.result()
-        depart, last_c, n_drop, bits_drop = loop_over_segments(segments, mu,
-                                                               cap)
+        depart, last_c, n_drop, bits_drop = loop_over_segments(segments,
+                                                               size, mu, cap)
         assert (np.concatenate(dep_times).tobytes()
                 == depart[~np.isnan(depart)].tobytes())
         assert res.drop_count == n_drop
         assert res.drop_bits == bits_drop
-        times = np.concatenate([t for t, _ in segments])
+        times = np.concatenate(segments)
         assert res.q_sampled.tobytes() == loop_sampled_backlog(
             times, last_c, mu, res.sample_times).tobytes()
 
@@ -832,8 +826,36 @@ def test_config_rejects_nan_and_inf(kwargs):
 def test_carry_rejects_another_cfg():
     # a segment goes on from the carry's state, which holds its cfg
     cfg = DesConfig(mu=1.0, sample_dt=1.0)
-    carry = des.FifoCarry(cfg, (0.0, 2.0))
+    carry = des.FifoCarry(cfg, (0.0, 2.0), 1.0)
     trace = PacketTrace(np.array([0.5]), 1.0, (0.0, 2.0))
     with pytest.raises(ParameterError):
         simulate_fifo(trace, DesConfig(mu=2.0, sample_dt=1.0), carry)
     assert simulate_fifo(trace, cfg, carry).packets == 1
+
+
+def test_carry_rejects_another_size():
+    # the carry holds one packet size: its service time, its drop limit
+    # and its dropped bits
+    cfg = DesConfig(mu=1.0, capacity_k=4.0, sample_dt=1.0)
+    carry = des.FifoCarry(cfg, (0.0, 2.0), 1.0)
+    with pytest.raises(ParameterError):
+        simulate_fifo(PacketTrace(np.array([0.5]), 2.0, (0.0, 2.0)), cfg,
+                      carry)
+    trace = PacketTrace(np.array([0.5]), 1.0, (0.0, 2.0))
+    assert simulate_fifo(trace, cfg, carry).packets == 1
+    assert carry.result().packets == 1
+
+
+def test_segmented_drop_bits_are_drops_times_size():
+    # 1000.3 bits is not a whole number, so a sum of the 9 segments' dropped
+    # bits rounds away from the loop's n_drop x size (198059.40000000002
+    # against 198059.4)
+    size, mu = 1000.3, 1e4
+    times = 1.0 + np.arange(400) * (0.5 * size / mu)
+    cap = 3 * size
+    res, _ = fed_in_segments(np.array_split(times, 9), size,
+                             DesConfig(mu=mu, capacity_k=cap, sample_dt=0.25),
+                             (0.0, float(times[-1]) + 1.0))
+    _, _, n_drop, bits_drop = kernels.des_fifo(times, size, mu, cap)
+    assert res.drop_count == n_drop == 198
+    assert res.drop_bits == bits_drop == n_drop * size

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from logiq import kernels
 from logiq.fluid import (DomainError, QueueSpec, compute_alpha,
                          emptying_time_bound, exit_time,
                          integrate_finite_queue, integrate_point_queue,
@@ -32,7 +33,7 @@ def rhs(t, q, inflow, spec):
     rise by is lost."""
     x = float(np.interp(t, inflow.sample_times, inflow.values))
     q = max(float(q), 0.0)
-    y = outflow_rate(x, q, spec.mu, spec.alpha)
+    y = float(kernels._outflow(q, x, spec.mu, spec.alpha))
     if spec.capacity_k is not None and q >= spec.capacity_k and x > y:
         return 0.0, y, x - y
     return x - y, y, 0.0

@@ -4,7 +4,10 @@ Its traced mode (``perfbench/run.py --trace 1``) rebinds the layer functions
 listed in ``tracing.LAYER_FUNCTIONS`` and hands their results to
 ``child.Observations``.  perfbench's own test is not part of this suite, so
 these checks catch a rename or a deletion that would break a traced run.
-They import perfbench's modules and change nothing there.
+The benchmark's untimed gate observes only ``validate_scenario``,
+``dt_scenario`` and ``inject_priority_flow``, and its checks read what those
+observers keep.  These tests import perfbench's modules and change nothing
+there.
 """
 
 import importlib
@@ -14,11 +17,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from logiq import cli, pipeline
+from logiq.des import DesConfig, simulate_fifo
 from logiq.fluid import QueueSpec, integrate_priority_pair, integrate_queue
 from logiq.network import Topology, inject_priority_flow, propagate
-from logiq.series import RateSeries
+from logiq.series import RateSeries, merge_traces
+from logiq.traffic import VideoUserParams, generate_users
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TOPOLOGY = Topology(access_mu=(25e9, 25e9), core_mu=20e9, core_k=5e9,
+                    egress_xi=(15e9, 15e9),
+                    routing=np.array([[0.5, 0.5], [0.25, 0.75]]),
+                    packet_size_bits=1464 * 8.0)
 
 
 @pytest.fixture(scope="module")
@@ -60,16 +70,12 @@ def test_observations_read_real_results(harness):
     obs.on_priority_pair((x1, x2, spec), {},
                          integrate_priority_pair(x1, x2, spec))
 
-    topology = Topology(access_mu=(25e9, 25e9), core_mu=20e9, core_k=5e9,
-                        egress_xi=(15e9, 15e9),
-                        routing=np.array([[0.5, 0.5], [0.25, 0.75]]),
-                        packet_size_bits=1464 * 8.0)
     inflows = [series(np.full(n, 12e9)), series(np.full(n, 10e9))]
-    obs.on_propagate((topology, inflows), {}, propagate(topology, inflows))
+    obs.on_propagate((TOPOLOGY, inflows), {}, propagate(TOPOLOGY, inflows))
     priority = series(np.full(n, 3e9))
     obs.on_priority_inject(
-        (topology, inflows, priority), {},
-        inject_priority_flow(topology, inflows, priority))
+        (TOPOLOGY, inflows, priority), {},
+        inject_priority_flow(TOPOLOGY, inflows, priority))
 
     assert obs.counts["fluid.calls"] == 2
     assert obs.counts["fluid.bins"] == 2 * n
@@ -80,3 +86,87 @@ def test_observations_read_real_results(harness):
         assert obs.counts[f"fluid.{name}.rejected"] == 0
     [residual] = obs.priority_residuals
     assert residual <= 1e-12
+
+
+def traced(harness, call):
+    """``call()`` under perfbench's untimed tracer, the one its benchmark
+    gate installs, and the Observations it filled."""
+    tracing, child = harness
+    obs = child.Observations()
+    tracer = tracing.Tracer(obs.observers(False), False)
+    tracer.install()
+    try:
+        call()
+    finally:
+        tracer.restore()
+    return obs
+
+
+@pytest.mark.parametrize("capacity", [None, 4e6])
+def test_untimed_tracer_reads_validate(harness, capacity):
+    # the call passes dt and mu by position, as the CLI does: on_validate
+    # reads them from its arguments
+    _, child = harness
+    params = VideoUserParams()
+    obs = traced(harness, lambda: pipeline.validate_scenario(
+        params, 3, 3600.0, 60.0, 7, 3 * params.mean_rate_bps / 0.8,
+        capacity=capacity))
+    v = obs.validation
+    assert v is not None and v["des_q_max_bits"] > 0
+    assert (v["drop_bits"] > 0) == (capacity is not None)
+    assert v["mass_residual_rel"] <= child.checks.MASS_REL
+
+
+def test_untimed_tracer_reads_dt(harness):
+    _, child = harness
+    n = 60
+    inflows = [series(np.full(n, 12e9)), series(np.full(n, 10e9))]
+    obs = traced(harness, lambda: pipeline.dt_scenario(
+        TOPOLOGY, inflows, priority_rates=(1e9, 3e9)))
+    dt = obs.dt
+    assert dt is not None and dt["priority_rates"] == [1e9, 3e9]
+    assert len(dt["priority_l_max"]) == 2
+    residuals = [dt["base_residual_rel"]] + dt["priority_residual_rel"]
+    assert len(residuals) == 3
+    assert max(residuals) <= child.checks.MASS_REL
+
+
+def test_observations_count_packets_and_drops(harness):
+    _, child = harness
+    obs = child.Observations()
+    params, horizon = VideoUserParams(), (0.0, 3600.0)
+    traces = generate_users(params, horizon, 7, 3)
+    obs.on_generate((params, horizon, 7, 3), {}, traces)
+    trace = merge_traces(traces)
+    cfg = DesConfig(mu=0.5 * trace.total_bits / horizon[1],
+                    capacity_k=20 * params.packet_size_bits, sample_dt=60.0)
+    result = simulate_fifo(trace, cfg)
+    obs.on_simulate((trace, cfg), {}, result)
+    assert obs.counts["traffic.packets"] == obs.counts["des.packets"] == len(
+        trace) > 0
+    assert obs.counts["des.drops"] == result.drop_count > 0
+    assert obs.counts["des.drop_bits"] == result.drop_bits
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("validate", {}),
+    ("dt", {"network": {"priority_rates": [1e9, 3e9]}}),
+])
+def test_cli_parses_the_harness_argv(harness, tmp_path, command, cfg):
+    # run_command builds the argv and hands it to cli.main; here main only
+    # parses it with the CLI's own parser
+    _, child = harness
+    parsed = []
+
+    class ParseOnly:
+        @staticmethod
+        def main(argv):
+            parsed.append(cli.build_parser().parse_args(argv))
+            return 0
+
+    spec = {"command": command, "config": str(tmp_path / "cfg.json"),
+            "out": str(tmp_path / "out"), "seed": 42, "trace": 0}
+    child.run_command(spec, cfg, ParseOnly)
+    [args] = parsed
+    assert args.command == command and args.seed == 42
+    assert args.workers == 1

@@ -74,7 +74,7 @@ def carried_states(calls):
     """A spy on pipeline.simulate_fifo that records the carried completion
     and busy walk each segment starts from, and its first arrival."""
     def spy(trace, cfg, carry):
-        calls.append((carry.scan.c, carry.scan.walking,
+        calls.append((carry.c, carry.walking,
                       trace.times[0] if len(trace) else None))
         return simulate_fifo(trace, cfg, carry)
     return mock.patch.object(pipeline, "simulate_fifo", spy)
